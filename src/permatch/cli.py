@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import counting, verify
@@ -54,6 +53,8 @@ def _emit(doc: dict) -> None:
 
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
+        if args.threads < 1:
+            raise BadParamsError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     try:
         return max(1, int(os.environ.get("PERMATCH_THREADS", "1")))
@@ -236,7 +237,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    model = ModelSpec(args.model, args.n, q=Fraction(args.q))
+    model = ModelSpec(args.model, args.n, q=args.q)
     summary = mc_dp_ratio(model, args.samples, args.seed, threads=_threads(args))
     if args.json:
         _emit(summary.to_json_dict())

@@ -4,8 +4,7 @@ Vertices are 0-based. Everything lives on at most 64 vertices so a row of
 the adjacency matrix fits in one integer: bit j of ``rows[u]`` is set iff
 the arc (u, j) is present. Undirected graphs are symmetric digraphs under
 the hood; bipartite graphs keep an ``nl x nr`` biadjacency in the same row
-encoding. All three types are frozen dataclasses and hence hashable, which
-the memoized permanent routines rely on.
+encoding. All three types are frozen dataclasses and hence hashable.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ class UndirectedGraph:
     def to_digraph(self) -> Digraph:
         return self.base
 
-    def matrix(self) -> list[list[int]]:
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
         return self.base.matrix()
 
     def induced(self, vertices: Sequence[int]) -> "UndirectedGraph":

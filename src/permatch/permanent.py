@@ -5,11 +5,12 @@ Three independent routes are kept deliberately:
 * ``permanent_naive`` sums over all n! permutations and exists as an oracle.
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
-* a vectorized subset DP over used-column masks, exact in int64 for 0/1
-  matrices up to n = 20 (partial counts after i rows never exceed i!, and
-  20! < 2^63).
-
-``permanent_zero_one`` dispatches between the last two based on n.
+* ``permanent_zero_one`` runs the used-column subset DP for 0/1 matrices:
+  row i adds the count of every mask of i used columns to the same mask plus
+  one more column of row i. It is exact up to n = 20 (partial counts after i
+  rows never exceed i!, and 20! < 2^63) and refuses larger inputs. Small
+  matrices walk a dict of reachable masks in pure Python, larger ones run
+  the same recurrence on numpy arrays over all 2^n masks.
 """
 
 from __future__ import annotations
@@ -62,17 +63,29 @@ def permanent_naive(m: Matrix, limit: int = NAIVE_LIMIT) -> int:
     return total
 
 
-def _ryser_terms(colsum_step, n: int) -> int:
-    # Shared Gray-code walk: colsum_step(j, delta) must add delta times column j
-    # to the running row sums and return them as a list.
+def permanent_ryser(m: Matrix) -> int:
+    """Ryser's inclusion-exclusion permanent for nonnegative integer matrices."""
+    rows = as_int_matrix(m)
+    n = len(rows)
+    if n > RYSER_LIMIT:
+        raise TooLargeError(f"Ryser permanent capped at n={RYSER_LIMIT}, got {n}")
+    if n == 0:
+        return 1
+    rowsum = [0] * n
+    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
     total = 0
     prev = 0
-    rowsum = None
     for s in range(1, 1 << n):
         gray = s ^ (s >> 1)
         bit = gray ^ prev
         prev = gray
-        rowsum = colsum_step(bit.bit_length() - 1, 1 if gray & bit else -1)
+        col = cols[bit.bit_length() - 1]
+        if gray & bit:
+            for i in range(n):
+                rowsum[i] += col[i]
+        else:
+            for i in range(n):
+                rowsum[i] -= col[i]
         prod = 1
         for x in rowsum:
             if not x:
@@ -88,59 +101,30 @@ def _ryser_terms(colsum_step, n: int) -> int:
     return total
 
 
-def permanent_ryser(m: Matrix) -> int:
-    """Ryser's inclusion-exclusion permanent for nonnegative integer matrices."""
-    rows = as_int_matrix(m)
-    n = len(rows)
-    if n > RYSER_LIMIT:
-        raise TooLargeError(f"Ryser permanent capped at n={RYSER_LIMIT}, got {n}")
-    if n == 0:
-        return 1
-    rowsum = [0] * n
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-
-    def step(j: int, delta: int) -> list[int]:
-        col = cols[j]
-        if delta > 0:
-            for i in range(n):
-                rowsum[i] += col[i]
-        else:
-            for i in range(n):
-                rowsum[i] -= col[i]
-        return rowsum
-
-    return _ryser_terms(step, n)
-
-
-def _ryser_bits(bitrows: Sequence[int], n: int) -> int:
-    # 0/1 specialization: per column keep the bitmask of rows supporting it,
-    # so a Gray flip touches only those rows.
-    rowsum = [0] * n
-    support = []
-    for j in range(n):
-        mask = 0
-        for i in range(n):
-            if bitrows[i] >> j & 1:
-                mask |= 1 << i
-        support.append(mask)
-
-    def step(j: int, delta: int) -> list[int]:
-        mask = support[j]
-        while mask:
-            low = mask & -mask
-            rowsum[low.bit_length() - 1] += delta
-            mask ^= low
-        return rowsum
-
-    return _ryser_terms(step, n)
-
-
-# Dtype stages for the subset DP. After processing i rows every partial count
+# Up to SPARSE_MAX rows the DP runs over a dict of the reachable masks only,
+# which beats numpy's per-call overhead; above it the dense numpy arrays win.
+SPARSE_MAX = 8
+# Dtype stages for the dense DP. After processing i rows every partial count
 # is at most i!, so counts fit int16 through row 7 (7! = 5040), int32 through
 # row 12 (12! < 2^31), and int64 through row 20 (20! < 2^63).
 _DP_WIDEN = {7: np.int32, 12: np.int64}
-DP_MIN = 15
 DP_MAX = 20
+
+
+def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
+    cur = {0: 1}
+    for row in bitrows:
+        new: dict[int, int] = {}
+        get = new.get
+        for mask, count in cur.items():
+            free = row & ~mask
+            while free:
+                low = free & -free
+                free ^= low
+                key = mask | low
+                new[key] = get(key, 0) + count
+        cur = new
+    return sum(cur.values())
 
 
 def _permanent_bits_dp(bitrows: Sequence[int], n: int) -> int:
@@ -163,20 +147,20 @@ def _permanent_bits_dp(bitrows: Sequence[int], n: int) -> int:
 
 
 def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
-    """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij)."""
+    """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij).
+
+    Exact up to n = DP_MAX; larger inputs raise TooLargeError."""
     if n < 0 or len(bitrows) != n:
         raise BadParamsError(f"expected {n} rows, got {len(bitrows)}")
-    if n > RYSER_LIMIT:
-        raise TooLargeError(f"0/1 permanent capped at n={RYSER_LIMIT}, got {n}")
+    if n > DP_MAX:
+        raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
     full = (1 << n) - 1
     for i, row in enumerate(bitrows):
         if row < 0 or row & ~full:
             raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
-    if n == 0:
-        return 1
-    if DP_MIN <= n <= DP_MAX:
-        return _permanent_bits_dp(bitrows, n)
-    return _ryser_bits(bitrows, n)
+    if n <= SPARSE_MAX:
+        return _permanent_bits_sparse(bitrows)
+    return _permanent_bits_dp(bitrows, n)
 
 
 def subpermanent_sides(m: Matrix, k: int) -> tuple[int, int]:

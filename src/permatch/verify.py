@@ -211,12 +211,17 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     sum 1/k!^2; equality holds only there."""
     if not b.is_balanced:
         raise BadParamsError("the bipartite extremal statement needs balanced parts")
-    n = b.nl
     g = b.to_graph()
-    matchings = count_perfect_matchings(b)
+    return _bipartite_extremal(
+        b, count_perfect_matchings(b), count_derangements(g), count_permutations(g)
+    )
+
+
+def _bipartite_extremal(b: BipartiteGraph, matchings: int, d_direct: int, p: int) -> TheoremReport:
+    # d and p are counts of the flattened graph; matchings squared is the
+    # second, independent route to d
+    n = b.nl
     d = matchings ** 2
-    d_direct = count_derangements(g)
-    p = count_permutations(g)
     target = knn_ratio_sum(n)
     if d != d_direct:
         # two routes to the derangement count disagree: always a failure
@@ -492,13 +497,20 @@ def adjacency_hex(g: Digraph | UndirectedGraph) -> str:
 
 
 def survey_record(g: Digraph | UndirectedGraph) -> SurveyRecord:
-    d = count_derangements(g)
-    p = count_permutations(g)
+    return _survey_row(g)[0]
+
+
+def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]:
+    """One scan row: the ratio-half check, and the record built from its counts."""
+    report = check_ratio_half(g)
+    d = report.details["derangements"]
+    p = report.details["permutations"]
     ratio = Fraction(d, p)
     dg = g.base if isinstance(g, UndirectedGraph) else g
-    return SurveyRecord(
+    rec = SurveyRecord(
         g.n, dg.arc_count, adjacency_hex(g), d, p, format_ratio(ratio), format_12sig(ratio)
     )
+    return rec, report.holds, bool(report.equality)
 
 
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
@@ -506,13 +518,7 @@ FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 def _digraph_chunk(args: tuple[int, int, int]) -> list[tuple[SurveyRecord, bool, bool]]:
     n, start, stop = args
-    out = []
-    for index in range(start, stop):
-        g = digraph_from_arc_index(n, index)
-        rec = survey_record(g)
-        report = check_ratio_half(g)
-        out.append((rec, report.holds, bool(report.equality)))
-    return out
+    return [_survey_row(digraph_from_arc_index(n, index)) for index in range(start, stop)]
 
 
 def _bipartite_chunk(args: tuple[int, int, int]) -> list[tuple[SurveyRecord, bool, bool]]:
@@ -520,12 +526,13 @@ def _bipartite_chunk(args: tuple[int, int, int]) -> list[tuple[SurveyRecord, boo
     out = []
     for index in range(start, stop):
         b = BipartiteGraph(n, n, tuple((index >> (n * i)) & ((1 << n) - 1) for i in range(n)))
-        g = b.to_graph()
-        rec = survey_record(g)
-        ok = check_ratio_half(g).holds
-        if ok and count_perfect_matchings(b) > 0:
-            ok = check_half_hitting(b).holds and check_bipartite_extremal(b).holds
-        equality = rec.ratio_exact == "1/2"
+        rec, ok, equality = _survey_row(b.to_graph())
+        matchings = count_perfect_matchings(b)
+        if ok and matchings > 0:
+            ok = (
+                check_half_hitting(b).holds
+                and _bipartite_extremal(b, matchings, rec.derangements, rec.permutations).holds
+            )
         out.append((rec, ok, equality))
     return out
 
@@ -534,13 +541,7 @@ def _sampled_chunk(args: tuple[ModelSpec, int, int, int]) -> list[tuple[SurveyRe
     model, seed, start, stop = args
     from .random_models import child_seed
 
-    out = []
-    for index in range(start, stop):
-        g = sample(model, child_seed(seed, index))
-        rec = survey_record(g)
-        report = check_ratio_half(g)
-        out.append((rec, report.holds, bool(report.equality)))
-    return out
+    return [_survey_row(sample(model, child_seed(seed, index))) for index in range(start, stop)]
 
 
 def _chunked(total: int, threads: int) -> list[tuple[int, int]]:
@@ -578,7 +579,7 @@ def scan(
     elif family == "sampled-undirected":
         if samples < 1:
             raise BadParamsError("sampled scan needs samples >= 1")
-        model = ModelSpec("graph", n, q=Fraction(q))
+        model = ModelSpec("graph", n, q=q)
         jobs = [(model, seed, lo, hi) for lo, hi in _chunked(samples, threads)]
         worker = _sampled_chunk
     else:
@@ -617,7 +618,7 @@ def scan(
     }
     if family == "sampled-undirected":
         summary["seed"] = seed
-        summary["q"] = str(Fraction(q))
+        summary["q"] = str(model.q)
         summary["samples"] = samples
         if n % 2 == 0 and n >= 2:
             reference = dp_ratio(complete_bipartite(n // 2).to_graph())

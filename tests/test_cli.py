@@ -74,6 +74,33 @@ def test_usage_errors_exit_2(capsys, write_graph):
     assert code == 2  # over the profile cap
 
 
+def test_count_past_permanent_cap_exits_2(capsys, write_graph):
+    big = "digraph 21\n" + "".join(f"{i} {(i + 1) % 21}\n" for i in range(21))
+    code, out, err = run(capsys, "count", "--input", write_graph(big), "--what", "derangements")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "digraph", "--n", "4", "--q", "abc", "--samples", "2"],
+        ["mc", "--model", "digraph", "--n", "4", "--q", "1/0", "--samples", "2"],
+        ["mc", "--model", "digraph", "--n", "4", "--q", "3/2", "--samples", "2"],
+        ["mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "2", "--threads", "0"],
+        ["scan", "--family", "sampled-undirected", "--n", "4", "--samples", "2", "--q", "zz"],
+        ["scan", "--family", "digraphs", "--n", "2", "--threads", "-1"],
+    ],
+)
+def test_bad_parameters_exit_2(capsys, tmp_path, argv):
+    # a crash would exit 1 and read like a counterexample
+    if argv[0] == "scan":
+        argv = argv + ["--out", str(tmp_path / "records.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_construct_and_count_roundtrip(capsys, tmp_path):
     out = tmp_path / "c6.txt"
     code, _, _ = run(capsys, "construct", "--kind", "cycle", "--n", "6", "--out", str(out))

@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from permatch import (
     BadParamsError,
     TooLargeError,
+    derangement_number,
     log_bounds,
     permanent_naive,
     permanent_ryser,
     permanent_zero_one,
     subpermanent_sides,
 )
-from permatch.permanent import _permanent_bits_dp, _ryser_bits
+from permatch.permanent import SPARSE_MAX, _permanent_bits_dp, _permanent_bits_sparse
 
 
 def brick(n, fill):
     return [[fill] * n for _ in range(n)]
+
+
+def dense(rows, n):
+    return [[row >> j & 1 for j in range(n)] for row in rows]
 
 
 def test_tiny_cases():
@@ -52,8 +57,9 @@ def test_input_validation():
         permanent_ryser([[1.5]])
     with pytest.raises(TooLargeError):
         permanent_naive(brick(11, 1))
-    with pytest.raises(TooLargeError):
-        permanent_zero_one([0] * 31, 31)
+    for n in (21, 31):
+        with pytest.raises(TooLargeError):
+            permanent_zero_one([0] * n, n)
     with pytest.raises(BadParamsError):
         permanent_zero_one([4], 1)  # bit outside the square
 
@@ -71,29 +77,46 @@ def test_ryser_matches_naive_on_general_entries(m):
 
 @given(st.data())
 def test_zero_one_routes_agree(data):
-    n = data.draw(st.integers(1, 7))
+    # n crosses the switch between the dict and the numpy form of the DP;
+    # both forms run at every n against generic Ryser on the dense matrix
+    n = data.draw(st.integers(1, SPARSE_MAX + 2))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    mat = [[row >> j & 1 for j in range(n)] for row in rows]
-    expected = permanent_naive(mat)
+    mat = dense(rows, n)
+    expected = permanent_ryser(mat)
+    if n <= 7:
+        assert permanent_naive(mat) == expected
     assert permanent_zero_one(rows, n) == expected
-    assert _ryser_bits(rows, n) == expected
+    assert _permanent_bits_sparse(rows) == expected
+    assert _permanent_bits_dp(rows, n) == expected
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_dp_path_matches_ryser_midsize(seed):
+    # n >= 13 runs the int64 stage of the numpy DP
     rng = random.Random(seed)
-    n = rng.choice([15, 16])
+    n = rng.choice([12, 13, 14])
     rows = [rng.getrandbits(n) for _ in range(n)]
-    assert _permanent_bits_dp(rows, n) == _ryser_bits(rows, n)
+    assert permanent_zero_one(rows, n) == permanent_ryser(dense(rows, n))
 
 
 def test_dispatcher_uses_dp_in_range():
-    # the public dispatcher and both engines agree at the crossover point
+    # the public dispatcher and both forms of the DP agree on either side of the switch
     rng = random.Random(5)
-    n = 15
-    rows = [rng.getrandbits(n) for _ in range(n)]
-    assert permanent_zero_one(rows, n) == _ryser_bits(rows, n)
+    for n in (SPARSE_MAX, SPARSE_MAX + 1):
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        expected = permanent_ryser(dense(rows, n))
+        assert permanent_zero_one(rows, n) == expected
+        assert _permanent_bits_sparse(rows) == _permanent_bits_dp(rows, n) == expected
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 20])
+def test_zero_one_boundaries(n):
+    # int16 -> int32 widening at row 7, dict/numpy switch at 8/9, int32 -> int64
+    # widening at row 12, and the top of the exact range
+    full = (1 << n) - 1
+    assert permanent_zero_one([full] * n, n) == factorial(n)
+    assert permanent_zero_one([full ^ 1 << i for i in range(n)], n) == derangement_number(n)
 
 
 def test_subpermanent_identity_small():

@@ -37,13 +37,10 @@ from .verify import format_12sig, format_ratio
 
 
 def _load_graph(path: str) -> Digraph | UndirectedGraph | BipartiteGraph:
-    text = Path(path).read_text()
     try:
-        return parse_graph(text)
-    except GraphSyntaxError as exc:
-        raise GraphSyntaxError(f"{path}: {exc}") from None
-    except PermatchError as exc:
-        # bad vertex ids and the like are still a malformed file
+        return parse_graph(Path(path).read_text())
+    except (PermatchError, UnicodeDecodeError) as exc:
+        # bad vertex ids, undecodable bytes and the like are still a malformed file
         raise GraphSyntaxError(f"{path}: {exc}") from None
 
 

@@ -28,7 +28,7 @@ from .graphs import (
     derangement_model,
     permutation_model,
 )
-from .permanent import permanent_zero_one, permanent_ryser
+from .permanent import permanent_ryser, permanent_zero_one, permanent_zero_one_pair
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -62,9 +62,16 @@ def count_permutations(g: Digraph | UndirectedGraph) -> int:
     return permanent_zero_one(b.biadj, b.nl)
 
 
+def dp_counts(g: Digraph | UndirectedGraph) -> tuple[int, int]:
+    """(count_derangements(g), count_permutations(g)), i.e. per(A) and per(A + I)
+    for the adjacency A, from one kernel pass: use it wherever both are needed."""
+    b = derangement_model(as_digraph(g))
+    return permanent_zero_one_pair(b.biadj, b.nl)
+
+
 def dp_ratio(g: Digraph | UndirectedGraph) -> Fraction:
     """Derangements over permutations; well-defined since the identity always counts."""
-    return Fraction(count_derangements(g), count_permutations(g))
+    return Fraction(*dp_counts(g))
 
 
 def enumerate_permutations(

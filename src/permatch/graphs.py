@@ -443,15 +443,22 @@ def graph_to_json_dict(g: Digraph | UndirectedGraph | BipartiteGraph) -> dict:
     raise BadParamsError(f"cannot serialize {type(g).__name__}")
 
 
+def _json_pairs(items: list) -> list[tuple[int, int]]:
+    for item in items:  # two integers each; JSON true/false are not indices
+        if not isinstance(item, (list, tuple)) or len(item) != 2 or {type(x) for x in item} != {int}:
+            raise GraphSyntaxError(f"expected a pair of vertex indices, got {item!r}")
+    return [(a, b) for a, b in items]
+
+
 def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGraph:
     try:
         kind = doc["type"]
         if kind == "digraph":
-            return new_digraph(doc["n"], [tuple(a) for a in doc["arcs"]])
+            return new_digraph(doc["n"], _json_pairs(doc["arcs"]))
         if kind == "graph":
-            return new_graph(doc["n"], [tuple(e) for e in doc["edges"]])
+            return new_graph(doc["n"], _json_pairs(doc["edges"]))
         if kind == "bipartite":
-            return new_bipartite(doc["nl"], doc["nr"], [tuple(e) for e in doc["edges"]])
+            return new_bipartite(doc["nl"], doc["nr"], _json_pairs(doc["edges"]))
     except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"bad JSON graph document: {exc!r}") from None
     raise GraphSyntaxError(f"unknown graph type {kind!r}")
@@ -463,7 +470,7 @@ def parse_graph(text: str) -> Digraph | UndirectedGraph | BipartiteGraph:
     if stripped.startswith("{"):
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise GraphSyntaxError(f"bad JSON: {exc}") from None
         return graph_from_json_dict(doc)
 

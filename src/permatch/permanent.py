@@ -5,12 +5,11 @@ Three independent routes are kept deliberately:
 * ``permanent_naive`` sums over all n! permutations and exists as an oracle.
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
-* ``permanent_zero_one`` runs the used-column subset DP for 0/1 matrices:
-  row i adds the count of every mask of i used columns to the same mask plus
-  one more column of row i. It is exact up to n = 20 (partial counts after i
-  rows never exceed i!, and 20! < 2^63) and refuses larger inputs. Small
-  matrices walk a dict of reachable masks in pure Python, larger ones run
-  the same recurrence on numpy arrays over all 2^n masks.
+* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, wrapping-int64
+  Ryser for 9 <= n <= 20, with the d/p pair (per(A), per(A | I)) from one pass
+  in ``permanent_zero_one_pair``. Ryser's sum is an integer combination of
+  products of row counts, so int64 arithmetic that wraps gives per mod 2^64,
+  which is per itself as 0 <= per <= 20! < 2^63. Larger inputs are refused.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import BadParamsError, TooLargeError
 
-RYSER_LIMIT = 30
+RYSER_LIMIT = 21
 NAIVE_LIMIT = 10
 
 Matrix = Sequence[Sequence[int]]
@@ -102,13 +101,15 @@ def permanent_ryser(m: Matrix) -> int:
 
 
 # Up to SPARSE_MAX rows the DP runs over a dict of the reachable masks only,
-# which beats numpy's per-call overhead; above it the dense numpy arrays win.
+# which beats numpy's per-call overhead; above it Ryser's formula runs on numpy.
 SPARSE_MAX = 8
-# Dtype stages for the dense DP. After processing i rows every partial count
-# is at most i!, so counts fit int16 through row 7 (7! = 5040), int32 through
-# row 12 (12! < 2^31), and int64 through row 20 (20! < 2^63).
-_DP_WIDEN = {7: np.int32, 12: np.int64}
 DP_MAX = 20
+# Ryser splits column sets as S = L + H * 2^RYSER_LOW; row counts of every L are
+# built once, and RYSER_BLOCK high parts H at a time keep arrays at 256 KB.
+RYSER_LOW = 12
+RYSER_BLOCK = 8
+_MASKS = np.arange(1 << RYSER_LOW, dtype=np.int64)
+_SIGNS = 1 - 2 * (np.bitwise_count(_MASKS) & 1).astype(np.int64)  # (-1)^|mask|
 
 
 def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
@@ -127,40 +128,58 @@ def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
     return sum(cur.values())
 
 
-def _permanent_bits_dp(bitrows: Sequence[int], n: int) -> int:
-    cur = np.zeros(1 << n, dtype=np.int16)
-    cur[0] = 1
-    for i in range(n):
-        wider = _DP_WIDEN.get(i)
-        if wider is not None:
-            cur = cur.astype(wider)
-        new = np.zeros(1 << n, dtype=cur.dtype)
-        row = bitrows[i]
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            # add counts of masks without column j to the same masks with it
-            new.reshape(-1, 2, 1 << j)[:, 1, :] += cur.reshape(-1, 2, 1 << j)[:, 0, :]
-        cur = new
-    return int(cur[-1])
+def _row_counts(bitrows: Sequence[int], shift: int, bits: int) -> np.ndarray:
+    """counts[i, m] = popcount(m & (row_i >> shift)) for every mask m < 2^bits."""
+    part = np.array(bitrows, dtype=np.int64)[:, None] >> shift
+    return np.bitwise_count(part & _MASKS[: 1 << bits]).astype(np.int64)
+
+
+def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Ryser's per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|
+    for several 0/1 matrices in one pass. The sum is an integer combination of
+    products, so int64 arithmetic wrapping mod 2^64 gives per(A) mod 2^64, and
+    0 <= per(A) <= n! <= 20! < 2^63 makes that residue per(A) itself."""
+    low = min(n, RYSER_LOW)
+    high = n - low
+    counts = [(_row_counts(rows, 0, low), _row_counts(rows, low, high)) for rows in matrices]
+    low_signs, high_signs = _SIGNS[: 1 << low], _SIGNS[: 1 << high]
+    totals = [0] * len(matrices)
+    for h in range(0, 1 << high, RYSER_BLOCK):
+        block = slice(h, h + RYSER_BLOCK)
+        for k, (lo, hi) in enumerate(counts):
+            prod = lo[0] + hi[0, block, None]
+            for i in range(1, n):
+                prod *= lo[i] + hi[i, block, None]
+            totals[k] += int(high_signs[block] @ (prod @ low_signs))
+    return [(-t if n & 1 else t) & (1 << 64) - 1 for t in totals]
+
+
+def _permanents_bits(matrices: list[Sequence[int]], n: int) -> list[int]:
+    """Permanents of n x n 0/1 matrices; matrices[0] is the caller's input."""
+    if n < 0 or len(matrices[0]) != n:
+        raise BadParamsError(f"expected {n} rows, got {len(matrices[0])}")
+    if n > DP_MAX:
+        raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
+    for i, row in enumerate(matrices[0]):
+        if row < 0 or row >> n:
+            raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
+    if n <= SPARSE_MAX:
+        return [_permanent_bits_sparse(rows) for rows in matrices]
+    return _permanent_bits_ryser(matrices, n)
 
 
 def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
     """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij).
 
     Exact up to n = DP_MAX; larger inputs raise TooLargeError."""
-    if n < 0 or len(bitrows) != n:
-        raise BadParamsError(f"expected {n} rows, got {len(bitrows)}")
-    if n > DP_MAX:
-        raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
-    full = (1 << n) - 1
-    for i, row in enumerate(bitrows):
-        if row < 0 or row & ~full:
-            raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
-    if n <= SPARSE_MAX:
-        return _permanent_bits_sparse(bitrows)
-    return _permanent_bits_dp(bitrows, n)
+    return _permanents_bits([bitrows], n)[0]
+
+
+def permanent_zero_one_pair(bitrows: Sequence[int], n: int) -> tuple[int, int]:
+    """(per(A), per(A | I)) for the 0/1 matrix A given as row bitmasks; above
+    SPARSE_MAX both come from one Ryser pass. Same limits as permanent_zero_one."""
+    d, p = _permanents_bits([bitrows, [row | 1 << i for i, row in enumerate(bitrows)]], n)
+    return d, p
 
 
 def subpermanent_sides(m: Matrix, k: int) -> tuple[int, int]:

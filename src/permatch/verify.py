@@ -23,11 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .counting import (
-    count_derangements,
     count_perfect_matchings,
     count_perfect_matchings_general,
-    count_permutations,
-    dp_ratio,
+    dp_counts,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
@@ -44,7 +42,6 @@ from .graphs import (
     bipartitions_over_matching,
     blowup,
     canonical_matching,
-    complete_bipartite,
     new_digraph,
     new_graph,
 )
@@ -105,8 +102,7 @@ def _describe(g: Digraph | UndirectedGraph | BipartiteGraph) -> str:
 def check_ratio_half(g: Digraph | UndirectedGraph) -> TheoremReport:
     """Derangements are at most half of permutations, with equality exactly on
     directed cycles."""
-    d = count_derangements(g)
-    p = count_permutations(g)
+    d, p = dp_counts(g)
     ratio = Fraction(d, p)
     equality = ratio == HALF
     cyclic = is_directed_cycle(g)
@@ -211,10 +207,7 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     sum 1/k!^2; equality holds only there."""
     if not b.is_balanced:
         raise BadParamsError("the bipartite extremal statement needs balanced parts")
-    g = b.to_graph()
-    return _bipartite_extremal(
-        b, count_perfect_matchings(b), count_derangements(g), count_permutations(g)
-    )
+    return _bipartite_extremal(b, count_perfect_matchings(b), *dp_counts(b.to_graph()))
 
 
 def _bipartite_extremal(b: BipartiteGraph, matchings: int, d_direct: int, p: int) -> TheoremReport:
@@ -257,9 +250,7 @@ def _bipartite_extremal(b: BipartiteGraph, matchings: int, d_direct: int, p: int
 def check_blowup_formulas(k: int, l: int) -> TheoremReport:
     """Counts on the cycle blowup match their closed forms:
     d = (k!)^l, p = sum_i (C(k,i) (k-i)!)^l, ratio = 1 / sum_i (1/i!)^l."""
-    g = blowup(k, l)
-    d = count_derangements(g)
-    p = count_permutations(g)
+    d, p = dp_counts(blowup(k, l))
     want_d = factorial(k) ** l
     from math import comb
 
@@ -621,7 +612,7 @@ def scan(
         summary["q"] = str(model.q)
         summary["samples"] = samples
         if n % 2 == 0 and n >= 2:
-            reference = dp_ratio(complete_bipartite(n // 2).to_graph())
+            reference = 1 / knn_ratio_sum(n // 2)
             summary["reference_ratio"] = format_ratio(reference)
             summary["conjecture_exceedances"] = sum(
                 1 for r in records if Fraction(r.derangements, r.permutations) > reference

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
 from permatch.cli import main
@@ -62,6 +65,69 @@ def test_exit_code_3_on_bad_files(capsys, write_graph, tmp_path):
     garbled = write_graph("pentagram 5\n")
     code, _, err = run(capsys, "count", "--input", garbled, "--what", "ratio")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "digraph", "n": 3, "arcs": [[0]]},
+        {"type": "digraph", "n": 3, "arcs": [[0, 1, 2]]},
+        {"type": "digraph", "n": 3, "arcs": [0, 1]},
+        {"type": "digraph", "n": 3, "arcs": [["0", "1"]]},
+        {"type": "graph", "n": 3, "edges": [[1]]},
+        {"type": "graph", "n": 3, "edges": [[0, 1.5]]},
+        {"type": "bipartite", "nl": 2, "nr": 2, "edges": [[0]]},
+        {"type": "bipartite", "nl": 2, "nr": 2, "edges": [[0, True]]},
+    ],
+)
+def test_malformed_json_pairs_exit_3(capsys, write_graph, doc):
+    path = write_graph(json.dumps(doc), suffix=".json")
+    code, out, err = run(capsys, "count", "--input", path, "--what", "ratio")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfedigraph 3\n0 1\n", b'{"type": "digraph", "n": 2, "arcs": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+    ids=["not-utf8", "nested-json"],
+)
+def test_unreadable_file_exits_3(capsys, tmp_path, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "count", "--input", str(path), "--what", "ratio")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+_index = st.one_of(st.integers(-2, 7), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
+_pair = st.one_of(_index, st.lists(_index, max_size=3))
+_json_graphs = st.fixed_dictionaries(
+    {"type": st.sampled_from(["digraph", "graph", "bipartite", "tree"])},
+    optional={
+        "n": _index,
+        "nl": _index,
+        "nr": _index,
+        "arcs": st.one_of(_index, st.lists(_pair, max_size=8)),
+        "edges": st.one_of(_index, st.lists(_pair, max_size=8)),
+    },
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.one_of(st.binary(max_size=40), _json_graphs),
+    what=st.sampled_from(["derangements", "permutations", "ratio", "matchings", "fixed-points"]),
+)
+def test_count_any_file_never_crashes(tmp_path_factory, data, what):
+    # exit 1 means a statement failed; a crash must never produce it
+    path = tmp_path_factory.mktemp("fuzz") / "g"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["count", "--input", str(path), "--what", what])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_usage_errors_exit_2(capsys, write_graph):

@@ -17,6 +17,7 @@ from permatch import (
     count_perfect_matchings_general,
     count_permutations,
     directed_cycle,
+    dp_counts,
     dp_ratio,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
@@ -61,11 +62,12 @@ def test_complete_graph_counts():
 def test_enumeration_matches_counts():
     rng = random.Random(3)
     for _ in range(25):
-        g = random_digraph(rng, rng.randint(2, 6))
+        g = random_digraph(rng, rng.randint(2, 7))
         perms = list(enumerate_permutations(g))
         ders = list(enumerate_permutations(g, derangements_only=True))
         assert len(perms) == count_permutations(g)
         assert len(ders) == count_derangements(g)
+        assert dp_counts(g) == (len(ders), len(perms))
         assert perms == sorted(perms)
         assert set(ders) <= set(perms)
         for sigma in perms:

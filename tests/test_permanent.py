@@ -1,4 +1,5 @@
 import random
+import warnings
 from math import comb, exp, factorial, log
 
 import pytest
@@ -14,7 +15,13 @@ from permatch import (
     permanent_zero_one,
     subpermanent_sides,
 )
-from permatch.permanent import SPARSE_MAX, _permanent_bits_dp, _permanent_bits_sparse
+from permatch.permanent import (
+    RYSER_LIMIT,
+    SPARSE_MAX,
+    _permanent_bits_ryser,
+    _permanent_bits_sparse,
+    permanent_zero_one_pair,
+)
 
 
 def brick(n, fill):
@@ -60,6 +67,10 @@ def test_input_validation():
     for n in (21, 31):
         with pytest.raises(TooLargeError):
             permanent_zero_one([0] * n, n)
+        with pytest.raises(TooLargeError):
+            permanent_zero_one_pair([0] * n, n)
+    with pytest.raises(TooLargeError):
+        permanent_ryser(brick(RYSER_LIMIT + 1, 1))  # past its measured time budget
     with pytest.raises(BadParamsError):
         permanent_zero_one([4], 1)  # bit outside the square
 
@@ -77,8 +88,8 @@ def test_ryser_matches_naive_on_general_entries(m):
 
 @given(st.data())
 def test_zero_one_routes_agree(data):
-    # n crosses the switch between the dict and the numpy form of the DP;
-    # both forms run at every n against generic Ryser on the dense matrix
+    # n crosses the switch between the dict DP and the numpy Ryser kernel;
+    # both run at every n against generic Ryser on the dense matrix
     n = data.draw(st.integers(1, SPARSE_MAX + 2))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     mat = dense(rows, n)
@@ -87,36 +98,76 @@ def test_zero_one_routes_agree(data):
         assert permanent_naive(mat) == expected
     assert permanent_zero_one(rows, n) == expected
     assert _permanent_bits_sparse(rows) == expected
-    assert _permanent_bits_dp(rows, n) == expected
+    assert _permanent_bits_ryser([rows], n) == [expected]
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_dp_path_matches_ryser_midsize(seed):
-    # n >= 13 runs the int64 stage of the numpy DP
-    rng = random.Random(seed)
-    n = rng.choice([12, 13, 14])
-    rows = [rng.getrandbits(n) for _ in range(n)]
-    assert permanent_zero_one(rows, n) == permanent_ryser(dense(rows, n))
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_ryser_kernel_matches_dict_dp(data):
+    # generic Ryser shares the kernel's formula, so the oracles here are the
+    # dict DP (a different algorithm) and, where affordable, naive summation
+    n = data.draw(st.integers(9, 14))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    expected = _permanent_bits_sparse(rows)
+    if n <= 10:
+        assert permanent_naive(dense(rows, n)) == expected
+    assert permanent_zero_one(rows, n) == expected
+    with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
+    assert permanent_zero_one_pair(rows, n) == (expected, _permanent_bits_sparse(with_diagonal))
 
 
-def test_dispatcher_uses_dp_in_range():
-    # the public dispatcher and both forms of the DP agree on either side of the switch
+def test_dispatcher_switch_agrees():
+    # the public functions, the dict DP and the Ryser kernel agree on either side of the switch
     rng = random.Random(5)
     for n in (SPARSE_MAX, SPARSE_MAX + 1):
         rows = [rng.getrandbits(n) for _ in range(n)]
         expected = permanent_ryser(dense(rows, n))
         assert permanent_zero_one(rows, n) == expected
-        assert _permanent_bits_sparse(rows) == _permanent_bits_dp(rows, n) == expected
+        assert _permanent_bits_sparse(rows) == _permanent_bits_ryser([rows], n)[0] == expected
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 20])
 def test_zero_one_boundaries(n):
-    # int16 -> int32 widening at row 7, dict/numpy switch at 8/9, int32 -> int64
-    # widening at row 12, and the top of the exact range
+    # dict DP / Ryser switch at 8/9, the Ryser split with no high part (12) and
+    # one high bit (13), and n = 20, where 20! and d(20) sit closest to the
+    # int64 wrap-around the exactness argument relies on
     full = (1 << n) - 1
     assert permanent_zero_one([full] * n, n) == factorial(n)
-    assert permanent_zero_one([full ^ 1 << i for i in range(n)], n) == derangement_number(n)
+    deranging = [full ^ 1 << i for i in range(n)]
+    assert permanent_zero_one(deranging, n) == derangement_number(n)
+    assert permanent_zero_one_pair(deranging, n) == (derangement_number(n), factorial(n))
+
+
+def test_block_diagonal_product():
+    # per of a block-diagonal matrix is the product of the blocks' permanents,
+    # each taken by the dict DP; n = 20 runs every high part of the kernel
+    rng = random.Random(20)
+    for _ in range(3):
+        top = [rng.getrandbits(10) for _ in range(10)]
+        bottom = [rng.getrandbits(10) for _ in range(10)]
+        rows = top + [row << 10 for row in bottom]
+        d, p = permanent_zero_one_pair(rows, 20)
+        assert d == _permanent_bits_sparse(top) * _permanent_bits_sparse(bottom)
+        assert p == permanent_zero_one_pair(top, 10)[1] * permanent_zero_one_pair(bottom, 10)[1]
+
+
+@pytest.mark.parametrize("n", [SPARSE_MAX, 20])
+def test_pair_rows_with_diagonal(n):
+    # even rows already hold their diagonal bit; odd rows lack it. A | I is J,
+    # and per(A) counts permutations fixing no odd index (inclusion-exclusion)
+    full = (1 << n) - 1
+    rows = [full ^ (i & 1) << i for i in range(n)]
+    odd = n // 2
+    want = sum((-1) ** k * comb(odd, k) * factorial(n - k) for k in range(odd + 1))
+    assert permanent_zero_one_pair(rows, n) == (want, factorial(n))
+
+
+def test_ryser_kernel_wraps_silently():
+    # products overflow int64 on J_20 and must wrap without a numpy warning
+    full = (1 << 20) - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert permanent_zero_one_pair([full] * 20, 20) == (factorial(20), factorial(20))
 
 
 def test_subpermanent_identity_small():

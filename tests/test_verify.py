@@ -21,6 +21,7 @@ from permatch import (
     complete_graph,
     cycle_doubling_sweep,
     directed_cycle,
+    dp_ratio,
     format_12sig,
     hamilton_census,
     is_directed_cycle,
@@ -91,6 +92,9 @@ def test_check_bipartite_extremal():
 def test_knn_ratio_sum_value():
     assert knn_ratio_sum(2) == 1 + 1 + Fraction(1, 4)
     assert knn_ratio_sum(3) == Fraction(1) + 1 + Fraction(1, 4) + Fraction(1, 36)
+    # the closed form that scan reports as reference_ratio for even n
+    for m in range(1, 7):
+        assert dp_ratio(complete_bipartite(m).to_graph()) == 1 / knn_ratio_sum(m)
 
 
 def test_check_blowup_formulas():

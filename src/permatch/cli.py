@@ -49,14 +49,17 @@ def _emit(doc: dict) -> None:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise BadParamsError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
+    """--threads, else PERMATCH_THREADS, else 1; either source must be a positive integer."""
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "PERMATCH_THREADS", os.environ.get("PERMATCH_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("PERMATCH_THREADS", "1")))
+        threads = int(value)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise BadParamsError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------

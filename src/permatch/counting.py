@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -74,30 +75,33 @@ def dp_ratio(g: Digraph | UndirectedGraph) -> Fraction:
     return Fraction(*dp_counts(g))
 
 
-def enumerate_permutations(
-    g: Digraph | UndirectedGraph, derangements_only: bool = False
-) -> Iterator[Permutation]:
-    """All permutations on g in lexicographic order (as image tuples)."""
-    dg = as_digraph(g)
-    n = dg.n
-    if n > ENUM_LIMIT:
-        raise TooLargeError(f"permutation enumeration capped at n={ENUM_LIMIT}, got {n}")
-    allowed = [row | (0 if derangements_only else 1 << i) for i, row in enumerate(dg.rows)]
+def _row_matchings(rows: Sequence[int]) -> Iterator[Permutation]:
+    """Every way to give each row i a distinct column from its bitmask rows[i],
+    as image tuples in lexicographic order."""
+    n = len(rows)
     image = [0] * n
 
     def rec(i: int, used: int) -> Iterator[Permutation]:
         if i == n:
             yield tuple(image)
             return
-        for j in bits_of(allowed[i] & ~used):
+        for j in bits_of(rows[i] & ~used):
             image[i] = j
             yield from rec(i + 1, used | 1 << j)
 
     return rec(0, 0)
 
 
-def is_derangement(sigma: Sequence[int]) -> bool:
-    return all(i != x for i, x in enumerate(sigma))
+def enumerate_permutations(
+    g: Digraph | UndirectedGraph, derangements_only: bool = False
+) -> Iterator[Permutation]:
+    """All permutations on g in lexicographic order (as image tuples)."""
+    dg = as_digraph(g)
+    if dg.n > ENUM_LIMIT:
+        raise TooLargeError(f"permutation enumeration capped at n={ENUM_LIMIT}, got {dg.n}")
+    if derangements_only:
+        return _row_matchings(dg.rows)
+    return _row_matchings([row | 1 << i for i, row in enumerate(dg.rows)])
 
 
 def fixed_points(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -158,25 +162,29 @@ def is_directed_cycle(g: Digraph | UndirectedGraph) -> bool:
 def permutations_by_fixed_points(g: Digraph | UndirectedGraph) -> tuple[int, ...]:
     """counts[k] = number of permutations on g with exactly k fixed points.
 
-    Since the adjacency has no diagonal, the permanent of the block on any
-    vertex subset S counts the derangements supported inside S; summing over
-    the complement size buckets everything.
+    One pass of the used-column subset DP: row i takes a free column of
+    row | 1 << i, and taking column i is a fixed point. Each state carries
+    its whole profile packed into one int, count k in the k-th field, so a
+    fixed point shifts the profile up one field. Every count is at most n!,
+    which fits a field. counts[0] is the derangement count, sum(counts) the
+    permutation count.
     """
     dg = as_digraph(g)
     n = dg.n
     if n > 12:
         raise TooLargeError(f"fixed-point profile capped at n=12, got {n}")
-    counts = [0] * (n + 1)
-    for mask in range(1 << n):
-        members = list(bits_of(mask))
-        sub = []
-        for v in members:
-            row = 0
-            for t, w in enumerate(members):
-                row |= (dg.rows[v] >> w & 1) << t
-            sub.append(row)
-        counts[n - len(members)] += permanent_zero_one(sub, len(members))
-    return tuple(counts)
+    width = factorial(n).bit_length()
+    cur = {0: 1}
+    for i, row in enumerate(dg.rows):
+        new: dict[int, int] = {}
+        get = new.get
+        for mask, profile in cur.items():
+            for j in bits_of((row | 1 << i) & ~mask):
+                key = mask | 1 << j
+                new[key] = get(key, 0) + (profile << width if j == i else profile)
+        cur = new
+    packed = cur[(1 << n) - 1]
+    return tuple(packed >> (width * k) & ((1 << width) - 1) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +204,7 @@ def enumerate_perfect_matchings(b: BipartiteGraph) -> Iterator[Permutation]:
         return iter(())
     if b.nl > MATCH_ENUM_LIMIT:
         raise TooLargeError(f"matching enumeration capped at parts of {MATCH_ENUM_LIMIT}, got {b.nl}")
-    n = b.nl
-    image = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[Permutation]:
-        if i == n:
-            yield tuple(image)
-            return
-        for j in bits_of(b.biadj[i] & ~used):
-            image[i] = j
-            yield from rec(i + 1, used | 1 << j)
-
-    return rec(0, 0)
+    return _row_matchings(b.biadj)
 
 
 def count_perfect_matchings_general(g: UndirectedGraph) -> int:

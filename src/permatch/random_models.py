@@ -13,14 +13,19 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, exp
 from statistics import fmean, stdev
+from typing import Callable, Sequence, TypeVar
 
 from .counting import dp_ratio
 from .errors import BadParamsError, CounterexampleError
 from .graphs import Digraph, UndirectedGraph, new_digraph, new_graph
 
 MODEL_KINDS = ("digraph", "graph")
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _as_probability(q) -> Fraction:
@@ -158,8 +163,7 @@ def child_seed(seed: int, index: int) -> int:
     return seed * (1 << 32) + index
 
 
-def _ratio_at(args: tuple[ModelSpec, int, int]) -> Fraction:
-    model, seed, index = args
+def _ratio_at(model: ModelSpec, seed: int, index: int) -> Fraction:
     g = sample(model, child_seed(seed, index))
     r = dp_ratio(g)
     if r > Fraction(1, 2):
@@ -178,16 +182,24 @@ def ratio_target(q: Fraction) -> float:
     return exp(-1 / float(q))
 
 
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
+    """[fn(x) for x in items], in order, fanned out to at most `threads` worker
+    processes. Items go out in at most 4 * threads chunks, so no worker waits
+    long on a slow last chunk, and no more workers start than there are chunks.
+    fn and the items must pickle."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    step = -(-len(items) // (4 * threads))
+    workers = min(threads, -(-len(items) // step))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=step))
+
+
 def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> McSummary:
     """Sample dp ratios; every sample is also asserted against the 1/2 bound."""
     if samples < 1:
         raise BadParamsError(f"need at least one sample, got {samples}")
-    jobs = [(model, seed, i) for i in range(samples)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            ratios = list(pool.map(_ratio_at, jobs, chunksize=max(1, samples // (4 * threads))))
-    else:
-        ratios = [_ratio_at(j) for j in jobs]
+    ratios = parallel_map(partial(_ratio_at, model, seed), range(samples), threads)
     floats = [float(r) for r in ratios]
     mean = fmean(floats)
     spread = stdev(floats) if len(floats) > 1 else 0.0

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,7 +47,7 @@ from .graphs import (
 )
 from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides
-from .random_models import ModelSpec, sample
+from .random_models import ModelSpec, child_seed, parallel_map, sample
 
 HALF = Fraction(1, 2)
 
@@ -507,37 +507,24 @@ def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 
-def _digraph_chunk(args: tuple[int, int, int]) -> list[tuple[SurveyRecord, bool, bool]]:
-    n, start, stop = args
-    return [_survey_row(digraph_from_arc_index(n, index)) for index in range(start, stop)]
+def _digraph_row(n: int, index: int) -> tuple[SurveyRecord, bool, bool]:
+    return _survey_row(digraph_from_arc_index(n, index))
 
 
-def _bipartite_chunk(args: tuple[int, int, int]) -> list[tuple[SurveyRecord, bool, bool]]:
-    n, start, stop = args
-    out = []
-    for index in range(start, stop):
-        b = BipartiteGraph(n, n, tuple((index >> (n * i)) & ((1 << n) - 1) for i in range(n)))
-        rec, ok, equality = _survey_row(b.to_graph())
-        matchings = count_perfect_matchings(b)
-        if ok and matchings > 0:
-            ok = (
-                check_half_hitting(b).holds
-                and _bipartite_extremal(b, matchings, rec.derangements, rec.permutations).holds
-            )
-        out.append((rec, ok, equality))
-    return out
+def _bipartite_row(n: int, index: int) -> tuple[SurveyRecord, bool, bool]:
+    b = BipartiteGraph(n, n, tuple((index >> (n * i)) & ((1 << n) - 1) for i in range(n)))
+    rec, ok, equality = _survey_row(b.to_graph())
+    matchings = count_perfect_matchings(b)
+    if ok and matchings > 0:
+        ok = (
+            check_half_hitting(b).holds
+            and _bipartite_extremal(b, matchings, rec.derangements, rec.permutations).holds
+        )
+    return rec, ok, equality
 
 
-def _sampled_chunk(args: tuple[ModelSpec, int, int, int]) -> list[tuple[SurveyRecord, bool, bool]]:
-    model, seed, start, stop = args
-    from .random_models import child_seed
-
-    return [_survey_row(sample(model, child_seed(seed, index))) for index in range(start, stop)]
-
-
-def _chunked(total: int, threads: int) -> list[tuple[int, int]]:
-    step = max(1, -(-total // max(threads * 4, 1)))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[SurveyRecord, bool, bool]:
+    return _survey_row(sample(model, child_seed(seed, index)))
 
 
 def scan(
@@ -560,42 +547,32 @@ def scan(
     if family == "digraphs":
         if n > 4:
             raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
-        jobs = [(n, lo, hi) for lo, hi in _chunked(1 << n * (n - 1), threads)]
-        worker = _digraph_chunk
+        rows = parallel_map(partial(_digraph_row, n), range(1 << n * (n - 1)), threads)
     elif family == "bipartite":
         if n > 4:
             raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
-        jobs = [(n, lo, hi) for lo, hi in _chunked(1 << n * n, threads)]
-        worker = _bipartite_chunk
+        rows = parallel_map(partial(_bipartite_row, n), range(1 << n * n), threads)
     elif family == "sampled-undirected":
         if samples < 1:
             raise BadParamsError("sampled scan needs samples >= 1")
         model = ModelSpec("graph", n, q=q)
-        jobs = [(model, seed, lo, hi) for lo, hi in _chunked(samples, threads)]
-        worker = _sampled_chunk
+        rows = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
     else:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, jobs))
-    else:
-        chunks = [worker(j) for j in jobs]
 
     records: list[SurveyRecord] = []
     counterexamples = 0
     equality_count = 0
     best: tuple[Fraction, SurveyRecord] | None = None
-    for chunk in chunks:
-        for rec, ok, equality in chunk:
-            records.append(rec)
-            if not ok:
-                counterexamples += 1
-            if equality:
-                equality_count += 1
-            ratio = Fraction(rec.derangements, rec.permutations)
-            if best is None or ratio > best[0]:
-                best = (ratio, rec)
+    for rec, ok, equality in rows:
+        records.append(rec)
+        if not ok:
+            counterexamples += 1
+        if equality:
+            equality_count += 1
+        ratio = Fraction(rec.derangements, rec.permutations)
+        if best is None or ratio > best[0]:
+            best = (ratio, rec)
 
     summary: dict = {
         "family": family,

@@ -156,10 +156,18 @@ def test_count_past_permanent_cap_exits_2(capsys, write_graph):
         ["mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "2", "--threads", "0"],
         ["scan", "--family", "sampled-undirected", "--n", "4", "--samples", "2", "--q", "zz"],
         ["scan", "--family", "digraphs", "--n", "2", "--threads", "-1"],
+        ["PERMATCH_THREADS=0", "mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "2"],
+        ["PERMATCH_THREADS=-1", "scan", "--family", "digraphs", "--n", "2"],
+        ["PERMATCH_THREADS=abc", "mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "2"],
+        ["PERMATCH_THREADS=", "scan", "--family", "digraphs", "--n", "2"],
     ],
 )
-def test_bad_parameters_exit_2(capsys, tmp_path, argv):
+def test_bad_parameters_exit_2(capsys, tmp_path, monkeypatch, argv):
     # a crash would exit 1 and read like a counterexample
+    if "=" in argv[0]:  # a leading NAME=value sets the environment
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     if argv[0] == "scan":
         argv = argv + ["--out", str(tmp_path / "records.csv")]
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from permatch import (
     BadParamsError,
     NotPerfectMatchingError,
+    TooLargeError,
     bipartite_permutation_sum,
     blowup,
     complete_bipartite,
@@ -16,6 +17,7 @@ from permatch import (
     count_perfect_matchings,
     count_perfect_matchings_general,
     count_permutations,
+    derangement_number,
     directed_cycle,
     dp_counts,
     dp_ratio,
@@ -31,6 +33,7 @@ from permatch import (
     permutations_by_fixed_points,
     undirected_matching_tally,
 )
+from permatch import counting
 from permatch.counting import check_permutation_on_graph, parse_permutation, format_permutation
 from permatch.errors import NotDerangementError, NotOnGraphError
 
@@ -148,27 +151,31 @@ def test_undirected_tally_on_ring():
     assert tally.misses == 4
 
 
-def test_fixed_point_profile():
-    for n in range(2, 6):
+def test_fixed_point_profile(monkeypatch):
+    for n in range(2, 13):
         g = complete_graph(n)
-        profile = permutations_by_fixed_points(g)
+        with monkeypatch.context() as m:
+            # the profile is its own DP, so it cross-checks the permanent kernel
+            m.setattr(counting, "permanent_zero_one", None)
+            m.setattr(counting, "permanent_zero_one_pair", None)
+            profile = permutations_by_fixed_points(g)
         assert len(profile) == n + 1
         assert profile[n] == 1
         assert profile[n - 1] == 0  # cannot fix all but one
-        assert profile[0] == DERANGEMENTS[n]
-        assert sum(profile) == count_permutations(g)
+        assert profile[0] == derangement_number(n)
+        assert sum(profile) == count_permutations(g) == factorial(n)
         # textbook rearrangement identity
         for k in range(n + 1):
-            from math import comb
-
-            assert profile[k] == comb(n, k) * DERANGEMENTS[n - k]
+            assert profile[k] == comb(n, k) * derangement_number(n - k)
+    with pytest.raises(TooLargeError):
+        permutations_by_fixed_points(complete_graph(13))
 
 
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_fixed_point_profile_sums_to_permutations(seed):
     rng = random.Random(seed)
-    g = random_digraph(rng, rng.randint(2, 6))
+    g = random_digraph(rng, rng.randint(1, 7))
     profile = permutations_by_fixed_points(g)
     assert sum(profile) == count_permutations(g)
     assert profile[0] == count_derangements(g)

@@ -128,6 +128,7 @@ def test_mc_small_run():
     assert s.stddev >= 0
     again = mc_dp_ratio(model, samples=40, seed=5)
     assert again == s
+    assert mc_dp_ratio(model, samples=40, seed=5, threads=2) == s
     doc = s.to_json_dict()
     assert doc["n"] == 6 and doc["q"] == 0.5 and doc["m"] is None
     with pytest.raises(BadParamsError):

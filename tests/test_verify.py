@@ -208,6 +208,42 @@ def test_scan_sampled_deterministic_and_threaded(tmp_path):
     assert "reference_ratio" not in odd
 
 
+@pytest.mark.parametrize("family, n", [("digraphs", 3), ("bipartite", 2)])
+def test_scan_exhaustive_same_at_any_thread_count(tmp_path, family, n):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    s1 = scan(family, n, out_path=a)
+    s2 = scan(family, n, out_path=b, threads=2)
+    assert a.read_bytes() == b.read_bytes()
+    assert s1 == {**s2, "out": str(a)}
+
+
+def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
+    from permatch import random_models, verify
+
+    # scan fans out only through parallel_map, whose pool is replaced here
+    assert not hasattr(verify, "ProcessPoolExecutor")
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(random_models, "ProcessPoolExecutor", InlinePool)
+    summary = scan("digraphs", 2, threads=64)
+    assert summary["graphs"] == 4
+    assert asked == [4]  # one chunk per graph, one worker per chunk
+
+
 def test_scan_rejects_bad_requests(tmp_path):
     with pytest.raises(TooLargeError):
         scan("digraphs", 5)

@@ -5,11 +5,12 @@ Three independent routes are kept deliberately:
 * ``permanent_naive`` sums over all n! permutations and exists as an oracle.
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
-* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, wrapping-int64
-  Ryser for 9 <= n <= 20, with the d/p pair (per(A), per(A | I)) from one pass
+* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, numpy Ryser
+  for 9 <= n <= 20 (int32 products of 7 row counts, as 20^7 < 2^31, combined in
+  wrapping int64), with the d/p pair (per(A), per(A | I)) from one stacked pass
   in ``permanent_zero_one_pair``. Ryser's sum is an integer combination of
-  products of row counts, so int64 arithmetic that wraps gives per mod 2^64,
-  which is per itself as 0 <= per <= 20! < 2^63. Larger inputs are refused.
+  products of row counts, so the int64 total is per mod 2^64, which is per
+  itself as 0 <= per <= 20! < 2^63. Larger inputs are refused.
 """
 
 from __future__ import annotations
@@ -104,12 +105,14 @@ def permanent_ryser(m: Matrix) -> int:
 # which beats numpy's per-call overhead; above it Ryser's formula runs on numpy.
 SPARSE_MAX = 8
 DP_MAX = 20
-# Ryser splits column sets as S = L + H * 2^RYSER_LOW; row counts of every L are
-# built once, and RYSER_BLOCK high parts H at a time keep arrays at 256 KB.
+# Ryser splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
+# parts H at a time: for a pair, int32 arrays of 256 KB. A row count is at most
+# DP_MAX and DP_MAX^7 < 2^31, so a product of RYSER_GROUP row counts fits int32.
 RYSER_LOW = 12
 RYSER_BLOCK = 8
-_MASKS = np.arange(1 << RYSER_LOW, dtype=np.int64)
-_SIGNS = 1 - 2 * (np.bitwise_count(_MASKS) & 1).astype(np.int64)  # (-1)^|mask|
+RYSER_GROUP = 7
+_BYTES = np.arange(256, dtype=np.uint8)
+_SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
 def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
@@ -128,30 +131,39 @@ def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
     return sum(cur.values())
 
 
-def _row_counts(bitrows: Sequence[int], shift: int, bits: int) -> np.ndarray:
-    """counts[i, m] = popcount(m & (row_i >> shift)) for every mask m < 2^bits."""
-    part = np.array(bitrows, dtype=np.int64)[:, None] >> shift
-    return np.bitwise_count(part & _MASKS[: 1 << bits]).astype(np.int64)
-
-
 def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """Ryser's per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|
-    for several 0/1 matrices in one pass. The sum is an integer combination of
-    products, so int64 arithmetic wrapping mod 2^64 gives per(A) mod 2^64, and
+    for several 0/1 matrices in one pass, with products of RYSER_GROUP row counts
+    in int32 and of those in int64 that wraps. The sum is an integer combination
+    of products, so its int64 value is per(A) mod 2^64, and
     0 <= per(A) <= n! <= 20! < 2^63 makes that residue per(A) itself."""
     low = min(n, RYSER_LOW)
     high = n - low
-    counts = [(_row_counts(rows, 0, low), _row_counts(rows, low, high)) for rows in matrices]
-    low_signs, high_signs = _SIGNS[: 1 << low], _SIGNS[: 1 << high]
-    totals = [0] * len(matrices)
-    for h in range(0, 1 << high, RYSER_BLOCK):
-        block = slice(h, h + RYSER_BLOCK)
-        for k, (lo, hi) in enumerate(counts):
-            prod = lo[0] + hi[0, block, None]
-            for i in range(1, n):
-                prod *= lo[i] + hi[i, block, None]
-            totals[k] += int(high_signs[block] @ (prod @ low_signs))
-    return [(-t if n & 1 else t) & (1 << 64) - 1 for t in totals]
+    k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
+    # popcounts of bytes 0 and 1 and of the high part of each row against every
+    # byte; uint8 tables stay small enough for the heap to reuse between calls
+    parts = (np.array(matrices, dtype=np.int64)[:, :, None] >> [0, 8, low]).astype(np.uint8)
+    counts = np.bitwise_count(parts[..., None] & _BYTES)  # (k, n, 3, 256)
+    lo = counts[:, :, 1, : max(width >> 8, 1), None] + counts[:, :, 0, None, : min(width, 256)]
+    lo = lo.reshape(k, n, width)  # |row_i & L|
+    hi = counts[:, :, 2, : 1 << high]  # |row_i & H|
+    signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
+    starts = range(0, n, RYSER_GROUP)
+    groups = np.empty((len(starts), k, block, width), dtype=np.int32)
+    term = np.empty(groups.shape[1:], dtype=np.uint8)
+    prod = np.empty(groups.shape[1:], dtype=np.int64)
+    totals = np.zeros(k, dtype=np.int64)
+    for h in range(0, 1 << high, block):
+        for g, s in zip(groups, starts):
+            for i in range(s, min(s + RYSER_GROUP, n)):
+                row = np.add(lo[:, i, None], hi[:, i, h : h + block, None], out=term) if high else lo[:, i, None]
+                # a group starts from its first row, the first group times the signs
+                np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
+        np.copyto(prod, groups[0])
+        for g in groups[1:]:
+            np.multiply(prod, g, out=prod)
+        totals += (-1) ** (n + h.bit_count()) * prod.sum(axis=(1, 2))
+    return totals.tolist()
 
 
 def _permanents_bits(matrices: list[Sequence[int]], n: int) -> list[int]:

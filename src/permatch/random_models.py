@@ -9,6 +9,7 @@ without changing the output.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -182,11 +183,17 @@ def ratio_target(q: Fraction) -> float:
     return exp(-1 / float(q))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """[fn(x) for x in items], in order, fanned out to at most `threads` worker
-    processes. Items go out in at most 4 * threads chunks, so no worker waits
-    long on a slow last chunk, and no more workers start than there are chunks.
-    fn and the items must pickle."""
+    processes, and to no more than the CPUs this process may use. Items go out
+    in at most 4 * workers chunks, so no worker waits long on a slow last chunk,
+    and no more workers start than there are chunks. fn and the items must pickle."""
+    threads = min(threads, _usable_cpus())
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     step = -(-len(items) // (4 * threads))

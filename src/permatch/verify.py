@@ -547,18 +547,21 @@ def scan(
     if family == "digraphs":
         if n > 4:
             raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
-        rows = parallel_map(partial(_digraph_row, n), range(1 << n * (n - 1)), threads)
+        row_of, items = partial(_digraph_row, n), range(1 << n * (n - 1))
     elif family == "bipartite":
         if n > 4:
             raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
-        rows = parallel_map(partial(_bipartite_row, n), range(1 << n * n), threads)
+        row_of, items = partial(_bipartite_row, n), range(1 << n * n)
     elif family == "sampled-undirected":
         if samples < 1:
             raise BadParamsError("sampled scan needs samples >= 1")
         model = ModelSpec("graph", n, q=q)
-        rows = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
+        row_of, items = partial(_sampled_row, model, seed), range(samples)
     else:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if out_path is not None:
+        Path(out_path).open("a").close()  # a bad path fails before any permanent runs
+    rows = parallel_map(row_of, items, threads)
 
     records: list[SurveyRecord] = []
     counterexamples = 0

@@ -130,6 +130,45 @@ def test_count_any_file_never_crashes(tmp_path_factory, data, what):
     assert "Traceback" not in err.getvalue()
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    data=st.one_of(st.binary(max_size=40), _json_graphs),
+    argv=st.sampled_from([["inject", "--vertex", "0", "--perm", "1,0"], ["verify", "--theorem", "3"]]),
+)
+def test_inject_and_verify_any_file_never_crash(tmp_path_factory, data, argv):
+    # applying the map and checking ratio <= 1/2 have no failing verdict on a
+    # graph, so exit 1 here could only be a crash
+    path = tmp_path_factory.mktemp("fuzz") / "g"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--input", str(path)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_scan_bad_out_fails_before_sweeping(capsys, monkeypatch, tmp_path):
+    from permatch import verify
+
+    def no_sweep(*args):
+        raise AssertionError("scan swept before opening --out")
+
+    monkeypatch.setattr(verify, "parallel_map", no_sweep)
+    out = tmp_path / "missing" / "records.csv"
+    code, text, err = run(capsys, "scan", "--family", "digraphs", "--n", "4", "--out", str(out))
+    assert (code, text) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_failed_scan_keeps_existing_out(capsys, tmp_path):
+    out = tmp_path / "records.csv"
+    out.write_text("earlier,records\n")
+    code, _, err = run(capsys, "scan", "--family", "sampled-undirected", "--n", "21",
+                       "--samples", "1", "--out", str(out))
+    assert code == 2 and err.startswith("error:")  # over the permanent cap, inside the sweep
+    assert out.read_text() == "earlier,records\n"
+
+
 def test_usage_errors_exit_2(capsys, write_graph):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--input", "x", "--what", "sandwiches"])

@@ -16,6 +16,8 @@ from permatch import (
     subpermanent_sides,
 )
 from permatch.permanent import (
+    DP_MAX,
+    RYSER_GROUP,
     RYSER_LIMIT,
     SPARSE_MAX,
     _permanent_bits_ryser,
@@ -126,13 +128,15 @@ def test_dispatcher_switch_agrees():
         assert _permanent_bits_sparse(rows) == _permanent_bits_ryser([rows], n)[0] == expected
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 20])
+@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 14, 15, 20])
 def test_zero_one_boundaries(n):
     # dict DP / Ryser switch at 8/9, the Ryser split with no high part (12) and
-    # one high bit (13), and n = 20, where 20! and d(20) sit closest to the
-    # int64 wrap-around the exactness argument relies on
+    # one high bit (13), int32 row groups of 7 + 7 (14) and 7 + 7 + 1 (15), and
+    # n = 20, where 20! and d(20) sit closest to the int64 wrap-around the
+    # exactness argument relies on
     full = (1 << n) - 1
     assert permanent_zero_one([full] * n, n) == factorial(n)
+    assert permanent_zero_one_pair([full] * n, n) == (factorial(n), factorial(n))
     deranging = [full ^ 1 << i for i in range(n)]
     assert permanent_zero_one(deranging, n) == derangement_number(n)
     assert permanent_zero_one_pair(deranging, n) == (derangement_number(n), factorial(n))
@@ -149,6 +153,29 @@ def test_block_diagonal_product():
         d, p = permanent_zero_one_pair(rows, 20)
         assert d == _permanent_bits_sparse(top) * _permanent_bits_sparse(bottom)
         assert p == permanent_zero_one_pair(top, 10)[1] * permanent_zero_one_pair(bottom, 10)[1]
+
+
+def test_row_group_fits_int32():
+    # a signed product of RYSER_GROUP row counts, each at most DP_MAX, must not
+    # overflow the kernel's int32 group arrays
+    assert DP_MAX**RYSER_GROUP < 2**31
+
+
+@pytest.mark.parametrize("n, split", [(14, 6), (15, 8)])
+def test_block_diagonal_across_row_groups(n, split):
+    # the diagonal blocks straddle the int32 row-group boundary at row 7; n = 15
+    # leaves a last group of one row
+    rng = random.Random(n)
+    for _ in range(3):
+        top = [rng.getrandbits(split) for _ in range(split)]
+        bottom = [rng.getrandbits(n - split) for _ in range(n - split)]
+        rows = top + [row << split for row in bottom]
+        top_i = [row | 1 << i for i, row in enumerate(top)]
+        bottom_i = [row | 1 << i for i, row in enumerate(bottom)]
+        assert permanent_zero_one_pair(rows, n) == (
+            _permanent_bits_sparse(top) * _permanent_bits_sparse(bottom),
+            _permanent_bits_sparse(top_i) * _permanent_bits_sparse(bottom_i),
+        )
 
 
 @pytest.mark.parametrize("n", [SPARSE_MAX, 20])

@@ -218,11 +218,12 @@ def test_scan_exhaustive_same_at_any_thread_count(tmp_path, family, n):
     assert s1 == {**s2, "out": str(a)}
 
 
-def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
-    from permatch import random_models, verify
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces parallel_map's process pool with an inline one; returns the
+    worker counts the pools were asked for."""
+    from permatch import random_models
 
-    # scan fans out only through parallel_map, whose pool is replaced here
-    assert not hasattr(verify, "ProcessPoolExecutor")
     asked = []
 
     class InlinePool:
@@ -239,9 +240,30 @@ def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(random_models, "ProcessPoolExecutor", InlinePool)
+    return asked
+
+
+def test_scan_starts_no_more_workers_than_chunks(monkeypatch, pool_sizes):
+    from permatch import random_models, verify
+
+    # scan fans out only through parallel_map, whose pool is replaced here
+    assert not hasattr(verify, "ProcessPoolExecutor")
+    monkeypatch.setattr(random_models, "_usable_cpus", lambda: 64)  # only the chunk cap binds
     summary = scan("digraphs", 2, threads=64)
     assert summary["graphs"] == 4
-    assert asked == [4]  # one chunk per graph, one worker per chunk
+    assert pool_sizes == [4]  # one chunk per graph, one worker per chunk
+
+
+def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
+    from permatch import random_models
+
+    items = range(-500, 500)
+    cpus = random_models._usable_cpus()
+    assert random_models.parallel_map(abs, items, 1000) == [abs(x) for x in items]
+    assert pool_sizes == ([cpus] if cpus > 1 else [])  # one CPU runs inline
+    monkeypatch.setattr(random_models, "_usable_cpus", lambda: 3)
+    assert random_models.parallel_map(abs, items, 1000) == [abs(x) for x in items]
+    assert pool_sizes[-1] == 3
 
 
 def test_scan_rejects_bad_requests(tmp_path):

@@ -9,30 +9,21 @@ is also screened against the 1/2 ceiling; a breach aborts the run loudly.
 
 import argparse
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from permatch import ModelSpec, mc_dp_ratio, ratio_target
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n: int
-    samples: int
-    seed: int
-    threads: int
-    qs: tuple[Fraction, ...]
-
-
-def run(cfg: SweepConfig, as_json: bool) -> None:
+def run(args: argparse.Namespace) -> None:
     rows = []
-    for q in cfg.qs:
-        model = ModelSpec("digraph", cfg.n, q=q)
-        summary = mc_dp_ratio(model, samples=cfg.samples, seed=cfg.seed, threads=cfg.threads)
+    for tok in args.q_grid.split(","):
+        q = Fraction(tok)
+        model = ModelSpec("digraph", args.n, q=q)
+        summary = mc_dp_ratio(model, samples=args.samples, seed=args.seed, threads=args.threads)
         target = ratio_target(q)
         gap = (summary.mean - target) / target if target else float("nan")
         rows.append((q, summary, gap))
-    if as_json:
+    if args.json:
         print(json.dumps([
             {**s.to_json_dict(), "relative_gap": gap} for _, s, gap in rows
         ]))
@@ -50,11 +41,7 @@ def main(argv=None):
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--q-grid", default="1/4,1/2,3/4,9/10")
     ap.add_argument("--json", action="store_true")
-    args = ap.parse_args(argv)
-
-    qs = tuple(Fraction(tok) for tok in args.q_grid.split(","))
-    cfg = SweepConfig(args.n, args.samples, args.seed, args.threads, qs)
-    run(cfg, args.json)
+    run(ap.parse_args(argv))
     return 0
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import counting, verify
@@ -23,6 +24,7 @@ from .errors import (
     PermatchError,
 )
 from .graphs import (
+    _CONSTRUCT_KINDS,
     BipartiteGraph,
     Digraph,
     UndirectedGraph,
@@ -46,6 +48,10 @@ def _load_graph(path: str) -> Digraph | UndirectedGraph | BipartiteGraph:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
+
+
+def _fraction_doc(x: Fraction) -> dict:
+    return {"numerator": x.numerator, "denominator": x.denominator, "value": format_12sig(x)}
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -94,15 +100,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif what == "ratio":
         r = counting.dp_ratio(g)
         if args.json:
-            _emit(
-                {
-                    "what": what,
-                    "n": g.n,
-                    "numerator": r.numerator,
-                    "denominator": r.denominator,
-                    "value": format_12sig(r),
-                }
-            )
+            _emit({"what": what, "n": g.n, **_fraction_doc(r)})
         else:
             print(f"{format_ratio(r)} ({format_12sig(r)})")
     else:  # fixed-points
@@ -256,16 +254,8 @@ def _cmd_expect(args: argparse.Namespace) -> int:
             {
                 "n": args.n,
                 "m": args.m,
-                "expected_derangements": {
-                    "numerator": ex.numerator,
-                    "denominator": ex.denominator,
-                    "value": format_12sig(ex),
-                },
-                "expected_permutations": {
-                    "numerator": ey.numerator,
-                    "denominator": ey.denominator,
-                    "value": format_12sig(ey),
-                },
+                "expected_derangements": _fraction_doc(ex),
+                "expected_permutations": _fraction_doc(ey),
             }
         )
     else:
@@ -295,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("construct", help="write a named graph to a file")
-    p.add_argument("--kind", required=True, choices=["cycle", "complete", "complete-bipartite", "blowup", "thm2h"])
+    p.add_argument("--kind", required=True, choices=list(_CONSTRUCT_KINDS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)

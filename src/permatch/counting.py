@@ -278,14 +278,14 @@ def matching_intersection_tally(
     m may be given as an image tuple or as (left, right) pairs; it must itself
     be a perfect matching of b. The reference counts as a hit.
     """
-    ref = _as_image(b, m)
-    hits = misses = 0
-    for sigma in enumerate_perfect_matchings(b):
-        if any(x == y for x, y in zip(sigma, ref)):
-            hits += 1
-        else:
-            misses += 1
-    return IntersectionTally(hits, misses)
+    misses = count_matchings_avoiding(b, _as_image(b, m))
+    return IntersectionTally(count_perfect_matchings(b) - misses, misses)
+
+
+def count_matchings_avoiding(b: BipartiteGraph, image: Permutation) -> int:
+    """Perfect matchings of b sharing no edge with the perfect matching given
+    as an image tuple: per(B - M), B without M's edges."""
+    return permanent_zero_one([row & ~(1 << j) for row, j in zip(b.biadj, image)], b.nl)
 
 
 def _as_image(b: BipartiteGraph, m: Sequence[tuple[int, int]] | Permutation) -> Permutation:
@@ -311,14 +311,18 @@ def undirected_matching_tally(g: UndirectedGraph, m: Iterable[tuple[int, int]]) 
     """Same tally over the perfect matchings of an undirected graph."""
     from .graphs import require_perfect_matching
 
-    ref = set(require_perfect_matching(g, m))
-    hits = misses = 0
-    for other in enumerate_perfect_matchings_general(g):
-        if ref.intersection(other):
-            hits += 1
-        else:
-            misses += 1
-    return IntersectionTally(hits, misses)
+    misses = count_matchings_avoiding_general(g, require_perfect_matching(g, m))
+    return IntersectionTally(count_perfect_matchings_general(g) - misses, misses)
+
+
+def count_matchings_avoiding_general(g: UndirectedGraph, m: Matching) -> int:
+    """Perfect matchings of g sharing no edge with the perfect matching m:
+    those of g with m's edges removed."""
+    rows = list(g.rows)
+    for a, c in m:
+        rows[a] &= ~(1 << c)
+        rows[c] &= ~(1 << a)
+    return count_perfect_matchings_general(UndirectedGraph(Digraph(g.n, tuple(rows))))
 
 
 def bipartite_permutation_sum(b: BipartiteGraph) -> int:

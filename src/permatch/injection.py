@@ -306,29 +306,30 @@ class HamiltonCensus:
 
 
 def hamilton_census(g: Digraph | UndirectedGraph) -> HamiltonCensus:
+    """Subset DP (Held-Karp): each cycle is rooted at its lowest vertex, and
+    paths from the root over higher vertices are counted per (vertex set, end
+    vertex). closed[s] counts the cycles with vertex set s."""
     dg = as_digraph(g)
     n = dg.n
     if n > 12:
         raise TooLargeError(f"cycle census capped at n=12, got {n}")
     rows = dg.rows
-    ham = 0
-    through = [0] * n
-    path: list[int] = []
-
-    def rec(root: int, x: int, visited: int) -> None:
-        nonlocal ham
-        for w in bits_of(rows[x]):
-            if w == root and len(path) >= 2:
-                if len(path) == n:
-                    ham += 1
-                for y in path:
-                    through[y] += 1
-            elif w > root and not visited >> w & 1:
-                path.append(w)
-                rec(root, w, visited | 1 << w)
-                path.pop()
-
+    closed = [0] * (1 << n)
     for root in range(n):
-        path = [root]
-        rec(root, root, 1 << root)
-    return HamiltonCensus(ham, tuple(through))
+        lo = root + 1
+        paths: dict[int, dict[int, int]] = {1 << root: {root: 1}}
+        # a path only grows its set, so ascending sets see every path complete
+        for high in range(1 << (n - lo)):
+            mask = 1 << root | high << lo
+            for x, count in paths.pop(mask, {}).items():
+                if rows[x] >> root & 1:  # never for x == root: no self-loops
+                    closed[mask] += count
+                for w in bits_of(rows[x] >> lo << lo & ~mask):
+                    ends = paths.setdefault(mask | 1 << w, {})
+                    ends[w] = ends.get(w, 0) + count
+    through = [0] * n
+    for s, count in enumerate(closed):
+        if count:
+            for v in bits_of(s):
+                through[v] += count
+    return HamiltonCensus(closed[(1 << n) - 1], tuple(through))

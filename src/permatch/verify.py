@@ -18,38 +18,39 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .counting import (
+    as_digraph,
+    count_matchings_avoiding,
+    count_matchings_avoiding_general,
     count_perfect_matchings,
-    count_perfect_matchings_general,
     dp_counts,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
     is_directed_cycle,
-    matching_intersection_tally,
-    undirected_matching_tally,
 )
 from .errors import BadParamsError, TooLargeError
 from .graphs import (
     BipartiteGraph,
     Digraph,
-    Matching,
     UndirectedGraph,
     bipartitions_over_matching,
     blowup,
     canonical_matching,
     new_digraph,
-    new_graph,
+    require_perfect_matching,
 )
 from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
 HALF = Fraction(1, 2)
+HALF_HITTING_LIMIT = 6  # parts of the half-hitting check
+CROSS_CHECK_LIMIT = 12  # vertices up to which the matching bound is cross-checked
 
 
 def format_12sig(x: Fraction) -> str:
@@ -121,20 +122,26 @@ def check_ratio_half(g: Digraph | UndirectedGraph) -> TheoremReport:
     )
 
 
-def check_half_hitting(b: BipartiteGraph, limit: int = 6) -> TheoremReport:
+def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     """For every perfect matching of a bipartite graph, at least half of all
     perfect matchings share an edge with it."""
-    if not b.is_balanced or max(b.nl, b.nr) > limit:
-        raise TooLargeError(f"half-hitting check wants balanced parts of at most {limit}")
+    if not b.is_balanced or max(b.nl, b.nr) > HALF_HITTING_LIMIT:
+        raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
+    return _half_hitting(b, count_perfect_matchings(b))
+
+
+def _half_hitting(b: BipartiteGraph, total: int) -> TheoremReport:
+    # total is per(B); each target's misses are per(B - M), its hits the rest
     checked = 0
     worst: tuple[int, int] | None = None
     ok = True
     for m in enumerate_perfect_matchings(b):
-        tally = matching_intersection_tally(b, m)
+        misses = count_matchings_avoiding(b, m)
+        hits = total - misses
         checked += 1
-        if worst is None or tally.hits - tally.misses < worst[0] - worst[1]:
-            worst = (tally.hits, tally.misses)
-        if tally.hits < tally.misses:
+        if worst is None or hits - misses < worst[0] - worst[1]:
+            worst = (hits, misses)
+        if hits < misses:
             ok = False
     details: dict = {"matchings": checked}
     if worst is not None:
@@ -143,34 +150,29 @@ def check_half_hitting(b: BipartiteGraph, limit: int = 6) -> TheoremReport:
     return TheoremReport("half-hitting", _describe(b), ok, None, details)
 
 
-def check_matching_lower_bound(
-    g: UndirectedGraph, m: Iterable[tuple[int, int]] | None = None, cross_check: bool | None = None
-) -> TheoremReport:
+def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] | None = None) -> TheoremReport:
     """Any perfect matching of a 2n-vertex graph meets more than a
     1/(2^(n-1)+1) fraction of all perfect matchings: misses <= 2^(n-1) * hits.
 
-    With cross_check on (default for small graphs), the misses are recomputed
-    by a second route: every matching disjoint from m must show up inside at
-    least one of the 2^(n-1) bipartitions induced by m.
+    The misses of each target are counted on the graph without its edges. Up
+    to CROSS_CHECK_LIMIT vertices a second route recomputes them: every
+    matching disjoint from the target must show up inside at least one of the
+    2^(n-1) bipartitions it induces, and there must be as many as counted.
     """
     half_n = g.n // 2
     matchings = list(enumerate_perfect_matchings_general(g))
-    if m is not None:
-        targets = [canonical_matching(m)]
-    else:
-        targets = matchings
-    if cross_check is None:
-        cross_check = g.n <= 12
+    targets = matchings if m is None else [require_perfect_matching(g, m)]
+    total = len(matchings)
+    cross_check = g.n <= CROSS_CHECK_LIMIT
     bound = 1 << max(half_n - 1, 0)
     ok = True
-    checked = 0
     worst: dict = {}
     for ref in targets:
-        tally = undirected_matching_tally(g, ref)
-        checked += 1
-        if tally.misses > bound * tally.hits:
+        misses = count_matchings_avoiding_general(g, ref)
+        hits = total - misses
+        if misses > bound * hits:
             ok = False
-            worst = {"matching": [list(e) for e in ref], "hits": tally.hits, "misses": tally.misses}
+            worst = {"matching": [list(e) for e in ref], "hits": hits, "misses": misses}
         if cross_check:
             ref_set = set(ref)
             direct = {mm for mm in matchings if not ref_set.intersection(mm)}
@@ -182,14 +184,15 @@ def check_matching_lower_bound(
                     )
                     if not ref_set.intersection(mm):
                         covered.add(mm)
-            if covered != direct:
+            if covered != direct or len(direct) != misses:
                 ok = False
                 worst = {
                     "matching": [list(e) for e in ref],
+                    "counted_misses": misses,
                     "direct_misses": len(direct),
                     "bipartition_misses": len(covered),
                 }
-    details = {"matchings": len(matchings), "targets": checked, "bound_factor": bound}
+    details = {"matchings": total, "targets": len(targets), "bound_factor": bound}
     if worst:
         details["witness"] = worst
     return TheoremReport("matching-lower-bound", _describe(g), ok, None, details)
@@ -293,7 +296,7 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     """
     from itertools import islice
 
-    from .counting import as_digraph, fixed_points
+    from .counting import fixed_points
     from .errors import NotInImageError
 
     dg = as_digraph(g)
@@ -372,17 +375,16 @@ def check_cycle_doubling(g: Digraph | UndirectedGraph) -> TheoremReport:
 # exhaustive sweep for the cycle-doubling corollary (vectorized over graphs)
 
 
-def _cycle_arc_masks(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _cycle_arc_masks(n: int) -> list[tuple[int, int]]:
     """All simple directed cycle patterns on n labeled vertices, as
-    (arc_mask, vertex_mask) pairs; second list holds just the Hamilton ones.
-    Arc slots are numbered row-major skipping the diagonal."""
+    (arc_mask, vertex_mask) pairs. Arc slots are numbered row-major skipping
+    the diagonal."""
     from itertools import combinations, permutations
 
     def slot(i: int, j: int) -> int:
         return i * (n - 1) + (j if j < i else j - 1)
 
     cycles = []
-    hams = []
     for k in range(2, n + 1):
         for verts in combinations(range(n), k):
             head = verts[0]
@@ -395,9 +397,7 @@ def _cycle_arc_masks(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int
                 for x in verts:
                     vmask |= 1 << x
                 cycles.append((arc_mask, vmask))
-                if k == n:
-                    hams.append((arc_mask, vmask))
-    return cycles, hams
+    return cycles
 
 
 def cycle_doubling_sweep(n: int) -> dict:
@@ -411,7 +411,7 @@ def cycle_doubling_sweep(n: int) -> dict:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
     slots = n * (n - 1)
     total = 1 << slots
-    cycles, _ = _cycle_arc_masks(n)
+    cycles = _cycle_arc_masks(n)
     gid = np.arange(total, dtype=np.uint32)
     ham = np.zeros(total, dtype=np.int32)
     through = np.zeros((n, total), dtype=np.int32)
@@ -455,12 +455,9 @@ def digraph_from_arc_index(n: int, index: int) -> Digraph:
 # family scans
 
 
-def survey_columns() -> tuple[str, ...]:
-    return ("n", "arcs", "adjacency_hex", "derangements", "permutations", "ratio_exact", "ratio_float")
+class SurveyRecord(NamedTuple):
+    """One scan record; the tuple is the CSV row and ``_fields`` its header."""
 
-
-@dataclass(frozen=True)
-class SurveyRecord:
     n: int
     arcs: int
     adjacency_hex: str
@@ -468,17 +465,6 @@ class SurveyRecord:
     permutations: int
     ratio_exact: str
     ratio_float: str
-
-    def row(self) -> tuple:
-        return (
-            self.n,
-            self.arcs,
-            self.adjacency_hex,
-            self.derangements,
-            self.permutations,
-            self.ratio_exact,
-            self.ratio_float,
-        )
 
 
 def adjacency_hex(g: Digraph | UndirectedGraph) -> str:
@@ -497,9 +483,8 @@ def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]
     d = report.details["derangements"]
     p = report.details["permutations"]
     ratio = Fraction(d, p)
-    dg = g.base if isinstance(g, UndirectedGraph) else g
     rec = SurveyRecord(
-        g.n, dg.arc_count, adjacency_hex(g), d, p, format_ratio(ratio), format_12sig(ratio)
+        g.n, as_digraph(g).arc_count, adjacency_hex(g), d, p, format_ratio(ratio), format_12sig(ratio)
     )
     return rec, report.holds, bool(report.equality)
 
@@ -517,7 +502,7 @@ def _bipartite_row(n: int, index: int) -> tuple[SurveyRecord, bool, bool]:
     matchings = count_perfect_matchings(b)
     if ok and matchings > 0:
         ok = (
-            check_half_hitting(b).holds
+            _half_hitting(b, matchings).holds
             and _bipartite_extremal(b, matchings, rec.derangements, rec.permutations).holds
         )
     return rec, ok, equality
@@ -609,10 +594,9 @@ def write_records(records: Sequence[SurveyRecord], out_path: str | Path) -> None
     if out_path.suffix == ".jsonl":
         with out_path.open("w") as fh:
             for rec in records:
-                fh.write(json.dumps(dict(zip(survey_columns(), rec.row()))) + "\n")
+                fh.write(json.dumps(rec._asdict()) + "\n")
         return
     with out_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(survey_columns())
-        for rec in records:
-            writer.writerow(rec.row())
+        writer.writerow(SurveyRecord._fields)
+        writer.writerows(records)

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
 from permatch.cli import main
-from permatch import parse_graph
+from permatch import complete_bipartite, complete_graph, parse_graph, serialize_graph
 
 CYCLE5 = "digraph 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 K33 = "bipartite 3 3\n" + "".join(f"{i} {j}\n" for i in range(3) for j in range(3))
@@ -305,6 +305,24 @@ def test_verify_commands(capsys, write_graph, schema_loader):
     assert code == 2
     code, _, err = run(capsys, "verify", "--theorem", "blowup")
     assert code == 2
+
+
+def test_verify_caps_at_their_edges(capsys, write_graph):
+    # the densest input each cap accepts finishes; one vertex more is refused
+    def verify(token, g):
+        return run(capsys, "verify", "--theorem", token, "--input", write_graph(serialize_graph(g)), "--json")
+
+    code, out, _ = verify("corollary", complete_graph(12))  # counts pinned in test_injection
+    assert code == 0 and json.loads(out)["holds"]
+    code, _, err = verify("corollary", complete_graph(13))
+    assert code == 2 and "capped at n=12" in err
+
+    code, out, _ = verify("1", complete_bipartite(6))
+    assert code == 0
+    # a matching of K_{6,6} misses the 265 derangements of its 6 pairs
+    assert json.loads(out)["details"] == {"matchings": 720, "worst_hits": 455, "worst_misses": 265}
+    code, _, err = verify("1", complete_bipartite(7))
+    assert code == 2 and "at most 6" in err
 
 
 def test_scan_cli(capsys, tmp_path, schema_loader, monkeypatch):

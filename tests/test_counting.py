@@ -213,3 +213,26 @@ def test_ratio_is_exact_fraction():
     r = dp_ratio(g)
     assert isinstance(r, Fraction)
     assert r == Fraction(2, 6)
+
+
+def test_counted_tallies_match_enumeration():
+    # the tallies count misses as matchings of the graph without the target's
+    # edges; here every target is tallied against the full enumeration
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        q = rng.choice((0.5, 0.7, 0.9))
+        b = new_bipartite(n, n, [(i, j) for i in range(n) for j in range(n) if rng.random() < q])
+        pms = list(enumerate_perfect_matchings(b))
+        for ref in pms:
+            hits = sum(1 for other in pms if any(x == y for x, y in zip(ref, other)))
+            assert matching_intersection_tally(b, ref) == counting.IntersectionTally(hits, len(pms) - hits)
+    for _ in range(60):
+        n = rng.choice((2, 4, 6, 8, 10))
+        g = new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6])
+        edges = {e: 1 << t for t, e in enumerate(g.edges())}
+        pms = list(enumerate_perfect_matchings_general(g))
+        masks = [sum(edges[e] for e in pm) for pm in pms]
+        for ref, ref_mask in zip(pms, masks):
+            misses = sum(1 for mask in masks if not mask & ref_mask)
+            assert undirected_matching_tally(g, ref) == counting.IntersectionTally(len(pms) - misses, misses)

@@ -210,7 +210,49 @@ def test_census_on_complete_digraph():
     assert total_cycles == 20
 
 
+def test_census_at_its_cap_on_complete_digraph():
+    census = hamilton_census(complete_graph(12))
+    assert census.ham_count == factorial(11)
+    # a vertex lies on C(11, k-1) * (k-1)! cycles of each length k
+    assert census.through == (sum(comb(11, k - 1) * factorial(k - 1) for k in range(2, 13)),) * 12
+    with pytest.raises(TooLargeError):
+        hamilton_census(complete_graph(13))
+
+
 def test_census_matches_direct_enumeration_on_cycle():
     census = hamilton_census(directed_cycle(7))
     assert census.ham_count == 1
     assert census.through == (1,) * 7
+
+
+def _census_by_patterns(g):
+    """Census from the cycle patterns of the vectorized sweep whose arcs all lie in g."""
+    from permatch.verify import _cycle_arc_masks
+
+    n = g.n
+    arcs = 0
+    for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
+        arcs |= g.has_arc(i, j) << t
+    ham = 0
+    through = [0] * n
+    for arc_mask, vmask in _cycle_arc_masks(n):
+        if arc_mask & arcs == arc_mask:
+            ham += vmask.bit_count() == n
+            for v in range(n):
+                through[v] += vmask >> v & 1
+    return ham, tuple(through)
+
+
+def test_census_dp_matches_cycle_patterns_and_hamilton_search():
+    from permatch.verify import digraph_from_arc_index
+
+    graphs = [digraph_from_arc_index(n, i) for n in range(1, 5) for i in range(1 << n * (n - 1))]
+    rng = random.Random(2024)
+    for _ in range(240):
+        n = rng.randint(5, 7)
+        q = rng.choice((0.3, 0.5, 0.7, 0.9))
+        graphs.append(new_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < q]))
+    for g in graphs:
+        census = hamilton_census(g)
+        assert (census.ham_count, census.through) == _census_by_patterns(g), g
+        assert census.ham_count == len(hamilton_cycles(g)), g

@@ -51,10 +51,6 @@ class NotInImageError(PermatchError):
     """The permutation has no preimage under the cycle-breaking injection."""
 
 
-class UniquenessViolationError(PermatchError):
-    """A uniqueness guarantee failed at runtime; indicates an implementation bug."""
-
-
 class CounterexampleError(PermatchError):
     """A statement this package treats as proven just failed on a concrete instance."""
 

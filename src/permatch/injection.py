@@ -6,16 +6,21 @@ position i to position j is *forward* when j lies strictly ahead of i on the
 walk that starts at the root and stops upon returning to it (entering the
 root itself counts as position n). Shortcutting along a forward chord closes
 a smaller cycle through v and leaves the skipped stretch fixed, so the result
-is a permutation with fixed points. Ordering forward chords by strict
-inclusion of their skipped sets and taking the minimal one with the smallest
-start position makes the choice canonical; with no forward chord at all the
-entire cycle dissolves into fixed points.
+is a permutation with fixed points. The skipped stretch of a forward chord is
+the interval of positions i+1 .. j-1, and the canonical chord is the one
+whose interval is minimal under inclusion and starts first. Among intervals
+that is the one ending first, and among those ending there the one starting
+last: nothing can nest inside it, and a minimal interval starting earlier
+would have to end no earlier and so contain it. With no forward chord at all
+the entire cycle dissolves into fixed points.
 
 The map is injective: the original cycle can be reconstructed from the image
-because minimality forces, at every step, exactly one arc from the kept
-prefix into the fixed stretch. ``invert_injection`` replays that argument and
-refuses (NotInImageError) whenever a forced step is ambiguous or missing,
-then confirms its candidate by applying the forward map.
+because minimality forces, at every step, exactly one arc from the walked
+vertices into the rest of the fixed stretch. A dissolved cycle had no
+forward chord from v, so it retraces the same way, starting at v with
+nothing kept. ``invert_injection`` replays that one forced walk and refuses
+(NotInImageError) whenever a step is ambiguous or missing, then confirms its
+candidate by applying the forward map.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .errors import (
     NotInImageError,
     OutOfRangeError,
     TooLargeError,
-    UniquenessViolationError,
 )
 from .graphs import Digraph, UndirectedGraph, bits_of
 
@@ -116,21 +120,12 @@ def forward_chords(g: Digraph, cycle: Sequence[int]) -> list[ChordRecord]:
 
 
 def first_minimal_forward_chord(g: Digraph, cycle: Sequence[int]) -> ChordRecord | None:
-    """The canonical chord: minimal skipped set under strict inclusion, ties
-    broken by the earliest start position. None when no forward chord exists."""
-    records = forward_chords(g, cycle)
-    if not records:
-        return None
-    sets = [frozenset(r.skipped) for r in records]
-    minimal = [r for r, s in zip(records, sets) if not any(other < s for other in sets)]
-    starts = set()
-    for r in minimal:
-        if r.start in starts:
-            raise UniquenessViolationError(
-                f"two minimal forward chords leave position {r.start}; this breaks injectivity"
-            )
-        starts.add(r.start)
-    return min(minimal, key=lambda r: r.start)
+    """The canonical chord: minimal skipped interval under inclusion with the
+    earliest start, i.e. the interval that ends first and, among those, starts
+    last. Two minimal intervals never share a start, so there is no tie to
+    break. None when no forward chord exists."""
+    n = len(cycle)
+    return min(forward_chords(g, cycle), key=lambda r: (r.end or n, -r.start), default=None)
 
 
 def apply_injection(g: Digraph | UndirectedGraph, sigma: Sequence[int], v: int) -> Permutation:
@@ -203,8 +198,7 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
     if not 0 <= v < dg.n:
         raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
     dec = cycle_decomposition(dg, p)
-    fix = set(dec.fixed)
-    if not fix:
+    if not dec.fixed:
         raise NotInImageError("image permutations always keep a fixed point")
     out = list(range(dg.n))
     for c in dec.cycles:
@@ -213,50 +207,30 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         for a, b in zip(c, c[1:] + (c[0],)):
             out[a] = b
 
+    fix_mask = sum(1 << f for f in dec.fixed)
     if p[v] == v:
         # The break dissolved the entire cycle: every fixed point of p belonged
-        # to it, and the cycle was some Hamilton tour of the fixed set with no
-        # forward chord from v. Try each tour; at most one can map back.
-        verts = sorted(fix)
-        if len(verts) < 2:
-            raise NotInImageError("a dissolved cycle needs at least two vertices")
-        sub = dg.induced(verts)
-        winners = []
-        for h in hamilton_cycles(sub):
-            cand = out.copy()
-            cyc = [verts[x] for x in h]
-            for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
-                cand[a] = b
-            cand_t = tuple(cand)
-            if apply_injection(dg, cand_t, v) == p:
-                winners.append(cand_t)
-        if not winners:
-            raise NotInImageError("no closed tour of the fixed vertices maps back to the input")
-        if len(winners) > 1:
-            raise UniquenessViolationError("two distinct preimages map to the same permutation")
-        return winners[0]
-
-    # v still moves: p's cycle through v is the shortcut cycle, and the fixed
-    # points are the skipped stretch. Walk from v; the first vertex with an arc
-    # into the fixed set is where the chord was taken, and minimality of the
-    # chord forces that arc, as well as the order of the stretch, to be unique.
-    cyc = next(c for c in dec.cycles if v in c)
-    k = cyc.index(v)
-    walk = [cyc[(k + s) % len(cyc)] for s in range(len(cyc))]
-    fix_mask = 0
-    for f in fix:
-        fix_mask |= 1 << f
-    split = None
-    for a, x in enumerate(walk):
-        into = dg.rows[x] & fix_mask
-        if into:
-            if into.bit_count() != 1:
-                raise NotInImageError(f"vertex {x} has several arcs into the fixed stretch")
-            split = (a, into.bit_length() - 1)
-            break
-    if split is None:
-        raise NotInImageError("no arc re-enters the fixed stretch")
-    a, first_fixed = split
+        # to it, and with no forward chord from v the tour retraces from v
+        # exactly like a skipped stretch, with nothing kept before it.
+        walk, a, first_fixed = [], -1, v
+    else:
+        # v still moves: p's cycle through v is the shortcut cycle, and the
+        # fixed points are the skipped stretch. Walk from v; the first vertex
+        # with an arc into the fixed set is where the chord was taken, and
+        # minimality of the chord forces that arc, as well as the order of
+        # the stretch, to be unique.
+        cyc = next(c for c in dec.cycles if v in c)
+        k = cyc.index(v)
+        walk = [cyc[(k + s) % len(cyc)] for s in range(len(cyc))]
+        for a, x in enumerate(walk):
+            into = dg.rows[x] & fix_mask
+            if into:
+                break
+        else:
+            raise NotInImageError("no arc re-enters the fixed stretch")
+        if into.bit_count() != 1:
+            raise NotInImageError(f"vertex {x} has several arcs into the fixed stretch")
+        first_fixed = into.bit_length() - 1
     stretch = [first_fixed]
     remaining = fix_mask & ~(1 << first_fixed)
     while remaining:

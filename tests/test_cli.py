@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
 from permatch.cli import main
-from permatch import complete_bipartite, complete_graph, parse_graph, serialize_graph
+from permatch import complete_bipartite, complete_graph, directed_cycle, parse_graph, serialize_graph
 
 CYCLE5 = "digraph 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 K33 = "bipartite 3 3\n" + "".join(f"{i} {j}\n" for i in range(3) for j in range(3))
@@ -271,6 +271,18 @@ def test_inject_not_in_image_exits_1(capsys, write_graph):
         capsys, "inject", "--input", kpath, "--vertex", "0", "--perm", "0,1,2,3", "--invert"
     )
     assert code == 1 and "not in image" in err
+
+
+def test_inject_invert_identity_past_the_hamilton_search_cap(capsys, write_graph):
+    # the dissolved cycle is retraced by one forced walk, at any accepted size
+    n = 20
+    identity = ",".join(map(str, range(n)))
+    cpath = write_graph(serialize_graph(directed_cycle(n)))
+    code, out, _ = run(capsys, "inject", "--input", cpath, "--vertex", "0", "--perm", identity, "--invert")
+    assert (code, out) == (0, ",".join(str((i + 1) % n) for i in range(n)) + "\n")
+    kpath = write_graph(serialize_graph(complete_graph(n)))
+    code, _, err = run(capsys, "inject", "--input", kpath, "--vertex", "0", "--perm", identity, "--invert")
+    assert code == 1 and err.startswith("not in image:") and "Traceback" not in err
 
 
 def test_verify_commands(capsys, write_graph, schema_loader):

@@ -9,7 +9,6 @@ from permatch import (
     NotHamiltonError,
     NotInImageError,
     TooLargeError,
-    UniquenessViolationError,
     apply_injection,
     choose_special_vertex,
     complete_graph,
@@ -256,3 +255,83 @@ def test_census_dp_matches_cycle_patterns_and_hamilton_search():
         census = hamilton_census(g)
         assert (census.ham_count, census.through) == _census_by_patterns(g), g
         assert census.ham_count == len(hamilton_cycles(g)), g
+
+
+def _random_digraphs(seed, count, sizes, densities):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(sizes)
+        q = rng.choice(densities)
+        yield new_digraph(n, [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < q])
+
+
+def _all_small_digraphs():
+    from permatch.verify import digraph_from_arc_index
+
+    return [digraph_from_arc_index(n, i) for n in range(1, 5) for i in range(1 << n * (n - 1))]
+
+
+def _chord_by_inclusion(g, cycle):
+    """The chord rule by its definition: skipped sets minimal under strict
+    inclusion, the earliest start among them."""
+    records = forward_chords(g, cycle)
+    sets = [frozenset(r.skipped) for r in records]
+    minimal = [r for r, s in zip(records, sets) if not any(other < s for other in sets)]
+    assert len({r.start for r in minimal}) == len(minimal), "two minimal chords share a start"
+    return min(minimal, key=lambda r: r.start, default=None)
+
+
+def test_first_minimal_chord_matches_inclusion_definition():
+    graphs = _all_small_digraphs() + list(_random_digraphs(77, 300, range(5, 10), (0.3, 0.5, 0.7, 0.9)))
+    rotated = 0
+    for g in graphs:
+        for h in hamilton_cycles(g, limit=8):
+            for k in range(g.n):
+                cycle = h[k:] + h[:k]
+                assert first_minimal_forward_chord(g, cycle) == _chord_by_inclusion(g, cycle), (g, cycle)
+                rotated += 1
+    assert rotated > 10_000
+
+
+def _dissolved_preimage_by_tour_search(g, p, v):
+    """The inverse of a dissolved cycle by search: try every Hamilton tour of
+    the fixed set through the forward map; at most one maps back."""
+    verts = fixed_points(p)
+    winners = []
+    for h in hamilton_cycles(g.induced(verts)) if len(verts) > 1 else ():
+        cand = list(p)
+        tour = [verts[x] for x in h]
+        for a, b in zip(tour, tour[1:] + [tour[0]]):
+            cand[a] = b
+        if apply_injection(g, tuple(cand), v) == p:
+            winners.append(tuple(cand))
+    assert len(winners) <= 1, "two distinct preimages map to the same permutation"
+    return winners[0] if winners else None
+
+
+def test_invert_matches_forward_map_and_tour_search():
+    graphs = _all_small_digraphs() + list(_random_digraphs(78, 300, range(5, 8), (0.3, 0.5)))
+    inversions = 0
+    for g in graphs:
+        derangements = list(enumerate_permutations(g, derangements_only=True))
+        perms = list(enumerate_permutations(g))
+        for v in range(g.n):
+            preimage = {apply_injection(g, d, v): d for d in derangements}
+            for p in perms:
+                try:
+                    got = invert_injection(g, p, v)
+                except NotInImageError:
+                    got = None
+                assert got == preimage.get(p), (g, p, v)
+                if p[v] == v:
+                    assert got == _dissolved_preimage_by_tour_search(g, p, v), (g, p, v)
+                inversions += 1
+    assert inversions > 100_000
+
+
+def test_invert_dissolved_cycle_past_the_hamilton_search_cap():
+    n = 20
+    identity = tuple(range(n))
+    assert invert_injection(directed_cycle(n), identity, 7) == tuple((i + 1) % n for i in range(n))
+    with pytest.raises(NotInImageError):
+        invert_injection(complete_graph(n), identity, 0)

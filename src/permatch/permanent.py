@@ -11,6 +11,13 @@ Three independent routes are kept deliberately:
   in ``permanent_zero_one_pair``. Ryser's sum is an integer combination of
   products of row counts, so the int64 total is per mod 2^64, which is per
   itself as 0 <= per <= 20! < 2^63. Larger inputs are refused.
+
+``subset_permanents`` does a different job: the permanents of every
+restriction of one host at once. Each permutation of the host uses a fixed
+set of entries (slots), so per(A restricted to S) counts the permutation
+masks inside S, for all 2^slots sets S in one subset-sum (zeta) transform.
+The exhaustive scans and sweeps in :mod:`permatch.verify` run on it; the
+tests compare it with ``permanent_zero_one`` on every small biadjacency.
 """
 
 from __future__ import annotations
@@ -192,6 +199,29 @@ def permanent_zero_one_pair(bitrows: Sequence[int], n: int) -> tuple[int, int]:
     SPARSE_MAX both come from one Ryser pass. Same limits as permanent_zero_one."""
     d, p = _permanents_bits([bitrows, [row | 1 << i for i, row in enumerate(bitrows)]], n)
     return d, p
+
+
+SUBSET_SLOTS_MAX = 24  # a 128 MB int64 table
+
+
+def subset_permanents(slots: int, masks: Sequence[int]) -> np.ndarray:
+    """out[S] = how many of the given masks lie inside S, for every S of
+    0 <= S < 2^slots. With the slot masks of a host's permutations (or
+    perfect matchings) that is per(A restricted to S) for every S at once.
+
+    One bincount of the masks, then one in-place add per slot (Yates's
+    subset-sum transform) over an int64 table of 2^slots entries. Exact: each
+    count is at most len(masks)."""
+    if slots > SUBSET_SLOTS_MAX:
+        raise TooLargeError(f"subset sums capped at {SUBSET_SLOTS_MAX} slots, got {slots}")
+    points = np.asarray(masks, dtype=np.int64)
+    if slots < 0 or points.size and (points.min() < 0 or points.max() >> slots):
+        raise BadParamsError(f"masks must lie in 0..2^{slots} - 1")
+    out = np.bincount(points, minlength=1 << slots)
+    for s in range(slots):
+        pairs = out.reshape(-1, 2, 1 << s)
+        pairs[:, 1] += pairs[:, 0]
+    return out
 
 
 def subpermanent_sides(m: Matrix, k: int) -> tuple[int, int]:

@@ -41,11 +41,12 @@ from .graphs import (
     bipartitions_over_matching,
     blowup,
     canonical_matching,
+    complete_graph,
     new_digraph,
     require_perfect_matching,
 )
 from .injection import apply_injection, hamilton_census, invert_injection
-from .permanent import subpermanent_sides
+from .permanent import subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
 HALF = Fraction(1, 2)
@@ -127,11 +128,8 @@ def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     perfect matchings share an edge with it."""
     if not b.is_balanced or max(b.nl, b.nr) > HALF_HITTING_LIMIT:
         raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
-    return _half_hitting(b, count_perfect_matchings(b))
-
-
-def _half_hitting(b: BipartiteGraph, total: int) -> TheoremReport:
-    # total is per(B); each target's misses are per(B - M), its hits the rest
+    # each target's misses are per(B - M), its hits the rest of per(B)
+    total = count_perfect_matchings(b)
     checked = 0
     worst: tuple[int, int] | None = None
     ok = True
@@ -210,14 +208,11 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     sum 1/k!^2; equality holds only there."""
     if not b.is_balanced:
         raise BadParamsError("the bipartite extremal statement needs balanced parts")
-    return _bipartite_extremal(b, count_perfect_matchings(b), *dp_counts(b.to_graph()))
-
-
-def _bipartite_extremal(b: BipartiteGraph, matchings: int, d_direct: int, p: int) -> TheoremReport:
-    # d and p are counts of the flattened graph; matchings squared is the
-    # second, independent route to d
+    # d and p are counts of the flattened graph; the matching count squared is
+    # the second, independent route to d
+    d_direct, p = dp_counts(b.to_graph())
     n = b.nl
-    d = matchings ** 2
+    d = count_perfect_matchings(b) ** 2
     target = knn_ratio_sum(n)
     if d != d_direct:
         # two routes to the derangement count disagree: always a failure
@@ -403,28 +398,24 @@ def _cycle_arc_masks(n: int) -> list[tuple[int, int]]:
 def cycle_doubling_sweep(n: int) -> dict:
     """Check the doubling corollary on every digraph with n <= 5 vertices at once.
 
-    Returns counts; "failures" lists the offending arc-mask indices (expected
-    empty). Cross-checking a slice of this sweep against hamilton_census is
-    left to the test suite.
+    For every graph, its Hamilton cycles and the cycles through each vertex v
+    are the subset sums of the matching cycle patterns. Returns counts;
+    "failures" lists the offending arc-mask indices (expected empty).
+    Cross-checking a slice of this sweep against hamilton_census is left to
+    the test suite.
     """
     if not 2 <= n <= 5:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
     slots = n * (n - 1)
     total = 1 << slots
     cycles = _cycle_arc_masks(n)
-    gid = np.arange(total, dtype=np.uint32)
-    ham = np.zeros(total, dtype=np.int32)
-    through = np.zeros((n, total), dtype=np.int32)
-    for arc_mask, vmask in cycles:
-        present = (gid & np.uint32(arc_mask)) == np.uint32(arc_mask)
-        if vmask.bit_count() == n:
-            ham += present
-        for v in range(n):
-            if vmask >> v & 1:
-                through[v] += present
-    arc_count = np.bitwise_count(gid)
+    ham = subset_permanents(slots, [arcs for arcs, verts in cycles if verts.bit_count() == n])
+    twice = 2 * ham
+    doubled = np.zeros(total, dtype=bool)
+    for v in range(n):
+        doubled |= subset_permanents(slots, [arcs for arcs, verts in cycles if verts >> v & 1]) >= twice
+    arc_count = np.bitwise_count(np.arange(total, dtype=np.uint32))
     is_cycle_graph = (ham >= 1) & (arc_count == n)
-    doubled = (through >= 2 * ham).any(axis=0)
     ok = (ham == 0) | is_cycle_graph | doubled
     failures = np.flatnonzero(~ok)
     return {
@@ -492,20 +483,77 @@ def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 
-def _digraph_row(n: int, index: int) -> tuple[SurveyRecord, bool, bool]:
-    return _survey_row(digraph_from_arc_index(n, index))
+def _slot_mask(sigma: Sequence[int], slot: dict[tuple[int, int], int]) -> int:
+    """The arc slots a permutation moves along, as a bitmask."""
+    mask = 0
+    for v, w in enumerate(sigma):
+        if v != w:
+            mask |= 1 << slot[v, w]
+    return mask
 
 
-def _bipartite_row(n: int, index: int) -> tuple[SurveyRecord, bool, bool]:
-    b = BipartiteGraph(n, n, tuple((index >> (n * i)) & ((1 << n) - 1) for i in range(n)))
-    rec, ok, equality = _survey_row(b.to_graph())
-    matchings = count_perfect_matchings(b)
-    if ok and matchings > 0:
-        ok = (
-            _half_hitting(b, matchings).holds
-            and _bipartite_extremal(b, matchings, rec.derangements, rec.permutations).holds
-        )
-    return rec, ok, equality
+def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndarray, np.ndarray]:
+    """Every graph of an exhaustive scan family at once (scan checks the
+    family and n): the records, whether each graph passes its checks, and
+    whether it meets the ratio-half equality.
+
+    Bit s of a graph's index is arc slot s: arcs row-major skipping the
+    diagonal for "digraphs" (as in digraph_from_arc_index), and for
+    "bipartite" bit n*i + j is edge (i, j) of the biadjacency, whose record
+    describes the flattened 2n-vertex graph. A permutation of the complete
+    host moves along a fixed set of slots, so d and p of every graph are
+    subset sums of the slot masks of the host's derangements and
+    permutations. A bipartite graph with a perfect matching also gets the
+    half-hitting and extremal checks, from per(B) as subset sums of the n!
+    perfect matchings of K_{n,n}.
+    """
+    if family == "digraphs":
+        host = complete_graph(n)
+        slot = {arc: s for s, arc in enumerate(host.base.arcs())}
+    else:
+        # K_{n,n} built by the class, which refuses a part size below 1
+        complete = BipartiteGraph(n, n, tuple((1 << n) - 1 for _ in range(n)))
+        host = complete.to_graph()
+        slot = {arc: n * i + j for i in range(n) for j in range(n) for arc in ((i, n + j), (n + j, i))}
+    slots = len(set(slot.values()))
+    total = 1 << slots
+    index = np.arange(total, dtype=np.int64)
+    p = subset_permanents(slots, [_slot_mask(sigma, slot) for sigma in enumerate_permutations(host)])
+    derangements = [_slot_mask(sigma, slot) for sigma in enumerate_permutations(host, derangements_only=True)]
+    d = subset_permanents(slots, derangements)
+    rows = np.zeros((host.n, total), dtype=np.int64)
+    for (u, v), s in slot.items():
+        rows[u] |= (index >> s & 1) << v
+    # a bare directed cycle is its own derangement, so only those masks can be one
+    cyclic = np.zeros(total, dtype=bool)
+    for m in set(derangements):
+        cyclic[m] = is_directed_cycle(Digraph(host.n, tuple(rows[:, m].tolist())))
+    equality = 2 * d == p
+    ok = (2 * d <= p) & (equality == cyclic)
+    if family == "bipartite":
+        matchings = [
+            sum(1 << n * i + j for i, j in enumerate(m)) for m in enumerate_perfect_matchings(complete)
+        ]
+        per = subset_permanents(slots, matchings)
+        # each perfect matching M of B misses per(B - M) of them and hits the rest
+        half_hitting = np.ones(total, dtype=bool)
+        for m in matchings:
+            half_hitting &= ((index & m) != m) | (2 * per[index & ~m] <= per)
+        # p/d against sum 1/k!^2 in integers; at parts of 4, p <= 1,313 and
+        # the target's denominator is 576, far inside int64
+        target = knn_ratio_sum(n)
+        lhs, rhs = p * target.denominator, d * target.numerator
+        extremal = (d == per * per) & (lhs >= rhs) & ((lhs == rhs) == (index == total - 1))
+        ok &= (per == 0) | (half_hitting & extremal)
+    arcs = np.bitwise_count(rows).sum(axis=0).tolist()
+    width = (host.n + 3) // 4
+    digits = [f"{row:0{width}x}" for row in range(1 << host.n)]
+    adjacency = [":".join(t) for t in zip(*([digits[r] for r in row] for row in rows.tolist()))]
+    pairs = list(zip(d.tolist(), p.tolist()))
+    text = {pair: (format_ratio(Fraction(*pair)), format_12sig(Fraction(*pair))) for pair in set(pairs)}
+    size = host.n
+    records = [SurveyRecord(size, a, h, *pair, *text[pair]) for a, h, pair in zip(arcs, adjacency, pairs)]
+    return records, ok, equality
 
 
 def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[SurveyRecord, bool, bool]:
@@ -528,49 +576,42 @@ def scan(
       bipartite           all 2^(n^2) balanced biadjacencies, n <= 4 (records
                           describe the flattened 2n-vertex graph)
       sampled-undirected  `samples` draws from G(n, q) at the given seed
+
+    The exhaustive families are one in-process pass (_exhaustive_survey);
+    only the sampled family fans out to `threads` workers.
     """
-    if family == "digraphs":
-        if n > 4:
-            raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
-        row_of, items = partial(_digraph_row, n), range(1 << n * (n - 1))
-    elif family == "bipartite":
-        if n > 4:
-            raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
-        row_of, items = partial(_bipartite_row, n), range(1 << n * n)
-    elif family == "sampled-undirected":
+    if family == "digraphs" and n > 4:
+        raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
+    if family == "bipartite" and n > 4:
+        raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
+    if family == "sampled-undirected":
         if samples < 1:
             raise BadParamsError("sampled scan needs samples >= 1")
         model = ModelSpec("graph", n, q=q)
-        row_of, items = partial(_sampled_row, model, seed), range(samples)
-    else:
+    elif family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if out_path is not None:
-        Path(out_path).open("a").close()  # a bad path fails before any permanent runs
-    rows = parallel_map(row_of, items, threads)
+        Path(out_path).open("a").close()  # a bad path fails before any counting runs
+    if family == "sampled-undirected":
+        rows = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
+        records, oks, equalities = zip(*rows)
+    else:
+        records, oks, equalities = _exhaustive_survey(family, n)
 
-    records: list[SurveyRecord] = []
-    counterexamples = 0
-    equality_count = 0
-    best: tuple[Fraction, SurveyRecord] | None = None
-    for rec, ok, equality in rows:
-        records.append(rec)
-        if not ok:
-            counterexamples += 1
-        if equality:
-            equality_count += 1
-        ratio = Fraction(rec.derangements, rec.permutations)
-        if best is None or ratio > best[0]:
-            best = (ratio, rec)
-
+    # the largest ratio over the distinct (d, p) pairs; the first record wins ties
+    first: dict[tuple[int, int], int] = {}
+    for i, rec in enumerate(records):
+        first.setdefault((rec.derangements, rec.permutations), i)
+    best = records[max(first.items(), key=lambda kv: (Fraction(*kv[0]), -kv[1]))[1]]
     summary: dict = {
         "family": family,
         "n": n,
         "graphs": len(records),
-        "counterexamples": counterexamples,
-        "equality_count": equality_count,
-        "max_ratio": best[1].ratio_exact if best else None,
-        "max_ratio_float": best[1].ratio_float if best else None,
-        "argmax_adjacency_hex": best[1].adjacency_hex if best else None,
+        "counterexamples": len(records) - int(np.count_nonzero(oks)),
+        "equality_count": int(np.count_nonzero(equalities)),
+        "max_ratio": best.ratio_exact,
+        "max_ratio_float": best.ratio_float,
+        "argmax_adjacency_hex": best.adjacency_hex,
     }
     if family == "sampled-undirected":
         summary["seed"] = seed

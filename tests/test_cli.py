@@ -154,10 +154,27 @@ def test_scan_bad_out_fails_before_sweeping(capsys, monkeypatch, tmp_path):
         raise AssertionError("scan swept before opening --out")
 
     monkeypatch.setattr(verify, "parallel_map", no_sweep)
+    monkeypatch.setattr(verify, "subset_permanents", no_sweep)  # the exhaustive families' counts
     out = tmp_path / "missing" / "records.csv"
     code, text, err = run(capsys, "scan", "--family", "digraphs", "--n", "4", "--out", str(out))
     assert (code, text) == (3, "")
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family, n, message",
+    [
+        ("digraphs", -1, "vertex count must be in [1, 64], got -1"),
+        ("digraphs", 0, "vertex count must be in [1, 64], got 0"),
+        ("digraphs", 5, "exhaustive digraph scan is sized for n <= 4"),
+        ("bipartite", -1, "part sizes must be in [1, 64]"),
+        ("bipartite", 0, "part sizes must be in [1, 64]"),
+        ("bipartite", 5, "exhaustive bipartite scan is sized for parts of at most 4"),
+    ],
+)
+def test_scan_exhaustive_bad_n_exits_2(capsys, tmp_path, family, n, message):
+    code, out, err = run(capsys, "scan", "--family", family, "--n", str(n), "--out", str(tmp_path / "r.csv"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_failed_scan_keeps_existing_out(capsys, tmp_path):

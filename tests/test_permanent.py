@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from math import comb, exp, factorial, log
@@ -22,7 +23,9 @@ from permatch.permanent import (
     SPARSE_MAX,
     _permanent_bits_ryser,
     _permanent_bits_sparse,
+    SUBSET_SLOTS_MAX,
     permanent_zero_one_pair,
+    subset_permanents,
 )
 
 
@@ -240,3 +243,25 @@ def test_log_bounds_on_circulants():
         p = permanent_zero_one(rows, n)
         lo, hi = log_bounds(n, k)
         assert lo - 1e-9 <= log(p) <= hi + 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subset_permanents_match_zero_one_kernel(n):
+    # bit n*i + j of S is entry (i, j): the n! matchings of K_{n,n} as masks
+    masks = [sum(1 << n * i + j for i, j in enumerate(sigma)) for sigma in itertools.permutations(range(n))]
+    per = subset_permanents(n * n, masks)
+    assert per.shape == (1 << n * n,) and per[-1] == len(masks) == factorial(n)
+    for index in range(1 << n * n):
+        rows = [index >> n * i & ((1 << n) - 1) for i in range(n)]
+        assert per[index] == permanent_zero_one(rows, n), index
+
+
+def test_subset_permanents_edges():
+    assert subset_permanents(0, []).tolist() == [0]
+    assert subset_permanents(0, [0, 0]).tolist() == [2]
+    assert subset_permanents(2, [0, 1, 3, 3]).tolist() == [1, 2, 1, 4]  # repeats count twice
+    for slots, masks in [(2, [4]), (2, [-1]), (-1, [])]:
+        with pytest.raises(BadParamsError):
+            subset_permanents(slots, masks)
+    with pytest.raises(TooLargeError):
+        subset_permanents(SUBSET_SLOTS_MAX + 1, [])  # refused before any table is allocated

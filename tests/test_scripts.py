@@ -1,6 +1,7 @@
 """Smoke tests: the experiment drivers in scripts/ run on tiny arguments."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,15 @@ def load(name):
 def test_script_runs(capsys, name, argv):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_bench_e2e_records_a_labelled_run(capsys, tmp_path):
+    out = tmp_path / "e2e.json"
+    argv = ["--label", "smoke", "--runs", "2", "--only", "count-ratio-C5", "--out", str(out)]
+    assert load("bench_e2e").main(argv) == 0
+    run = json.loads(out.read_text())["runs"]["smoke"]
+    assert {"cpus", "numpy", "python"} <= set(run)
+    timing = run["commands"]["count-ratio-C5"]
+    assert timing["command"] == "count --input c5.txt --what ratio"
+    assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
+    assert "count-ratio-C5" in capsys.readouterr().out

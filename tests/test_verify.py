@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from permatch import (
+    BipartiteGraph,
     TooLargeError,
     blowup,
     check_bipartite_extremal,
@@ -19,6 +20,7 @@ from permatch import (
     check_subpermanent,
     complete_bipartite,
     complete_graph,
+    count_perfect_matchings,
     cycle_doubling_sweep,
     directed_cycle,
     dp_ratio,
@@ -33,7 +35,8 @@ from permatch import (
     scan,
     survey_record,
 )
-from permatch.verify import adjacency_hex, digraph_from_arc_index, format_ratio
+from permatch.permanent import permanent_zero_one_pair
+from permatch.verify import _exhaustive_survey, adjacency_hex, digraph_from_arc_index, format_ratio
 
 
 def test_format_12sig():
@@ -249,9 +252,11 @@ def test_scan_starts_no_more_workers_than_chunks(monkeypatch, pool_sizes):
     # scan fans out only through parallel_map, whose pool is replaced here
     assert not hasattr(verify, "ProcessPoolExecutor")
     monkeypatch.setattr(random_models, "_usable_cpus", lambda: 64)  # only the chunk cap binds
-    summary = scan("digraphs", 2, threads=64)
+    summary = scan("sampled-undirected", 4, samples=4, threads=64)
     assert summary["graphs"] == 4
     assert pool_sizes == [4]  # one chunk per graph, one worker per chunk
+    scan("digraphs", 2, threads=64)
+    assert pool_sizes == [4]  # an exhaustive family is one in-process pass
 
 
 def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
@@ -264,6 +269,53 @@ def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
     monkeypatch.setattr(random_models, "_usable_cpus", lambda: 3)
     assert random_models.parallel_map(abs, items, 1000) == [abs(x) for x in items]
     assert pool_sizes[-1] == 3
+
+
+def per_graph_row(family, n, index):
+    """The record, verdict and equality of one graph, checked on its own."""
+    if family == "digraphs":
+        g, b = digraph_from_arc_index(n, index), None
+    else:
+        b = BipartiteGraph(n, n, tuple(index >> n * i & ((1 << n) - 1) for i in range(n)))
+        g = b.to_graph()
+    report = check_ratio_half(g)
+    ok = report.holds
+    if b is not None and ok and count_perfect_matchings(b) > 0:
+        ok = check_half_hitting(b).holds and check_bipartite_extremal(b).holds
+    return survey_record(g), ok, bool(report.equality)
+
+
+@pytest.mark.parametrize(
+    "family, n, indices",
+    [
+        *[("digraphs", n, None) for n in (1, 2, 3, 4)],
+        *[("bipartite", n, None) for n in (1, 2, 3)],
+        # seeded biadjacencies on parts of 4, plus the empty and the complete one
+        ("bipartite", 4, [0, (1 << 16) - 1, *random.Random(8).sample(range(1 << 16), 2000)]),
+    ],
+)
+def test_exhaustive_survey_matches_per_graph_checks(family, n, indices):
+    records, ok, equality = _exhaustive_survey(family, n)
+    assert len(records) == len(ok) == len(equality) == 1 << (n * (n - 1) if family == "digraphs" else n * n)
+    for index in range(len(records)) if indices is None else indices:
+        got = records[index], bool(ok[index]), bool(equality[index])
+        assert got == per_graph_row(family, n, index), (family, n, index)
+
+
+def test_exhaustive_survey_largest_host_matches_pair_kernel():
+    # the flattened K_{4,4} is the complete biadjacency, the last index
+    records, ok, _ = _exhaustive_survey("bipartite", 4)
+    flat = complete_bipartite(4).to_graph()
+    assert (records[-1].derangements, records[-1].permutations) == permanent_zero_one_pair(flat.rows, 8)
+    assert records[-1].permutations == 1313 and ok.all()
+
+
+def test_scan_single_vertex_families():
+    lone = scan("digraphs", 1)
+    assert (lone["graphs"], lone["equality_count"], lone["max_ratio"]) == (1, 0, "0/1")
+    k2 = scan("bipartite", 1)  # the empty graph and K2, a directed 2-cycle when flattened
+    assert (k2["graphs"], k2["counterexamples"], k2["equality_count"]) == (2, 0, 1)
+    assert (k2["max_ratio"], k2["argmax_adjacency_hex"]) == ("1/2", "2:1")
 
 
 def test_scan_rejects_bad_requests(tmp_path):

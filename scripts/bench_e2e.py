@@ -38,39 +38,34 @@ RUNS = 5
 OUT = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
 
 
-def time_command(argv: list[str], runs: int, env: dict) -> dict:
-    """Wall seconds of `runs` fresh CLI processes; a nonzero exit is an error."""
+def time_command(argv: list[str], env: dict) -> dict:
+    """Wall seconds of RUNS fresh CLI processes; a nonzero exit is an error."""
     times = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "permatch.cli", *argv], env=env, capture_output=True)
         times.append(time.perf_counter() - start)
         if proc.returncode != 0:
             raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()}")
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"runs": runs, "median_s": median, "q1_s": q1, "q3_s": q3}
+    return {"runs": RUNS, "median_s": median, "q1_s": q1, "q3_s": q3}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
-    ap.add_argument("--runs", type=int, default=RUNS, help="processes per command")
-    ap.add_argument("--only", action="append", choices=list(COMMANDS), help="measure just these commands")
     ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args(argv)
-    if args.runs < 2:
-        ap.error("--runs must be at least 2 for quartiles")
 
     # the child processes import the same permatch as this script
     env = dict(os.environ, PYTHONPATH=str(Path(permatch.__file__).resolve().parent.parent))
-    commands = {name: COMMANDS[name] for name in args.only or COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {
             name: {"command": " ".join(cmd).replace("{tmp}/", ""), **time_command(
-                [a.format(tmp=tmp) for a in cmd], args.runs, env)}
-            for name, cmd in commands.items()
+                [a.format(tmp=tmp) for a in cmd], env)}
+            for name, cmd in COMMANDS.items()
         }
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -29,10 +29,12 @@ def test_script_runs(capsys, name, argv):
     assert capsys.readouterr().out
 
 
-def test_bench_e2e_records_a_labelled_run(capsys, tmp_path):
+def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
+    bench = load("bench_e2e")
+    monkeypatch.setattr(bench, "COMMANDS", {"count-ratio-C5": bench.COMMANDS["count-ratio-C5"]})
+    monkeypatch.setattr(bench, "RUNS", 2)
     out = tmp_path / "e2e.json"
-    argv = ["--label", "smoke", "--runs", "2", "--only", "count-ratio-C5", "--out", str(out)]
-    assert load("bench_e2e").main(argv) == 0
+    assert bench.main(["--label", "smoke", "--out", str(out)]) == 0
     run = json.loads(out.read_text())["runs"]["smoke"]
     assert {"cpus", "numpy", "python"} <= set(run)
     timing = run["commands"]["count-ratio-C5"]

@@ -32,6 +32,9 @@ COMMANDS = {
     "scan-bipartite-3": ["scan", "--family", "bipartite", "--n", "3", "--out", "{tmp}/records.csv"],
     "scan-bipartite-4": ["scan", "--family", "bipartite", "--n", "4", "--out", "{tmp}/records.csv"],
     "verify-corollary-K12": ["verify", "--theorem", "corollary", "--input", "{tmp}/k12.txt"],
+    "verify-2-K10": ["verify", "--theorem", "2", "--input", "{tmp}/k10.txt"],
+    # the slowest arc count found at the 500-vertex cap
+    "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
 }
 RUNS = 5
@@ -61,6 +64,7 @@ def main(argv=None):
     env = dict(os.environ, PYTHONPATH=str(Path(permatch.__file__).resolve().parent.parent))
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
+        Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {
             name: {"command": " ".join(cmd).replace("{tmp}/", ""), **time_command(

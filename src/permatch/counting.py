@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .errors import (
     BadParamsError,
@@ -28,6 +29,7 @@ from .graphs import (
     bits_of,
     derangement_model,
     permutation_model,
+    require_perfect_matching,
 )
 from .permanent import permanent_ryser, permanent_zero_one, permanent_zero_one_pair
 
@@ -242,17 +244,23 @@ def enumerate_perfect_matchings_general(g: UndirectedGraph) -> Iterator[Matching
         return iter(())
     rows = g.rows
     pairs: list[tuple[int, int]] = []
+    dead: set[int] = set()  # vertex sets without a perfect matching, each searched once
 
-    def rec(mask: int) -> Iterator[Matching]:
+    def rec(mask: int) -> Generator[Matching, None, bool]:
         if mask == 0:
             yield tuple(pairs)
-            return
+            return True
         v = (mask & -mask).bit_length() - 1
         rest = mask & ~(1 << v)
+        found = False
         for w in bits_of(rows[v] & rest):
-            pairs.append((v, w))
-            yield from rec(rest & ~(1 << w))
-            pairs.pop()
+            if (sub := rest & ~(1 << w)) not in dead:
+                pairs.append((v, w))
+                found |= yield from rec(sub)
+                pairs.pop()
+        if not found:
+            dead.add(mask)
+        return found
 
     return rec((1 << n) - 1)
 
@@ -309,8 +317,6 @@ def _as_image(b: BipartiteGraph, m: Sequence[tuple[int, int]] | Permutation) -> 
 
 def undirected_matching_tally(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> IntersectionTally:
     """Same tally over the perfect matchings of an undirected graph."""
-    from .graphs import require_perfect_matching
-
     misses = count_matchings_avoiding_general(g, require_perfect_matching(g, m))
     return IntersectionTally(count_perfect_matchings_general(g) - misses, misses)
 
@@ -335,8 +341,6 @@ def bipartite_permutation_sum(b: BipartiteGraph) -> int:
     if max(b.nl, b.nr) > 8:
         raise TooLargeError(f"squared subpermanent sum capped at parts of 8, got {b.nl} x {b.nr}")
     mat = b.matrix()
-    from itertools import combinations
-
     total = 0
     for k in range(min(b.nl, b.nr) + 1):
         for s in combinations(range(b.nl), k):

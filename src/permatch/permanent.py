@@ -49,12 +49,12 @@ def as_int_matrix(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
-def permanent_naive(m: Matrix, limit: int = NAIVE_LIMIT) -> int:
+def permanent_naive(m: Matrix) -> int:
     """Permanent by direct summation over permutations. Oracle use only."""
     rows = as_int_matrix(m)
     n = len(rows)
-    if n > limit:
-        raise TooLargeError(f"naive permanent capped at n={limit}, got {n}")
+    if n > NAIVE_LIMIT:
+        raise TooLargeError(f"naive permanent capped at n={NAIVE_LIMIT}, got {n}")
     if n == 0:
         return 1
     total = 0

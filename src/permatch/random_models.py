@@ -20,10 +20,13 @@ from statistics import fmean, stdev
 from typing import Callable, Sequence, TypeVar
 
 from .counting import dp_ratio
-from .errors import BadParamsError, CounterexampleError
+from .errors import BadParamsError, CounterexampleError, TooLargeError
 from .graphs import Digraph, UndirectedGraph, new_digraph, new_graph
 
 MODEL_KINDS = ("digraph", "graph")
+# below Python's 4,300-digit int-to-str limit: E[p] <= n! and its denominator
+# divides slots! / (slots - n)!, so at n = 500 no printed integer passes 3,834 digits
+EXPECT_LIMIT = 500
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -93,16 +96,19 @@ def sample(model: ModelSpec, seed: int) -> Digraph | UndirectedGraph:
 # exact expectations in the fixed-arc-count model
 
 
+def _derangement_numbers(n: int) -> list[int]:
+    """d(0), d(1), ... up to at least d(n), by d(t) = (t-1) (d(t-1) + d(t-2))."""
+    d = [1, 0]
+    for t in range(2, n + 1):
+        d.append((t - 1) * (d[-1] + d[-2]))
+    return d
+
+
 def derangement_number(n: int) -> int:
-    """Derangements of an n-set: d(n) = (n-1) (d(n-1) + d(n-2))."""
+    """Derangements of an n-set."""
     if n < 0:
         raise BadParamsError(f"need n >= 0, got {n}")
-    a, b = 1, 0  # d(0), d(1)
-    if n == 0:
-        return a
-    for t in range(2, n + 1):
-        a, b = b, (t - 1) * (a + b)
-    return b
+    return _derangement_numbers(n)[n]
 
 
 def inclusion_probability(n: int, m: int, t: int) -> Fraction:
@@ -121,16 +127,19 @@ def inclusion_probability(n: int, m: int, t: int) -> Fraction:
 def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     """(E[derangements], E[permutations]) for a uniform m-arc digraph on n vertices.
 
-    A permutation with exactly the k-set F fixed needs its n - |F| cycle arcs
-    present, so linearity gives sums of inclusion probabilities weighted by
-    derangement numbers.
+    A permutation moving exactly t vertices needs its t cycle arcs present, so
+    linearity gives E[p] = sum_t C(n, t) d(t) P(t) and E[d] = d(n) P(n), with
+    P(t + 1) = P(t) (m - t) / (slots - t) the inclusion probability, 0 past m.
     """
-    if n < 1:
-        raise BadParamsError(f"need n >= 1, got {n}")
-    ex = inclusion_probability(n, m, n) * derangement_number(n)
-    ey = Fraction(0)
-    for k in range(n + 1):
-        ey += comb(n, k) * derangement_number(n - k) * inclusion_probability(n, m, n - k)
+    slots = ModelSpec("digraph", n, m=m).slot_count  # checks n >= 1 and 0 <= m <= slots
+    if n > EXPECT_LIMIT:
+        raise TooLargeError(f"expected counts capped at n={EXPECT_LIMIT}, got {n}")
+    prob = [Fraction(1)]
+    for t in range(min(n, m)):
+        prob.append(prob[-1] * Fraction(m - t, slots - t))
+    d = _derangement_numbers(n)
+    ey = sum((comb(n, t) * d[t] * p for t, p in enumerate(prob)), Fraction(0))
+    ex = d[n] * prob[n] if n <= m else Fraction(0)
     return ex, ey
 
 

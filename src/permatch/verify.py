@@ -15,8 +15,9 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import partial
-from math import factorial
+from functools import cache, partial
+from itertools import islice
+from math import comb, factorial
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,13 +28,15 @@ from .counting import (
     count_matchings_avoiding,
     count_matchings_avoiding_general,
     count_perfect_matchings,
+    count_perfect_matchings_general,
     dp_counts,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
+    fixed_points,
     is_directed_cycle,
 )
-from .errors import BadParamsError, TooLargeError
+from .errors import BadParamsError, NotInImageError, TooLargeError
 from .graphs import (
     BipartiteGraph,
     Digraph,
@@ -45,13 +48,14 @@ from .graphs import (
     new_digraph,
     require_perfect_matching,
 )
-from .injection import apply_injection, hamilton_census, invert_injection
+from .injection import apply_injection, cycle_decomposition, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
 HALF = Fraction(1, 2)
 HALF_HITTING_LIMIT = 6  # parts of the half-hitting check
 CROSS_CHECK_LIMIT = 12  # vertices up to which the matching bound is cross-checked
+MATCHING_BOUND_LIMIT = 1000  # perfect matchings; the slowest input measured, on 12 vertices, took 9 s
 
 
 def format_12sig(x: Fraction) -> str:
@@ -155,8 +159,12 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
     The misses of each target are counted on the graph without its edges. Up
     to CROSS_CHECK_LIMIT vertices a second route recomputes them: every
     matching disjoint from the target must show up inside at least one of the
-    2^(n-1) bipartitions it induces, and there must be as many as counted.
+    2^(n-1) bipartitions it induces, with the target's edges removed, and
+    there must be as many as counted. Refuses graphs with more than
+    MATCHING_BOUND_LIMIT perfect matchings before listing any.
     """
+    if (counted := count_perfect_matchings_general(g)) > MATCHING_BOUND_LIMIT:
+        raise TooLargeError(f"matching bound capped at {MATCHING_BOUND_LIMIT} perfect matchings, got {counted}")
     half_n = g.n // 2
     matchings = list(enumerate_perfect_matchings_general(g))
     targets = matchings if m is None else [require_perfect_matching(g, m)]
@@ -174,14 +182,13 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
         if cross_check:
             ref_set = set(ref)
             direct = {mm for mm in matchings if not ref_set.intersection(mm)}
+            mate = {a: b for e in ref for a, b in (e, e[::-1])}
             covered = set()
             for bp in bipartitions_over_matching(g, ref):
-                for sigma in enumerate_perfect_matchings(bp.graph):
-                    mm = canonical_matching(
-                        (bp.left[i], bp.right[j]) for i, j in enumerate(sigma)
-                    )
-                    if not ref_set.intersection(mm):
-                        covered.add(mm)
+                b = bp.graph
+                rows = tuple(row & ~(1 << bp.right.index(mate[x])) for row, x in zip(b.biadj, bp.left))
+                for sigma in enumerate_perfect_matchings(BipartiteGraph(b.nl, b.nr, rows)):
+                    covered.add(canonical_matching((bp.left[i], bp.right[j]) for i, j in enumerate(sigma)))
             if covered != direct or len(direct) != misses:
                 ok = False
                 worst = {
@@ -250,8 +257,6 @@ def check_blowup_formulas(k: int, l: int) -> TheoremReport:
     d = (k!)^l, p = sum_i (C(k,i) (k-i)!)^l, ratio = 1 / sum_i (1/i!)^l."""
     d, p = dp_counts(blowup(k, l))
     want_d = factorial(k) ** l
-    from math import comb
-
     want_p = sum((comb(k, i) * factorial(k - i)) ** l for i in range(k + 1))
     want_ratio = 1 / sum((Fraction(1, factorial(i)) ** l for i in range(k + 1)), Fraction(0))
     holds = d == want_d and p == want_p and Fraction(d, p) == want_ratio
@@ -289,11 +294,6 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     to enumerate, sample_cap=None) every permutation outside the image is
     refused by the inverse.
     """
-    from itertools import islice
-
-    from .counting import fixed_points
-    from .errors import NotInImageError
-
     dg = as_digraph(g)
     derangements = list(
         islice(enumerate_permutations(dg, derangements_only=True), sample_cap)
@@ -367,31 +367,44 @@ def check_cycle_doubling(g: Digraph | UndirectedGraph) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive sweep for the cycle-doubling corollary (vectorized over graphs)
+# the exhaustive families' slot numbering, and the cycle-doubling sweep over it
+
+
+@cache
+def _slot_table(family: str, n: int) -> tuple[UndirectedGraph, dict[tuple[int, int], int]]:
+    """The complete host of an exhaustive family and the slot of each of its
+    arcs (bit s of a graph's index is slot s); cached for the one-index
+    decodes of digraph_from_arc_index, so callers only read the dict.
+    "digraphs": K_n, arcs row-major skipping the diagonal. "bipartite": the
+    flattened K_{n,n}, both arcs of edge (i, j) of the biadjacency in slot n*i + j.
+    """
+    if family == "digraphs":
+        host = complete_graph(n)
+        return host, {arc: s for s, arc in enumerate(host.base.arcs())}
+    # built by the class, which refuses a part size below 1
+    host = BipartiteGraph(n, n, tuple((1 << n) - 1 for _ in range(n))).to_graph()
+    return host, {arc: n * i + j for i in range(n) for j in range(n) for arc in ((i, n + j), (n + j, i))}
+
+
+def _slot_mask(sigma: Sequence[int], slot: dict[tuple[int, int], int]) -> int:
+    """The arc slots a permutation moves along, as a bitmask."""
+    mask = 0
+    for v, w in enumerate(sigma):
+        if v != w:
+            mask |= 1 << slot[v, w]
+    return mask
 
 
 def _cycle_arc_masks(n: int) -> list[tuple[int, int]]:
     """All simple directed cycle patterns on n labeled vertices, as
-    (arc_mask, vertex_mask) pairs. Arc slots are numbered row-major skipping
-    the diagonal."""
-    from itertools import combinations, permutations
-
-    def slot(i: int, j: int) -> int:
-        return i * (n - 1) + (j if j < i else j - 1)
-
+    (arc_mask, vertex_mask) pairs over the digraph slots: the permutations of
+    K_n with exactly one nontrivial orbit."""
+    host, slot = _slot_table("digraphs", n)
     cycles = []
-    for k in range(2, n + 1):
-        for verts in combinations(range(n), k):
-            head = verts[0]
-            for rest in permutations(verts[1:]):
-                order = (head,) + rest
-                arc_mask = 0
-                for t in range(k):
-                    arc_mask |= 1 << slot(order[t], order[(t + 1) % k])
-                vmask = 0
-                for x in verts:
-                    vmask |= 1 << x
-                cycles.append((arc_mask, vmask))
+    for sigma in enumerate_permutations(host):
+        orbits = cycle_decomposition(host, sigma).cycles
+        if len(orbits) == 1:
+            cycles.append((_slot_mask(sigma, slot), sum(1 << v for v in orbits[0])))
     return cycles
 
 
@@ -401,8 +414,6 @@ def cycle_doubling_sweep(n: int) -> dict:
     For every graph, its Hamilton cycles and the cycles through each vertex v
     are the subset sums of the matching cycle patterns. Returns counts;
     "failures" lists the offending arc-mask indices (expected empty).
-    Cross-checking a slice of this sweep against hamilton_census is left to
-    the test suite.
     """
     if not 2 <= n <= 5:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
@@ -429,17 +440,10 @@ def cycle_doubling_sweep(n: int) -> dict:
 
 
 def digraph_from_arc_index(n: int, index: int) -> Digraph:
-    """Inverse of the row-major arc-slot numbering used by the exhaustive sweeps."""
-    arcs = []
-    t = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if index >> t & 1:
-                arcs.append((i, j))
-            t += 1
-    return new_digraph(n, arcs)
+    """The digraph whose arcs are the set bits of index, in the slot numbering
+    of the exhaustive digraph family."""
+    _, slot = _slot_table("digraphs", n)
+    return new_digraph(n, [arc for arc, s in slot.items() if index >> s & 1])
 
 
 # ---------------------------------------------------------------------------
@@ -483,43 +487,26 @@ def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 
-def _slot_mask(sigma: Sequence[int], slot: dict[tuple[int, int], int]) -> int:
-    """The arc slots a permutation moves along, as a bitmask."""
-    mask = 0
-    for v, w in enumerate(sigma):
-        if v != w:
-            mask |= 1 << slot[v, w]
-    return mask
-
-
 def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndarray, np.ndarray]:
     """Every graph of an exhaustive scan family at once (scan checks the
     family and n): the records, whether each graph passes its checks, and
     whether it meets the ratio-half equality.
 
-    Bit s of a graph's index is arc slot s: arcs row-major skipping the
-    diagonal for "digraphs" (as in digraph_from_arc_index), and for
-    "bipartite" bit n*i + j is edge (i, j) of the biadjacency, whose record
-    describes the flattened 2n-vertex graph. A permutation of the complete
-    host moves along a fixed set of slots, so d and p of every graph are
-    subset sums of the slot masks of the host's derangements and
-    permutations. A bipartite graph with a perfect matching also gets the
-    half-hitting and extremal checks, from per(B) as subset sums of the n!
-    perfect matchings of K_{n,n}.
+    A graph's index bits are the slots of _slot_table; a bipartite record
+    describes the flattened graph. A permutation of the host moves along a
+    fixed set of slots, so d and p of every graph are subset sums of the slot
+    masks of the host's derangements and permutations. A bipartite graph with
+    a perfect matching also gets the half-hitting and extremal checks, from
+    per(B) as subset sums of the host's derangements made of 2-cycles only,
+    the n! perfect matchings of K_{n,n}.
     """
-    if family == "digraphs":
-        host = complete_graph(n)
-        slot = {arc: s for s, arc in enumerate(host.base.arcs())}
-    else:
-        # K_{n,n} built by the class, which refuses a part size below 1
-        complete = BipartiteGraph(n, n, tuple((1 << n) - 1 for _ in range(n)))
-        host = complete.to_graph()
-        slot = {arc: n * i + j for i in range(n) for j in range(n) for arc in ((i, n + j), (n + j, i))}
+    host, slot = _slot_table(family, n)
     slots = len(set(slot.values()))
     total = 1 << slots
     index = np.arange(total, dtype=np.int64)
     p = subset_permanents(slots, [_slot_mask(sigma, slot) for sigma in enumerate_permutations(host)])
-    derangements = [_slot_mask(sigma, slot) for sigma in enumerate_permutations(host, derangements_only=True)]
+    moves = list(enumerate_permutations(host, derangements_only=True))
+    derangements = [_slot_mask(sigma, slot) for sigma in moves]
     d = subset_permanents(slots, derangements)
     rows = np.zeros((host.n, total), dtype=np.int64)
     for (u, v), s in slot.items():
@@ -531,9 +518,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     equality = 2 * d == p
     ok = (2 * d <= p) & (equality == cyclic)
     if family == "bipartite":
-        matchings = [
-            sum(1 << n * i + j for i, j in enumerate(m)) for m in enumerate_perfect_matchings(complete)
-        ]
+        matchings = [m for sigma, m in zip(moves, derangements) if all(sigma[sigma[v]] == v for v in sigma)]
         per = subset_permanents(slots, matchings)
         # each perfect matching M of B misses per(B - M) of them and hits the rest
         half_hitting = np.ones(total, dtype=bool)
@@ -551,7 +536,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     adjacency = [":".join(t) for t in zip(*([digits[r] for r in row] for row in rows.tolist()))]
     pairs = list(zip(d.tolist(), p.tolist()))
     text = {pair: (format_ratio(Fraction(*pair)), format_12sig(Fraction(*pair))) for pair in set(pairs)}
-    size = host.n
+    size = host.n  # a property: read it once, not per record
     records = [SurveyRecord(size, a, h, *pair, *text[pair]) for a, h, pair in zip(arcs, adjacency, pairs)]
     return records, ok, equality
 

@@ -388,6 +388,40 @@ def test_mc_cli(capsys, schema_loader):
     assert code == 0 and out.startswith("samples=5 mean=")
 
 
+def test_verify_theorem_2_budget_edge(capsys, write_graph):
+    # seeded 14-vertex graphs with exactly MATCHING_BOUND_LIMIT perfect matchings and one more
+    from permatch.counting import count_perfect_matchings_general
+    from permatch.random_models import ModelSpec, sample
+    from permatch.verify import MATCHING_BOUND_LIMIT
+
+    model = ModelSpec("graph", 14, q="1/2")
+    last, first_refused = sample(model, 862), sample(model, 2188)
+    assert count_perfect_matchings_general(last) == MATCHING_BOUND_LIMIT == 1000
+    assert count_perfect_matchings_general(first_refused) == MATCHING_BOUND_LIMIT + 1
+    paths = [write_graph(serialize_graph(g)) for g in (last, first_refused)]
+    code, out, _ = run(capsys, "verify", "--theorem", "2", "--input", paths[0], "--json")
+    assert code == 0 and json.loads(out)["details"]["targets"] == 1000
+    code, out, err = run(capsys, "verify", "--theorem", "2", "--input", paths[1])
+    assert (code, out) == (2, "")
+    assert err == "error: matching bound capped at 1000 perfect matchings, got 1001\n"
+
+
+def test_expect_budget_edge_and_one_vertex(capsys):
+    from permatch.random_models import EXPECT_LIMIT
+
+    code, out, _ = run(capsys, "expect", "--n", "1", "--m", "0")
+    assert (code, out.splitlines()) == (
+        0,
+        ["expected derangements: 0/1 (0.000000000000)", "expected permutations: 1/1 (1.00000000000)"],
+    )
+    # the slowest arc count found at the cap
+    code, out, _ = run(capsys, "expect", "--n", str(EXPECT_LIMIT), "--m", "63622", "--json")
+    assert code == 0 and EXPECT_LIMIT == 500
+    assert json.loads(out)["expected_permutations"]["value"].startswith("99336216881000000")
+    code, out, err = run(capsys, "expect", "--n", str(EXPECT_LIMIT + 1), "--m", "0")
+    assert (code, out, err) == (2, "", "error: expected counts capped at n=500, got 501\n")
+
+
 def test_expect_cli(capsys, schema_loader):
     code, out, _ = run(capsys, "expect", "--n", "4", "--m", "6")
     assert code == 0

@@ -131,6 +131,18 @@ def test_general_matchings_odd_and_ring():
     assert m0 in pms
 
 
+def test_general_matching_enumeration_skips_dead_ends():
+    # K16 whose top 8 vertices each carry a private pendant: a partial
+    # matching that uses one of them strands its pendant, so only K8 on the
+    # free vertices is left to match (105 ways) out of 15!! prefixes
+    edges = [(u, v) for u in range(16) for v in range(u + 1, 16)] + [(8 + i, 16 + i) for i in range(8)]
+    g = new_graph(24, edges)
+    pms = list(enumerate_perfect_matchings_general(g))
+    assert len(set(pms)) == len(pms) == count_perfect_matchings_general(g) == 105
+    assert pms == sorted(pms)
+    assert all(set(pm) >= {(8 + i, 16 + i) for i in range(8)} for pm in pms)
+
+
 def test_intersection_tally():
     b = complete_bipartite(3)
     tally = matching_intersection_tally(b, (0, 1, 2))

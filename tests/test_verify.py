@@ -2,7 +2,7 @@ import csv
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -36,7 +36,13 @@ from permatch import (
     survey_record,
 )
 from permatch.permanent import permanent_zero_one_pair
-from permatch.verify import _exhaustive_survey, adjacency_hex, digraph_from_arc_index, format_ratio
+from permatch.verify import (
+    _cycle_arc_masks,
+    _exhaustive_survey,
+    adjacency_hex,
+    digraph_from_arc_index,
+    format_ratio,
+)
 
 
 def test_format_12sig():
@@ -147,6 +153,35 @@ def test_cycle_doubling_sweep_matches_census():
     assert out["directed_cycles"] == cycles
     with pytest.raises(TooLargeError):
         cycle_doubling_sweep(6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cycle_patterns_are_the_one_orbit_permutations(n):
+    # C(n, k) vertex sets of each size k >= 2, each closed into (k-1)! cycles
+    cycles = _cycle_arc_masks(n)
+    assert len(set(cycles)) == len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+    assert sum(verts == (1 << n) - 1 for _, verts in cycles) == factorial(n - 1)
+    assert all(arcs.bit_count() == verts.bit_count() for arcs, verts in cycles)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_digraph_slot_is_one_arc(n):
+    # slot s is the s-th off-diagonal arc in row-major order
+    records, _, _ = _exhaustive_survey("digraphs", n)
+    for s, arc in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
+        g = digraph_from_arc_index(n, 1 << s)
+        assert g.arcs() == [arc]
+        assert (records[1 << s].arcs, records[1 << s].adjacency_hex) == (1, adjacency_hex(g)), (n, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_biadjacency_slot_is_one_edge(n):
+    records, _, _ = _exhaustive_survey("bipartite", n)
+    for i in range(n):
+        for j in range(n):
+            flat = new_bipartite(n, n, [(i, j)]).to_graph()
+            rec = records[1 << n * i + j]
+            assert (rec.arcs, rec.adjacency_hex) == (2, adjacency_hex(flat)), (n, i, j)
 
 
 def test_survey_record_and_hex():

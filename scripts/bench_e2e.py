@@ -33,6 +33,9 @@ COMMANDS = {
     "scan-bipartite-4": ["scan", "--family", "bipartite", "--n", "4", "--out", "{tmp}/records.csv"],
     "verify-corollary-K12": ["verify", "--theorem", "corollary", "--input", "{tmp}/k12.txt"],
     "verify-2-K10": ["verify", "--theorem", "2", "--input", "{tmp}/k10.txt"],
+    # the injection audit: exhaustive at the CLI's 5-vertex cap, sampled (200 derangements) above it
+    "verify-injection-K5": ["verify", "--theorem", "injection", "--input", "{tmp}/k5.txt"],
+    "verify-injection-K10": ["verify", "--theorem", "injection", "--input", "{tmp}/k10.txt"],
     # the slowest arc count found at the 500-vertex cap
     "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
@@ -65,6 +68,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
+        Path(tmp, "k5.txt").write_text(serialize_graph(complete_graph(5)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {
             name: {"command": " ".join(cmd).replace("{tmp}/", ""), **time_command(

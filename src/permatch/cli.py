@@ -3,7 +3,8 @@
 Exit codes: 0 success (or: the checked statement holds); 1 the checked
 statement failed on the instance, or a permutation fell outside the image of
 the cycle-breaking map; 2 usage or parameter errors; 3 missing, unreadable,
-or malformed input files.
+or malformed input files. Under --json an error exit writes one JSON line to
+stderr (schemas/error.schema.json) in place of the plain message.
 """
 
 from __future__ import annotations
@@ -337,25 +338,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception class, plain stderr prefix, exit code): the first match wins
+_ERROR_EXITS = (
+    (CounterexampleError, "counterexample", 1),
+    (NotInImageError, "not in image", 1),
+    (GraphSyntaxError, "error", 3),
+    (OSError, "error", 3),
+    (PermatchError, "error", 2),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CounterexampleError as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
-        return 1
-    except NotInImageError as exc:
-        print(f"not in image: {exc}", file=sys.stderr)
-        return 1
-    except GraphSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PermatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (PermatchError, OSError) as exc:
+        prefix, code = next((prefix, code) for cls, prefix, code in _ERROR_EXITS if isinstance(exc, cls))
+        if getattr(args, "json", False):  # one line matching schemas/error.schema.json
+            line = json.dumps({"error": type(exc).__name__, "message": str(exc), "exit": code})
+        else:
+            line = f"{prefix}: {exc}"
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

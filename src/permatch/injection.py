@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import Permutation, check_permutation_on_graph, is_directed_cycle, as_digraph
+from .counting import Permutation, as_digraph, check_permutation_on_graph, fixed_points, is_directed_cycle
 from .errors import (
     IsDirectedCycleError,
     NotHamiltonError,
@@ -58,18 +58,24 @@ def cycle_decomposition(g: Digraph | UndirectedGraph, sigma: Sequence[int]) -> C
     for v in range(len(sigma)):
         if seen[v]:
             continue
-        seen[v] = True
-        if sigma[v] == v:
-            fixed.append(v)
-            continue
-        orbit = [v]
-        w = sigma[v]
-        while w != v:
+        orbit = _orbit(sigma, v)
+        for w in orbit:
             seen[w] = True
-            orbit.append(w)
-            w = sigma[w]
-        cycles.append(tuple(orbit))
+        if len(orbit) == 1:
+            fixed.append(v)
+        else:
+            cycles.append(tuple(orbit))
     return CycleDecomposition(tuple(cycles), tuple(fixed))
+
+
+def _orbit(sigma: Permutation, v: int) -> list[int]:
+    """The orbit of v under a checked permutation, in walk order from v."""
+    orbit = [v]
+    w = sigma[v]
+    while w != v:
+        orbit.append(w)
+        w = sigma[w]
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,11 @@ def _checked_cycle(g: Digraph, cycle: Sequence[int]) -> tuple[int, ...]:
 def forward_chords(g: Digraph, cycle: Sequence[int]) -> list[ChordRecord]:
     """All forward chords of the Hamilton cycle rooted at cycle[0], sorted by
     (start position, distance walked)."""
-    cycle = _checked_cycle(g, cycle)
+    return _forward_chords(g, _checked_cycle(g, cycle))
+
+
+def _forward_chords(g: Digraph, cycle: tuple[int, ...]) -> list[ChordRecord]:
+    """forward_chords of a cycle already checked as a Hamilton cycle of g."""
     n = g.n
     pos = {v: k for k, v in enumerate(cycle)}
     records = []
@@ -124,8 +134,13 @@ def first_minimal_forward_chord(g: Digraph, cycle: Sequence[int]) -> ChordRecord
     earliest start, i.e. the interval that ends first and, among those, starts
     last. Two minimal intervals never share a start, so there is no tie to
     break. None when no forward chord exists."""
+    return _first_minimal_chord(g, _checked_cycle(g, cycle))
+
+
+def _first_minimal_chord(g: Digraph, cycle: tuple[int, ...]) -> ChordRecord | None:
+    """first_minimal_forward_chord of a cycle already checked as a Hamilton cycle of g."""
     n = len(cycle)
-    return min(forward_chords(g, cycle), key=lambda r: (r.end or n, -r.start), default=None)
+    return min(_forward_chords(g, cycle), key=lambda r: (r.end or n, -r.start), default=None)
 
 
 def apply_injection(g: Digraph | UndirectedGraph, sigma: Sequence[int], v: int) -> Permutation:
@@ -134,29 +149,26 @@ def apply_injection(g: Digraph | UndirectedGraph, sigma: Sequence[int], v: int) 
     sigma = check_permutation_on_graph(dg, sigma, require_derangement=True)
     if not 0 <= v < dg.n:
         raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
-    dec = cycle_decomposition(dg, sigma)
-    target = next(c for c in dec.cycles if v in c)
-    out = list(range(dg.n))
-    for c in dec.cycles:
-        if c is target:
-            continue
-        for a, b in zip(c, c[1:] + (c[0],)):
-            out[a] = b
+    return _apply(dg, sigma, v)
+
+
+def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
+    """apply_injection on a derangement already checked on dg, for a vertex v of dg."""
+    walk = _orbit(sigma, v)
+    out = list(sigma)
+    for x in walk:
+        out[x] = x  # the cycle dissolves unless a forward chord keeps part of it
     # Chords must stay inside the cycle, so work in the induced subgraph.
-    verts = sorted(target)
+    verts = sorted(walk)
     sub = dg.induced(verts)
     local = {x: t for t, x in enumerate(verts)}
-    k = target.index(v)
-    rooted = tuple(local[target[(k + s) % len(target)]] for s in range(len(target)))
-    rec = first_minimal_forward_chord(sub, rooted)
+    # the walk follows arcs of sigma, so relabeled it is a Hamilton cycle of sub
+    rec = _first_minimal_chord(sub, tuple(local[x] for x in walk))
     if rec is not None:
-        span = len(target)
-        stop = span if rec.end == 0 else rec.end
-        keep = list(range(rec.start + 1)) + list(range(stop, span))
-        seq = [verts[rooted[s]] for s in keep]
+        stop = len(walk) if rec.end == 0 else rec.end
+        seq = walk[: rec.start + 1] + walk[stop:]
         for a, b in zip(seq, seq[1:] + [seq[0]]):
             out[a] = b
-    # with no forward chord the whole cycle dissolves; out already fixes it
     return tuple(out)
 
 
@@ -197,17 +209,10 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
     p = check_permutation_on_graph(dg, p)
     if not 0 <= v < dg.n:
         raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
-    dec = cycle_decomposition(dg, p)
-    if not dec.fixed:
+    fixed = fixed_points(p)
+    if not fixed:
         raise NotInImageError("image permutations always keep a fixed point")
-    out = list(range(dg.n))
-    for c in dec.cycles:
-        if v in c:
-            continue
-        for a, b in zip(c, c[1:] + (c[0],)):
-            out[a] = b
-
-    fix_mask = sum(1 << f for f in dec.fixed)
+    fix_mask = sum(1 << f for f in fixed)
     if p[v] == v:
         # The break dissolved the entire cycle: every fixed point of p belonged
         # to it, and with no forward chord from v the tour retraces from v
@@ -219,9 +224,7 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         # with an arc into the fixed set is where the chord was taken, and
         # minimality of the chord forces that arc, as well as the order of
         # the stretch, to be unique.
-        cyc = next(c for c in dec.cycles if v in c)
-        k = cyc.index(v)
-        walk = [cyc[(k + s) % len(cyc)] for s in range(len(cyc))]
+        walk = _orbit(p, v)
         for a, x in enumerate(walk):
             into = dg.rows[x] & fix_mask
             if into:
@@ -241,12 +244,15 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         stretch.append(nxt)
         remaining &= ~(1 << nxt)
     tour = walk[: a + 1] + stretch + walk[a + 1 :]
+    out = list(p)  # the other cycles of p stay as they are
     for x, y in zip(tour, tour[1:] + [tour[0]]):
         if not dg.has_arc(x, y):
             raise NotInImageError(f"reconstructed tour needs the missing arc ({x}, {y})")
         out[x] = y
+    # every tour arc is an arc of dg and the tour covers v's orbit plus the
+    # fixed points, so cand is a derangement on dg: the unchecked map applies
     cand = tuple(out)
-    if apply_injection(dg, cand, v) != p:
+    if _apply(dg, cand, v) != p:
         raise NotInImageError("candidate preimage does not map back to the input")
     return cand
 

@@ -59,13 +59,16 @@ MATCHING_BOUND_LIMIT = 1000  # perfect matchings; the slowest input measured, on
 
 
 def format_12sig(x: Fraction) -> str:
-    """Decimal string with 12 significant digits, round-half-even."""
+    """Decimal string with 12 significant digits, round-half-even: positional
+    below 10^12, exponent form (1.23456789012e+937) from 10^12 up."""
     if x == 0:
         return "0.000000000000"
     with localcontext() as ctx:
         ctx.prec = 12
         ctx.rounding = ROUND_HALF_EVEN
         d = Decimal(x.numerator) / Decimal(x.denominator)
+    if x.numerator >= 10**12 * x.denominator:  # positional would pad the digits with zeros
+        return format(d, ".11e")
     with localcontext() as ctx:
         ctx.prec = 40  # plenty for the padding quantize below
         d = d.quantize(Decimal(1).scaleb(d.adjusted() - 11))
@@ -292,13 +295,16 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     For every root v: images of distinct derangements stay distinct, have a
     fixed point, invert back, and (when the derangement count is small enough
     to enumerate, sample_cap=None) every permutation outside the image is
-    refused by the inverse.
+    refused by the inverse. The exhaustive audit lists the graph's
+    permutations once for all roots: p(G) tuples, memory of the same order
+    as the set of images.
     """
     dg = as_digraph(g)
     derangements = list(
         islice(enumerate_permutations(dg, derangements_only=True), sample_cap)
     )
     exhaustive = sample_cap is None
+    permutations = list(enumerate_permutations(dg)) if exhaustive else []
     ok = True
     details: dict = {"derangements": len(derangements), "exhaustive": exhaustive}
     round_trips = 0
@@ -318,7 +324,7 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
                 break
             round_trips += 1
         if exhaustive and ok:
-            for p in enumerate_permutations(dg):
+            for p in permutations:
                 if p in images:
                     continue
                 try:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -290,6 +291,29 @@ def test_inject_not_in_image_exits_1(capsys, write_graph):
     assert code == 1 and "not in image" in err
 
 
+def test_json_error_exits_write_one_schema_line(capsys, tmp_path, write_graph, schema_loader):
+    # with --json each error exit writes one JSON line to stderr, carrying the
+    # plain message and the same exit code; without --json the plain line stays
+    schema = schema_loader("error")
+    k4 = write_graph("graph 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    missing = str(tmp_path / "missing.txt")
+    cases = [
+        (("count", "--input", missing, "--what", "ratio"), 3, "FileNotFoundError", "error"),
+        (("verify", "--theorem", "injection", "--input", missing), 3, "FileNotFoundError", "error"),
+        (("mc", "--model", "digraph", "--n", "4", "--q", "3/2", "--samples", "1"), 2, "BadParamsError", "error"),
+        (("expect", "--n", "501", "--m", "0"), 2, "TooLargeError", "error"),
+        (("inject", "--input", k4, "--vertex", "0", "--perm", "0,1,2,3", "--invert"), 1, "NotInImageError", "not in image"),
+    ]
+    for argv, exit_code, name, prefix in cases:
+        code, out, plain = run(capsys, *argv)
+        assert (code, out) == (exit_code, "") and plain.startswith(prefix + ": ")
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, out) == (exit_code, "") and err.count("\n") == 1 and err.endswith("\n")
+        doc = json.loads(err)
+        validate(doc, schema)
+        assert doc == {"error": name, "message": plain[len(prefix) + 2 : -1], "exit": exit_code}
+
+
 def test_inject_invert_identity_past_the_hamilton_search_cap(capsys, write_graph):
     # the dissolved cycle is retraced by one forced walk, at any accepted size
     n = 20
@@ -406,7 +430,7 @@ def test_verify_theorem_2_budget_edge(capsys, write_graph):
     assert err == "error: matching bound capped at 1000 perfect matchings, got 1001\n"
 
 
-def test_expect_budget_edge_and_one_vertex(capsys):
+def test_expect_budget_edge_and_one_vertex(capsys, schema_loader):
     from permatch.random_models import EXPECT_LIMIT
 
     code, out, _ = run(capsys, "expect", "--n", "1", "--m", "0")
@@ -417,7 +441,15 @@ def test_expect_budget_edge_and_one_vertex(capsys):
     # the slowest arc count found at the cap
     code, out, _ = run(capsys, "expect", "--n", str(EXPECT_LIMIT), "--m", "63622", "--json")
     assert code == 0 and EXPECT_LIMIT == 500
-    assert json.loads(out)["expected_permutations"]["value"].startswith("99336216881000000")
+    doc = json.loads(out)
+    validate(doc, schema_loader("expect"))
+    assert doc["expected_permutations"]["value"].startswith("9.93362168810e+")
+    for key in ("expected_derangements", "expected_permutations"):
+        num, den, value = (doc[key][f] for f in ("numerator", "denominator", "value"))
+        assert re.fullmatch(r"[0-9]\.[0-9]{11}e\+[0-9]+", value)
+        # value = 12-digit mantissa * 10^scale, within half a unit of its last digit
+        mantissa, scale = int(value[0] + value[2:13]), int(value[15:]) - 11
+        assert abs(2 * num - 2 * mantissa * 10**scale * den) <= 10**scale * den
     code, out, err = run(capsys, "expect", "--n", str(EXPECT_LIMIT + 1), "--m", "0")
     assert (code, out, err) == (2, "", "error: expected counts capped at n=500, got 501\n")
 

@@ -23,7 +23,7 @@ from permatch import (
     new_digraph,
 )
 from permatch.counting import fixed_points
-from permatch.errors import BadParamsError, NotDerangementError
+from permatch.errors import BadParamsError, NotDerangementError, NotOnGraphError, OutOfRangeError
 
 
 def worked_example():
@@ -86,6 +86,10 @@ def test_hamilton_validation():
         forward_chords(g, (0, 2, 1, 3))
     with pytest.raises(NotHamiltonError):
         forward_chords(g, (0, 1, 2, 2))
+    with pytest.raises(NotHamiltonError, match="visit every vertex"):
+        first_minimal_forward_chord(g, (0, 1, 2))
+    with pytest.raises(NotHamiltonError, match=r"missing cycle arc \(0, 2\)"):
+        first_minimal_forward_chord(g, (0, 2, 1, 3))
 
 
 def test_apply_on_bare_cycle_dissolves():
@@ -102,10 +106,30 @@ def test_apply_validates_input():
         apply_injection(g, (0, 2, 3, 1), 0)
     with pytest.raises(BadParamsError):
         apply_injection(g, (1, 2, 3), 0)
-    from permatch.errors import OutOfRangeError
-
     with pytest.raises(OutOfRangeError):
         apply_injection(g, (1, 2, 3, 0), 9)
+    with pytest.raises(NotOnGraphError, match=r"missing arc \(0, 3\)"):
+        apply_injection(g, (3, 0, 1, 2), 0)
+
+
+def test_invert_and_decomposition_validate_input():
+    # the unchecked cores run only behind these checks, so each entry point
+    # must refuse bad input itself, with the same message as the shared check
+    g = directed_cycle(4)
+    with pytest.raises(BadParamsError, match="is not a permutation of 0..3"):
+        invert_injection(g, (0, 0, 1, 2), 0)
+    with pytest.raises(BadParamsError, match="is not a permutation of 0..3"):
+        invert_injection(g, (0, 1, 2), 0)
+    with pytest.raises(NotOnGraphError, match=r"missing arc \(1, 3\)"):
+        invert_injection(g, (0, 3, 2, 1), 0)
+    with pytest.raises(OutOfRangeError, match="vertex 4 out of range for n=4"):
+        invert_injection(g, (0, 1, 2, 3), 4)
+    with pytest.raises(OutOfRangeError, match="vertex -1 out of range for n=4"):
+        invert_injection(g, (0, 1, 2, 3), -1)
+    with pytest.raises(BadParamsError, match="is not a permutation of 0..3"):
+        cycle_decomposition(g, (1, 2, 3, 1))
+    with pytest.raises(NotOnGraphError, match=r"missing arc \(0, 2\)"):
+        cycle_decomposition(g, (2, 1, 0, 3))
 
 
 def test_apply_worked_example():

@@ -3,11 +3,15 @@
 Runs each command below in a fresh interpreter (``python -m permatch.cli``,
 so start-up and imports count) and stores the median and quartiles of the
 wall times, with the CPU count, the numpy version and the Python version,
-under a label in a JSON file. The commands run the permatch package this
-script imports. Other labels already in the file are kept, so two checkouts
-can be measured into one file as before/after data points:
+under a label in a JSON file. Each ``label=SRC_DIR`` pair names a source
+tree to run the package from; with none, the commands run the permatch
+package this script imports, under the label ``current``. Every run of a
+command goes to each label in turn, the order reversed on every other run,
+so two checkouts measured in one sitting see the same machine:
 
-    PYTHONPATH=src python3 scripts/bench_e2e.py --label after
+    PYTHONPATH=src python3 scripts/bench_e2e.py parent=/tmp/parent/src change=src
+
+Other labels already in the file are kept.
 """
 
 import argparse
@@ -44,48 +48,73 @@ RUNS = 5
 OUT = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
 
 
-def time_command(argv: list[str], env: dict) -> dict:
-    """Wall seconds of RUNS fresh CLI processes; a nonzero exit is an error."""
-    times = []
-    for _ in range(RUNS):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "permatch.cli", *argv], env=env, capture_output=True)
-        times.append(time.perf_counter() - start)
-        if proc.returncode != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()}")
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"runs": RUNS, "median_s": median, "q1_s": q1, "q3_s": q3}
+def time_command(argv: list[str], envs: dict[str, dict]) -> dict[str, dict]:
+    """Wall seconds of RUNS fresh CLI processes per label, the labels taken in
+    turn within each run; a nonzero exit is an error."""
+    times: dict[str, list[float]] = {label: [] for label in envs}
+    for run in range(RUNS):
+        for label in list(envs)[:: -1 if run % 2 else 1]:
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "permatch.cli", *argv], env=envs[label], capture_output=True
+            )
+            times[label].append(time.perf_counter() - start)
+            if proc.returncode != 0:
+                raise SystemExit(f"{label}: {' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()}")
+    out = {}
+    for label, ts in times.items():
+        q1, median, q3 = statistics.quantiles(ts, n=4, method="inclusive")
+        out[label] = {"runs": RUNS, "median_s": median, "q1_s": q1, "q3_s": q3}
+    return out
+
+
+def source_pair(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and Path(src, "permatch").is_dir()):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC_DIR with SRC_DIR/permatch, got {text!r}")
+    return label, Path(src).resolve()
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", default="current", help="key of this run in the output file")
+    ap.add_argument(
+        "sources",
+        nargs="*",
+        type=source_pair,
+        metavar="LABEL=SRC_DIR",
+        help="source trees to run, each under its label (default: current=the imported package)",
+    )
     ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args(argv)
 
-    # the child processes import the same permatch as this script
-    env = dict(os.environ, PYTHONPATH=str(Path(permatch.__file__).resolve().parent.parent))
+    sources = dict(args.sources) or {"current": Path(permatch.__file__).resolve().parent.parent}
+    envs = {label: dict(os.environ, PYTHONPATH=str(src)) for label, src in sources.items()}
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
         Path(tmp, "k5.txt").write_text(serialize_graph(complete_graph(5)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {
-            name: {"command": " ".join(cmd).replace("{tmp}/", ""), **time_command(
-                [a.format(tmp=tmp) for a in cmd], env)}
-            for name, cmd in COMMANDS.items()
+            name: time_command([a.format(tmp=tmp) for a in cmd], envs) for name, cmd in COMMANDS.items()
         }
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = {
-        "cpus": _usable_cpus(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "commands": timings,
-    }
+    runs = doc.setdefault("runs", {})
+    for label in sources:
+        runs[label] = {
+            "cpus": _usable_cpus(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "commands": {
+                name: {"command": " ".join(cmd).replace("{tmp}/", ""), **timings[name][label]}
+                for name, cmd in COMMANDS.items()
+            },
+        }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
-    for name, row in timings.items():
-        print(f"{name:<22} median {row['median_s']:7.3f} s  [{row['q1_s']:.3f}, {row['q3_s']:.3f}]")
+    for name, rows in timings.items():
+        for label, row in rows.items():
+            print(f"{name:<22} {label:<8} median {row['median_s']:7.3f} s"
+                  f"  [{row['q1_s']:.3f}, {row['q3_s']:.3f}]")
     return 0
 
 

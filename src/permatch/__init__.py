@@ -51,7 +51,6 @@ from .permanent import (
     subpermanent_sides,
 )
 from .counting import (
-    IntersectionTally,
     bipartite_permutation_sum,
     count_derangements,
     count_perfect_matchings,
@@ -63,9 +62,7 @@ from .counting import (
     enumerate_perfect_matchings_general,
     enumerate_permutations,
     is_directed_cycle,
-    matching_intersection_tally,
     permutations_by_fixed_points,
-    undirected_matching_tally,
 )
 from .injection import (
     ChordRecord,
@@ -85,7 +82,6 @@ from .random_models import (
     ModelSpec,
     derangement_number,
     expected_counts,
-    inclusion_probability,
     mc_dp_ratio,
     ratio_target,
     sample,
@@ -106,7 +102,6 @@ from .verify import (
     format_12sig,
     knn_ratio_sum,
     scan,
-    survey_record,
 )
 
 __version__ = "0.1.0"

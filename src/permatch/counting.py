@@ -8,17 +8,15 @@ independent of the permanent code so the two can cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from .errors import (
     BadParamsError,
     NotDerangementError,
     NotOnGraphError,
-    NotPerfectMatchingError,
     TooLargeError,
 )
 from .graphs import (
@@ -29,7 +27,6 @@ from .graphs import (
     bits_of,
     derangement_model,
     permutation_model,
-    require_perfect_matching,
 )
 from .permanent import permanent_ryser, permanent_zero_one, permanent_zero_one_pair
 
@@ -265,60 +262,10 @@ def enumerate_perfect_matchings_general(g: UndirectedGraph) -> Iterator[Matching
     return rec((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class IntersectionTally:
-    """How many perfect matchings share an edge with a reference matching (hits)
-    and how many avoid it entirely (misses)."""
-
-    hits: int
-    misses: int
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-
-def matching_intersection_tally(
-    b: BipartiteGraph, m: Sequence[tuple[int, int]] | Permutation
-) -> IntersectionTally:
-    """Tally every perfect matching of b against the reference matching m.
-
-    m may be given as an image tuple or as (left, right) pairs; it must itself
-    be a perfect matching of b. The reference counts as a hit.
-    """
-    misses = count_matchings_avoiding(b, _as_image(b, m))
-    return IntersectionTally(count_perfect_matchings(b) - misses, misses)
-
-
 def count_matchings_avoiding(b: BipartiteGraph, image: Permutation) -> int:
     """Perfect matchings of b sharing no edge with the perfect matching given
     as an image tuple: per(B - M), B without M's edges."""
     return permanent_zero_one([row & ~(1 << j) for row, j in zip(b.biadj, image)], b.nl)
-
-
-def _as_image(b: BipartiteGraph, m: Sequence[tuple[int, int]] | Permutation) -> Permutation:
-    if m and isinstance(m[0], tuple):
-        image = [-1] * b.nl
-        for i, j in m:  # type: ignore[misc]
-            if not 0 <= i < b.nl or image[i] != -1:
-                raise NotPerfectMatchingError(f"left vertex {i} not matched exactly once")
-            image[i] = j
-        m = tuple(image)
-    m = tuple(m)  # type: ignore[arg-type]
-    if (
-        not b.is_balanced
-        or len(m) != b.nl
-        or sorted(m) != list(range(b.nr))
-        or any(not b.has_edge(i, j) for i, j in enumerate(m))
-    ):
-        raise NotPerfectMatchingError(f"{m!r} is not a perfect matching of the bipartite graph")
-    return m
-
-
-def undirected_matching_tally(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> IntersectionTally:
-    """Same tally over the perfect matchings of an undirected graph."""
-    misses = count_matchings_avoiding_general(g, require_perfect_matching(g, m))
-    return IntersectionTally(count_perfect_matchings_general(g) - misses, misses)
 
 
 def count_matchings_avoiding_general(g: UndirectedGraph, m: Matching) -> int:

@@ -64,12 +64,6 @@ class Digraph:
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
-    def out_degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return sum(row >> v & 1 for row in self.rows)
-
     def is_symmetric(self) -> bool:
         return all(self.rows[v] >> u & 1 for u in range(self.n) for v in bits_of(self.rows[u]))
 
@@ -93,11 +87,6 @@ class Digraph:
                     row |= 1 << index[w]
             rows.append(row)
         return Digraph(len(keep), tuple(rows))
-
-    def without_arc(self, u: int, v: int) -> "Digraph":
-        rows = list(self.rows)
-        rows[u] &= ~(1 << v)
-        return Digraph(self.n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -128,17 +117,8 @@ class UndirectedGraph:
     def edge_count(self) -> int:
         return self.base.arc_count // 2
 
-    def degree(self, v: int) -> int:
-        return self.base.out_degree(v)
-
-    def to_digraph(self) -> Digraph:
-        return self.base
-
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         return self.base.matrix()
-
-    def induced(self, vertices: Sequence[int]) -> "UndirectedGraph":
-        return UndirectedGraph(self.base.induced(vertices))
 
 
 @dataclass(frozen=True)

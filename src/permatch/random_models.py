@@ -111,19 +111,6 @@ def derangement_number(n: int) -> int:
     return _derangement_numbers(n)[n]
 
 
-def inclusion_probability(n: int, m: int, t: int) -> Fraction:
-    """Probability that t prescribed arc slots are all present in a uniform
-    m-arc digraph on n vertices."""
-    slots = n * (n - 1)
-    if not 0 <= m <= slots:
-        raise BadParamsError(f"arc count must lie in [0, {slots}], got {m}")
-    if not 0 <= t <= slots:
-        raise BadParamsError(f"prescribed count must lie in [0, {slots}], got {t}")
-    if t > m:
-        return Fraction(0)
-    return Fraction(comb(slots - t, m - t), comb(slots, m))
-
-
 def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     """(E[derangements], E[permutations]) for a uniform m-arc digraph on n vertices.
 

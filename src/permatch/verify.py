@@ -36,7 +36,7 @@ from .counting import (
     fixed_points,
     is_directed_cycle,
 )
-from .errors import BadParamsError, NotInImageError, TooLargeError
+from .errors import BadParamsError, NotInImageError, OutOfRangeError, TooLargeError
 from .graphs import (
     BipartiteGraph,
     Digraph,
@@ -133,7 +133,9 @@ def check_ratio_half(g: Digraph | UndirectedGraph) -> TheoremReport:
 def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     """For every perfect matching of a bipartite graph, at least half of all
     perfect matchings share an edge with it."""
-    if not b.is_balanced or max(b.nl, b.nr) > HALF_HITTING_LIMIT:
+    if not b.is_balanced:
+        raise BadParamsError(f"half-hitting check wants balanced parts, got {b.nl} x {b.nr}")
+    if b.nl > HALF_HITTING_LIMIT:
         raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
     # each target's misses are per(B - M), its hits the rest of per(B)
     total = count_perfect_matchings(b)
@@ -421,7 +423,9 @@ def cycle_doubling_sweep(n: int) -> dict:
     are the subset sums of the matching cycle patterns. Returns counts;
     "failures" lists the offending arc-mask indices (expected empty).
     """
-    if not 2 <= n <= 5:
+    if n < 2:
+        raise BadParamsError(f"the exhaustive sweep needs at least 2 vertices, got {n}")
+    if n > 5:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
     slots = n * (n - 1)
     total = 1 << slots
@@ -447,8 +451,10 @@ def cycle_doubling_sweep(n: int) -> dict:
 
 def digraph_from_arc_index(n: int, index: int) -> Digraph:
     """The digraph whose arcs are the set bits of index, in the slot numbering
-    of the exhaustive digraph family."""
+    of the exhaustive digraph family; index must lie in [0, 2^(n(n-1)))."""
     _, slot = _slot_table("digraphs", n)
+    if not 0 <= index < 1 << len(slot):
+        raise OutOfRangeError(f"arc index must lie in [0, 2^{len(slot)}) for n={n}, got {index}")
     return new_digraph(n, [arc for arc, s in slot.items() if index >> s & 1])
 
 
@@ -472,10 +478,6 @@ def adjacency_hex(g: Digraph | UndirectedGraph) -> str:
     rows = g.rows
     width = (g.n + 3) // 4
     return ":".join(f"{row:0{width}x}" for row in rows)
-
-
-def survey_record(g: Digraph | UndirectedGraph) -> SurveyRecord:
-    return _survey_row(g)[0]
 
 
 def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]:

@@ -296,12 +296,15 @@ def test_json_error_exits_write_one_schema_line(capsys, tmp_path, write_graph, s
     # plain message and the same exit code; without --json the plain line stays
     schema = schema_loader("error")
     k4 = write_graph("graph 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+    b23 = write_graph("bipartite 2 3\n0 0\n1 1\n")
     missing = str(tmp_path / "missing.txt")
     cases = [
         (("count", "--input", missing, "--what", "ratio"), 3, "FileNotFoundError", "error"),
         (("verify", "--theorem", "injection", "--input", missing), 3, "FileNotFoundError", "error"),
         (("mc", "--model", "digraph", "--n", "4", "--q", "3/2", "--samples", "1"), 2, "BadParamsError", "error"),
         (("expect", "--n", "501", "--m", "0"), 2, "TooLargeError", "error"),
+        # unbalanced parts are a wrongly shaped input, not a too large one
+        (("verify", "--theorem", "1", "--input", b23), 2, "BadParamsError", "error"),
         (("inject", "--input", k4, "--vertex", "0", "--perm", "0,1,2,3", "--invert"), 1, "NotInImageError", "not in image"),
     ]
     for argv, exit_code, name, prefix in cases:

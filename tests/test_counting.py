@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from permatch import (
     BadParamsError,
-    NotPerfectMatchingError,
     TooLargeError,
     bipartite_permutation_sum,
     blowup,
@@ -26,15 +25,19 @@ from permatch import (
     enumerate_permutations,
     is_directed_cycle,
     lonely_matching_ring,
-    matching_intersection_tally,
     new_bipartite,
     new_digraph,
     new_graph,
     permutations_by_fixed_points,
-    undirected_matching_tally,
 )
 from permatch import counting
-from permatch.counting import check_permutation_on_graph, parse_permutation, format_permutation
+from permatch.counting import (
+    check_permutation_on_graph,
+    count_matchings_avoiding,
+    count_matchings_avoiding_general,
+    format_permutation,
+    parse_permutation,
+)
 from permatch.errors import NotDerangementError, NotOnGraphError
 
 DERANGEMENTS = [1, 0, 1, 2, 9, 44, 265, 1854]
@@ -145,22 +148,17 @@ def test_general_matching_enumeration_skips_dead_ends():
 
 def test_intersection_tally():
     b = complete_bipartite(3)
-    tally = matching_intersection_tally(b, (0, 1, 2))
     # among 6 matchings of K_{3,3}: 4 share a pair with the identity, 2 derange
-    assert (tally.hits, tally.misses) == (4, 2)
-    assert tally.total == 6
-    pairs_form = matching_intersection_tally(b, [(0, 0), (1, 1), (2, 2)])
-    assert pairs_form == tally
-    with pytest.raises(NotPerfectMatchingError):
-        matching_intersection_tally(new_bipartite(2, 2, [(0, 0), (1, 1)]), (1, 0))
+    assert count_perfect_matchings(b) == 6
+    assert count_matchings_avoiding(b, (0, 1, 2)) == 2
 
 
 def test_undirected_tally_on_ring():
     h, m0 = lonely_matching_ring(2)
-    tally = undirected_matching_tally(h, m0)
+    misses = count_matchings_avoiding_general(h, m0)
     # m0 avoids every other perfect matching by construction
-    assert tally.hits == 1
-    assert tally.misses == 4
+    assert count_perfect_matchings_general(h) - misses == 1
+    assert misses == 4
 
 
 def test_fixed_point_profile(monkeypatch):
@@ -228,23 +226,26 @@ def test_ratio_is_exact_fraction():
 
 
 def test_counted_tallies_match_enumeration():
-    # the tallies count misses as matchings of the graph without the target's
-    # edges; here every target is tallied against the full enumeration
+    # the checks count a target's misses as matchings of the graph without its
+    # edges and its hits as the rest; here every target is tallied against the
+    # full enumeration
     rng = random.Random(31)
     for _ in range(150):
         n = rng.randint(1, 5)
         q = rng.choice((0.5, 0.7, 0.9))
         b = new_bipartite(n, n, [(i, j) for i in range(n) for j in range(n) if rng.random() < q])
         pms = list(enumerate_perfect_matchings(b))
+        assert count_perfect_matchings(b) == len(pms)
         for ref in pms:
             hits = sum(1 for other in pms if any(x == y for x, y in zip(ref, other)))
-            assert matching_intersection_tally(b, ref) == counting.IntersectionTally(hits, len(pms) - hits)
+            assert count_matchings_avoiding(b, ref) == len(pms) - hits
     for _ in range(60):
         n = rng.choice((2, 4, 6, 8, 10))
         g = new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6])
         edges = {e: 1 << t for t, e in enumerate(g.edges())}
         pms = list(enumerate_perfect_matchings_general(g))
+        assert count_perfect_matchings_general(g) == len(pms)
         masks = [sum(edges[e] for e in pm) for pm in pms]
         for ref, ref_mask in zip(pms, masks):
             misses = sum(1 for mask in masks if not mask & ref_mask)
-            assert undirected_matching_tally(g, ref) == counting.IntersectionTally(len(pms) - misses, misses)
+            assert count_matchings_avoiding_general(g, ref) == misses

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, exp, isclose
+from math import exp, isclose
 
 import pytest
 
@@ -14,7 +14,6 @@ from permatch import (
     count_permutations,
     derangement_number,
     expected_counts,
-    inclusion_probability,
     mc_dp_ratio,
     sample,
 )
@@ -72,19 +71,6 @@ def test_derangement_numbers():
     assert [derangement_number(n) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
     with pytest.raises(BadParamsError):
         derangement_number(-1)
-
-
-def test_inclusion_probability_against_enumeration():
-    n = 3  # 6 slots
-    slots = n * (n - 1)
-    for m in range(slots + 1):
-        for t in range(3):
-            prescribed = tuple(range(t))
-            hits = sum(
-                1 for chosen in combinations(range(slots), m) if set(prescribed) <= set(chosen)
-            )
-            want = Fraction(hits, comb(slots, m))
-            assert inclusion_probability(n, m, t) == want
 
 
 def test_expected_counts_against_full_enumeration():

@@ -34,10 +34,14 @@ def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "COMMANDS", {"count-ratio-C5": bench.COMMANDS["count-ratio-C5"]})
     monkeypatch.setattr(bench, "RUNS", 2)
     out = tmp_path / "e2e.json"
-    assert bench.main(["--label", "smoke", "--out", str(out)]) == 0
-    run = json.loads(out.read_text())["runs"]["smoke"]
-    assert {"cpus", "numpy", "python"} <= set(run)
-    timing = run["commands"]["count-ratio-C5"]
-    assert timing["command"] == "count --input c5.txt --what ratio"
-    assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
-    assert "count-ratio-C5" in capsys.readouterr().out
+    src = str(SCRIPTS.parent / "src")
+    assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"first", "second"}
+    for run in runs.values():
+        assert {"cpus", "numpy", "python"} <= set(run)
+        timing = run["commands"]["count-ratio-C5"]
+        assert timing["command"] == "count --input c5.txt --what ratio"
+        assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
+    printed = capsys.readouterr().out
+    assert "first" in printed and "second" in printed

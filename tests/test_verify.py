@@ -7,7 +7,9 @@ from math import comb, factorial
 import pytest
 
 from permatch import (
+    BadParamsError,
     BipartiteGraph,
+    OutOfRangeError,
     TooLargeError,
     blowup,
     check_bipartite_extremal,
@@ -33,12 +35,12 @@ from permatch import (
     new_digraph,
     new_graph,
     scan,
-    survey_record,
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.verify import (
     _cycle_arc_masks,
     _exhaustive_survey,
+    _survey_row,
     adjacency_hex,
     digraph_from_arc_index,
     format_ratio,
@@ -74,6 +76,8 @@ def test_check_half_hitting():
     assert rep.details["worst_hits"] >= rep.details["worst_misses"]
     with pytest.raises(TooLargeError):
         check_half_hitting(complete_bipartite(7))
+    with pytest.raises(BadParamsError):
+        check_half_hitting(complete_bipartite(2, 3))
 
 
 def test_check_matching_lower_bound_with_cross_check():
@@ -153,6 +157,15 @@ def test_cycle_doubling_sweep_matches_census():
     assert out["directed_cycles"] == cycles
     with pytest.raises(TooLargeError):
         cycle_doubling_sweep(6)
+    with pytest.raises(BadParamsError):
+        cycle_doubling_sweep(1)
+
+
+def test_digraph_from_arc_index_refuses_indices_outside_the_family():
+    assert digraph_from_arc_index(3, 63) == complete_graph(3).base
+    for n, index in [(3, 64), (3, -1), (2, 7)]:
+        with pytest.raises(OutOfRangeError):
+            digraph_from_arc_index(n, index)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -186,7 +199,7 @@ def test_each_biadjacency_slot_is_one_edge(n):
 
 def test_survey_record_and_hex():
     g = directed_cycle(4)
-    rec = survey_record(g)
+    rec = _survey_row(g)[0]
     assert rec.n == 4 and rec.arcs == 4
     assert rec.derangements == 1 and rec.permutations == 2
     assert rec.ratio_exact == "1/2"
@@ -317,7 +330,7 @@ def per_graph_row(family, n, index):
     ok = report.holds
     if b is not None and ok and count_perfect_matchings(b) > 0:
         ok = check_half_hitting(b).holds and check_bipartite_extremal(b).holds
-    return survey_record(g), ok, bool(report.equality)
+    return _survey_row(g)[0], ok, bool(report.equality)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +371,6 @@ def test_scan_rejects_bad_requests(tmp_path):
         scan("digraphs", 5)
     with pytest.raises(TooLargeError):
         scan("bipartite", 5)
-    from permatch.errors import BadParamsError
 
     with pytest.raises(BadParamsError):
         scan("sampled-undirected", 5)

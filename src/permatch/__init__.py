@@ -30,7 +30,6 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     construct,
-    derangement_model,
     directed_cycle,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -40,7 +39,6 @@ from .graphs import (
     new_digraph,
     new_graph,
     parse_graph,
-    permutation_model,
     serialize_graph,
 )
 from .permanent import (

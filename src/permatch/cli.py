@@ -38,6 +38,8 @@ from .injection import apply_injection, invert_injection
 from .random_models import ModelSpec, expected_counts, mc_dp_ratio
 from .verify import format_12sig, format_ratio
 
+_Result = tuple[int, dict | None, str | None]  # exit code, JSON document, plain text; main prints one
+
 
 def _load_graph(path: str) -> Digraph | UndirectedGraph | BipartiteGraph:
     try:
@@ -45,10 +47,6 @@ def _load_graph(path: str) -> Digraph | UndirectedGraph | BipartiteGraph:
     except (PermatchError, UnicodeDecodeError) as exc:
         # bad vertex ids, undecodable bytes and the like are still a malformed file
         raise GraphSyntaxError(f"{path}: {exc}") from None
-
-
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
 
 
 def _fraction_doc(x: Fraction) -> dict:
@@ -73,7 +71,7 @@ def _threads(args: argparse.Namespace) -> int:
 # count
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> _Result:
     g = _load_graph(args.input)
     what = args.what
     if what == "matchings":
@@ -84,40 +82,25 @@ def _cmd_count(args: argparse.Namespace) -> int:
         else:
             raise BadParamsError("matchings need an undirected or bipartite input")
         n = g.nl + g.nr if isinstance(g, BipartiteGraph) else g.n
-        if args.json:
-            _emit({"what": what, "n": n, "value": value})
-        else:
-            print(value)
-        return 0
+        return 0, {"what": what, "n": n, "value": value}, str(value)
     if isinstance(g, BipartiteGraph):
         g = g.to_graph()  # permutations of a bipartite graph live on the flattened vertex set
     if what in ("derangements", "permutations"):
         fn = counting.count_derangements if what == "derangements" else counting.count_permutations
         value = fn(g)
-        if args.json:
-            _emit({"what": what, "n": g.n, "value": value})
-        else:
-            print(value)
-    elif what == "ratio":
+        return 0, {"what": what, "n": g.n, "value": value}, str(value)
+    if what == "ratio":
         r = counting.dp_ratio(g)
-        if args.json:
-            _emit({"what": what, "n": g.n, **_fraction_doc(r)})
-        else:
-            print(f"{format_ratio(r)} ({format_12sig(r)})")
-    else:  # fixed-points
-        profile = counting.permutations_by_fixed_points(g)
-        if args.json:
-            _emit({"what": what, "n": g.n, "counts": list(profile)})
-        else:
-            print(",".join(str(c) for c in profile))
-    return 0
+        return 0, {"what": what, "n": g.n, **_fraction_doc(r)}, f"{format_ratio(r)} ({format_12sig(r)})"
+    profile = counting.permutations_by_fixed_points(g)  # fixed-points
+    return 0, {"what": what, "n": g.n, "counts": list(profile)}, ",".join(str(c) for c in profile)
 
 
 # ---------------------------------------------------------------------------
 # construct
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace) -> _Result:
     kind = args.kind
     if kind == "blowup":
         if args.k is None or args.l is None:
@@ -129,39 +112,26 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         g = construct(kind, n=args.n)
     fmt = "json" if args.out.endswith(".json") else "text"
     Path(args.out).write_text(serialize_graph(g, fmt))
-    if kind == "thm2h":
-        _, m0 = lonely_matching_ring(args.n)
-        print("m0: " + " ".join(f"{a}-{b}" for a, b in m0))
-    return 0
+    if kind != "thm2h":
+        return 0, None, None
+    _, m0 = lonely_matching_ring(args.n)
+    return 0, None, "m0: " + " ".join(f"{a}-{b}" for a, b in m0)
 
 
 # ---------------------------------------------------------------------------
 # inject
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
+def _cmd_inject(args: argparse.Namespace) -> _Result:
     g = _load_graph(args.input)
     if isinstance(g, BipartiteGraph):
         raise BadParamsError("the cycle-breaking map needs a directed or undirected input")
     sigma = counting.parse_permutation(args.perm, g.n)
-    if args.invert:
-        result = invert_injection(g, sigma, args.vertex)
-        direction = "invert"
-    else:
-        result = apply_injection(g, sigma, args.vertex)
-        direction = "apply"
-    if args.json:
-        _emit(
-            {
-                "vertex": args.vertex,
-                "direction": direction,
-                "input": counting.format_permutation(sigma),
-                "result": counting.format_permutation(result),
-            }
-        )
-    else:
-        print(counting.format_permutation(result))
-    return 0
+    direction = "invert" if args.invert else "apply"
+    result = (invert_injection if args.invert else apply_injection)(g, sigma, args.vertex)
+    text = counting.format_permutation(result)
+    doc = {"vertex": args.vertex, "direction": direction, "input": counting.format_permutation(sigma)}
+    return 0, {**doc, "result": text}, text
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +140,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 _THEOREM_TOKENS = ("1", "2", "3", "6", "injection", "blowup", "subpermanent", "corollary")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     token = args.theorem
     if token == "blowup":
         if args.k is None or args.l is None:
@@ -207,21 +177,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if isinstance(g, BipartiteGraph):
                 g = g.to_graph()
             report = verify.check_cycle_doubling(g)
-    if args.json:
-        _emit(report.to_json_dict())
-    else:
-        verdict = "HOLDS" if report.holds else "FAILS"
-        print(f"{report.name}: {verdict} on {report.instance}")
-        for key, val in report.details.items():
-            print(f"  {key}: {val}")
-    return 0 if report.holds else 1
+    verdict = "HOLDS" if report.holds else "FAILS"
+    lines = [f"{report.name}: {verdict} on {report.instance}"]
+    lines += [f"  {key}: {val}" for key, val in report.details.items()]
+    return (0 if report.holds else 1), report.to_json_dict(), "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # scan / mc / expect
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> _Result:
     summary = verify.scan(
         args.family,
         args.n,
@@ -231,38 +197,28 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         out_path=args.out,
         threads=_threads(args),
     )
-    _emit(summary)
-    return 1 if summary["counterexamples"] else 0
+    return (1 if summary["counterexamples"] else 0), summary, None
 
 
-def _cmd_mc(args: argparse.Namespace) -> int:
+def _cmd_mc(args: argparse.Namespace) -> _Result:
     model = ModelSpec(args.model, args.n, q=args.q)
     summary = mc_dp_ratio(model, args.samples, args.seed, threads=_threads(args))
-    if args.json:
-        _emit(summary.to_json_dict())
-    else:
-        print(
-            f"samples={summary.samples} mean={summary.mean:.6f} "
-            f"stddev={summary.stddev:.6f} target={summary.target:.6f}"
-        )
-    return 0
+    text = (
+        f"samples={summary.samples} mean={summary.mean:.6f} "
+        f"stddev={summary.stddev:.6f} target={summary.target:.6f}"
+    )
+    return 0, summary.to_json_dict(), text
 
 
-def _cmd_expect(args: argparse.Namespace) -> int:
+def _cmd_expect(args: argparse.Namespace) -> _Result:
     ex, ey = expected_counts(args.n, args.m)
-    if args.json:
-        _emit(
-            {
-                "n": args.n,
-                "m": args.m,
-                "expected_derangements": _fraction_doc(ex),
-                "expected_permutations": _fraction_doc(ey),
-            }
-        )
-    else:
-        print(f"expected derangements: {format_ratio(ex)} ({format_12sig(ex)})")
-        print(f"expected permutations: {format_ratio(ey)} ({format_12sig(ey)})")
-    return 0
+    doc = {"n": args.n, "m": args.m}
+    doc |= {"expected_derangements": _fraction_doc(ex), "expected_permutations": _fraction_doc(ey)}
+    text = (
+        f"expected derangements: {format_ratio(ex)} ({format_12sig(ex)})\n"
+        f"expected permutations: {format_ratio(ey)} ({format_12sig(ey)})"
+    )
+    return 0, doc, text
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +307,12 @@ _ERROR_EXITS = (
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, text = args.func(args)
+        if doc is not None and (text is None or getattr(args, "json", False)):
+            print(json.dumps(doc, indent=2))
+        elif text is not None:
+            print(text)
+        return code
     except (PermatchError, OSError) as exc:
         prefix, code = next((prefix, code) for cls, prefix, code in _ERROR_EXITS if isinstance(exc, cls))
         if getattr(args, "json", False):  # one line matching schemas/error.schema.json

@@ -2,8 +2,8 @@
 
 A permutation on a graph maps every non-fixed vertex along a present arc; a
 derangement additionally has no fixed point. Counts reduce to permanents of
-the 0/1 models built in :mod:`permatch.graphs`; enumeration routines are kept
-independent of the permanent code so the two can cross-check each other.
+0/1 adjacency matrices; enumeration routines are kept independent of the
+permanent code so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .graphs import (
     Matching,
     UndirectedGraph,
     bits_of,
-    derangement_model,
-    permutation_model,
 )
 from .permanent import permanent_ryser, permanent_zero_one, permanent_zero_one_pair
 
@@ -53,20 +51,24 @@ def as_digraph(g: Digraph | UndirectedGraph) -> Digraph:
 
 
 def count_derangements(g: Digraph | UndirectedGraph) -> int:
-    b = derangement_model(as_digraph(g))
-    return permanent_zero_one(b.biadj, b.nl)
+    """per(A) for the adjacency A of g: the perfect matchings of g's bipartite
+    double cover, with an edge u-v' per arc u -> v, are its derangements."""
+    dg = as_digraph(g)
+    return permanent_zero_one(dg.rows, dg.n)
 
 
 def count_permutations(g: Digraph | UndirectedGraph) -> int:
-    b = permutation_model(as_digraph(g))
-    return permanent_zero_one(b.biadj, b.nl)
+    """per(A + I): with an edge u-u' added per vertex u, the double cover's
+    perfect matchings are the permutations of g."""
+    dg = as_digraph(g)
+    return permanent_zero_one([row | 1 << i for i, row in enumerate(dg.rows)], dg.n)
 
 
 def dp_counts(g: Digraph | UndirectedGraph) -> tuple[int, int]:
     """(count_derangements(g), count_permutations(g)), i.e. per(A) and per(A + I)
     for the adjacency A, from one kernel pass: use it wherever both are needed."""
-    b = derangement_model(as_digraph(g))
-    return permanent_zero_one_pair(b.biadj, b.nl)
+    dg = as_digraph(g)
+    return permanent_zero_one_pair(dg.rows, dg.n)
 
 
 def dp_ratio(g: Digraph | UndirectedGraph) -> Fraction:

@@ -299,21 +299,7 @@ def construct(kind: str, **params: int) -> Digraph | UndirectedGraph:
 
 
 # ---------------------------------------------------------------------------
-# counting models and matchings
-
-
-def derangement_model(g: Digraph | UndirectedGraph) -> BipartiteGraph:
-    """Bipartite double cover whose perfect matchings are the derangements of g."""
-    if isinstance(g, UndirectedGraph):
-        g = g.base
-    return BipartiteGraph(g.n, g.n, g.rows)
-
-
-def permutation_model(g: Digraph | UndirectedGraph) -> BipartiteGraph:
-    """Same as derangement_model but with the diagonal added: matchings <-> permutations."""
-    if isinstance(g, UndirectedGraph):
-        g = g.base
-    return BipartiteGraph(g.n, g.n, tuple(row | 1 << i for i, row in enumerate(g.rows)))
+# matchings
 
 
 def canonical_matching(pairs: Iterable[tuple[int, int]]) -> Matching:
@@ -430,15 +416,21 @@ def _json_pairs(items: list) -> list[tuple[int, int]]:
     return [(a, b) for a, b in items]
 
 
+def _json_size(doc: dict, key: str) -> int:
+    if isinstance(doc[key], bool):  # JSON true/false are not sizes either
+        raise GraphSyntaxError(f"expected an integer {key!r}, got {doc[key]!r}")
+    return doc[key]
+
+
 def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGraph:
     try:
         kind = doc["type"]
         if kind == "digraph":
-            return new_digraph(doc["n"], _json_pairs(doc["arcs"]))
+            return new_digraph(_json_size(doc, "n"), _json_pairs(doc["arcs"]))
         if kind == "graph":
-            return new_graph(doc["n"], _json_pairs(doc["edges"]))
+            return new_graph(_json_size(doc, "n"), _json_pairs(doc["edges"]))
         if kind == "bipartite":
-            return new_bipartite(doc["nl"], doc["nr"], _json_pairs(doc["edges"]))
+            return new_bipartite(_json_size(doc, "nl"), _json_size(doc, "nr"), _json_pairs(doc["edges"]))
     except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"bad JSON graph document: {exc!r}") from None
     raise GraphSyntaxError(f"unknown graph type {kind!r}")

@@ -79,6 +79,9 @@ def test_exit_code_3_on_bad_files(capsys, write_graph, tmp_path):
         {"type": "graph", "n": 3, "edges": [[0, 1.5]]},
         {"type": "bipartite", "nl": 2, "nr": 2, "edges": [[0]]},
         {"type": "bipartite", "nl": 2, "nr": 2, "edges": [[0, True]]},
+        # JSON true/false are not sizes either
+        {"type": "digraph", "n": True, "arcs": []},
+        {"type": "bipartite", "nl": True, "nr": True, "edges": [[0, 0]]},
     ],
 )
 def test_malformed_json_pairs_exit_3(capsys, write_graph, doc):
@@ -268,6 +271,8 @@ def test_inject_forward_and_back(capsys, write_graph, schema_loader):
     tour = "1,2,3,4,5,6,7,0"
     code, out, _ = run(capsys, "inject", "--input", path, "--vertex", "0", "--perm", tour)
     assert (code, out) == (0, "1,4,2,3,5,6,7,0\n")
+    code, out, _ = run(capsys, "inject", "--input", path, "--vertex", "0", "--perm", "1,4,2,3,5,6,7,0", "--invert")
+    assert (code, out) == (0, tour + "\n")
     code, out, _ = run(
         capsys, "inject", "--input", path, "--vertex", "0", "--perm", "1,4,2,3,5,6,7,0", "--invert", "--json"
     )
@@ -339,6 +344,12 @@ def test_verify_commands(capsys, write_graph, schema_loader):
 
     code, out, _ = run(capsys, "verify", "--theorem", "6", "--input", bpath)
     assert code == 0 and "HOLDS" in out
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--input", write_graph(CYCLE5))
+    assert (code, out) == (
+        0,
+        "ratio-half: HOLDS on digraph n=5, 5 arcs\n"
+        "  derangements: 1\n  permutations: 2\n  ratio: 1/2\n  is_directed_cycle: True\n",
+    )
 
     gpath = write_graph("graph 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     code, out, _ = run(capsys, "verify", "--theorem", "2", "--input", gpath, "--json")
@@ -412,7 +423,7 @@ def test_mc_cli(capsys, schema_loader):
     code, out, _ = run(
         capsys, "mc", "--model", "graph", "--n", "5", "--q", "1/2", "--samples", "5", "--seed", "1"
     )
-    assert code == 0 and out.startswith("samples=5 mean=")
+    assert (code, out) == (0, "samples=5 mean=0.061667 stddev=0.092721 target=0.135335\n")
 
 
 def test_verify_theorem_2_budget_edge(capsys, write_graph):

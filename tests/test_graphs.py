@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from permatch import (
     BadParamsError,
-    BipartiteGraph,
     Digraph,
     GraphSyntaxError,
     NotPerfectMatchingError,
@@ -15,7 +14,6 @@ from permatch import (
     complete_bipartite,
     complete_graph,
     construct,
-    derangement_model,
     directed_cycle,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -25,7 +23,6 @@ from permatch import (
     new_digraph,
     new_graph,
     parse_graph,
-    permutation_model,
     serialize_graph,
 )
 
@@ -115,12 +112,6 @@ def test_construct_dispatch():
         construct("moebius", n=3)
     with pytest.raises(BadParamsError):
         construct("blowup", k=2)
-
-
-def test_counting_models():
-    g = new_digraph(2, [(0, 1), (1, 0)])
-    assert derangement_model(g).biadj == (2, 1)
-    assert permutation_model(g).biadj == (3, 3)
 
 
 def test_matching_helpers():

@@ -1,7 +1,7 @@
 import itertools
 import random
 import warnings
-from math import comb, exp, factorial, log
+from math import comb, factorial, log
 
 import pytest
 from hypothesis import given, settings, strategies as st

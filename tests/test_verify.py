@@ -33,7 +33,6 @@ from permatch import (
     lonely_matching_ring,
     new_bipartite,
     new_digraph,
-    new_graph,
     scan,
 )
 from permatch.permanent import permanent_zero_one_pair

@@ -3,7 +3,8 @@
 Runs each command below in a fresh interpreter (``python -m permatch.cli``,
 so start-up and imports count) and stores the median and quartiles of the
 wall times, with the CPU count, the numpy version and the Python version,
-under a label in a JSON file. Each ``label=SRC_DIR`` pair names a source
+under a label in a JSON file, together with the line count of the
+package's Python files. Each ``label=SRC_DIR`` pair names a source
 tree to run the package from; with none, the commands run the permatch
 package this script imports, under the label ``current``. Every run of a
 command goes to each label in turn, the order reversed on every other run,
@@ -40,6 +41,8 @@ COMMANDS = {
     # the injection audit: exhaustive at the CLI's 5-vertex cap, sampled (200 derangements) above it
     "verify-injection-K5": ["verify", "--theorem", "injection", "--input", "{tmp}/k5.txt"],
     "verify-injection-K10": ["verify", "--theorem", "injection", "--input", "{tmp}/k10.txt"],
+    # the splitting identity at its 8-vertex cap, every block size k
+    "verify-subpermanent-K8": ["verify", "--theorem", "subpermanent", "--input", "{tmp}/k8.txt"],
     # the slowest arc count found at the 500-vertex cap
     "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
@@ -68,6 +71,11 @@ def time_command(argv: list[str], envs: dict[str, dict]) -> dict[str, dict]:
     return out
 
 
+def source_lines(src: Path) -> int:
+    """Lines of the package's Python files, counted as perfbench/run.py counts src.loc."""
+    return sum(len(path.read_text().splitlines()) for path in (src / "permatch").rglob("*.py"))
+
+
 def source_pair(text: str) -> tuple[str, Path]:
     label, sep, src = text.partition("=")
     if not (label and sep and Path(src, "permatch").is_dir()):
@@ -92,6 +100,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
+        Path(tmp, "k8.txt").write_text(serialize_graph(complete_graph(8)))
         Path(tmp, "k5.txt").write_text(serialize_graph(complete_graph(5)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {
@@ -105,6 +114,7 @@ def main(argv=None):
             "cpus": _usable_cpus(),
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "src_loc": source_lines(sources[label]),
             "commands": {
                 name: {"command": " ".join(cmd).replace("{tmp}/", ""), **timings[name][label]}
                 for name, cmd in COMMANDS.items()

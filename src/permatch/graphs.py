@@ -375,7 +375,23 @@ def bipartitions_over_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]])
 # ---------------------------------------------------------------------------
 # serialization
 
-_HEADERS = {"digraph": 1, "graph": 1, "bipartite": 2}
+# kind -> (size fields, pair field, builder), for both file formats
+_KINDS = {
+    "digraph": (("n",), "arcs", new_digraph),
+    "graph": (("n",), "edges", new_graph),
+    "bipartite": (("nl", "nr"), "edges", new_bipartite),
+}
+
+
+def _layout(g: Digraph | UndirectedGraph | BipartiteGraph) -> tuple[str, list[int], list[tuple[int, int]]]:
+    """A graph's kind, its sizes and its sorted pairs, as both file formats write them."""
+    if isinstance(g, Digraph):
+        return "digraph", [g.n], sorted(g.arcs())
+    if isinstance(g, UndirectedGraph):
+        return "graph", [g.n], sorted(g.edges())
+    if isinstance(g, BipartiteGraph):
+        return "bipartite", [g.nl, g.nr], sorted(g.edges())
+    raise BadParamsError(f"cannot serialize {type(g).__name__}")
 
 
 def serialize_graph(g: Digraph | UndirectedGraph | BipartiteGraph, fmt: str = "text") -> str:
@@ -383,30 +399,14 @@ def serialize_graph(g: Digraph | UndirectedGraph | BipartiteGraph, fmt: str = "t
         return json.dumps(graph_to_json_dict(g), separators=(", ", ": ")) + "\n"
     if fmt != "text":
         raise BadParamsError(f"unknown serialization format {fmt!r}")
-    if isinstance(g, Digraph):
-        head, pairs = f"digraph {g.n}", g.arcs()
-    elif isinstance(g, UndirectedGraph):
-        head, pairs = f"graph {g.n}", g.edges()
-    elif isinstance(g, BipartiteGraph):
-        head, pairs = f"bipartite {g.nl} {g.nr}", g.edges()
-    else:
-        raise BadParamsError(f"cannot serialize {type(g).__name__}")
-    return "\n".join([head] + [f"{a} {b}" for a, b in sorted(pairs)]) + "\n"
+    kind, sizes, pairs = _layout(g)
+    return "\n".join([" ".join(map(str, [kind, *sizes]))] + [f"{a} {b}" for a, b in pairs]) + "\n"
 
 
 def graph_to_json_dict(g: Digraph | UndirectedGraph | BipartiteGraph) -> dict:
-    if isinstance(g, Digraph):
-        return {"type": "digraph", "n": g.n, "arcs": [list(a) for a in sorted(g.arcs())]}
-    if isinstance(g, UndirectedGraph):
-        return {"type": "graph", "n": g.n, "edges": [list(e) for e in sorted(g.edges())]}
-    if isinstance(g, BipartiteGraph):
-        return {
-            "type": "bipartite",
-            "nl": g.nl,
-            "nr": g.nr,
-            "edges": [list(e) for e in sorted(g.edges())],
-        }
-    raise BadParamsError(f"cannot serialize {type(g).__name__}")
+    kind, sizes, pairs = _layout(g)
+    fields, pair_field, _ = _KINDS[kind]
+    return {"type": kind, **dict(zip(fields, sizes)), pair_field: [list(pair) for pair in pairs]}
 
 
 def _json_pairs(items: list) -> list[tuple[int, int]]:
@@ -425,12 +425,10 @@ def _json_size(doc: dict, key: str) -> int:
 def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGraph:
     try:
         kind = doc["type"]
-        if kind == "digraph":
-            return new_digraph(_json_size(doc, "n"), _json_pairs(doc["arcs"]))
-        if kind == "graph":
-            return new_graph(_json_size(doc, "n"), _json_pairs(doc["edges"]))
-        if kind == "bipartite":
-            return new_bipartite(_json_size(doc, "nl"), _json_size(doc, "nr"), _json_pairs(doc["edges"]))
+        # only a string names a kind; `in` would hash a JSON list or object and raise TypeError
+        if isinstance(kind, str) and kind in _KINDS:
+            fields, pair_field, build = _KINDS[kind]
+            return build(*(_json_size(doc, f) for f in fields), _json_pairs(doc[pair_field]))
     except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"bad JSON graph document: {exc!r}") from None
     raise GraphSyntaxError(f"unknown graph type {kind!r}")
@@ -455,9 +453,9 @@ def parse_graph(text: str) -> Digraph | UndirectedGraph | BipartiteGraph:
         tokens = line.split()
         if header is None:
             kind = tokens[0]
-            if kind not in _HEADERS:
+            if kind not in _KINDS:
                 raise GraphSyntaxError(f"expected a graph header, got {tokens[0]!r}", lineno)
-            want = _HEADERS[kind]
+            want = len(_KINDS[kind][0])
             if len(tokens) != 1 + want:
                 raise GraphSyntaxError(f"{kind!r} header takes {want} size field(s)", lineno)
             try:
@@ -476,8 +474,4 @@ def parse_graph(text: str) -> Digraph | UndirectedGraph | BipartiteGraph:
     if header is None:
         raise GraphSyntaxError("empty input, expected a graph header")
     kind, sizes = header
-    if kind == "digraph":
-        return new_digraph(sizes[0], pairs)
-    if kind == "graph":
-        return new_graph(sizes[0], pairs)
-    return new_bipartite(sizes[0], sizes[1], pairs)
+    return _KINDS[kind][2](*sizes, pairs)

@@ -48,7 +48,7 @@ from .graphs import (
     new_digraph,
     require_perfect_matching,
 )
-from .injection import apply_injection, cycle_decomposition, hamilton_census, invert_injection
+from .injection import _orbit, apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
@@ -139,22 +139,12 @@ def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
         raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
     # each target's misses are per(B - M), its hits the rest of per(B)
     total = count_perfect_matchings(b)
-    checked = 0
-    worst: tuple[int, int] | None = None
-    ok = True
-    for m in enumerate_perfect_matchings(b):
-        misses = count_matchings_avoiding(b, m)
-        hits = total - misses
-        checked += 1
-        if worst is None or hits - misses < worst[0] - worst[1]:
-            worst = (hits, misses)
-        if hits < misses:
-            ok = False
-    details: dict = {"matchings": checked}
-    if worst is not None:
-        details["worst_hits"] = worst[0]
-        details["worst_misses"] = worst[1]
-    return TheoremReport("half-hitting", _describe(b), ok, None, details)
+    misses = [count_matchings_avoiding(b, m) for m in enumerate_perfect_matchings(b)]
+    worst = max(misses, default=0)
+    details: dict = {"matchings": len(misses)}
+    if misses:
+        details |= {"worst_hits": total - worst, "worst_misses": worst}
+    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total, None, details)
 
 
 def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] | None = None) -> TheoremReport:
@@ -223,38 +213,24 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     # d and p are counts of the flattened graph; the matching count squared is
     # the second, independent route to d
     d_direct, p = dp_counts(b.to_graph())
-    n = b.nl
     d = count_perfect_matchings(b) ** 2
-    target = knn_ratio_sum(n)
+    target = knn_ratio_sum(b.nl)
     if d != d_direct:
         # two routes to the derangement count disagree: always a failure
-        return TheoremReport(
-            "bipartite-extremal",
-            _describe(b),
-            False,
-            None,
-            {"matchings_squared": d, "derangements": d_direct},
-        )
-    if d == 0:
-        return TheoremReport(
-            "bipartite-extremal", _describe(b), True, None, {"skipped": "no perfect matching"}
-        )
-    ratio = Fraction(p, d)
-    is_complete = b.edge_count == n * n
-    equality = ratio == target
-    holds = ratio >= target and equality == is_complete
-    return TheoremReport(
-        "bipartite-extremal",
-        _describe(b),
-        holds,
-        equality,
-        {
+        holds, equality, details = False, None, {"matchings_squared": d, "derangements": d_direct}
+    elif d == 0:
+        holds, equality, details = True, None, {"skipped": "no perfect matching"}
+    else:
+        ratio = Fraction(p, d)
+        equality = ratio == target
+        holds = ratio >= target and equality == (b.edge_count == b.nl * b.nr)
+        details = {
             "permutations": p,
             "derangements": d,
             "ratio": format_ratio(ratio),
             "target": format_ratio(target),
-        },
-    )
+        }
+    return TheoremReport("bipartite-extremal", _describe(b), holds, equality, details)
 
 
 def check_blowup_formulas(k: int, l: int) -> TheoremReport:
@@ -350,32 +326,18 @@ def check_cycle_doubling(g: Digraph | UndirectedGraph) -> TheoremReport:
     vertex lies on at least twice as many simple cycles as there are Hamilton
     cycles. Vacuously true otherwise."""
     census = hamilton_census(g)
-    cyclic = is_directed_cycle(g)
-    if census.ham_count == 0 or cyclic:
-        return TheoremReport(
-            "cycle-doubling",
-            _describe(g),
-            True,
-            None,
-            {"hamilton_cycles": census.ham_count, "vacuous": True},
-        )
-    best = max(range(len(census.through)), key=lambda v: census.through[v])
-    holds = census.through[best] >= 2 * census.ham_count
-    return TheoremReport(
-        "cycle-doubling",
-        _describe(g),
-        holds,
-        None,
-        {
-            "hamilton_cycles": census.ham_count,
-            "best_vertex": best,
-            "cycles_through_best": census.through[best],
-        },
-    )
+    if census.ham_count == 0 or is_directed_cycle(g):
+        holds, details = True, {"hamilton_cycles": census.ham_count, "vacuous": True}
+    else:
+        most = max(census.through)
+        best = census.through.index(most)  # the first vertex on the most cycles
+        holds = most >= 2 * census.ham_count
+        details = {"hamilton_cycles": census.ham_count, "best_vertex": best, "cycles_through_best": most}
+    return TheoremReport("cycle-doubling", _describe(g), holds, None, details)
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive families' slot numbering, and the cycle-doubling sweep over it
+# the exhaustive families' slot numbering and host census, and the cycle-doubling sweep
 
 
 @cache
@@ -394,34 +356,33 @@ def _slot_table(family: str, n: int) -> tuple[UndirectedGraph, dict[tuple[int, i
     return host, {arc: n * i + j for i in range(n) for j in range(n) for arc in ((i, n + j), (n + j, i))}
 
 
-def _slot_mask(sigma: Sequence[int], slot: dict[tuple[int, int], int]) -> int:
-    """The arc slots a permutation moves along, as a bitmask."""
-    mask = 0
-    for v, w in enumerate(sigma):
-        if v != w:
-            mask |= 1 << slot[v, w]
-    return mask
-
-
-def _cycle_arc_masks(n: int) -> list[tuple[int, int]]:
-    """All simple directed cycle patterns on n labeled vertices, as
-    (arc_mask, vertex_mask) pairs over the digraph slots: the permutations of
-    K_n with exactly one nontrivial orbit."""
-    host, slot = _slot_table("digraphs", n)
-    cycles = []
+@cache
+def _host_census(family: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every permutation of the family's complete host, listed once per process:
+    the slots it moves along, as a bitmask (a bipartite 2-cycle's two arcs
+    share one slot), and its nontrivial orbits, as vertex bitmasks. A tuple,
+    so no caller can change the cached value."""
+    host, slot = _slot_table(family, n)
+    census = []
     for sigma in enumerate_permutations(host):
-        orbits = cycle_decomposition(host, sigma).cycles
-        if len(orbits) == 1:
-            cycles.append((_slot_mask(sigma, slot), sum(1 << v for v in orbits[0])))
-    return cycles
+        mask = seen = 0
+        orbits = []
+        for v, w in enumerate(sigma):
+            if v != w:
+                mask |= 1 << slot[v, w]
+                if not seen >> v & 1:
+                    orbits.append(sum(1 << u for u in _orbit(sigma, v)))
+                    seen |= orbits[-1]
+        census.append((mask, tuple(orbits)))
+    return tuple(census)
 
 
 def cycle_doubling_sweep(n: int) -> dict:
     """Check the doubling corollary on every digraph with n <= 5 vertices at once.
 
     For every graph, its Hamilton cycles and the cycles through each vertex v
-    are the subset sums of the matching cycle patterns. Returns counts;
-    "failures" lists the offending arc-mask indices (expected empty).
+    are subset sums of the census entries with one nontrivial orbit. Returns
+    counts; "failures" lists the offending arc-mask indices (expected empty).
     """
     if n < 2:
         raise BadParamsError(f"the exhaustive sweep needs at least 2 vertices, got {n}")
@@ -429,7 +390,7 @@ def cycle_doubling_sweep(n: int) -> dict:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
     slots = n * (n - 1)
     total = 1 << slots
-    cycles = _cycle_arc_masks(n)
+    cycles = [(arcs, orbits[0]) for arcs, orbits in _host_census("digraphs", n) if len(orbits) == 1]
     ham = subset_permanents(slots, [arcs for arcs, verts in cycles if verts.bit_count() == n])
     twice = 2 * ham
     doubled = np.zeros(total, dtype=bool)
@@ -501,20 +462,18 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     whether it meets the ratio-half equality.
 
     A graph's index bits are the slots of _slot_table; a bipartite record
-    describes the flattened graph. A permutation of the host moves along a
-    fixed set of slots, so d and p of every graph are subset sums of the slot
-    masks of the host's derangements and permutations. A bipartite graph with
+    describes the flattened graph. A host permutation moves along a fixed
+    set of slots, so p and d of every graph are subset sums of the masks of
+    _host_census: every entry, and the derangements. A bipartite graph with
     a perfect matching also gets the half-hitting and extremal checks, from
-    per(B) as subset sums of the host's derangements made of 2-cycles only,
-    the n! perfect matchings of K_{n,n}.
-    """
+    per(B) as subset sums of the n! perfect matchings of K_{n,n}."""
     host, slot = _slot_table(family, n)
     slots = len(set(slot.values()))
     total = 1 << slots
     index = np.arange(total, dtype=np.int64)
-    p = subset_permanents(slots, [_slot_mask(sigma, slot) for sigma in enumerate_permutations(host)])
-    moves = list(enumerate_permutations(host, derangements_only=True))
-    derangements = [_slot_mask(sigma, slot) for sigma in moves]
+    census = _host_census(family, n)
+    p = subset_permanents(slots, [mask for mask, _ in census])
+    derangements = [mask for mask, orbits in census if sum(o.bit_count() for o in orbits) == host.n]
     d = subset_permanents(slots, derangements)
     rows = np.zeros((host.n, total), dtype=np.int64)
     for (u, v), s in slot.items():
@@ -526,7 +485,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     equality = 2 * d == p
     ok = (2 * d <= p) & (equality == cyclic)
     if family == "bipartite":
-        matchings = [m for sigma, m in zip(moves, derangements) if all(sigma[sigma[v]] == v for v in sigma)]
+        matchings = [mask for mask, orbits in census if [o.bit_count() for o in orbits] == [2] * n]
         per = subset_permanents(slots, matchings)
         # each perfect matching M of B misses per(B - M) of them and hits the rest
         half_hitting = np.ones(total, dtype=bool)

@@ -155,6 +155,8 @@ def test_parse_serialize_text():
 
     b = parse_graph("bipartite 2 3\n0 0\n1 2\n")
     assert b == new_bipartite(2, 3, [(0, 0), (1, 2)])
+    assert serialize_graph(b) == "bipartite 2 3\n0 0\n1 2\n"
+    assert graph_to_json_dict(b) == {"type": "bipartite", "nl": 2, "nr": 3, "edges": [[0, 0], [1, 2]]}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -187,6 +189,8 @@ def test_parse_json_documents():
         parse_graph('{"type": "multigraph", "n": 2}')
     with pytest.raises(GraphSyntaxError):
         parse_graph('{"type": "digraph", "n": 3}')
+    with pytest.raises(GraphSyntaxError, match="unknown graph type"):
+        parse_graph('{"type": ["digraph"], "n": 2, "arcs": []}')
 
 
 small_digraphs = st.integers(2, 6).flatmap(

@@ -249,8 +249,9 @@ def test_census_matches_direct_enumeration_on_cycle():
 
 
 def _census_by_patterns(g):
-    """Census from the cycle patterns of the vectorized sweep whose arcs all lie in g."""
-    from permatch.verify import _cycle_arc_masks
+    """Census from the sweep's cycle patterns (the host census entries with one
+    nontrivial orbit) whose arcs all lie in g."""
+    from permatch.verify import _host_census
 
     n = g.n
     arcs = 0
@@ -258,8 +259,9 @@ def _census_by_patterns(g):
         arcs |= g.has_arc(i, j) << t
     ham = 0
     through = [0] * n
-    for arc_mask, vmask in _cycle_arc_masks(n):
-        if arc_mask & arcs == arc_mask:
+    for arc_mask, orbits in _host_census("digraphs", n):
+        if len(orbits) == 1 and arc_mask & arcs == arc_mask:
+            vmask = orbits[0]
             ham += vmask.bit_count() == n
             for v in range(n):
                 through[v] += vmask >> v & 1

@@ -40,6 +40,7 @@ def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     assert set(runs) == {"first", "second"}
     for run in runs.values():
         assert {"cpus", "numpy", "python"} <= set(run)
+        assert run["src_loc"] == sum(len(f.read_text().splitlines()) for f in Path(src, "permatch").rglob("*.py"))
         timing = run["commands"]["count-ratio-C5"]
         assert timing["command"] == "count --input c5.txt --what ratio"
         assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]

@@ -11,6 +11,7 @@ from permatch import (
     BipartiteGraph,
     OutOfRangeError,
     TooLargeError,
+    bipartite_permutation_sum,
     blowup,
     check_bipartite_extremal,
     check_blowup_formulas,
@@ -24,6 +25,7 @@ from permatch import (
     complete_graph,
     count_perfect_matchings,
     cycle_doubling_sweep,
+    derangement_number,
     directed_cycle,
     dp_ratio,
     format_12sig,
@@ -34,11 +36,12 @@ from permatch import (
     new_bipartite,
     new_digraph,
     scan,
+    verify,
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.verify import (
-    _cycle_arc_masks,
     _exhaustive_survey,
+    _host_census,
     _survey_row,
     adjacency_hex,
     digraph_from_arc_index,
@@ -73,6 +76,9 @@ def test_check_half_hitting():
     assert rep.holds
     assert rep.details["matchings"] == 6
     assert rep.details["worst_hits"] >= rep.details["worst_misses"]
+    # the targets differ here, and the worst is one with the most misses
+    b = new_bipartite(4, 4, [(i, j) for i in range(4) for j in range(4) if (i, j) not in ((0, 0), (1, 1))])
+    assert check_half_hitting(b).details == {"matchings": 14, "worst_hits": 9, "worst_misses": 5}
     with pytest.raises(TooLargeError):
         check_half_hitting(complete_bipartite(7))
     with pytest.raises(BadParamsError):
@@ -138,6 +144,9 @@ def test_check_cycle_doubling():
     rep = check_cycle_doubling(complete_graph(4))
     assert rep.holds and not rep.details.get("vacuous")
     assert rep.details["cycles_through_best"] >= 2 * rep.details["hamilton_cycles"]
+    # the chord closes 0 -> 2 -> 3 -> 0 as well: vertices 0, 2 and 3 lie on two cycles, and 0 is first
+    rep = check_cycle_doubling(new_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    assert rep.details == {"hamilton_cycles": 1, "best_vertex": 0, "cycles_through_best": 2}
 
 
 def test_cycle_doubling_sweep_matches_census():
@@ -167,13 +176,58 @@ def test_digraph_from_arc_index_refuses_indices_outside_the_family():
             digraph_from_arc_index(n, index)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_cycle_patterns_are_the_one_orbit_permutations(n):
-    # C(n, k) vertex sets of each size k >= 2, each closed into (k-1)! cycles
-    cycles = _cycle_arc_masks(n)
-    assert len(set(cycles)) == len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
-    assert sum(verts == (1 << n) - 1 for _, verts in cycles) == factorial(n - 1)
-    assert all(arcs.bit_count() == verts.bit_count() for arcs, verts in cycles)
+# the digraph cases keep their ids from before the bipartite cases joined
+HOSTS = [pytest.param("digraphs", n, id=str(n)) for n in range(2, 6)] + [
+    pytest.param("bipartite", n, id=f"bipartite-{n}") for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("family, n", HOSTS)
+def test_cycle_patterns_are_the_one_orbit_permutations(family, n):
+    census = _host_census(family, n)
+    assert isinstance(census, tuple)
+    size = n if family == "digraphs" else 2 * n
+    derangements = [orbits for _, orbits in census if sum(o.bit_count() for o in orbits) == size]
+    if family == "digraphs":
+        # a digraph permutation moves along its own arcs, so no two share an entry
+        assert len(set(census)) == len(census) == factorial(n)
+        assert len(derangements) == derangement_number(n)
+        # C(n, k) vertex sets of each size k >= 2, each closed into (k-1)! cycles
+        cycles = [(arcs, orbits[0]) for arcs, orbits in census if len(orbits) == 1]
+        assert len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+        assert sum(verts == (1 << n) - 1 for _, verts in cycles) == factorial(n - 1)
+        assert all(arcs.bit_count() == sum(o.bit_count() for o in orbits) for arcs, orbits in census)
+    else:
+        assert len(census) == bipartite_permutation_sum(complete_bipartite(n))
+        assert len(derangements) == factorial(n) ** 2
+        assert sum(all(o.bit_count() == 2 for o in orbits) for orbits in derangements) == factorial(n)
+        # both arcs of an edge share a slot: a 2-cycle moves along one bit, a longer orbit one per vertex
+        for arcs, orbits in census:
+            assert arcs.bit_count() == sum(1 if o.bit_count() == 2 else o.bit_count() for o in orbits)
+
+
+def test_repeated_all_graphs_routes_list_no_permutation(monkeypatch):
+    calls = []
+    enumerate_permutations = verify.enumerate_permutations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_permutations(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_permutations", counted)
+    _host_census.cache_clear()
+    runs = [
+        (lambda: _exhaustive_survey("digraphs", 3), 1),
+        (lambda: _exhaustive_survey("digraphs", 3), 1),
+        (lambda: cycle_doubling_sweep(3), 1),  # the same host, K3, as the survey
+        (lambda: cycle_doubling_sweep(4), 2),
+        (lambda: cycle_doubling_sweep(4), 2),
+        (lambda: _exhaustive_survey("bipartite", 2), 3),
+        (lambda: _exhaustive_survey("bipartite", 2), 3),
+    ]
+    for run, listed in runs:
+        run()
+        assert len(calls) == listed
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -48,7 +48,7 @@ from .graphs import (
     new_digraph,
     require_perfect_matching,
 )
-from .injection import _orbit, apply_injection, hamilton_census, invert_injection
+from .injection import apply_injection, cycle_decomposition, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
@@ -357,23 +357,20 @@ def _slot_table(family: str, n: int) -> tuple[UndirectedGraph, dict[tuple[int, i
 
 
 @cache
-def _host_census(family: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _host_census(family: str, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """Every permutation of the family's complete host, listed once per process:
     the slots it moves along, as a bitmask (a bipartite 2-cycle's two arcs
-    share one slot), and its nontrivial orbits, as vertex bitmasks. A tuple,
-    so no caller can change the cached value."""
+    share one slot, so the slots are ORed), and its nontrivial orbits, as
+    cycle_decomposition gives them. A tuple, so no caller can change the
+    cached value."""
     host, slot = _slot_table(family, n)
     census = []
     for sigma in enumerate_permutations(host):
-        mask = seen = 0
-        orbits = []
+        mask = 0
         for v, w in enumerate(sigma):
             if v != w:
                 mask |= 1 << slot[v, w]
-                if not seen >> v & 1:
-                    orbits.append(sum(1 << u for u in _orbit(sigma, v)))
-                    seen |= orbits[-1]
-        census.append((mask, tuple(orbits)))
+        census.append((mask, cycle_decomposition(host, sigma).cycles))
     return tuple(census)
 
 
@@ -391,11 +388,11 @@ def cycle_doubling_sweep(n: int) -> dict:
     slots = n * (n - 1)
     total = 1 << slots
     cycles = [(arcs, orbits[0]) for arcs, orbits in _host_census("digraphs", n) if len(orbits) == 1]
-    ham = subset_permanents(slots, [arcs for arcs, verts in cycles if verts.bit_count() == n])
+    ham = subset_permanents(slots, [arcs for arcs, cycle in cycles if len(cycle) == n])
     twice = 2 * ham
     doubled = np.zeros(total, dtype=bool)
     for v in range(n):
-        doubled |= subset_permanents(slots, [arcs for arcs, verts in cycles if verts >> v & 1]) >= twice
+        doubled |= subset_permanents(slots, [arcs for arcs, cycle in cycles if v in cycle]) >= twice
     arc_count = np.bitwise_count(np.arange(total, dtype=np.uint32))
     is_cycle_graph = (ham >= 1) & (arc_count == n)
     ok = (ham == 0) | is_cycle_graph | doubled
@@ -473,7 +470,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     index = np.arange(total, dtype=np.int64)
     census = _host_census(family, n)
     p = subset_permanents(slots, [mask for mask, _ in census])
-    derangements = [mask for mask, orbits in census if sum(o.bit_count() for o in orbits) == host.n]
+    derangements = [mask for mask, orbits in census if sum(map(len, orbits)) == host.n]
     d = subset_permanents(slots, derangements)
     rows = np.zeros((host.n, total), dtype=np.int64)
     for (u, v), s in slot.items():
@@ -485,7 +482,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
     equality = 2 * d == p
     ok = (2 * d <= p) & (equality == cyclic)
     if family == "bipartite":
-        matchings = [mask for mask, orbits in census if [o.bit_count() for o in orbits] == [2] * n]
+        matchings = [mask for mask, orbits in census if [len(o) for o in orbits] == [2] * n]
         per = subset_permanents(slots, matchings)
         # each perfect matching M of B misses per(B - M) of them and hits the rest
         half_hitting = np.ones(total, dtype=bool)

@@ -261,10 +261,9 @@ def _census_by_patterns(g):
     through = [0] * n
     for arc_mask, orbits in _host_census("digraphs", n):
         if len(orbits) == 1 and arc_mask & arcs == arc_mask:
-            vmask = orbits[0]
-            ham += vmask.bit_count() == n
-            for v in range(n):
-                through[v] += vmask >> v & 1
+            ham += len(orbits[0]) == n
+            for v in orbits[0]:
+                through[v] += 1
     return ham, tuple(through)
 
 

@@ -30,8 +30,6 @@ ALLOWED = {
     "first_minimal_forward_chord": "paper: the chord the cycle-breaking map breaks at",
     "cycle_doubling_sweep": "paper: the cycle-doubling corollary on every digraph up to 5 vertices",
     "log_bounds": "paper: the log-permanent bounds of the ratio estimate",
-    # validating public entries whose package callers use the unchecked core
-    "cycle_decomposition": "entry: a checked permutation's orbits; the census walks injection._orbit",
 }
 
 

@@ -187,7 +187,7 @@ def test_cycle_patterns_are_the_one_orbit_permutations(family, n):
     census = _host_census(family, n)
     assert isinstance(census, tuple)
     size = n if family == "digraphs" else 2 * n
-    derangements = [orbits for _, orbits in census if sum(o.bit_count() for o in orbits) == size]
+    derangements = [orbits for _, orbits in census if sum(map(len, orbits)) == size]
     if family == "digraphs":
         # a digraph permutation moves along its own arcs, so no two share an entry
         assert len(set(census)) == len(census) == factorial(n)
@@ -195,15 +195,15 @@ def test_cycle_patterns_are_the_one_orbit_permutations(family, n):
         # C(n, k) vertex sets of each size k >= 2, each closed into (k-1)! cycles
         cycles = [(arcs, orbits[0]) for arcs, orbits in census if len(orbits) == 1]
         assert len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
-        assert sum(verts == (1 << n) - 1 for _, verts in cycles) == factorial(n - 1)
-        assert all(arcs.bit_count() == sum(o.bit_count() for o in orbits) for arcs, orbits in census)
+        assert sum(len(cycle) == n for _, cycle in cycles) == factorial(n - 1)
+        assert all(arcs.bit_count() == sum(map(len, orbits)) for arcs, orbits in census)
     else:
         assert len(census) == bipartite_permutation_sum(complete_bipartite(n))
         assert len(derangements) == factorial(n) ** 2
-        assert sum(all(o.bit_count() == 2 for o in orbits) for orbits in derangements) == factorial(n)
+        assert sum(all(len(o) == 2 for o in orbits) for orbits in derangements) == factorial(n)
         # both arcs of an edge share a slot: a 2-cycle moves along one bit, a longer orbit one per vertex
         for arcs, orbits in census:
-            assert arcs.bit_count() == sum(1 if o.bit_count() == 2 else o.bit_count() for o in orbits)
+            assert arcs.bit_count() == sum(1 if len(o) == 2 else len(o) for o in orbits)
 
 
 def test_repeated_all_graphs_routes_list_no_permutation(monkeypatch):

@@ -11,7 +11,7 @@ import argparse
 import json
 from fractions import Fraction
 
-from permatch import ModelSpec, mc_dp_ratio, ratio_target
+from permatch import ModelSpec, mc_dp_ratio
 
 
 def run(args: argparse.Namespace) -> None:
@@ -20,17 +20,16 @@ def run(args: argparse.Namespace) -> None:
         q = Fraction(tok)
         model = ModelSpec("digraph", args.n, q=q)
         summary = mc_dp_ratio(model, samples=args.samples, seed=args.seed, threads=args.threads)
-        target = ratio_target(q)
-        gap = (summary.mean - target) / target if target else float("nan")
-        rows.append((q, summary, gap))
+        target = summary["target"]
+        summary["relative_gap"] = (summary["mean"] - target) / target if target else float("nan")
+        rows.append((q, summary))
     if args.json:
-        print(json.dumps([
-            {**s.to_json_dict(), "relative_gap": gap} for _, s, gap in rows
-        ]))
+        print(json.dumps([s for _, s in rows]))
         return
     print(f"{'q':>8} {'mean':>10} {'stddev':>10} {'target':>10} {'gap':>8}")
-    for q, s, gap in rows:
-        print(f"{str(q):>8} {s.mean:>10.6f} {s.stddev:>10.6f} {s.target:>10.6f} {gap:>+8.2%}")
+    for q, s in rows:
+        cols = " ".join(f"{s[k]:>10.6f}" for k in ("mean", "stddev", "target"))
+        print(f"{str(q):>8} {cols} {s['relative_gap']:>+8.2%}")
 
 
 def main(argv=None):

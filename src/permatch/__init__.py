@@ -76,7 +76,6 @@ from .injection import (
     invert_injection,
 )
 from .random_models import (
-    McSummary,
     ModelSpec,
     derangement_number,
     expected_counts,

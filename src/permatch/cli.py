@@ -138,6 +138,14 @@ def _cmd_inject(args: argparse.Namespace) -> _Result:
 # verify
 
 _THEOREM_TOKENS = ("1", "2", "3", "6", "injection", "blowup", "subpermanent", "corollary")
+# the tokens whose check takes the loaded graph and nothing else
+_STATEMENT_CHECKS = {
+    "1": verify.check_half_hitting,
+    "2": verify.check_matching_lower_bound,
+    "3": verify.check_ratio_half,
+    "6": verify.check_bipartite_extremal,
+    "corollary": verify.check_cycle_doubling,
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
@@ -150,33 +158,17 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
         if args.input is None:
             raise BadParamsError(f"verify --theorem {token} needs --input")
         g = _load_graph(args.input)
-        if token == "1":
-            if not isinstance(g, BipartiteGraph):
-                raise BadParamsError("the half-hitting statement needs a bipartite input")
-            report = verify.check_half_hitting(g)
-        elif token == "2":
-            if not isinstance(g, UndirectedGraph):
-                raise BadParamsError("the matching lower bound needs an undirected input")
-            report = verify.check_matching_lower_bound(g)
-        elif token == "3":
-            if isinstance(g, BipartiteGraph):
-                g = g.to_graph()
-            report = verify.check_ratio_half(g)
-        elif token == "6":
-            if not isinstance(g, BipartiteGraph):
-                raise BadParamsError("the bipartite extremal statement needs a bipartite input")
-            report = verify.check_bipartite_extremal(g)
-        elif token == "injection":
+        if token == "injection":
             if isinstance(g, BipartiteGraph):
                 raise BadParamsError("the injection audit needs a directed or undirected input")
             cap = None if g.n <= 5 else 200
             report = verify.check_injection(g, sample_cap=cap)
         elif token == "subpermanent":
             report = verify.check_subpermanent(g, k=args.k)
-        else:  # corollary
-            if isinstance(g, BipartiteGraph):
-                g = g.to_graph()
-            report = verify.check_cycle_doubling(g)
+        else:
+            if token in ("3", "corollary") and isinstance(g, BipartiteGraph):
+                g = g.to_graph()  # both statements read the flattened graph
+            report = _STATEMENT_CHECKS[token](g)  # each refuses a graph type it has no statement for
     verdict = "HOLDS" if report.holds else "FAILS"
     lines = [f"{report.name}: {verdict} on {report.instance}"]
     lines += [f"  {key}: {val}" for key, val in report.details.items()]
@@ -202,12 +194,12 @@ def _cmd_scan(args: argparse.Namespace) -> _Result:
 
 def _cmd_mc(args: argparse.Namespace) -> _Result:
     model = ModelSpec(args.model, args.n, q=args.q)
-    summary = mc_dp_ratio(model, args.samples, args.seed, threads=_threads(args))
+    doc = mc_dp_ratio(model, args.samples, args.seed, threads=_threads(args))
     text = (
-        f"samples={summary.samples} mean={summary.mean:.6f} "
-        f"stddev={summary.stddev:.6f} target={summary.target:.6f}"
+        f"samples={doc['samples']} mean={doc['mean']:.6f} "
+        f"stddev={doc['stddev']:.6f} target={doc['target']:.6f}"
     )
-    return 0, summary.to_json_dict(), text
+    return 0, doc, text
 
 
 def _cmd_expect(args: argparse.Namespace) -> _Result:

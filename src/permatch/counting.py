@@ -208,9 +208,16 @@ def enumerate_perfect_matchings(b: BipartiteGraph) -> Iterator[Permutation]:
     return _row_matchings(b.biadj)
 
 
+def _require_undirected(g) -> None:
+    # a digraph's rows are its out-neighbourhoods, so pairing along them would depend on arc direction
+    if not isinstance(g, UndirectedGraph):
+        raise BadParamsError(f"general perfect matchings need an undirected graph, got {type(g).__name__}")
+
+
 def count_perfect_matchings_general(g: UndirectedGraph) -> int:
     """Perfect matchings of an undirected graph, by memoized pairing of the
     lowest uncovered vertex."""
+    _require_undirected(g)
     n = g.n
     if n > GENERAL_MATCH_LIMIT:
         raise TooLargeError(f"general matching count capped at {GENERAL_MATCH_LIMIT} vertices, got {n}")
@@ -236,6 +243,7 @@ def count_perfect_matchings_general(g: UndirectedGraph) -> int:
 
 def enumerate_perfect_matchings_general(g: UndirectedGraph) -> Iterator[Matching]:
     """Perfect matchings of an undirected graph in canonical order."""
+    _require_undirected(g)
     n = g.n
     if n > GENERAL_MATCH_LIMIT:
         raise TooLargeError(f"general matching enumeration capped at {GENERAL_MATCH_LIMIT} vertices, got {n}")

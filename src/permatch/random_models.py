@@ -44,52 +44,28 @@ def _as_probability(q) -> Fraction:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Either G(n, q) / D(n, q) with independent edges or arcs (give q), or the
-    uniform model with exactly m arcs (give m)."""
+    """G(n, q) or D(n, q): each edge or arc present independently with probability q."""
 
     kind: str
     n: int
     q: Fraction | None = None
-    m: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise BadParamsError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise BadParamsError(f"model needs a positive vertex count, got {self.n!r}")
-        if (self.q is None) == (self.m is None):
-            raise BadParamsError("give exactly one of q (independent) or m (fixed arc count)")
-        if self.q is not None:
-            object.__setattr__(self, "q", _as_probability(self.q))
-        if self.m is not None and not 0 <= self.m <= self.slot_count:
-            raise BadParamsError(f"arc count must lie in [0, {self.slot_count}], got {self.m}")
-
-    @property
-    def slot_count(self) -> int:
-        if self.kind == "digraph":
-            return self.n * (self.n - 1)
-        return self.n * (self.n - 1) // 2
-
-    def slots(self) -> list[tuple[int, int]]:
-        n = self.n
-        if self.kind == "digraph":
-            return [(i, j) for i in range(n) for j in range(n) if i != j]
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        object.__setattr__(self, "q", _as_probability(self.q))
 
 
 def sample(model: ModelSpec, seed: int) -> Digraph | UndirectedGraph:
     rng = random.Random(seed)
-    slots = model.slots()
-    if model.q is not None:
-        num, den = model.q.numerator, model.q.denominator
-        threshold = num << 53
-        chosen = [s for s in slots if rng.getrandbits(53) * den < threshold]
-    else:
-        picked = rng.sample(range(len(slots)), model.m)
-        chosen = [slots[i] for i in sorted(picked)]
+    n, threshold, den = model.n, model.q.numerator << 53, model.q.denominator
     if model.kind == "digraph":
-        return new_digraph(model.n, chosen)
-    return new_graph(model.n, chosen)
+        slots, build = [(i, j) for i in range(n) for j in range(n) if i != j], new_digraph
+    else:
+        slots, build = [(i, j) for i in range(n) for j in range(i + 1, n)], new_graph
+    return build(n, [s for s in slots if rng.getrandbits(53) * den < threshold])
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +94,11 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     linearity gives E[p] = sum_t C(n, t) d(t) P(t) and E[d] = d(n) P(n), with
     P(t + 1) = P(t) (m - t) / (slots - t) the inclusion probability, 0 past m.
     """
-    slots = ModelSpec("digraph", n, m=m).slot_count  # checks n >= 1 and 0 <= m <= slots
+    if not isinstance(n, int) or n < 1:
+        raise BadParamsError(f"model needs a positive vertex count, got {n!r}")
+    slots = n * (n - 1)
+    if not 0 <= m <= slots:
+        raise BadParamsError(f"arc count must lie in [0, {slots}], got {m}")
     if n > EXPECT_LIMIT:
         raise TooLargeError(f"expected counts capped at n={EXPECT_LIMIT}, got {n}")
     prob = [Fraction(1)]
@@ -132,27 +112,6 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
-
-
-@dataclass(frozen=True)
-class McSummary:
-    model: ModelSpec
-    samples: int
-    mean: float
-    stddev: float
-    target: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.model.kind,
-            "n": self.model.n,
-            "q": float(self.model.q) if self.model.q is not None else None,
-            "m": self.model.m,
-            "samples": self.samples,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "target": self.target,
-        }
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -198,13 +157,20 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list
         return list(pool.map(fn, items, chunksize=step))
 
 
-def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> McSummary:
-    """Sample dp ratios; every sample is also asserted against the 1/2 bound."""
+def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> dict:
+    """Sample dp ratios; every sample is also asserted against the 1/2 bound.
+    Returns the document `mc --json` prints (schemas/mc.schema.json)."""
     if samples < 1:
         raise BadParamsError(f"need at least one sample, got {samples}")
     ratios = parallel_map(partial(_ratio_at, model, seed), range(samples), threads)
     floats = [float(r) for r in ratios]
-    mean = fmean(floats)
-    spread = stdev(floats) if len(floats) > 1 else 0.0
-    target = ratio_target(model.q) if model.q is not None else 0.0
-    return McSummary(model, samples, mean, spread, target)
+    return {
+        "kind": model.kind,
+        "n": model.n,
+        "q": float(model.q),
+        "m": None,  # mc.schema.json requires the key; only `expect` takes an arc count
+        "samples": samples,
+        "mean": fmean(floats),
+        "stddev": stdev(floats) if samples > 1 else 0.0,
+        "target": ratio_target(model.q),
+    }

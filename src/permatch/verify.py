@@ -133,6 +133,8 @@ def check_ratio_half(g: Digraph | UndirectedGraph) -> TheoremReport:
 def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     """For every perfect matching of a bipartite graph, at least half of all
     perfect matchings share an edge with it."""
+    if not isinstance(b, BipartiteGraph):
+        raise BadParamsError("the half-hitting statement needs a bipartite input")
     if not b.is_balanced:
         raise BadParamsError(f"half-hitting check wants balanced parts, got {b.nl} x {b.nr}")
     if b.nl > HALF_HITTING_LIMIT:
@@ -158,6 +160,8 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
     there must be as many as counted. Refuses graphs with more than
     MATCHING_BOUND_LIMIT perfect matchings before listing any.
     """
+    if not isinstance(g, UndirectedGraph):
+        raise BadParamsError("the matching lower bound needs an undirected input")
     if (counted := count_perfect_matchings_general(g)) > MATCHING_BOUND_LIMIT:
         raise TooLargeError(f"matching bound capped at {MATCHING_BOUND_LIMIT} perfect matchings, got {counted}")
     half_n = g.n // 2
@@ -208,6 +212,8 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     """Among balanced bipartite graphs with a perfect matching, permutations
     over derangements is minimized by the complete one, where it equals
     sum 1/k!^2; equality holds only there."""
+    if not isinstance(b, BipartiteGraph):
+        raise BadParamsError("the bipartite extremal statement needs a bipartite input")
     if not b.is_balanced:
         raise BadParamsError("the bipartite extremal statement needs balanced parts")
     # d and p are counts of the flattened graph; the matching count squared is

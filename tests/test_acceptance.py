@@ -306,9 +306,9 @@ def test_criterion_11_mc_concentration():
             model = ModelSpec("digraph", 20, q=q)
             summary = mc_dp_ratio(model, samples=200, seed=1111, threads=2)
             target = ratio_target(q)
-            assert summary.target == target
-            assert abs(summary.mean - target) <= 0.2 * target, summary
-            assert summary.samples == 200
+            assert summary["target"] == target
+            assert abs(summary["mean"] - target) <= 0.2 * target, summary
+            assert summary["samples"] == 200
 
 
 def test_criterion_12_cycle_doubling_sweep():

@@ -125,6 +125,19 @@ def test_general_matchings_agree_with_bipartite():
         assert len(list(enumerate_perfect_matchings_general(b.to_graph()))) == direct
 
 
+@pytest.mark.parametrize(
+    "g",
+    [new_digraph(4, [(0, 1), (2, 3)]), new_digraph(4, [(1, 0), (3, 2)]), complete_bipartite(2)],
+    ids=["digraph", "reversed-digraph", "bipartite"],
+)
+def test_general_matchings_refuse_all_but_undirected_graphs(g):
+    # on the two digraphs the pairing would follow arc direction: 1 one way round, 0 the other
+    with pytest.raises(BadParamsError, match="need an undirected graph"):
+        count_perfect_matchings_general(g)
+    with pytest.raises(BadParamsError, match="need an undirected graph"):
+        enumerate_perfect_matchings_general(g)
+
+
 def test_general_matchings_odd_and_ring():
     assert count_perfect_matchings_general(complete_graph(5)) == 0
     assert count_perfect_matchings_general(complete_graph(6)) == 15

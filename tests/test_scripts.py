@@ -46,3 +46,23 @@ def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
     printed = capsys.readouterr().out
     assert "first" in printed and "second" in printed
+
+
+def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
+    bench = load("bench_kernels")
+    out = tmp_path / "kernels.json"
+    monkeypatch.setattr(bench, "SIZES", (5, 6))
+    monkeypatch.setattr(bench, "GRAPHS", 2)
+    monkeypatch.setattr(bench, "RUNS", 2)
+    monkeypatch.setattr(bench, "OUT", out)
+    assert bench.main(["--label", "first"]) == 0
+    assert bench.main(["--label", "second"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["kernel"] == "permanent_zero_one_pair" and doc["graphs_per_size"] == 2
+    assert set(doc["runs"]) == {"first", "second"}
+    for run in doc["runs"].values():
+        assert {"cpus", "numpy", "python"} <= set(run)
+        for row in run["sizes"].values():
+            assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+    assert set(run["sizes"]) == {"5", "6"}
+    assert "n= 6" in capsys.readouterr().out

@@ -21,6 +21,7 @@ from permatch import (
     check_matching_lower_bound,
     check_ratio_half,
     check_subpermanent,
+    cli,
     complete_bipartite,
     complete_graph,
     count_perfect_matchings,
@@ -127,6 +128,37 @@ def test_check_subpermanent():
     assert set(rep.details["sides"]) == {str(k) for k in range(5)}
     single = check_subpermanent(directed_cycle(3), k=1)
     assert single.holds and list(single.details["sides"]) == ["1"]
+
+
+# every check `permatch verify` hands a loaded graph to
+VERIFY_TABLE_CHECKS = (*cli._STATEMENT_CHECKS.values(), check_injection, check_subpermanent)
+ONE_OF_EACH_TYPE = (directed_cycle(4), complete_graph(4), complete_bipartite(2))
+
+
+@pytest.mark.parametrize("check", VERIFY_TABLE_CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("g", ONE_OF_EACH_TYPE, ids=lambda g: type(g).__name__)
+def test_verify_table_checks_report_or_refuse_every_graph_type(check, g):
+    try:
+        report = check(g)
+    except BadParamsError:
+        return
+    assert report.holds
+
+
+@pytest.mark.parametrize(
+    "check, wrong, message",
+    [
+        (check_half_hitting, directed_cycle(4), "the half-hitting statement needs a bipartite input"),
+        (check_half_hitting, complete_graph(4), "the half-hitting statement needs a bipartite input"),
+        (check_bipartite_extremal, complete_graph(4), "the bipartite extremal statement needs a bipartite input"),
+        (check_matching_lower_bound, directed_cycle(4), "the matching lower bound needs an undirected input"),
+        (check_matching_lower_bound, complete_bipartite(2), "the matching lower bound needs an undirected input"),
+    ],
+)
+def test_statement_checks_refuse_the_wrong_graph_type(check, wrong, message):
+    with pytest.raises(BadParamsError) as exc:
+        check(wrong)
+    assert str(exc.value) == message
 
 
 def test_check_injection_report():

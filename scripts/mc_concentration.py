@@ -21,7 +21,7 @@ def run(args: argparse.Namespace) -> None:
         model = ModelSpec("digraph", args.n, q=q)
         summary = mc_dp_ratio(model, samples=args.samples, seed=args.seed, threads=args.threads)
         target = summary["target"]
-        summary["relative_gap"] = (summary["mean"] - target) / target if target else float("nan")
+        summary["relative_gap"] = (summary["mean"] - target) / target if target else None  # no gap to a zero target
         rows.append((q, summary))
     if args.json:
         print(json.dumps([s for _, s in rows]))
@@ -29,7 +29,8 @@ def run(args: argparse.Namespace) -> None:
     print(f"{'q':>8} {'mean':>10} {'stddev':>10} {'target':>10} {'gap':>8}")
     for q, s in rows:
         cols = " ".join(f"{s[k]:>10.6f}" for k in ("mean", "stddev", "target"))
-        print(f"{str(q):>8} {cols} {s['relative_gap']:>+8.2%}")
+        gap = "n/a" if s["relative_gap"] is None else f"{s['relative_gap']:+.2%}"
+        print(f"{str(q):>8} {cols} {gap:>8}")
 
 
 def main(argv=None):

@@ -20,11 +20,9 @@ from .errors import (
 )
 from .graphs import (
     BipartiteGraph,
-    Bipartition,
     Digraph,
     Matching,
     UndirectedGraph,
-    bipartitions_over_matching,
     blowup,
     canonical_matching,
     complete_bipartite,

@@ -25,7 +25,7 @@ from .errors import (
     PermatchError,
 )
 from .graphs import (
-    _CONSTRUCT_KINDS,
+    _CONSTRUCTIONS,
     BipartiteGraph,
     Digraph,
     UndirectedGraph,
@@ -102,14 +102,10 @@ def _cmd_count(args: argparse.Namespace) -> _Result:
 
 def _cmd_construct(args: argparse.Namespace) -> _Result:
     kind = args.kind
-    if kind == "blowup":
-        if args.k is None or args.l is None:
-            raise BadParamsError("blowup needs --k and --l")
-        g = construct(kind, k=args.k, l=args.l)
-    else:
-        if args.n is None:
-            raise BadParamsError(f"{kind} needs --n")
-        g = construct(kind, n=args.n)
+    params = {name: getattr(args, name) for name in _CONSTRUCTIONS[kind][0]}
+    if None in params.values():
+        raise BadParamsError(f"{kind} needs " + " and ".join(f"--{name}" for name in params))
+    g = construct(kind, **params)
     fmt = "json" if args.out.endswith(".json") else "text"
     Path(args.out).write_text(serialize_graph(g, fmt))
     if kind != "thm2h":
@@ -234,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("construct", help="write a named graph to a file")
-    p.add_argument("--kind", required=True, choices=list(_CONSTRUCT_KINDS))
+    p.add_argument("--kind", required=True, choices=list(_CONSTRUCTIONS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--l", type=int)

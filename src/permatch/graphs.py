@@ -19,7 +19,6 @@ from .errors import (
     NotPerfectMatchingError,
     OutOfRangeError,
     SelfLoopError,
-    TooLargeError,
 )
 
 MAX_VERTICES = 64
@@ -44,7 +43,7 @@ class Digraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_VERTICES:
+        if type(self.n) is not int or not 1 <= self.n <= MAX_VERTICES:  # bool is no size
             raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n!r}")
         if len(self.rows) != self.n:
             raise BadParamsError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
@@ -130,7 +129,8 @@ class BipartiteGraph:
     biadj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.nl <= MAX_VERTICES or not 1 <= self.nr <= MAX_VERTICES:
+        nl, nr = self.nl, self.nr  # a bool is no size
+        if {type(nl), type(nr)} != {int} or not (1 <= nl <= MAX_VERTICES and 1 <= nr <= MAX_VERTICES):
             raise BadParamsError(f"part sizes must be in [1, {MAX_VERTICES}]")
         if len(self.biadj) != self.nl:
             raise BadParamsError(f"expected {self.nl} biadjacency rows, got {len(self.biadj)}")
@@ -168,7 +168,7 @@ class BipartiteGraph:
 
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a Digraph from an arc list; duplicate arcs collapse."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:  # bool is no size
         raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {n!r}")
     rows = [0] * n
     for u, v in arcs:
@@ -190,7 +190,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
 
 
 def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
-    if not isinstance(nl, int) or not isinstance(nr, int) or nl < 1 or nr < 1:
+    if {type(nl), type(nr)} != {int} or nl < 1 or nr < 1:  # bool is no size
         raise BadParamsError(f"part sizes must be positive, got {nl!r}, {nr!r}")
     if nl > MAX_VERTICES or nr > MAX_VERTICES:
         raise BadParamsError(f"part sizes must be at most {MAX_VERTICES}")
@@ -276,26 +276,25 @@ def lonely_matching_ring(n: int) -> tuple[UndirectedGraph, Matching]:
     return new_graph(4 * n, edges), canonical_matching(m0)
 
 
-_CONSTRUCT_KINDS = ("cycle", "complete", "complete-bipartite", "blowup", "thm2h")
+# kind -> (parameter names, builder); kind names match the CLI flags
+_CONSTRUCTIONS = {
+    "cycle": (("n",), directed_cycle),
+    "complete": (("n",), complete_graph),
+    "complete-bipartite": (("n",), lambda n: complete_bipartite(n).to_graph()),
+    "blowup": (("k", "l"), blowup),
+    "thm2h": (("n",), lambda n: lonely_matching_ring(n)[0]),
+}
 
 
 def construct(kind: str, **params: int) -> Digraph | UndirectedGraph:
-    """Dispatch table used by the command line; kind names match the CLI flags."""
-    kind = kind.replace("_", "-")
-    try:
-        if kind == "cycle":
-            return directed_cycle(params.pop("n"))
-        if kind == "complete":
-            return complete_graph(params.pop("n"))
-        if kind == "complete-bipartite":
-            return complete_bipartite(params.pop("n")).to_graph()
-        if kind == "blowup":
-            return blowup(params.pop("k"), params.pop("l"))
-        if kind == "thm2h":
-            return lonely_matching_ring(params.pop("n"))[0]
-    except KeyError as exc:
-        raise BadParamsError(f"construction {kind!r} is missing parameter {exc.args[0]!r}") from None
-    raise BadParamsError(f"unknown construction {kind!r}; expected one of {_CONSTRUCT_KINDS}")
+    """Build the named construction from its parameters (see _CONSTRUCTIONS)."""
+    if kind not in _CONSTRUCTIONS:
+        raise BadParamsError(f"unknown construction {kind!r}; expected one of {tuple(_CONSTRUCTIONS)}")
+    names, build = _CONSTRUCTIONS[kind]
+    for name in names:
+        if name not in params:
+            raise BadParamsError(f"construction {kind!r} is missing parameter {name!r}")
+    return build(*(params[name] for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -326,50 +325,6 @@ def require_perfect_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -
     if not is_perfect_matching(g, m):
         raise NotPerfectMatchingError(f"{m!r} is not a perfect matching of the graph")
     return m
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """One 2-coloring of a host graph in which every edge of a fixed matching crosses.
-
-    ``graph`` keeps only the crossing edges; its row i is the left vertex
-    left[i] and its column j is the right vertex right[j].
-    """
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    graph: BipartiteGraph
-
-
-def bipartitions_over_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> list[Bipartition]:
-    """All 2^(n/2 - 1) bipartitions separating the endpoints of each edge of m.
-
-    The two sides of the edge containing vertex min(m) are pinned (that vertex
-    goes left), so complementary colorings are not listed twice.
-    """
-    m = require_perfect_matching(g, m)
-    k = len(m)
-    if k > 16:
-        raise TooLargeError(f"{1 << (k - 1)} bipartitions is beyond the enumeration cap")
-    out = []
-    for assign in range(1 << (k - 1)):
-        side = [0] * g.n
-        for t, (a, b) in enumerate(m):
-            flip = assign >> (t - 1) & 1 if t > 0 else 0
-            side[a] = flip
-            side[b] = 1 - flip
-        left = tuple(x for x in range(g.n) if side[x] == 0)
-        right = tuple(x for x in range(g.n) if side[x] == 1)
-        pos = {x: j for j, x in enumerate(right)}
-        rows = []
-        for x in left:
-            row = 0
-            for y in bits_of(g.rows[x]):
-                if side[y] == 1:
-                    row |= 1 << pos[y]
-            rows.append(row)
-        out.append(Bipartition(left, right, BipartiteGraph(k, k, tuple(rows))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +371,13 @@ def _json_pairs(items: list) -> list[tuple[int, int]]:
     return [(a, b) for a, b in items]
 
 
-def _json_size(doc: dict, key: str) -> int:
-    if isinstance(doc[key], bool):  # JSON true/false are not sizes either
-        raise GraphSyntaxError(f"expected an integer {key!r}, got {doc[key]!r}")
-    return doc[key]
-
-
 def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGraph:
     try:
         kind = doc["type"]
         # only a string names a kind; `in` would hash a JSON list or object and raise TypeError
         if isinstance(kind, str) and kind in _KINDS:
             fields, pair_field, build = _KINDS[kind]
-            return build(*(_json_size(doc, f) for f in fields), _json_pairs(doc[pair_field]))
+            return build(*(doc[f] for f in fields), _json_pairs(doc[pair_field]))
     except (KeyError, TypeError) as exc:
         raise GraphSyntaxError(f"bad JSON graph document: {exc!r}") from None
     raise GraphSyntaxError(f"unknown graph type {kind!r}")

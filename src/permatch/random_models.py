@@ -53,7 +53,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise BadParamsError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # bool is no size
             raise BadParamsError(f"model needs a positive vertex count, got {self.n!r}")
         object.__setattr__(self, "q", _as_probability(self.q))
 
@@ -94,7 +94,7 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     linearity gives E[p] = sum_t C(n, t) d(t) P(t) and E[d] = d(n) P(n), with
     P(t + 1) = P(t) (m - t) / (slots - t) the inclusion probability, 0 past m.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is no size
         raise BadParamsError(f"model needs a positive vertex count, got {n!r}")
     slots = n * (n - 1)
     if not 0 <= m <= slots:

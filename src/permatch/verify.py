@@ -3,9 +3,10 @@
 Each ``check_*`` routine returns a :class:`TheoremReport` stating whether the
 claimed inequality or identity holds on the given instance, with enough
 witness data to be useful when it does not. Checks that admit two independent
-computation routes run both. ``scan`` sweeps a family, records one row per
-graph, and reports any violation it meets; exceedances of the extremal
-conjecture for undirected graphs are surfaced as findings, not failures.
+computation routes run both, and fail when the routes disagree. ``scan``
+sweeps a family, records one row per graph, and reports any violation it
+meets; exceedances of the extremal conjecture for undirected graphs are
+surfaced as findings, not failures.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .errors import BadParamsError, NotInImageError, OutOfRangeError, TooLargeEr
 from .graphs import (
     BipartiteGraph,
     Digraph,
+    Matching,
     UndirectedGraph,
-    bipartitions_over_matching,
+    bits_of,
     blowup,
     canonical_matching,
     complete_graph,
@@ -146,19 +148,21 @@ def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     details: dict = {"matchings": len(misses)}
     if misses:
         details |= {"worst_hits": total - worst, "worst_misses": worst}
-    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total, None, details)
+    if total != len(misses):  # per(B) and the enumeration disagree: always a failure
+        details["counted_matchings"] = total
+    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total == len(misses), None, details)
 
 
 def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] | None = None) -> TheoremReport:
     """Any perfect matching of a 2n-vertex graph meets more than a
     1/(2^(n-1)+1) fraction of all perfect matchings: misses <= 2^(n-1) * hits.
 
+    The perfect matchings are counted and listed, and the two must agree.
     The misses of each target are counted on the graph without its edges. Up
-    to CROSS_CHECK_LIMIT vertices a second route recomputes them: every
-    matching disjoint from the target must show up inside at least one of the
-    2^(n-1) bipartitions it induces, with the target's edges removed, and
-    there must be as many as counted. Refuses graphs with more than
-    MATCHING_BOUND_LIMIT perfect matchings before listing any.
+    to CROSS_CHECK_LIMIT vertices they are also listed, and the listed set
+    must match both the count and the cover of _bipartition_matchings.
+    Refuses graphs with more than MATCHING_BOUND_LIMIT perfect matchings
+    before listing any.
     """
     if not isinstance(g, UndirectedGraph):
         raise BadParamsError("the matching lower bound needs an undirected input")
@@ -170,7 +174,7 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
     total = len(matchings)
     cross_check = g.n <= CROSS_CHECK_LIMIT
     bound = 1 << max(half_n - 1, 0)
-    ok = True
+    ok = counted == total
     worst: dict = {}
     for ref in targets:
         misses = count_matchings_avoiding_general(g, ref)
@@ -181,13 +185,7 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
         if cross_check:
             ref_set = set(ref)
             direct = {mm for mm in matchings if not ref_set.intersection(mm)}
-            mate = {a: b for e in ref for a, b in (e, e[::-1])}
-            covered = set()
-            for bp in bipartitions_over_matching(g, ref):
-                b = bp.graph
-                rows = tuple(row & ~(1 << bp.right.index(mate[x])) for row, x in zip(b.biadj, bp.left))
-                for sigma in enumerate_perfect_matchings(BipartiteGraph(b.nl, b.nr, rows)):
-                    covered.add(canonical_matching((bp.left[i], bp.right[j]) for i, j in enumerate(sigma)))
+            covered = _bipartition_matchings(g, ref)
             if covered != direct or len(direct) != misses:
                 ok = False
                 worst = {
@@ -197,9 +195,30 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
                     "bipartition_misses": len(covered),
                 }
     details = {"matchings": total, "targets": len(targets), "bound_factor": bound}
+    if counted != total:
+        details["counted_matchings"] = counted
     if worst:
         details["witness"] = worst
     return TheoremReport("matching-lower-bound", _describe(g), ok, None, details)
+
+
+def _bipartition_matchings(g: UndirectedGraph, ref: Matching) -> set[Matching]:
+    """The perfect matchings of g that share no edge with ref, found through
+    the 2^(k-1) 2-colourings that split each of ref's k edges (the first edge
+    never flips). Row and column t of a colouring's bipartite graph are the
+    two ends of ref's edge t, so ref's edges are its diagonal, left out."""
+    k = len(ref)
+    found = set()
+    for flips in range(0, 1 << k, 2):
+        left = [e[flips >> t & 1] for t, e in enumerate(ref)]
+        right = [e[~flips >> t & 1] for t, e in enumerate(ref)]
+        column = {y: t for t, y in enumerate(right)}
+        rows = tuple(
+            sum(1 << column[y] for y in bits_of(g.rows[x]) if y in column) & ~(1 << t) for t, x in enumerate(left)
+        )
+        for sigma in enumerate_perfect_matchings(BipartiteGraph(k, k, rows)):
+            found.add(canonical_matching(zip(left, (right[j] for j in sigma))))
+    return found
 
 
 def knn_ratio_sum(n: int) -> Fraction:

@@ -242,7 +242,7 @@ def test_criterion_07_matching_lower_bound():
 
 def test_criterion_08_subpermanent_split():
     # the block-splitting identity on 200 random 0/1 matrices, every block
-    # size (~3s)
+    # size (about 6 s on 2 vCPUs)
     with gate(8, "subpermanent-split"):
         rng = random.Random(808)
         for trial in range(200):
@@ -300,7 +300,7 @@ def test_criterion_10_sparse_expectations():
 
 def test_criterion_11_mc_concentration():
     # Monte Carlo ratio means on 20-vertex digraphs land within 20% of the
-    # dense-limit target and never breach 1/2 (~2 min, the slow criterion)
+    # dense-limit target and never breach 1/2 (about 6 s on 2 vCPUs)
     with gate(11, "mc-concentration"):
         for q in (Fraction(1, 2), Fraction(4, 5)):
             model = ModelSpec("digraph", 20, q=q)

@@ -235,6 +235,45 @@ def test_bad_parameters_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["construct", "--kind", "cycle", "--out", "{out}"], "error: cycle needs --n"),
+        (["construct", "--kind", "blowup", "--k", "2", "--out", "{out}"], "error: blowup needs --k and --l"),
+        (
+            ["inject", "--input", "{k22}", "--vertex", "0", "--perm", "1,0,3,2"],
+            "error: the cycle-breaking map needs a directed or undirected input",
+        ),
+        (
+            ["verify", "--theorem", "injection", "--input", "{k22}"],
+            "error: the injection audit needs a directed or undirected input",
+        ),
+        (["verify", "--theorem", "3"], "error: verify --theorem 3 needs --input"),
+    ],
+)
+def test_refusals_exit_2_with_their_line(capsys, tmp_path, write_graph, argv, line):
+    where = {"out": str(tmp_path / "g.txt"), "k22": write_graph(K22)}
+    code, out, err = run(capsys, *(arg.format(**where) for arg in argv))
+    assert (code, out, err) == (2, "", line + "\n")
+
+
+def test_count_matchings_of_an_undirected_four_cycle(capsys, write_graph):
+    path = write_graph("graph 4\n0 1\n1 2\n2 3\n3 0\n")
+    assert run(capsys, "count", "--input", path, "--what", "matchings") == (0, "2\n", "")
+
+
+def test_verify_flattens_a_bipartite_input_for_theorem_3_and_the_corollary(capsys, write_graph):
+    path = write_graph(K22)
+    code, out, _ = run(capsys, "verify", "--theorem", "3", "--input", path)
+    assert code == 0 and out.splitlines()[0] == "ratio-half: HOLDS on graph n=4, 4 edges"
+    assert "  ratio: 4/9" in out.splitlines()
+    code, out, _ = run(capsys, "verify", "--theorem", "corollary", "--input", path)
+    assert code == 0 and out.splitlines()[:2] == ["cycle-doubling: HOLDS on graph n=4, 4 edges", "  hamilton_cycles: 2"]
+
+
 def test_construct_and_count_roundtrip(capsys, tmp_path):
     out = tmp_path / "c6.txt"
     code, _, _ = run(capsys, "construct", "--kind", "cycle", "--n", "6", "--out", str(out))

@@ -1,20 +1,23 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from permatch import (
     BadParamsError,
+    BipartiteGraph,
     Digraph,
     GraphSyntaxError,
-    NotPerfectMatchingError,
+    ModelSpec,
     OutOfRangeError,
     SelfLoopError,
-    bipartitions_over_matching,
     blowup,
     canonical_matching,
     complete_bipartite,
     complete_graph,
     construct,
     directed_cycle,
+    expected_counts,
     graph_from_json_dict,
     graph_to_json_dict,
     is_perfect_matching,
@@ -47,6 +50,22 @@ def test_new_digraph_rejects_bad_input():
         new_digraph(65, [])
     with pytest.raises(SelfLoopError):
         Digraph(2, (1, 0))  # bit 0 set on row 0
+
+
+def test_sizes_refuse_bool():
+    # True == 1, but a flag is no vertex count or part size
+    for build in (
+        lambda: Digraph(True, (0,)),
+        lambda: new_digraph(True, []),
+        lambda: BipartiteGraph(True, 1, (1,)),
+        lambda: BipartiteGraph(1, True, (1,)),
+        lambda: new_bipartite(True, 2, []),
+        lambda: new_bipartite(2, True, []),
+        lambda: ModelSpec("graph", True, q="1/2"),
+        lambda: expected_counts(True, 0),
+    ):
+        with pytest.raises(BadParamsError):
+            build()
 
 
 def test_undirected_symmetry_enforced():
@@ -108,9 +127,10 @@ def test_construct_dispatch():
     assert construct("complete-bipartite", n=3) == complete_bipartite(3).to_graph()
     assert construct("blowup", k=2, l=3) == blowup(2, 3)
     assert construct("thm2h", n=2) == lonely_matching_ring(2)[0]
-    with pytest.raises(BadParamsError):
+    kinds = "('cycle', 'complete', 'complete-bipartite', 'blowup', 'thm2h')"
+    with pytest.raises(BadParamsError, match=re.escape(f"unknown construction 'moebius'; expected one of {kinds}")):
         construct("moebius", n=3)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(BadParamsError, match="construction 'blowup' is missing parameter 'l'"):
         construct("blowup", k=2)
 
 
@@ -121,26 +141,6 @@ def test_matching_helpers():
     assert is_perfect_matching(g, m)
     assert not is_perfect_matching(g, ((0, 2), (1, 3)))  # (1,3) missing
     assert not is_perfect_matching(g, ((0, 1),))  # not spanning
-
-
-def test_bipartitions_over_matching():
-    g = complete_graph(4)
-    m = ((0, 1), (2, 3))
-    parts = bipartitions_over_matching(g, m)
-    assert len(parts) == 2
-    for bp in parts:
-        assert set(bp.left) | set(bp.right) == set(range(4))
-        # each matched pair is split
-        for a, b in m:
-            assert (a in bp.left) != (b in bp.left)
-        # vertex 0 is pinned to the left side
-        assert 0 in bp.left
-        # cross graph keeps only crossing edges
-        for i, u in enumerate(bp.left):
-            for j, w in enumerate(bp.right):
-                assert bp.graph.has_edge(i, j) == g.has_edge(u, w)
-    with pytest.raises(NotPerfectMatchingError):
-        bipartitions_over_matching(g, ((0, 1),))
 
 
 def test_parse_serialize_text():

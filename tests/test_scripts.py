@@ -29,6 +29,20 @@ def test_script_runs(capsys, name, argv):
     assert capsys.readouterr().out
 
 
+def test_mc_concentration_prints_no_nan_for_a_zero_target(capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    script = load("mc_concentration")
+    argv = ["--n", "4", "--samples", "2", "--q-grid", "0,1/2"]
+    assert script.main(argv + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rows[0]["relative_gap"] is None and isinstance(rows[1]["relative_gap"], float)
+    assert script.main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[1].split()[-1] == "n/a" and table[2].split()[-1].endswith("%")
+
+
 def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     bench = load("bench_e2e")
     monkeypatch.setattr(bench, "COMMANDS", {"count-ratio-C5": bench.COMMANDS["count-ratio-C5"]})

@@ -9,6 +9,8 @@ import pytest
 from permatch import (
     BadParamsError,
     BipartiteGraph,
+    ModelSpec,
+    NotPerfectMatchingError,
     OutOfRangeError,
     TooLargeError,
     bipartite_permutation_sum,
@@ -29,6 +31,7 @@ from permatch import (
     derangement_number,
     directed_cycle,
     dp_ratio,
+    enumerate_perfect_matchings_general,
     format_12sig,
     hamilton_census,
     is_directed_cycle,
@@ -36,11 +39,13 @@ from permatch import (
     lonely_matching_ring,
     new_bipartite,
     new_digraph,
+    sample,
     scan,
     verify,
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.verify import (
+    _bipartition_matchings,
     _exhaustive_survey,
     _host_census,
     _survey_row,
@@ -94,6 +99,39 @@ def test_check_matching_lower_bound_with_cross_check():
     assert rep.details["bound_factor"] == 8  # 2^(8/2 - 1)
     rep_k4 = check_matching_lower_bound(complete_graph(4))
     assert rep_k4.holds and rep_k4.details["matchings"] == 3
+    with pytest.raises(NotPerfectMatchingError):
+        check_matching_lower_bound(complete_graph(4), ((0, 1),))
+
+
+def test_bipartition_cover_is_the_set_of_matchings_missing_the_target():
+    # K4's two colourings that split (0, 1) and (2, 3) each hold one of the other matchings
+    assert _bipartition_matchings(complete_graph(4), ((0, 1), (2, 3))) == {((0, 2), (1, 3)), ((0, 3), (1, 2))}
+    targets = 0
+    for seed in range(200):
+        n = 4 + 2 * (seed % 5)
+        g = sample(ModelSpec("graph", n, q="1/2" if n <= 8 else "1/3"), seed)  # denser n = 10, 12 take seconds
+        matchings = list(enumerate_perfect_matchings_general(g))
+        for ref in matchings:
+            assert _bipartition_matchings(g, ref) == {m for m in matchings if not set(ref) & set(m)}, (seed, ref)
+        targets += len(matchings)
+    assert targets > 1000
+
+
+@pytest.mark.parametrize(
+    "check, counter, instance",
+    [
+        (check_half_hitting, "count_perfect_matchings", complete_bipartite(3)),
+        (check_matching_lower_bound, "count_perfect_matchings_general", complete_graph(6)),
+    ],
+)
+def test_checks_fail_when_count_and_enumeration_disagree(monkeypatch, check, counter, instance):
+    passing = check(instance)
+    assert passing.holds and "counted_matchings" not in passing.details
+    real = getattr(verify, counter)
+    monkeypatch.setattr(verify, counter, lambda g: real(g) + 1)
+    report = check(instance)
+    assert not report.holds
+    assert report.details["counted_matchings"] == report.details["matchings"] + 1
 
 
 def test_check_bipartite_extremal():

@@ -36,6 +36,11 @@ COMMANDS = {
     "scan-digraphs-4": ["scan", "--family", "digraphs", "--n", "4", "--out", "{tmp}/records.csv"],
     "scan-bipartite-3": ["scan", "--family", "bipartite", "--n", "3", "--out", "{tmp}/records.csv"],
     "scan-bipartite-4": ["scan", "--family", "bipartite", "--n", "4", "--out", "{tmp}/records.csv"],
+    # the sampled family: 200 draws of G(12, 1/2), the 0/1 permanent at n = 12
+    "scan-sampled-12": [
+        "scan", "--family", "sampled-undirected", "--n", "12", "--samples", "200", "--seed", "7",
+        "--out", "{tmp}/records.csv",
+    ],
     "verify-corollary-K12": ["verify", "--theorem", "corollary", "--input", "{tmp}/k12.txt"],
     "verify-2-K10": ["verify", "--theorem", "2", "--input", "{tmp}/k10.txt"],
     # the injection audit: exhaustive at the CLI's 5-vertex cap, sampled (200 derangements) above it

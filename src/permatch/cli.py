@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import counting, verify
@@ -212,6 +213,7 @@ def _cmd_expect(args: argparse.Namespace) -> _Result:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process; each parse_args still returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permatch",

@@ -11,8 +11,7 @@ surfaced as findings, not failures.
 
 from __future__ import annotations
 
-import csv
-import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -20,7 +19,7 @@ from functools import cache, partial
 from itertools import islice
 from math import comb, factorial
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -457,28 +456,44 @@ class SurveyRecord(NamedTuple):
     ratio_float: str
 
 
+def _ratio_text(d: int, p: int) -> tuple[str, str]:  # a record's ratio_exact and ratio_float
+    return format_ratio(Fraction(d, p)), format_12sig(Fraction(d, p))
+
+
+@dataclass(frozen=True)
+class SurveyColumns(Sequence):
+    """A scan's records as columns, one entry per graph; records[i] reads row i as a SurveyRecord."""
+
+    n: int
+    arcs: list[int]
+    adjacency_hex: list[str]
+    derangements: list[int]
+    permutations: list[int]
+
+    def __len__(self) -> int:
+        return len(self.arcs)
+
+    def __getitem__(self, i: int) -> SurveyRecord:
+        d, p = self.derangements[i], self.permutations[i]
+        return SurveyRecord(self.n, self.arcs[i], self.adjacency_hex[i], d, p, *_ratio_text(d, p))
+
+
 def adjacency_hex(g: Digraph | UndirectedGraph) -> str:
-    rows = g.rows
     width = (g.n + 3) // 4
-    return ":".join(f"{row:0{width}x}" for row in rows)
+    return ":".join(f"{row:0{width}x}" for row in g.rows)
 
 
-def _survey_row(g: Digraph | UndirectedGraph) -> tuple[SurveyRecord, bool, bool]:
-    """One scan row: the ratio-half check, and the record built from its counts."""
+def _survey_row(g: Digraph | UndirectedGraph) -> tuple[tuple[int, str, int, int], bool, bool]:
+    """One scan row: the ratio-half check, and the graph's arcs, hex and counts."""
     report = check_ratio_half(g)
-    d = report.details["derangements"]
-    p = report.details["permutations"]
-    ratio = Fraction(d, p)
-    rec = SurveyRecord(
-        g.n, as_digraph(g).arc_count, adjacency_hex(g), d, p, format_ratio(ratio), format_12sig(ratio)
-    )
-    return rec, report.holds, bool(report.equality)
+    row = as_digraph(g).arc_count, adjacency_hex(g), report.details["derangements"], report.details["permutations"]
+    return row, report.holds, bool(report.equality)
 
 
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 
-def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndarray, np.ndarray]:
+def _exhaustive_survey(family: str, n: int) -> tuple[SurveyColumns, np.ndarray, np.ndarray]:
     """Every graph of an exhaustive scan family at once (scan checks the
     family and n): the records, whether each graph passes its checks, and
     whether it meets the ratio-half equality.
@@ -520,17 +535,12 @@ def _exhaustive_survey(family: str, n: int) -> tuple[list[SurveyRecord], np.ndar
         extremal = (d == per * per) & (lhs >= rhs) & ((lhs == rhs) == (index == total - 1))
         ok &= (per == 0) | (half_hitting & extremal)
     arcs = np.bitwise_count(rows).sum(axis=0).tolist()
-    width = (host.n + 3) // 4
-    digits = [f"{row:0{width}x}" for row in range(1 << host.n)]
+    digits = [f"{row:0{(host.n + 3) // 4}x}" for row in range(1 << host.n)]
     adjacency = [":".join(t) for t in zip(*([digits[r] for r in row] for row in rows.tolist()))]
-    pairs = list(zip(d.tolist(), p.tolist()))
-    text = {pair: (format_ratio(Fraction(*pair)), format_12sig(Fraction(*pair))) for pair in set(pairs)}
-    size = host.n  # a property: read it once, not per record
-    records = [SurveyRecord(size, a, h, *pair, *text[pair]) for a, h, pair in zip(arcs, adjacency, pairs)]
-    return records, ok, equality
+    return SurveyColumns(host.n, arcs, adjacency, d.tolist(), p.tolist()), ok, equality
 
 
-def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[SurveyRecord, bool, bool]:
+def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, str, int, int], bool, bool]:
     return _survey_row(sample(model, child_seed(seed, index)))
 
 
@@ -543,7 +553,8 @@ def scan(
     out_path: str | Path | None = None,
     threads: int = 1,
 ) -> dict:
-    """Sweep a graph family, stream one record per graph, and summarize.
+    """Sweep a graph family, check every graph, and summarize; with out_path,
+    write one record per graph there once the sweep is done.
 
     families:
       digraphs            all 2^(n(n-1)) digraphs, n <= 4
@@ -565,17 +576,20 @@ def scan(
     elif family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if out_path is not None:
-        Path(out_path).open("a").close()  # a bad path fails before any counting runs
+        try:  # a bad path fails before any counting runs, and a failed sweep leaves no file it made
+            Path(out_path).open("x").close()
+            Path(out_path).unlink()
+        except FileExistsError:
+            Path(out_path).open("a").close()
     if family == "sampled-undirected":
-        rows = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
-        records, oks, equalities = zip(*rows)
+        rows, oks, equalities = zip(*parallel_map(partial(_sampled_row, model, seed), range(samples), threads))
+        records = SurveyColumns(n, *map(list, zip(*rows)))
     else:
         records, oks, equalities = _exhaustive_survey(family, n)
 
-    # the largest ratio over the distinct (d, p) pairs; the first record wins ties
-    first: dict[tuple[int, int], int] = {}
-    for i, rec in enumerate(records):
-        first.setdefault((rec.derangements, rec.permutations), i)
+    # the largest d/p, the first record winning ties: built from the back, first keeps each pair's first index
+    pairs = list(zip(records.derangements, records.permutations))
+    first = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
     best = records[max(first.items(), key=lambda kv: (Fraction(*kv[0]), -kv[1]))[1]]
     summary: dict = {
         "family": family,
@@ -588,14 +602,12 @@ def scan(
         "argmax_adjacency_hex": best.adjacency_hex,
     }
     if family == "sampled-undirected":
-        summary["seed"] = seed
-        summary["q"] = str(model.q)
-        summary["samples"] = samples
+        summary |= {"seed": seed, "q": str(model.q), "samples": samples}
         if n % 2 == 0 and n >= 2:
             reference = 1 / knn_ratio_sum(n // 2)
             summary["reference_ratio"] = format_ratio(reference)
             summary["conjecture_exceedances"] = sum(
-                1 for r in records if Fraction(r.derangements, r.permutations) > reference
+                d * reference.denominator > p * reference.numerator for d, p in pairs
             )
     if out_path is not None:
         write_records(records, out_path)
@@ -603,15 +615,16 @@ def scan(
     return summary
 
 
-def write_records(records: Sequence[SurveyRecord], out_path: str | Path) -> None:
-    """CSV by default; a .jsonl suffix switches to one JSON object per line."""
-    out_path = Path(out_path)
-    if out_path.suffix == ".jsonl":
-        with out_path.open("w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec._asdict()) + "\n")
-        return
-    with out_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SurveyRecord._fields)
-        writer.writerows(records)
+def write_records(records: SurveyColumns, out_path: str | Path) -> None:
+    """CSV by default, or one JSON object per line for a .jsonl suffix, written at once: the bytes of csv.writer or
+    json.dumps(rec._asdict()). A line joins the graph's own fields to its (d, p) text, made once per distinct pair."""
+    pairs = list(zip(records.derangements, records.permutations))
+    if Path(out_path).suffix == ".jsonl":  # hex digits and colons need no JSON escaping
+        header, head, mid, sep = "", f'{{"n": {records.n}, "arcs": ', ', "adjacency_hex": "', '", '
+        tail = '"derangements": {}, "permutations": {}, "ratio_exact": "{}", "ratio_float": "{}"}}\n'
+    else:  # no field needs quoting, and csv ends each line in \r\n
+        header, head, mid, sep = ",".join(SurveyRecord._fields) + "\r\n", f"{records.n},", ",", ","
+        tail = "{},{},{},{}\r\n"
+    tails = {pair: tail.format(*pair, *_ratio_text(*pair)) for pair in set(pairs)}
+    lines = [f"{head}{a}{mid}{h}{sep}{tails[dp]}" for a, h, dp in zip(records.arcs, records.adjacency_hex, pairs)]
+    Path(out_path).write_text(header + "".join(lines), newline="")

@@ -190,6 +190,39 @@ def test_failed_scan_keeps_existing_out(capsys, tmp_path):
     assert out.read_text() == "earlier,records\n"
 
 
+def test_failed_scan_leaves_no_out_it_made(capsys, tmp_path):
+    out = tmp_path / "new.csv"
+    code, _, err = run(capsys, "scan", "--family", "sampled-undirected", "--n", "21",
+                       "--samples", "1", "--out", str(out))
+    assert code == 2 and err.startswith("error:")  # over the permanent cap, inside the sweep
+    assert not out.exists()
+    code, _, _ = run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", str(out))
+    assert code == 0 and out.read_text().count("\n") == 5  # the header and four records
+
+
+def test_successive_main_calls_share_no_state(capsys, monkeypatch, tmp_path):
+    from permatch import cli
+
+    assert cli._build_parser() is cli._build_parser()  # built once per process
+    argv = ("expect", "--n", "501", "--m", "0")
+    _, _, plain = run(capsys, *argv)
+    code, _, err = run(capsys, *argv, "--json")
+    assert code == 2 and json.loads(err)["exit"] == 2
+    assert run(capsys, *argv) == (2, "", plain)  # the earlier --json does not stick
+    code, out, _ = run(capsys, "expect", "--n", "4", "--m", "6", "--json")
+    assert code == 0 and json.loads(out)["n"] == 4
+    code, out, _ = run(capsys, "expect", "--n", "4", "--m", "6")
+    assert (code, out.splitlines()[0]) == (0, "expected derangements: 3/11 (0.272727272727)")
+    # --threads in one call is no default for the next, which reads PERMATCH_THREADS again
+    scan = ("scan", "--family", "digraphs", "--n", "2", "--out", str(tmp_path / "r.csv"))
+    monkeypatch.setenv("PERMATCH_THREADS", "0")
+    assert run(capsys, *scan, "--threads", "1")[0] == 0
+    code, out, err = run(capsys, *scan)
+    assert (code, out, err) == (2, "", "error: PERMATCH_THREADS must be a positive integer, got '0'\n")
+    monkeypatch.setenv("PERMATCH_THREADS", "2")
+    assert run(capsys, *scan)[0] == 0
+
+
 def test_usage_errors_exit_2(capsys, write_graph):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--input", "x", "--what", "sandwiches"])

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from permatch import (
     ModelSpec,
     NotPerfectMatchingError,
     OutOfRangeError,
+    SurveyRecord,
     TooLargeError,
     bipartite_permutation_sum,
     blowup,
@@ -45,6 +47,7 @@ from permatch import (
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.verify import (
+    SurveyColumns,
     _bipartition_matchings,
     _exhaustive_survey,
     _host_census,
@@ -322,12 +325,14 @@ def test_each_biadjacency_slot_is_one_edge(n):
 
 def test_survey_record_and_hex():
     g = directed_cycle(4)
-    rec = _survey_row(g)[0]
-    assert rec.n == 4 and rec.arcs == 4
-    assert rec.derangements == 1 and rec.permutations == 2
-    assert rec.ratio_exact == "1/2"
-    assert rec.ratio_float == "0.500000000000"
+    row, holds, equality = _survey_row(g)
+    assert row == (4, "2:4:8:1", 1, 2) and holds and equality  # arcs, hex, d, p
     assert adjacency_hex(g) == "2:4:8:1"
+    records = SurveyColumns(4, [4, 0], ["2:4:8:1", "0:0:0:0"], [1, 0], [2, 1])
+    assert len(records) == 2
+    assert records[0] == SurveyRecord(4, 4, "2:4:8:1", 1, 2, "1/2", "0.500000000000")
+    assert records[-1] == SurveyRecord(4, 0, "0:0:0:0", 0, 1, "0/1", "0.000000000000")
+    assert list(records) == [records[0], records[1]]
 
 
 def test_scan_digraphs_n2():
@@ -392,6 +397,55 @@ def test_scan_exhaustive_same_at_any_thread_count(tmp_path, family, n):
     assert s1 == {**s2, "out": str(a)}
 
 
+def per_record_bytes(records, suffix):
+    """The written file as the per-record writers give it: csv.writer over
+    records[i], or json.dumps(records[i]._asdict()) per line."""
+    rows = [records[i] for i in range(len(records))]
+    if suffix == ".jsonl":
+        return "".join(json.dumps(rec._asdict()) + "\n" for rec in rows).encode()
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(SurveyRecord._fields)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize(
+    "family, n, kwargs",
+    [
+        ("digraphs", 3, {}),
+        ("bipartite", 2, {}),
+        ("sampled-undirected", 8, {"samples": 40, "q": "1/3", "seed": 5}),
+        # some of these draw K_{2,2}, whose ratio is the reference itself and no exceedance
+        ("sampled-undirected", 4, {"samples": 40, "q": "3/4", "seed": 5}),
+    ],
+)
+def test_written_records_match_the_per_record_route(monkeypatch, tmp_path, family, n, kwargs, suffix):
+    written = []
+    write_records = verify.write_records
+
+    def kept(records, path):
+        written.append(records)
+        write_records(records, path)
+
+    monkeypatch.setattr(verify, "write_records", kept)
+    out = tmp_path / f"records{suffix}"
+    summary = scan(family, n, out_path=out, **kwargs)
+    (records,) = written
+    assert out.read_bytes() == per_record_bytes(records, suffix)
+    # the summary as a loop over the records gives it; the first record wins ties
+    rows = list(records)
+    best = max(rows, key=lambda rec: Fraction(rec.derangements, rec.permutations))
+    assert (summary["max_ratio"], summary["max_ratio_float"]) == (best.ratio_exact, best.ratio_float)
+    assert summary["argmax_adjacency_hex"] == best.adjacency_hex
+    if "reference_ratio" in summary:
+        reference = Fraction(summary["reference_ratio"])
+        assert summary["conjecture_exceedances"] == sum(Fraction(rec.ratio_exact) > reference for rec in rows)
+        if n == 4:
+            assert summary["max_ratio"] == summary["reference_ratio"]
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replaces parallel_map's process pool with an inline one; returns the
@@ -442,6 +496,12 @@ def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
     assert pool_sizes[-1] == 3
 
 
+def survey_record(g):
+    """g's scan record, built on its own from the counts of _survey_row."""
+    arcs, hexes, d, p = _survey_row(g)[0]
+    return SurveyRecord(g.n, arcs, hexes, d, p, format_ratio(Fraction(d, p)), format_12sig(Fraction(d, p)))
+
+
 def per_graph_row(family, n, index):
     """The record, verdict and equality of one graph, checked on its own."""
     if family == "digraphs":
@@ -453,7 +513,7 @@ def per_graph_row(family, n, index):
     ok = report.holds
     if b is not None and ok and count_perfect_matchings(b) > 0:
         ok = check_half_hitting(b).holds and check_bipartite_extremal(b).holds
-    return _survey_row(g)[0], ok, bool(report.equality)
+    return survey_record(g), ok, bool(report.equality)
 
 
 @pytest.mark.parametrize(

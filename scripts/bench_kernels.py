@@ -1,11 +1,13 @@
-"""Wall time of the 0/1 permanent pair kernel by matrix size.
+"""Wall time of the 0/1 permanent pair kernel by matrix size, and of the injection.
 
 Times permanent_zero_one_pair (per(A) and per(A | I) from one pass) on the
 rows of seeded D(n, 1/2) digraphs at n = 9, 12, 13, 16 and 20, and stores
 the median and quartiles of the per-call times, with the CPU count, the numpy
-version and the Python version, under a label in a JSON file. Other labels
-already in the file are kept, so two checkouts can be measured into
-one file as before/after data points:
+version and the Python version, under a label in a JSON file. Under the same
+label, ``injection`` holds the microseconds per apply_injection call and per
+invert_injection call, round trips and refusals apart, over every digraph on
+4 vertices at every root. Other labels already in the file are kept, so two
+checkouts can be measured into one file as before/after data points:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --label after
 """
@@ -19,13 +21,22 @@ from pathlib import Path
 
 import numpy as np
 
-from permatch import ModelSpec, sample
+from permatch import (
+    ModelSpec,
+    NotInImageError,
+    apply_injection,
+    digraph_from_arc_index,
+    enumerate_permutations,
+    invert_injection,
+    sample,
+)
 from permatch.permanent import permanent_zero_one_pair
 from permatch.random_models import _usable_cpus
 
 SIZES = (9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
-RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size
+RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
+INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -44,6 +55,55 @@ def time_pair(n: int) -> dict:
     return {"calls": len(times), "median_ms": median, "q1_ms": q1, "q3_ms": q3}
 
 
+def time_injection() -> dict:
+    """Microseconds per call over RUNS rounds of every digraph on INJECTION_N
+    vertices at every root: apply_injection on every derangement, then
+    invert_injection on every image (round trips) and on every other
+    permutation (refusals). Each round's total time over its calls is one
+    data point."""
+    n = INJECTION_N
+    cases = []  # (graph, root, derangements, their images, the other permutations)
+    for index in range(1 << n * (n - 1)):
+        g = digraph_from_arc_index(n, index)
+        derangements = list(enumerate_permutations(g, derangements_only=True))
+        permutations = list(enumerate_permutations(g))
+        for v in range(n):
+            images = [apply_injection(g, d, v) for d in derangements]
+            image_set = set(images)
+            cases.append((g, v, derangements, images, [p for p in permutations if p not in image_set]))
+    spent: dict[str, list[float]] = {"apply": [], "round_trip": [], "refusal": []}
+    for _ in range(RUNS):
+        apply_s = trip_s = refusal_s = 0.0
+        for g, v, derangements, images, others in cases:
+            t0 = time.perf_counter()
+            for d in derangements:
+                apply_injection(g, d, v)
+            t1 = time.perf_counter()
+            for p in images:
+                invert_injection(g, p, v)
+            t2 = time.perf_counter()
+            for p in others:
+                try:
+                    invert_injection(g, p, v)
+                except NotInImageError:
+                    pass
+            t3 = time.perf_counter()
+            apply_s, trip_s, refusal_s = apply_s + t1 - t0, trip_s + t2 - t1, refusal_s + t3 - t2
+        for key, total in zip(spent, (apply_s, trip_s, refusal_s)):
+            spent[key].append(total)
+    calls = {
+        "apply": sum(len(derangements) for _, _, derangements, _, _ in cases),
+        "round_trip": sum(len(images) for _, _, _, images, _ in cases),
+        "refusal": sum(len(others) for _, _, _, _, others in cases),
+    }
+    out: dict = {"n": n, "graphs": 1 << n * (n - 1), "rounds": RUNS}
+    for key, totals in spent.items():
+        per_call = [total / calls[key] * 1e6 for total in totals]
+        q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
+        out[key] = {"calls": calls[key], "median_us": median, "q1_us": q1, "q3_us": q3}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
@@ -52,15 +112,20 @@ def main(argv=None):
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     sizes = {str(n): time_pair(n) for n in SIZES}
+    injection = time_injection()
     doc.setdefault("runs", {})[args.label] = {
         "cpus": _usable_cpus(),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "sizes": sizes,
+        "injection": injection,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in sizes.items():
         print(f"n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for key in ("apply", "round_trip", "refusal"):
+        row = injection[key]
+        print(f"injection {key:<10}  median {row['median_us']:7.2f} us  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
     return 0
 
 

@@ -36,10 +36,10 @@ Permutation = tuple[int, ...]
 
 
 def as_digraph(g: Digraph | UndirectedGraph) -> Digraph:
-    if isinstance(g, UndirectedGraph):
-        return g.base
     if isinstance(g, Digraph):
         return g
+    if isinstance(g, UndirectedGraph):
+        return g.base
     raise BadParamsError(
         f"expected a directed or undirected graph, got {type(g).__name__}"
         " (bipartite graphs flatten via .to_graph())"
@@ -114,14 +114,21 @@ def check_permutation_on_graph(
 ) -> Permutation:
     """Validate that sigma is a permutation moving along arcs of g; returns it as a tuple."""
     dg = as_digraph(g)
+    n, rows = dg.n, dg.rows
     sigma = tuple(sigma)
-    if len(sigma) != dg.n or sorted(sigma) != list(range(dg.n)):
-        raise BadParamsError(f"{sigma!r} is not a permutation of 0..{dg.n - 1}")
+    seen = 0  # the entries met so far, as a mask
+    if len(sigma) == n:
+        for x in sigma:
+            if type(x) is not int or not 0 <= x < n:  # a bool or a float is no vertex
+                break
+            seen |= 1 << x
+    if seen != (1 << n) - 1:
+        raise BadParamsError(f"{sigma!r} is not a permutation of 0..{n - 1}")
     for v, w in enumerate(sigma):
         if v == w:
             if require_derangement:
                 raise NotDerangementError(f"vertex {v} is fixed")
-        elif not dg.has_arc(v, w):
+        elif not rows[v] >> w & 1:
             raise NotOnGraphError(f"permutation uses missing arc ({v}, {w})")
     return sigma
 

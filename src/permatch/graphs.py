@@ -72,18 +72,22 @@ class Digraph:
 
     def induced(self, vertices: Sequence[int]) -> "Digraph":
         """Subgraph on the given vertices, relabeled 0..k-1 in ascending vertex order."""
+        if any(type(v) is not int for v in vertices):  # a bool or a float is no vertex
+            raise BadParamsError(f"induced vertex list must hold integers, got {vertices!r}")
         keep = sorted(set(vertices))
         if len(keep) != len(vertices):
             raise BadParamsError("induced vertex list has repeats")
         if not keep or keep[0] < 0 or keep[-1] >= self.n:
             raise OutOfRangeError("induced vertex list out of range")
+        if len(keep) == self.n:
+            return self  # every vertex kept: already labelled 0..n-1 in ascending order
         index = {v: i for i, v in enumerate(keep)}
+        kept = sum(1 << v for v in keep)
         rows = []
         for v in keep:
             row = 0
-            for w in bits_of(self.rows[v]):
-                if w in index:
-                    row |= 1 << index[w]
+            for w in bits_of(self.rows[v] & kept):  # only arcs that stay get relabelled
+                row |= 1 << index[w]
             rows.append(row)
         return Digraph(len(keep), tuple(rows))
 

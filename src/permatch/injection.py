@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import Permutation, as_digraph, check_permutation_on_graph, fixed_points, is_directed_cycle
+from .counting import Permutation, as_digraph, check_permutation_on_graph, is_directed_cycle
 from .errors import (
     IsDirectedCycleError,
     NotHamiltonError,
@@ -107,11 +107,7 @@ def _checked_cycle(g: Digraph, cycle: Sequence[int]) -> tuple[int, ...]:
 def forward_chords(g: Digraph, cycle: Sequence[int]) -> list[ChordRecord]:
     """All forward chords of the Hamilton cycle rooted at cycle[0], sorted by
     (start position, distance walked)."""
-    return _forward_chords(g, _checked_cycle(g, cycle))
-
-
-def _forward_chords(g: Digraph, cycle: tuple[int, ...]) -> list[ChordRecord]:
-    """forward_chords of a cycle already checked as a Hamilton cycle of g."""
+    cycle = _checked_cycle(g, cycle)
     n = g.n
     pos = {v: k for k, v in enumerate(cycle)}
     records = []
@@ -134,13 +130,37 @@ def first_minimal_forward_chord(g: Digraph, cycle: Sequence[int]) -> ChordRecord
     earliest start, i.e. the interval that ends first and, among those, starts
     last. Two minimal intervals never share a start, so there is no tie to
     break. None when no forward chord exists."""
-    return _first_minimal_chord(g, _checked_cycle(g, cycle))
+    cycle = _checked_cycle(g, cycle)
+    found = _canonical_chord(g, cycle)
+    if found is None:
+        return None
+    start, stop = found
+    end = stop % len(cycle)
+    return ChordRecord(start, end, (cycle[start], cycle[end]), cycle[start + 1 : stop])
 
 
-def _first_minimal_chord(g: Digraph, cycle: tuple[int, ...]) -> ChordRecord | None:
-    """first_minimal_forward_chord of a cycle already checked as a Hamilton cycle of g."""
+def _canonical_chord(g: Digraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
+    """(start, stop) of the canonical chord of a cycle already checked as a
+    Hamilton cycle of g, stop being its end position with the root read as n;
+    None when no forward chord exists. One pass over the arcs keeps the least
+    (stop, -start): positions ascend, so a later start wins a tie on stop."""
     n = len(cycle)
-    return min(_forward_chords(g, cycle), key=lambda r: (r.end or n, -r.start), default=None)
+    pos = [0] * n
+    for k, x in enumerate(cycle):
+        pos[x] = k
+    rows = g.rows
+    best_start, best_stop = -1, n + 1
+    for i, u in enumerate(cycle):
+        if i + 2 > best_stop:
+            break  # a chord from here skips at least position i + 1 and cannot stop earlier
+        row = rows[u]
+        while row:
+            low = row & -row
+            row ^= low
+            stop = pos[low.bit_length() - 1] or n  # re-entering the root ends the walk
+            if i + 1 < stop <= best_stop:  # forward and not the cycle's own arc
+                best_start, best_stop = i, stop
+    return None if best_start < 0 else (best_start, best_stop)
 
 
 def apply_injection(g: Digraph | UndirectedGraph, sigma: Sequence[int], v: int) -> Permutation:
@@ -163,10 +183,10 @@ def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
     sub = dg.induced(verts)
     local = {x: t for t, x in enumerate(verts)}
     # the walk follows arcs of sigma, so relabeled it is a Hamilton cycle of sub
-    rec = _first_minimal_chord(sub, tuple(local[x] for x in walk))
-    if rec is not None:
-        stop = len(walk) if rec.end == 0 else rec.end
-        seq = walk[: rec.start + 1] + walk[stop:]
+    found = _canonical_chord(sub, tuple(map(local.__getitem__, walk)))
+    if found is not None:
+        start, stop = found
+        seq = walk[: start + 1] + walk[stop:]
         for a, b in zip(seq, seq[1:] + [seq[0]]):
             out[a] = b
     return tuple(out)
@@ -209,10 +229,13 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
     p = check_permutation_on_graph(dg, p)
     if not 0 <= v < dg.n:
         raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
-    fixed = fixed_points(p)
-    if not fixed:
+    rows = dg.rows
+    fix_mask = 0
+    for x, y in enumerate(p):
+        if x == y:
+            fix_mask |= 1 << x
+    if not fix_mask:
         raise NotInImageError("image permutations always keep a fixed point")
-    fix_mask = sum(1 << f for f in fixed)
     if p[v] == v:
         # The break dissolved the entire cycle: every fixed point of p belonged
         # to it, and with no forward chord from v the tour retraces from v
@@ -226,7 +249,7 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         # the stretch, to be unique.
         walk = _orbit(p, v)
         for a, x in enumerate(walk):
-            into = dg.rows[x] & fix_mask
+            into = rows[x] & fix_mask
             if into:
                 break
         else:
@@ -234,19 +257,25 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         if into.bit_count() != 1:
             raise NotInImageError(f"vertex {x} has several arcs into the fixed stretch")
         first_fixed = into.bit_length() - 1
+    # Each step needs exactly one arc from the stretch so far into the rest of
+    # the fixed set: `once` holds the heads of the stretch's arcs, `twice` the
+    # heads that two of its vertices share.
     stretch = [first_fixed]
     remaining = fix_mask & ~(1 << first_fixed)
+    once, twice = rows[first_fixed], 0
     while remaining:
-        steps = [(x, w) for x in stretch for w in bits_of(dg.rows[x] & remaining)]
-        if len(steps) != 1:
+        step = once & remaining
+        if step.bit_count() != 1 or twice & remaining:
             raise NotInImageError("the fixed stretch does not reorder uniquely")
-        nxt = steps[0][1]
+        nxt = step.bit_length() - 1
         stretch.append(nxt)
-        remaining &= ~(1 << nxt)
+        remaining ^= step
+        twice |= once & rows[nxt]
+        once |= rows[nxt]
     tour = walk[: a + 1] + stretch + walk[a + 1 :]
     out = list(p)  # the other cycles of p stay as they are
     for x, y in zip(tour, tour[1:] + [tour[0]]):
-        if not dg.has_arc(x, y):
+        if not rows[x] >> y & 1:
             raise NotInImageError(f"reconstructed tour needs the missing arc ({x}, {y})")
         out[x] = y
     # every tour arc is an arc of dg and the tour covers v's orbit plus the

@@ -300,7 +300,15 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     refused by the inverse. The exhaustive audit lists the graph's
     permutations once for all roots: p(G) tuples, memory of the same order
     as the set of images.
+
+    The first failure stops the audit and names its witness: v and the
+    derangement when its image has no fixed point or repeats an earlier
+    image, plus the image when the inverse does not give the derangement
+    back; v, the image and the claimed_preimage when the inverse accepts a
+    permutation outside the image. A sample_cap must be a non-negative int.
     """
+    if sample_cap is not None and (type(sample_cap) is not int or sample_cap < 0):  # bool is no size
+        raise BadParamsError(f"sample cap must be a non-negative integer or None, got {sample_cap!r}")
     dg = as_digraph(g)
     derangements = list(
         islice(enumerate_permutations(dg, derangements_only=True), sample_cap)
@@ -535,8 +543,13 @@ def _exhaustive_survey(family: str, n: int) -> tuple[SurveyColumns, np.ndarray, 
         extremal = (d == per * per) & (lhs >= rhs) & ((lhs == rhs) == (index == total - 1))
         ok &= (per == 0) | (half_hitting & extremal)
     arcs = np.bitwise_count(rows).sum(axis=0).tolist()
-    digits = [f"{row:0{(host.n + 3) // 4}x}" for row in range(1 << host.n)]
-    adjacency = [":".join(t) for t in zip(*([digits[r] for r in row] for row in rows.tolist()))]
+    # adjacency_hex of every graph at once: each row's zero-padded hex and a ':' as code points, laid
+    # out graph by graph, the last ':' dropped, read as fixed-width strings (every row has the same width)
+    row_width = (host.n + 3) // 4
+    width = host.n * (row_width + 1) - 1
+    digits = np.array([list(map(ord, f"{r:0{row_width}x}:")) for r in range(1 << host.n)], dtype=np.uint32)
+    text = np.take(digits, rows.T, axis=0).reshape(total, -1)[:, :width]
+    adjacency = np.ascontiguousarray(text).view(f"U{width}").ravel().tolist()
     return SurveyColumns(host.n, arcs, adjacency, d.tolist(), p.tolist()), ok, equality
 
 

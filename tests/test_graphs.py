@@ -85,6 +85,11 @@ def test_induced_subgraph_relabels_in_sorted_order():
     assert sub.arcs() == [(0, 1), (1, 2), (2, 0)]
     with pytest.raises(BadParamsError):
         g.induced([1, 1])
+    assert g.induced(range(5)) == g
+    # a float or a bool is refused, also where every vertex is kept
+    for bad in ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2], [True, 2]):
+        with pytest.raises(BadParamsError, match="induced vertex list must hold integers"):
+            g.induced(bad)
 
 
 def test_directed_cycle_and_complete():

@@ -22,7 +22,7 @@ from permatch import (
     invert_injection,
     new_digraph,
 )
-from permatch.counting import fixed_points
+from permatch.counting import check_permutation_on_graph, fixed_points
 from permatch.errors import BadParamsError, NotDerangementError, NotOnGraphError, OutOfRangeError
 
 
@@ -130,6 +130,24 @@ def test_invert_and_decomposition_validate_input():
         cycle_decomposition(g, (1, 2, 3, 1))
     with pytest.raises(NotOnGraphError, match=r"missing arc \(0, 2\)"):
         cycle_decomposition(g, (2, 1, 0, 3))
+
+
+def test_entry_points_refuse_non_integer_entries():
+    # a float or a bool equals an index but is none: every entry point refuses it
+    # with the shared message instead of computing with it or crashing later
+    g = directed_cycle(3)
+    message = "is not a permutation of 0..2"
+    with pytest.raises(BadParamsError, match=message):
+        invert_injection(g, (0.0, 1.0, 2.0), 0)
+    with pytest.raises(BadParamsError, match=message):
+        apply_injection(g, (1.0, 2.0, 0.0), 0)
+    with pytest.raises(BadParamsError, match=message):
+        cycle_decomposition(g, (1, 2.0, 0))
+    with pytest.raises(BadParamsError, match=message):
+        check_permutation_on_graph(g, (1, 2, "0"))
+    with pytest.raises(BadParamsError, match=r"\(True, False\) is not a permutation of 0..1"):
+        check_permutation_on_graph(directed_cycle(2), (True, False))
+    assert check_permutation_on_graph(directed_cycle(2), [1, 0]) == (1, 0)
 
 
 def test_apply_worked_example():

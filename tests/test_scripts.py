@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from permatch import count_derangements, count_permutations, digraph_from_arc_index
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -69,6 +71,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "GRAPHS", 2)
     monkeypatch.setattr(bench, "RUNS", 2)
     monkeypatch.setattr(bench, "OUT", out)
+    monkeypatch.setattr(bench, "INJECTION_N", 3)
     assert bench.main(["--label", "first"]) == 0
     assert bench.main(["--label", "second"]) == 0
     doc = json.loads(out.read_text())
@@ -79,4 +82,16 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for row in run["sizes"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     assert set(run["sizes"]) == {"5", "6"}
-    assert "n= 6" in capsys.readouterr().out
+    # every digraph on 3 vertices at every root: 3 * d(G) applies and round trips, 3 * (p(G) - d(G)) refusals
+    graphs = [digraph_from_arc_index(3, i) for i in range(64)]
+    derangements = 3 * sum(map(count_derangements, graphs))
+    refusals = 3 * sum(map(count_permutations, graphs)) - derangements
+    for run in doc["runs"].values():
+        injection = run["injection"]
+        assert (injection["n"], injection["graphs"], injection["rounds"]) == (3, 64, 2)
+        assert [injection[k]["calls"] for k in ("apply", "round_trip", "refusal")] == [derangements, derangements, refusals]
+        for key in ("apply", "round_trip", "refusal"):
+            row = injection[key]
+            assert 0 < row["q1_us"] <= row["median_us"] <= row["q3_us"]
+    printed = capsys.readouterr().out
+    assert "n= 6" in printed and "injection refusal" in printed

@@ -11,10 +11,12 @@ from permatch import (
     BadParamsError,
     BipartiteGraph,
     ModelSpec,
+    NotInImageError,
     NotPerfectMatchingError,
     OutOfRangeError,
     SurveyRecord,
     TooLargeError,
+    apply_injection,
     bipartite_permutation_sum,
     blowup,
     check_bipartite_extremal,
@@ -34,8 +36,10 @@ from permatch import (
     directed_cycle,
     dp_ratio,
     enumerate_perfect_matchings_general,
+    enumerate_permutations,
     format_12sig,
     hamilton_census,
+    invert_injection,
     is_directed_cycle,
     knn_ratio_sum,
     lonely_matching_ring,
@@ -209,6 +213,58 @@ def test_check_injection_report():
     assert rep.details["round_trips"] > 0
     sampled = check_injection(complete_graph(5), sample_cap=10)
     assert sampled.holds and not sampled.details["exhaustive"]
+
+
+@pytest.mark.parametrize("cap", [-1, True, 2.0])
+def test_check_injection_refuses_a_bad_sample_cap(cap):
+    with pytest.raises(BadParamsError, match="sample cap must be a non-negative integer or None"):
+        check_injection(directed_cycle(3), sample_cap=cap)
+
+
+def test_check_injection_with_a_zero_sample_cap_audits_nothing():
+    rep = check_injection(directed_cycle(3), sample_cap=0)
+    assert rep.holds and rep.details == {"derangements": 0, "exhaustive": False, "round_trips": 0}
+
+
+def _broken_audit(monkeypatch, apply=None, invert=None):
+    """check_injection on K3 with the map or its inverse replaced where the audit looks them up."""
+    if apply is not None:
+        monkeypatch.setattr(verify, "apply_injection", apply)
+    if invert is not None:
+        monkeypatch.setattr(verify, "invert_injection", invert)
+    rep = check_injection(complete_graph(3))
+    assert rep.holds is False
+    return rep.details["witness"]
+
+
+def test_check_injection_reports_an_image_without_a_fixed_point(monkeypatch):
+    witness = _broken_audit(monkeypatch, apply=lambda g, d, v: tuple(d))
+    assert witness == {"v": 0, "derangement": [1, 2, 0]}
+
+
+def test_check_injection_reports_two_derangements_with_one_image(monkeypatch):
+    # K3 has two derangements; both map to the identity, and the first inverts back
+    witness = _broken_audit(monkeypatch, apply=lambda g, d, v: (0, 1, 2), invert=lambda g, p, v: (1, 2, 0))
+    assert witness == {"v": 0, "derangement": [2, 0, 1]}
+
+
+def test_check_injection_reports_an_inverse_giving_another_preimage(monkeypatch):
+    witness = _broken_audit(monkeypatch, invert=lambda g, p, v: tuple(p))
+    image = apply_injection(complete_graph(3), (1, 2, 0), 0)
+    assert witness == {"v": 0, "derangement": [1, 2, 0], "image": list(image)}
+
+
+def test_check_injection_reports_an_inverse_accepting_a_non_image(monkeypatch):
+    def accepting(g, p, v):
+        try:
+            return invert_injection(g, p, v)
+        except NotInImageError:
+            return tuple(p)
+
+    witness = _broken_audit(monkeypatch, invert=accepting)
+    images = {apply_injection(complete_graph(3), d, 0) for d in [(1, 2, 0), (2, 0, 1)]}
+    first = next(p for p in enumerate_permutations(complete_graph(3)) if p not in images)
+    assert witness == {"v": 0, "image": list(first), "claimed_preimage": list(first)}
 
 
 def test_check_cycle_doubling():

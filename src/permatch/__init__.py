@@ -7,9 +7,7 @@ from .errors import (
     BadParamsError,
     CounterexampleError,
     GraphSyntaxError,
-    IsDirectedCycleError,
     NotDerangementError,
-    NotHamiltonError,
     NotInImageError,
     NotOnGraphError,
     NotPerfectMatchingError,
@@ -61,16 +59,10 @@ from .counting import (
     permutations_by_fixed_points,
 )
 from .injection import (
-    ChordRecord,
-    CycleDecomposition,
     HamiltonCensus,
     apply_injection,
-    choose_special_vertex,
     cycle_decomposition,
-    first_minimal_forward_chord,
-    forward_chords,
     hamilton_census,
-    hamilton_cycles,
     invert_injection,
 )
 from .random_models import (

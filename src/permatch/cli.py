@@ -134,7 +134,6 @@ def _cmd_inject(args: argparse.Namespace) -> _Result:
 # ---------------------------------------------------------------------------
 # verify
 
-_THEOREM_TOKENS = ("1", "2", "3", "6", "injection", "blowup", "subpermanent", "corollary")
 # the tokens whose check takes the loaded graph and nothing else
 _STATEMENT_CHECKS = {
     "1": verify.check_half_hitting,
@@ -143,6 +142,7 @@ _STATEMENT_CHECKS = {
     "6": verify.check_bipartite_extremal,
     "corollary": verify.check_cycle_doubling,
 }
+_THEOREM_TOKENS = (*_STATEMENT_CHECKS, "injection", "blowup", "subpermanent")
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:

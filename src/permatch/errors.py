@@ -43,17 +43,9 @@ class NotDerangementError(PermatchError):
     pass
 
 
-class NotHamiltonError(PermatchError):
-    pass
-
-
 class NotInImageError(PermatchError):
     """The permutation has no preimage under the cycle-breaking injection."""
 
 
 class CounterexampleError(PermatchError):
     """A statement this package treats as proven just failed on a concrete instance."""
-
-
-class IsDirectedCycleError(PermatchError):
-    pass

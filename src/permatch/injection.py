@@ -28,44 +28,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import Permutation, as_digraph, check_permutation_on_graph, is_directed_cycle
-from .errors import (
-    IsDirectedCycleError,
-    NotHamiltonError,
-    NotInImageError,
-    OutOfRangeError,
-    TooLargeError,
-)
+from .counting import Permutation, as_digraph, check_permutation_on_graph
+from .errors import NotInImageError, OutOfRangeError, TooLargeError
 from .graphs import Digraph, UndirectedGraph, bits_of
 
-SEARCH_LIMIT = 16
 
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """Nontrivial orbits (each rotated to start at its smallest vertex, listed in
-    order of that vertex) plus the fixed points."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    fixed: tuple[int, ...]
-
-
-def cycle_decomposition(g: Digraph | UndirectedGraph, sigma: Sequence[int]) -> CycleDecomposition:
+def cycle_decomposition(g: Digraph | UndirectedGraph, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The nontrivial orbits of sigma, each rotated to start at its smallest
+    vertex, listed in order of that vertex."""
     sigma = check_permutation_on_graph(g, sigma)
     seen = [False] * len(sigma)
     cycles = []
-    fixed = []
     for v in range(len(sigma)):
         if seen[v]:
             continue
         orbit = _orbit(sigma, v)
         for w in orbit:
             seen[w] = True
-        if len(orbit) == 1:
-            fixed.append(v)
-        else:
+        if len(orbit) > 1:
             cycles.append(tuple(orbit))
-    return CycleDecomposition(tuple(cycles), tuple(fixed))
+    return tuple(cycles)
 
 
 def _orbit(sigma: Permutation, v: int) -> list[int]:
@@ -76,67 +58,6 @@ def _orbit(sigma: Permutation, v: int) -> list[int]:
         orbit.append(w)
         w = sigma[w]
     return orbit
-
-
-@dataclass(frozen=True)
-class ChordRecord:
-    """A forward chord of a rooted Hamilton cycle.
-
-    start/end are positions on the cycle (root = 0); chord holds the actual
-    vertex pair; skipped lists the vertices strictly between them in walk
-    order, i.e. the ones that become fixed points when the chord is taken.
-    """
-
-    start: int
-    end: int
-    chord: tuple[int, int]
-    skipped: tuple[int, ...]
-
-
-def _checked_cycle(g: Digraph, cycle: Sequence[int]) -> tuple[int, ...]:
-    cycle = tuple(cycle)
-    n = g.n
-    if len(cycle) != n or len(set(cycle)) != n or not all(0 <= x < n for x in cycle):
-        raise NotHamiltonError("cycle must visit every vertex of the graph exactly once")
-    for k in range(n):
-        if not g.has_arc(cycle[k], cycle[(k + 1) % n]):
-            raise NotHamiltonError(f"missing cycle arc ({cycle[k]}, {cycle[(k + 1) % n]})")
-    return cycle
-
-
-def forward_chords(g: Digraph, cycle: Sequence[int]) -> list[ChordRecord]:
-    """All forward chords of the Hamilton cycle rooted at cycle[0], sorted by
-    (start position, distance walked)."""
-    cycle = _checked_cycle(g, cycle)
-    n = g.n
-    pos = {v: k for k, v in enumerate(cycle)}
-    records = []
-    for i, u in enumerate(cycle):
-        succ = cycle[(i + 1) % n]
-        for w in bits_of(g.rows[u]):
-            if w == succ:
-                continue
-            j = pos[w]
-            target = n if j == 0 else j  # re-entering the root ends the walk
-            if i < target:
-                skipped = tuple(cycle[k] for k in range(i + 1, target))
-                records.append(ChordRecord(i, j, (u, w), skipped))
-    records.sort(key=lambda r: (r.start, n if r.end == 0 else r.end))
-    return records
-
-
-def first_minimal_forward_chord(g: Digraph, cycle: Sequence[int]) -> ChordRecord | None:
-    """The canonical chord: minimal skipped interval under inclusion with the
-    earliest start, i.e. the interval that ends first and, among those, starts
-    last. Two minimal intervals never share a start, so there is no tie to
-    break. None when no forward chord exists."""
-    cycle = _checked_cycle(g, cycle)
-    found = _canonical_chord(g, cycle)
-    if found is None:
-        return None
-    start, stop = found
-    end = stop % len(cycle)
-    return ChordRecord(start, end, (cycle[start], cycle[end]), cycle[start + 1 : stop])
 
 
 def _canonical_chord(g: Digraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
@@ -190,36 +111,6 @@ def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
         for a, b in zip(seq, seq[1:] + [seq[0]]):
             out[a] = b
     return tuple(out)
-
-
-def hamilton_cycles(g: Digraph, limit: int | None = None) -> list[tuple[int, ...]]:
-    """Directed Hamilton cycles as vertex tuples rooted at vertex 0; stops early
-    after `limit` finds when given."""
-    n = g.n
-    if n > SEARCH_LIMIT:
-        raise TooLargeError(f"Hamilton search capped at n={SEARCH_LIMIT}, got {n}")
-    if n < 2:
-        return []
-    rows = g.rows
-    found: list[tuple[int, ...]] = []
-    path = [0]
-
-    def rec(x: int, visited: int) -> bool:
-        if len(path) == n:
-            if rows[x] & 1:
-                found.append(tuple(path))
-                return len(found) != limit
-            return True
-        for w in bits_of(rows[x] & ~visited & ~1):
-            path.append(w)
-            alive = rec(w, visited | 1 << w)
-            path.pop()
-            if not alive:
-                return False
-        return True
-
-    rec(0, 1)
-    return found
 
 
 def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> Permutation:
@@ -284,25 +175,6 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
     if _apply(dg, cand, v) != p:
         raise NotInImageError("candidate preimage does not map back to the input")
     return cand
-
-
-def choose_special_vertex(g: Digraph | UndirectedGraph) -> int:
-    """Root vertex for the counting argument: with a unique Hamilton cycle pick
-    the tail of its first chord (that chord is then forward from the root, so
-    the all-fixed permutation escapes the image); otherwise vertex 0 works."""
-    dg = as_digraph(g)
-    if is_directed_cycle(dg):
-        raise IsDirectedCycleError("every break of a bare directed cycle looks the same")
-    hams = hamilton_cycles(dg, limit=2)
-    if len(hams) == 1:
-        cyc = hams[0]
-        succ = {cyc[t]: cyc[(t + 1) % len(cyc)] for t in range(len(cyc))}
-        chords = [(u, w) for u in range(dg.n) for w in bits_of(dg.rows[u]) if w != succ[u]]
-        if chords:
-            return min(chords)[0]
-        # unreachable: a non-cycle graph with a unique Hamilton tour has a spare
-        # arc, and every spare arc joins two tour vertices
-    return 0
 
 
 @dataclass(frozen=True)

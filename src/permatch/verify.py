@@ -402,7 +402,7 @@ def _host_census(family: str, n: int) -> tuple[tuple[int, tuple[tuple[int, ...],
         for v, w in enumerate(sigma):
             if v != w:
                 mask |= 1 << slot[v, w]
-        census.append((mask, cycle_decomposition(host, sigma).cycles))
+        census.append((mask, cycle_decomposition(host, sigma)))
     return tuple(census)
 
 

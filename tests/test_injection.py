@@ -5,25 +5,56 @@ from math import comb, factorial
 import pytest
 
 from permatch import (
-    IsDirectedCycleError,
-    NotHamiltonError,
     NotInImageError,
     TooLargeError,
     apply_injection,
-    choose_special_vertex,
     complete_graph,
     cycle_decomposition,
     directed_cycle,
     enumerate_permutations,
-    first_minimal_forward_chord,
-    forward_chords,
     hamilton_census,
-    hamilton_cycles,
     invert_injection,
     new_digraph,
 )
 from permatch.counting import check_permutation_on_graph, fixed_points
 from permatch.errors import BadParamsError, NotDerangementError, NotOnGraphError, OutOfRangeError
+from permatch.graphs import bits_of
+from permatch.injection import _canonical_chord
+
+
+def hamilton_cycles(g):
+    """Oracle for hamilton_census: the directed Hamilton cycles of g by
+    backtracking, as vertex tuples rooted at vertex 0."""
+    n, rows = g.n, g.rows
+    path = [0]
+
+    def extend(x, visited):
+        if len(path) == n:
+            if rows[x] & 1:
+                yield tuple(path)
+            return
+        for w in bits_of(rows[x] & ~visited):
+            path.append(w)
+            yield from extend(w, visited | 1 << w)
+            path.pop()
+
+    return extend(0, 1)
+
+
+def forward_chords(g, cycle):
+    """Oracle for _canonical_chord: every forward chord of the Hamilton cycle
+    rooted at cycle[0], as (start, stop, skipped) sorted by start and stop.
+    Positions count from the root, stop reads the root as n, and skipped
+    lists the vertices between the ends in walk order."""
+    n = len(cycle)
+    pos = {v: k for k, v in enumerate(cycle)}
+    chords = []
+    for i, u in enumerate(cycle):
+        for w in bits_of(g.rows[u]):
+            stop = pos[w] or n  # re-entering the root ends the walk
+            if i + 1 < stop:  # forward and not the cycle's own arc
+                chords.append((i, stop, cycle[i + 1 : stop]))
+    return sorted(chords)
 
 
 def worked_example():
@@ -35,38 +66,27 @@ def worked_example():
 
 def test_cycle_decomposition():
     g = new_digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
-    dec = cycle_decomposition(g, (1, 0, 3, 4, 2))
-    assert dec.cycles == ((0, 1), (2, 3, 4))
-    assert dec.fixed == ()
-    dec2 = cycle_decomposition(g, (0, 1, 3, 4, 2))
-    assert dec2.cycles == ((2, 3, 4),)
-    assert dec2.fixed == (0, 1)
+    assert cycle_decomposition(g, (1, 0, 3, 4, 2)) == ((0, 1), (2, 3, 4))
+    assert fixed_points((1, 0, 3, 4, 2)) == ()
+    assert cycle_decomposition(g, (0, 1, 3, 4, 2)) == ((2, 3, 4),)
+    assert fixed_points((0, 1, 3, 4, 2)) == (0, 1)
 
 
 def test_forward_chords_on_worked_example():
     g = worked_example()
     cycle = tuple(range(8))
-    recs = forward_chords(g, cycle)
-    assert [(r.chord, r.skipped) for r in recs] == [
-        ((1, 4), (2, 3)),
-        ((1, 5), (2, 3, 4)),
-        ((3, 6), (4, 5)),
-    ]
-    best = first_minimal_forward_chord(g, cycle)
-    assert best.chord == (1, 4)
+    assert forward_chords(g, cycle) == [(1, 4, (2, 3)), (1, 5, (2, 3, 4)), (3, 6, (4, 5))]
+    assert _canonical_chord(g, cycle) == (1, 4)
     # deleting the winning chord promotes the earliest remaining minimal one:
     # the two survivors have incomparable skipped sets
-    best2 = first_minimal_forward_chord(new_digraph(8, [a for a in g.arcs() if a != (1, 4)]), cycle)
-    assert best2.chord == (1, 5)
+    assert _canonical_chord(new_digraph(8, [a for a in g.arcs() if a != (1, 4)]), cycle) == (1, 5)
 
 
 def test_forward_chords_respect_rooting():
     g = worked_example()
     # rooted at 4, the chord (1, 5) now walks past the root and stops counting
-    recs = forward_chords(g, (4, 5, 6, 7, 0, 1, 2, 3))
-    assert [r.chord for r in recs] == [(1, 4)]
-    assert recs[0].skipped == (2, 3)
-    assert recs[0].end == 0  # chord into the root closes the walk
+    # and the chord (1, 4) from position 5 into the root closes the walk at 8
+    assert forward_chords(g, (4, 5, 6, 7, 0, 1, 2, 3)) == [(5, 8, (2, 3))]
 
 
 def test_backward_chord_is_not_forward():
@@ -74,22 +94,7 @@ def test_backward_chord_is_not_forward():
     g = new_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 1)])
     assert forward_chords(g, (0, 1, 2, 3)) == []
     # but rooting right after the chord target makes it forward
-    recs = forward_chords(g, (2, 3, 0, 1))
-    assert [r.chord for r in recs] == [(2, 1)]
-
-
-def test_hamilton_validation():
-    g = directed_cycle(4)
-    with pytest.raises(NotHamiltonError):
-        forward_chords(g, (0, 1, 2))
-    with pytest.raises(NotHamiltonError):
-        forward_chords(g, (0, 2, 1, 3))
-    with pytest.raises(NotHamiltonError):
-        forward_chords(g, (0, 1, 2, 2))
-    with pytest.raises(NotHamiltonError, match="visit every vertex"):
-        first_minimal_forward_chord(g, (0, 1, 2))
-    with pytest.raises(NotHamiltonError, match=r"missing cycle arc \(0, 2\)"):
-        first_minimal_forward_chord(g, (0, 2, 1, 3))
+    assert forward_chords(g, (2, 3, 0, 1)) == [(0, 3, (3, 0))]
 
 
 def test_apply_on_bare_cycle_dissolves():
@@ -169,7 +174,7 @@ def test_invert_rejects_outside_image():
     assert invert_injection(g, (0, 1, 2, 3), 1) == (1, 2, 3, 0)
     # a graph with several Hamilton tours: identity cannot be inverted
     two = complete_graph(4).base
-    assert len(hamilton_cycles(two)) > 1
+    assert len(list(islice(hamilton_cycles(two), 2))) == 2
     with pytest.raises(NotInImageError):
         invert_injection(two, (0, 1, 2, 3), 0)
     # permutations without fixed points are never images
@@ -216,25 +221,12 @@ def test_roundtrip_samples_midsize():
 
 def test_hamilton_cycles_counts():
     k4 = complete_graph(4)
-    cycles = hamilton_cycles(k4.base)
+    cycles = list(hamilton_cycles(k4.base))
     assert len(cycles) == 6  # (n-1)! rooted tours
     assert all(c[0] == 0 for c in cycles)
-    assert hamilton_cycles(directed_cycle(6)) == [tuple(range(6))]
-    assert hamilton_cycles(new_digraph(3, [(0, 1), (1, 2)])) == []
-    assert len(hamilton_cycles(k4.base, limit=2)) == 2
-    with pytest.raises(TooLargeError):
-        hamilton_cycles(new_digraph(17, []))
-
-
-def test_choose_special_vertex():
-    with pytest.raises(IsDirectedCycleError):
-        choose_special_vertex(directed_cycle(5))
-    # unique tour with one chord (1, 3): the chord tail is the root
-    g = new_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
-    assert len(hamilton_cycles(g)) == 1
-    assert choose_special_vertex(g) == 1
-    # several tours: default root
-    assert choose_special_vertex(complete_graph(4)) == 0
+    assert list(hamilton_cycles(directed_cycle(6))) == [tuple(range(6))]
+    assert list(hamilton_cycles(new_digraph(3, [(0, 1), (1, 2)]))) == []
+    assert len(list(islice(hamilton_cycles(k4.base), 2))) == 2
 
 
 def test_census_on_complete_digraph():
@@ -297,7 +289,7 @@ def test_census_dp_matches_cycle_patterns_and_hamilton_search():
     for g in graphs:
         census = hamilton_census(g)
         assert (census.ham_count, census.through) == _census_by_patterns(g), g
-        assert census.ham_count == len(hamilton_cycles(g)), g
+        assert census.ham_count == len(list(hamilton_cycles(g))), g
 
 
 def _random_digraphs(seed, count, sizes, densities):
@@ -317,21 +309,21 @@ def _all_small_digraphs():
 def _chord_by_inclusion(g, cycle):
     """The chord rule by its definition: skipped sets minimal under strict
     inclusion, the earliest start among them."""
-    records = forward_chords(g, cycle)
-    sets = [frozenset(r.skipped) for r in records]
-    minimal = [r for r, s in zip(records, sets) if not any(other < s for other in sets)]
-    assert len({r.start for r in minimal}) == len(minimal), "two minimal chords share a start"
-    return min(minimal, key=lambda r: r.start, default=None)
+    chords = forward_chords(g, cycle)
+    sets = [frozenset(skipped) for _, _, skipped in chords]
+    minimal = [(start, stop) for (start, stop, _), s in zip(chords, sets) if not any(other < s for other in sets)]
+    assert len({start for start, _ in minimal}) == len(minimal), "two minimal chords share a start"
+    return min(minimal, default=None)
 
 
 def test_first_minimal_chord_matches_inclusion_definition():
     graphs = _all_small_digraphs() + list(_random_digraphs(77, 300, range(5, 10), (0.3, 0.5, 0.7, 0.9)))
     rotated = 0
     for g in graphs:
-        for h in hamilton_cycles(g, limit=8):
+        for h in islice(hamilton_cycles(g), 8):
             for k in range(g.n):
                 cycle = h[k:] + h[:k]
-                assert first_minimal_forward_chord(g, cycle) == _chord_by_inclusion(g, cycle), (g, cycle)
+                assert _canonical_chord(g, cycle) == _chord_by_inclusion(g, cycle), (g, cycle)
                 rotated += 1
     assert rotated > 10_000
 

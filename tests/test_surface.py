@@ -1,4 +1,5 @@
-"""Surface guard: every public name in the package has a caller.
+"""Surface guards: every public name in the package has a caller, and every
+imported name is used.
 
 Each public function, class and method defined in ``src/permatch/*.py``
 (``__init__`` aside) must be referenced outside its own definition, as an
@@ -6,6 +7,10 @@ Each public function, class and method defined in ``src/permatch/*.py``
 ``perfbench/``. The re-exports in ``__init__`` do not count, and neither do
 the tests: a name only the tests call is surface that nothing else uses.
 The exceptions are listed in ``ALLOWED``, each with its reason.
+
+Each name a module under ``src/permatch`` (``__init__`` aside),
+``scripts/``, ``perfbench/`` or ``tests/`` imports must appear in it as an
+``ast.Name``, so a deletion leaves no import behind.
 
 The match is by name only, so two definitions that share a name are
 covered by each other's callers: ``UndirectedGraph.induced`` would pass on
@@ -18,18 +23,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "permatch"
 CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+IMPORTERS = (*CALLERS, ROOT / "tests")
 
 ALLOWED = {
     # independent oracles that the tests compare the kernels against
     "permanent_naive": "oracle: the permanent by its definition, for the kernel tests",
     "bipartite_permutation_sum": "oracle: p of a flattened bipartite graph by squared subpermanents",
     "derangement_number": "oracle: d(n) by recurrence, against the complete-graph counts",
-    # statements of the paper that have no CLI entry
-    "choose_special_vertex": "paper: the root at which the injection misses a permutation",
-    "forward_chords": "paper: the chords the cycle-breaking map chooses from",
-    "first_minimal_forward_chord": "paper: the chord the cycle-breaking map breaks at",
-    "cycle_doubling_sweep": "paper: the cycle-doubling corollary on every digraph up to 5 vertices",
-    "log_bounds": "paper: the log-permanent bounds of the ratio estimate",
+    "log_bounds": "oracle: the van der Waerden and Bregman bounds criterion 09 holds permanent_zero_one to",
+    # a statement of the paper with no CLI entry yet
+    "cycle_doubling_sweep": "paper: the cycle-doubling corollary on every digraph up to 5 vertices; "
+    "waits on the ROADMAP item that adds a `sweep` command",
 }
 
 
@@ -81,3 +85,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             unused.add(name)
     assert unused - set(ALLOWED) == set(), "public names with no caller; delete them or list them in ALLOWED"
     assert set(ALLOWED) <= unused, "ALLOWED names that now have a caller; drop them from the table"
+
+
+def _imported_names(tree):
+    """name -> line of each name an import statement binds, __future__ aside."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    scanned = 0
+    for directory in IMPORTERS:
+        for path, tree in _trees(directory):
+            scanned += 1
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for name, line in _imported_names(tree).items():
+                if name not in used:
+                    unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    assert scanned > 20  # the scan found the modules
+    assert unused == [], "imported names that are never used; drop the imports"

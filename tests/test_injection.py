@@ -182,6 +182,25 @@ def test_invert_rejects_outside_image():
         invert_injection(g, (1, 2, 3, 0), 0)
 
 
+def test_chord_tail_root_keeps_identity_out_of_image():
+    # a unique tour 0 -> 1 -> 2 -> 3 -> 0 with one chord (1, 3): the tour is
+    # the only derangement, so the root decides whether the all-fixed
+    # permutation is an image, which is what makes the injection strict
+    g = new_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    tour = (1, 2, 3, 0)
+    assert list(hamilton_cycles(g)) == [(0, 1, 2, 3)]
+    assert list(enumerate_permutations(g, derangements_only=True)) == [tour]
+    identity = (0, 1, 2, 3)
+    # rooted at the chord tail the chord is forward and keeps 1 -> 3 -> 0 -> 1
+    assert apply_injection(g, tour, 1) == (1, 3, 2, 0)
+    with pytest.raises(NotInImageError):
+        invert_injection(g, identity, 1)
+    # rooted at 2 the walk meets the chord head 3 before its tail 1: the chord
+    # runs backward and the tour dissolves
+    assert apply_injection(g, tour, 2) == identity
+    assert invert_injection(g, identity, 2) == tour
+
+
 def test_roundtrip_exhaustive_small():
     rng = random.Random(21)
     for trial in range(40):

@@ -74,7 +74,6 @@ from .random_models import (
     sample,
 )
 from .verify import (
-    SurveyRecord,
     TheoremReport,
     check_bipartite_extremal,
     check_blowup_formulas,

@@ -12,12 +12,18 @@ Each name a module under ``src/permatch`` (``__init__`` aside),
 ``scripts/``, ``perfbench/`` or ``tests/`` imports must appear in it as an
 ``ast.Name``, so a deletion leaves no import behind.
 
+Every module under ``src/permatch``, ``scripts/`` and ``perfbench/`` must
+parse at the oldest Python that ``pyproject.toml`` declares
+(``requires-python``), so syntax newer than the floor fails here even when
+the suite runs on a newer interpreter.
+
 The match is by name only, so two definitions that share a name are
 covered by each other's callers: ``UndirectedGraph.induced`` would pass on
 the strength of ``Digraph.induced``'s callers alone.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,3 +118,12 @@ def test_every_imported_name_is_used():
                     unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert scanned > 20  # the scan found the modules
     assert unused == [], "imported names that are never used; drop the imports"
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    declared = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    floor = (int(declared[1]), int(declared[2]))
+    paths = [path for directory in CALLERS for path in sorted(directory.glob("*.py"))]
+    assert len(paths) > 15 and PACKAGE / "__init__.py" in paths  # the scan found the modules
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)

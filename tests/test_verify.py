@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from permatch import (
@@ -14,7 +15,6 @@ from permatch import (
     NotInImageError,
     NotPerfectMatchingError,
     OutOfRangeError,
-    SurveyRecord,
     TooLargeError,
     apply_injection,
     bipartite_permutation_sum,
@@ -51,15 +51,22 @@ from permatch import (
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.verify import (
-    SurveyColumns,
     _bipartition_matchings,
     _exhaustive_survey,
+    _hex_text,
     _host_census,
+    _ratio_text,
     _survey_row,
-    adjacency_hex,
     digraph_from_arc_index,
     format_ratio,
 )
+
+
+def adjacency_hex(rows):
+    """Oracle for the record's hex text: each adjacency row zero-padded to one
+    digit per 4 vertices, the rows joined by ':'."""
+    width = (len(rows) + 3) // 4
+    return ":".join(f"{row:0{width}x}" for row in rows)
 
 
 def test_format_12sig():
@@ -362,33 +369,63 @@ def test_repeated_all_graphs_routes_list_no_permutation(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_each_digraph_slot_is_one_arc(n):
     # slot s is the s-th off-diagonal arc in row-major order
-    records, _, _ = _exhaustive_survey("digraphs", n)
+    rows = _exhaustive_survey("digraphs", n)[0]
     for s, arc in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
         g = digraph_from_arc_index(n, 1 << s)
         assert g.arcs() == [arc]
-        assert (records[1 << s].arcs, records[1 << s].adjacency_hex) == (1, adjacency_hex(g)), (n, s)
+        assert tuple(rows[1 << s].tolist()) == g.rows, (n, s)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_each_biadjacency_slot_is_one_edge(n):
-    records, _, _ = _exhaustive_survey("bipartite", n)
+    rows = _exhaustive_survey("bipartite", n)[0]
     for i in range(n):
         for j in range(n):
             flat = new_bipartite(n, n, [(i, j)]).to_graph()
-            rec = records[1 << n * i + j]
-            assert (rec.arcs, rec.adjacency_hex) == (2, adjacency_hex(flat)), (n, i, j)
+            assert tuple(rows[1 << n * i + j].tolist()) == flat.rows, (n, i, j)
 
 
 def test_survey_record_and_hex():
     g = directed_cycle(4)
-    row, holds, equality = _survey_row(g)
-    assert row == (4, "2:4:8:1", 1, 2) and holds and equality  # arcs, hex, d, p
-    assert adjacency_hex(g) == "2:4:8:1"
-    records = SurveyColumns(4, [4, 0], ["2:4:8:1", "0:0:0:0"], [1, 0], [2, 1])
-    assert len(records) == 2
-    assert records[0] == SurveyRecord(4, 4, "2:4:8:1", 1, 2, "1/2", "0.500000000000")
-    assert records[-1] == SurveyRecord(4, 0, "0:0:0:0", 0, 1, "0/1", "0.000000000000")
-    assert list(records) == [records[0], records[1]]
+    assert _survey_row(g) == ((2, 4, 8, 1), 1, 2, True, True)  # rows, d, p, verdict, equality
+    assert adjacency_hex(g.rows) == "2:4:8:1"
+    assert _hex_text(np.array([g.rows, (0, 0, 0, 0)])) == ["2:4:8:1", "0:0:0:0"]
+    assert _ratio_text(1, 2) == ("1/2", "0.500000000000")
+    assert _ratio_text(0, 1) == ("0/1", "0.000000000000")
+
+
+def test_hex_text_matches_the_oracle_at_every_width():
+    # n = 1..20 crosses each digit-width boundary: 4|5, 8|9, 12|13 and 16|17
+    for n in range(1, 21):
+        rng = random.Random(n)
+        rows = [[0] * n, [(1 << n) - 1] * n, *([rng.getrandbits(n) for _ in range(n)] for _ in range(30))]
+        want = [adjacency_hex(r) for r in rows]
+        assert _hex_text(np.array(rows, dtype=np.int64)) == want, n
+        # the exhaustive families hand over a transposed, column-major array
+        assert _hex_text(np.array(rows, dtype=np.int64).T.copy().T) == want, n
+
+
+def test_scan_formats_only_what_it_prints(monkeypatch, tmp_path):
+    hexed, ratios = [], []
+    hex_text, ratio_text = verify._hex_text, verify._ratio_text
+
+    def counted_hex(rows):
+        hexed.append(len(rows))
+        return hex_text(rows)
+
+    def counted_ratio(d, p):
+        ratios.append((d, p))
+        return ratio_text(d, p)
+
+    monkeypatch.setattr(verify, "_hex_text", counted_hex)
+    monkeypatch.setattr(verify, "_ratio_text", counted_ratio)
+    scan("bipartite", 3)
+    assert (hexed, len(ratios)) == ([1], 1)  # the summary's best graph only
+    hexed.clear()
+    ratios.clear()
+    summary = scan("bipartite", 3, out_path=tmp_path / "records.csv")
+    assert hexed == [1, summary["graphs"]]  # the best graph, then every graph once for the file
+    assert len(ratios) == 1 + len(set(ratios[1:]))  # the best graph, then each distinct (d, p) once
 
 
 def test_scan_digraphs_n2():
@@ -453,16 +490,28 @@ def test_scan_exhaustive_same_at_any_thread_count(tmp_path, family, n):
     assert s1 == {**s2, "out": str(a)}
 
 
+FIELDS = ("n", "arcs", "adjacency_hex", "derangements", "permutations", "ratio_exact", "ratio_float")
+
+
+def record_tuples(rows, pairs):
+    """Each graph's record as a plain tuple in FIELDS order, built here from
+    its adjacency rows and (d, p)."""
+    return [
+        (len(r), sum(x.bit_count() for x in r), adjacency_hex(r), d, p)
+        + (format_ratio(Fraction(d, p)), format_12sig(Fraction(d, p)))
+        for r, (d, p) in zip(rows.tolist(), pairs)
+    ]
+
+
 def per_record_bytes(records, suffix):
     """The written file as the per-record writers give it: csv.writer over
-    records[i], or json.dumps(records[i]._asdict()) per line."""
-    rows = [records[i] for i in range(len(records))]
+    the records, or json.dumps of each record's fields per line."""
     if suffix == ".jsonl":
-        return "".join(json.dumps(rec._asdict()) + "\n" for rec in rows).encode()
+        return "".join(json.dumps(dict(zip(FIELDS, rec))) + "\n" for rec in records).encode()
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(SurveyRecord._fields)
-    writer.writerows(rows)
+    writer.writerow(FIELDS)
+    writer.writerows(records)
     return buf.getvalue().encode()
 
 
@@ -475,29 +524,32 @@ def per_record_bytes(records, suffix):
         ("sampled-undirected", 8, {"samples": 40, "q": "1/3", "seed": 5}),
         # some of these draw K_{2,2}, whose ratio is the reference itself and no exceedance
         ("sampled-undirected", 4, {"samples": 40, "q": "3/4", "seed": 5}),
+        # four hex digits per row past 12 vertices, five past 16
+        ("sampled-undirected", 13, {"samples": 40, "seed": 5}),
+        ("sampled-undirected", 20, {"samples": 5, "seed": 1}),
     ],
 )
 def test_written_records_match_the_per_record_route(monkeypatch, tmp_path, family, n, kwargs, suffix):
     written = []
     write_records = verify.write_records
 
-    def kept(records, path):
-        written.append(records)
-        write_records(records, path)
+    def kept(rows, pairs, path):
+        written.append(record_tuples(rows, pairs))
+        write_records(rows, pairs, path)
 
     monkeypatch.setattr(verify, "write_records", kept)
     out = tmp_path / f"records{suffix}"
     summary = scan(family, n, out_path=out, **kwargs)
     (records,) = written
+    assert len(records) == summary["graphs"] and {rec[0] for rec in records} == {2 * n if family == "bipartite" else n}
     assert out.read_bytes() == per_record_bytes(records, suffix)
     # the summary as a loop over the records gives it; the first record wins ties
-    rows = list(records)
-    best = max(rows, key=lambda rec: Fraction(rec.derangements, rec.permutations))
-    assert (summary["max_ratio"], summary["max_ratio_float"]) == (best.ratio_exact, best.ratio_float)
-    assert summary["argmax_adjacency_hex"] == best.adjacency_hex
+    _, _, best_hex, _, _, best_exact, best_float = max(records, key=lambda rec: Fraction(rec[3], rec[4]))
+    assert (summary["max_ratio"], summary["max_ratio_float"]) == (best_exact, best_float)
+    assert summary["argmax_adjacency_hex"] == best_hex
     if "reference_ratio" in summary:
         reference = Fraction(summary["reference_ratio"])
-        assert summary["conjecture_exceedances"] == sum(Fraction(rec.ratio_exact) > reference for rec in rows)
+        assert summary["conjecture_exceedances"] == sum(Fraction(rec[5]) > reference for rec in records)
         if n == 4:
             assert summary["max_ratio"] == summary["reference_ratio"]
 
@@ -552,14 +604,8 @@ def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
     assert pool_sizes[-1] == 3
 
 
-def survey_record(g):
-    """g's scan record, built on its own from the counts of _survey_row."""
-    arcs, hexes, d, p = _survey_row(g)[0]
-    return SurveyRecord(g.n, arcs, hexes, d, p, format_ratio(Fraction(d, p)), format_12sig(Fraction(d, p)))
-
-
 def per_graph_row(family, n, index):
-    """The record, verdict and equality of one graph, checked on its own."""
+    """The adjacency rows, d, p, verdict and equality of one graph, checked on its own."""
     if family == "digraphs":
         g, b = digraph_from_arc_index(n, index), None
     else:
@@ -569,7 +615,7 @@ def per_graph_row(family, n, index):
     ok = report.holds
     if b is not None and ok and count_perfect_matchings(b) > 0:
         ok = check_half_hitting(b).holds and check_bipartite_extremal(b).holds
-    return survey_record(g), ok, bool(report.equality)
+    return g.rows, report.details["derangements"], report.details["permutations"], ok, bool(report.equality)
 
 
 @pytest.mark.parametrize(
@@ -582,19 +628,22 @@ def per_graph_row(family, n, index):
     ],
 )
 def test_exhaustive_survey_matches_per_graph_checks(family, n, indices):
-    records, ok, equality = _exhaustive_survey(family, n)
-    assert len(records) == len(ok) == len(equality) == 1 << (n * (n - 1) if family == "digraphs" else n * n)
-    for index in range(len(records)) if indices is None else indices:
-        got = records[index], bool(ok[index]), bool(equality[index])
+    rows, d, p, ok, equality = _exhaustive_survey(family, n)
+    graphs = 1 << (n * (n - 1) if family == "digraphs" else n * n)
+    assert rows.shape == (graphs, n if family == "digraphs" else 2 * n)
+    assert len(d) == len(p) == len(ok) == len(equality) == graphs
+    for index in range(graphs) if indices is None else indices:
+        got = tuple(rows[index].tolist()), d[index], p[index], bool(ok[index]), bool(equality[index])
         assert got == per_graph_row(family, n, index), (family, n, index)
 
 
 def test_exhaustive_survey_largest_host_matches_pair_kernel():
     # the flattened K_{4,4} is the complete biadjacency, the last index
-    records, ok, _ = _exhaustive_survey("bipartite", 4)
+    rows, d, p, ok, _ = _exhaustive_survey("bipartite", 4)
     flat = complete_bipartite(4).to_graph()
-    assert (records[-1].derangements, records[-1].permutations) == permanent_zero_one_pair(flat.rows, 8)
-    assert records[-1].permutations == 1313 and ok.all()
+    assert tuple(rows[-1].tolist()) == flat.rows
+    assert (d[-1], p[-1]) == permanent_zero_one_pair(flat.rows, 8)
+    assert p[-1] == 1313 and ok.all()
 
 
 def test_scan_single_vertex_families():

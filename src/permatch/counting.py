@@ -77,20 +77,29 @@ def dp_ratio(g: Digraph | UndirectedGraph) -> Fraction:
 
 
 def _row_matchings(rows: Sequence[int]) -> Iterator[Permutation]:
-    """Every way to give each row i a distinct column from its bitmask rows[i],
-    as image tuples in lexicographic order."""
+    """Every way to give each row i a distinct column from its bitmask rows[i], as image tuples in
+    lexicographic order (one empty tuple for no rows), from one explicit stack of the rows' choices."""
     n = len(rows)
-    image = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[Permutation]:
-        if i == n:
+    if n == 0:
+        yield ()
+        return
+    image, left = [0] * n, [rows[0]] + [0] * (n - 1)  # left[i]: the columns row i has yet to try
+    i, used = 0, 0  # used: the columns rows 0..i-1 took
+    while i >= 0:
+        cand = left[i]
+        if not cand:
+            i -= 1
+            used ^= 1 << image[i]  # back at row i: its column is free again
+            continue
+        low = cand & -cand
+        left[i] = cand ^ low
+        image[i] = low.bit_length() - 1
+        if i == n - 1:
             yield tuple(image)
-            return
-        for j in bits_of(rows[i] & ~used):
-            image[i] = j
-            yield from rec(i + 1, used | 1 << j)
-
-    return rec(0, 0)
+        else:
+            used |= low
+            i += 1
+            left[i] = rows[i] & ~used
 
 
 def enumerate_permutations(

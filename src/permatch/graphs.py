@@ -64,7 +64,13 @@ class Digraph:
         return sum(row.bit_count() for row in self.rows)
 
     def is_symmetric(self) -> bool:
-        return all(self.rows[v] >> u & 1 for u in range(self.n) for v in bits_of(self.rows[u]))
+        rows = self.rows
+        for u, row in enumerate(rows):
+            while row:
+                if not rows[(row & -row).bit_length() - 1] >> u & 1:
+                    return False
+                row &= row - 1
+        return True
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Dense 0/1 adjacency matrix (row-major)."""

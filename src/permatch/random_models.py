@@ -21,7 +21,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .counting import dp_ratio
 from .errors import BadParamsError, CounterexampleError, TooLargeError
-from .graphs import Digraph, UndirectedGraph, new_digraph, new_graph
+from .graphs import Digraph, UndirectedGraph
 
 MODEL_KINDS = ("digraph", "graph")
 # below Python's 4,300-digit int-to-str limit: E[p] <= n! and its denominator
@@ -59,13 +59,17 @@ class ModelSpec:
 
 
 def sample(model: ModelSpec, seed: int) -> Digraph | UndirectedGraph:
-    rng = random.Random(seed)
+    draw = random.Random(seed).getrandbits
     n, threshold, den = model.n, model.q.numerator << 53, model.q.denominator
-    if model.kind == "digraph":
-        slots, build = [(i, j) for i in range(n) for j in range(n) if i != j], new_digraph
-    else:
-        slots, build = [(i, j) for i in range(n) for j in range(i + 1, n)], new_graph
-    return build(n, [s for s in slots if rng.getrandbits(53) * den < threshold])
+    directed = model.kind == "digraph"
+    rows = [0] * n
+    for i in range(n):
+        for j in range(0 if directed else i + 1, n):
+            if j != i and draw(53) * den < threshold:
+                rows[i] |= 1 << j
+                rows[j] |= (not directed) << i  # an edge {i, j}, i < j, is drawn once and set in both rows
+    g = Digraph(n, tuple(rows))
+    return g if directed else UndirectedGraph(g)
 
 
 # ---------------------------------------------------------------------------

@@ -473,10 +473,17 @@ def _hex_text(rows: np.ndarray) -> list[str]:
     return text.view(f"U{n * (digits + 1) - 1}").ravel().tolist()
 
 
-def _survey_row(g: Digraph | UndirectedGraph) -> tuple[tuple[int, ...], int, int, bool, bool]:
-    """One sampled scan row: the graph's adjacency rows, d and p, and the ratio-half verdict and equality."""
-    report = check_ratio_half(g)
-    return g.rows, report.details["derangements"], report.details["permutations"], report.holds, bool(report.equality)
+def _ratio_half_verdicts(rows: np.ndarray, d, p) -> tuple[np.ndarray, np.ndarray]:
+    """Each graph's ratio-half verdict and equality flag, from its adjacency rows (graphs x vertices), d and p (at
+    most 20!, inside int64): 2d <= p, and 2d = p exactly on directed cycles. A directed cycle's rows each hold one
+    bit and together hold every vertex (a derangement's arcs), so only such graphs run is_directed_cycle."""
+    d, p = np.asarray(d, dtype=np.int64), np.asarray(p, dtype=np.int64)
+    graphs, n = rows.shape
+    one_each = (np.bitwise_count(rows) == 1).all(axis=1) & (np.bitwise_or.reduce(rows, axis=1) == (1 << n) - 1)
+    cyclic = np.zeros(graphs, dtype=bool)
+    cyclic[one_each] = [is_directed_cycle(Digraph(n, tuple(r))) for r in rows[one_each].tolist()]
+    equality = 2 * d == p
+    return (2 * d <= p) & (equality == cyclic), equality
 
 
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
@@ -504,12 +511,7 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, list[int], list
     rows = np.zeros((host.n, total), dtype=np.int64)
     for (u, v), s in slot.items():
         rows[u] |= (index >> s & 1) << v
-    # a bare directed cycle is its own derangement, so only those masks can be one
-    cyclic = np.zeros(total, dtype=bool)
-    for m in set(derangements):
-        cyclic[m] = is_directed_cycle(Digraph(host.n, tuple(rows[:, m].tolist())))
-    equality = 2 * d == p
-    ok = (2 * d <= p) & (equality == cyclic)
+    ok, equality = _ratio_half_verdicts(rows.T, d, p)
     if family == "bipartite":
         matchings = [mask for mask, orbits in census if [len(o) for o in orbits] == [2] * n]
         per = subset_permanents(slots, matchings)
@@ -526,8 +528,9 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, list[int], list
     return rows.T, d.tolist(), p.tolist(), ok, equality
 
 
-def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, ...], int, int, bool, bool]:
-    return _survey_row(sample(model, child_seed(seed, index)))
+def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, ...], int, int]:  # rows, d, p
+    g = sample(model, child_seed(seed, index))
+    return (g.rows, *dp_counts(g))
 
 
 def scan(
@@ -568,10 +571,10 @@ def scan(
         except FileExistsError:
             Path(out_path).open("a").close()
     if family == "sampled-undirected":
-        rows, derangements, permutations, oks, equalities = zip(
-            *parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
-        )
+        results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
+        rows, derangements, permutations = zip(*results)
         rows = np.array(rows, dtype=np.int64)
+        oks, equalities = _ratio_half_verdicts(rows, derangements, permutations)
     else:
         rows, derangements, permutations, oks, equalities = _exhaustive_survey(family, n)
 

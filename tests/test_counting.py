@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from permatch import (
     BadParamsError,
+    ModelSpec,
     TooLargeError,
     bipartite_permutation_sum,
     blowup,
@@ -29,6 +30,7 @@ from permatch import (
     new_digraph,
     new_graph,
     permutations_by_fixed_points,
+    sample,
 )
 from permatch import counting
 from permatch.counting import (
@@ -39,6 +41,8 @@ from permatch.counting import (
     parse_permutation,
 )
 from permatch.errors import NotDerangementError, NotOnGraphError
+from permatch.graphs import bits_of
+from permatch.verify import digraph_from_arc_index
 
 DERANGEMENTS = [1, 0, 1, 2, 9, 44, 265, 1854]
 
@@ -78,6 +82,31 @@ def test_enumeration_matches_counts():
         assert set(ders) <= set(perms)
         for sigma in perms:
             check_permutation_on_graph(g, sigma)
+
+
+def nested_row_matchings(rows):
+    """Oracle for counting._row_matchings: one generator frame per row."""
+    n = len(rows)
+    image = [0] * n
+
+    def rec(i, used):
+        if i == n:
+            yield tuple(image)
+            return
+        for j in bits_of(rows[i] & ~used):
+            image[i] = j
+            yield from rec(i + 1, used | 1 << j)
+
+    return rec(0, 0)
+
+
+def test_stack_enumerator_matches_the_nested_oracle():
+    graphs = [digraph_from_arc_index(n, index) for n in (3, 4) for index in range(1 << n * (n - 1))]
+    graphs += [sample(ModelSpec("digraph", 1 + seed % 7, q="1/2"), seed) for seed in range(150)]
+    for g in graphs:
+        for rows in (g.rows, [row | 1 << i for i, row in enumerate(g.rows)]):
+            assert list(counting._row_matchings(rows)) == list(nested_row_matchings(rows)), rows
+    assert list(counting._row_matchings([])) == [()]
 
 
 def test_permutation_validation():

@@ -11,6 +11,7 @@ from permatch import (
     ModelSpec,
     OutOfRangeError,
     SelfLoopError,
+    UndirectedGraph,
     blowup,
     canonical_matching,
     complete_bipartite,
@@ -116,6 +117,20 @@ def test_blowup_shape():
     assert blowup(1, 5) == directed_cycle(5)
     # the l=2 blowup is symmetric
     assert blowup(3, 2).is_symmetric()
+
+
+def test_undirected_graph_refuses_one_missing_reverse_arc():
+    full = complete_graph(64).rows
+    for u, v in ((0, 1), (0, 63), (63, 0), (63, 62)):
+        rows = list(full)
+        rows[u] &= ~(1 << v)  # v -> u stays, u -> v goes
+        with pytest.raises(BadParamsError, match="symmetric adjacency"):
+            UndirectedGraph(Digraph(64, tuple(rows)))
+    for k in (1, 3, 32):
+        assert UndirectedGraph(blowup(k, 2)).base == blowup(k, 2)
+    for n in (1, 2, 7, 64):
+        assert UndirectedGraph(complete_graph(n).base).edge_count == n * (n - 1) // 2
+    assert not blowup(3, 3).is_symmetric()
 
 
 def test_lonely_matching_ring_shape():

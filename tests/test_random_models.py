@@ -1,3 +1,6 @@
+import contextlib
+import io
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import exp, isclose
@@ -14,8 +17,12 @@ from permatch import (
     derangement_number,
     expected_counts,
     mc_dp_ratio,
+    new_digraph,
+    new_graph,
+    random_models,
     sample,
 )
+from permatch.cli import main
 from permatch.random_models import child_seed, ratio_target
 from permatch.verify import digraph_from_arc_index
 
@@ -53,6 +60,41 @@ def test_sampled_stream_is_pinned():
     assert sample(ModelSpec("graph", 12, q="1/2"), 7).rows == (
         3884, 3336, 1073, 563, 2988, 3037, 2848, 560, 3187, 1273, 2823, 1395,
     )
+
+
+def arc_list_sample(model, seed):
+    """Oracle sampler: the slots listed in row-major order, one 53-bit draw
+    each, the kept ones built into a graph through its arc or edge list."""
+    rng = random.Random(seed)
+    n, threshold, den = model.n, model.q.numerator << 53, model.q.denominator
+    if model.kind == "digraph":
+        slots, build = [(i, j) for i in range(n) for j in range(n) if i != j], new_digraph
+    else:
+        slots, build = [(i, j) for i in range(n) for j in range(i + 1, n)], new_graph
+    return build(n, [s for s in slots if rng.getrandbits(53) * den < threshold])
+
+
+@pytest.mark.parametrize("kind", ["digraph", "graph"])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_row_sampler_matches_the_arc_list_oracle(kind, n):
+    for q in ("0", "1/3", "1/2", "4/5", "1"):
+        model = ModelSpec(kind, n, q=q)
+        for seed in range(50):
+            got, want = sample(model, seed), arc_list_sample(model, seed)
+            assert type(got) is type(want) and got.rows == want.rows, (q, seed)
+
+
+def test_mc_json_is_the_same_through_the_oracle_sampler(monkeypatch):
+    def mc_json(*args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["mc", *args, "--samples", "6", "--seed", "3", "--threads", "1", "--json"]) == 0
+        return out.getvalue()
+
+    runs = [("--model", "digraph", "--n", "9", "--q", "1/3"), ("--model", "graph", "--n", "12", "--q", "1/2")]
+    new = [mc_json(*args) for args in runs]
+    monkeypatch.setattr(random_models, "sample", arc_list_sample)
+    assert new == [mc_json(*args) for args in runs]
 
 
 def test_sampling_edge_probabilities():

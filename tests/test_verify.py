@@ -50,13 +50,15 @@ from permatch import (
     verify,
 )
 from permatch.permanent import permanent_zero_one_pair
+from permatch.random_models import child_seed
 from permatch.verify import (
     _bipartition_matchings,
     _exhaustive_survey,
     _hex_text,
     _host_census,
+    _ratio_half_verdicts,
     _ratio_text,
-    _survey_row,
+    _sampled_row,
     digraph_from_arc_index,
     format_ratio,
 )
@@ -386,8 +388,11 @@ def test_each_biadjacency_slot_is_one_edge(n):
 
 
 def test_survey_record_and_hex():
+    model = ModelSpec("graph", 2, q="1")
+    assert _sampled_row(model, 0, 0) == ((2, 1), 1, 2)  # K2's rows, d and p
     g = directed_cycle(4)
-    assert _survey_row(g) == ((2, 4, 8, 1), 1, 2, True, True)  # rows, d, p, verdict, equality
+    ok, equality = _ratio_half_verdicts(np.array([g.rows, (0, 0, 0, 0)]), [1, 0], [2, 1])
+    assert (ok.tolist(), equality.tolist()) == ([True, True], [True, False])
     assert adjacency_hex(g.rows) == "2:4:8:1"
     assert _hex_text(np.array([g.rows, (0, 0, 0, 0)])) == ["2:4:8:1", "0:0:0:0"]
     assert _ratio_text(1, 2) == ("1/2", "0.500000000000")
@@ -478,6 +483,50 @@ def test_scan_sampled_deterministic_and_threaded(tmp_path):
     assert "reference_ratio" in s1  # n is even
     odd = scan("sampled-undirected", 5, samples=4, q="1/2", seed=9)
     assert "reference_ratio" not in odd
+
+
+def test_scan_sampled_records_same_at_any_thread_count(tmp_path):
+    paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    for threads, path in zip((1, 2), paths):
+        scan("sampled-undirected", 12, samples=8, q="1/2", seed=4, out_path=path, threads=threads)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("n, q, samples", [(2, "1/2", 12), (7, "1/3", 40), (12, "1/2", 10)])
+def test_sampled_verdicts_match_per_graph_checks(monkeypatch, n, q, samples):
+    verdicts = []
+
+    def kept(rows, d, p):
+        verdicts.append(_ratio_half_verdicts(rows, d, p))
+        return verdicts[-1]
+
+    monkeypatch.setattr(verify, "_ratio_half_verdicts", kept)
+    summary = scan("sampled-undirected", n, samples=samples, q=q, seed=11)
+    ((ok, equality),) = verdicts
+    model = ModelSpec("graph", n, q=q)
+    reports = [check_ratio_half(sample(model, child_seed(11, i))) for i in range(samples)]
+    assert ok.tolist() == [r.holds for r in reports]
+    assert equality.tolist() == [r.equality for r in reports]
+    assert summary["counterexamples"] == 0 and summary["equality_count"] == sum(equality.tolist())
+    if n == 2:  # K2 is a directed 2-cycle, with equality
+        assert 0 < summary["equality_count"] < samples
+
+
+def test_ratio_half_verdicts_flag_each_failure():
+    cycle, two_cycles, complete, empty = (2, 4, 8, 1), (2, 1, 8, 4), (14, 13, 11, 7), (0, 0, 0, 0)
+    cases = [
+        (cycle, 1, 2, True, True),
+        (empty, 0, 1, True, False),
+        (complete, 9, 24, True, False),
+        (complete, 5, 9, False, False),  # 2d > p
+        (complete, 9, 18, False, True),  # 2d = p on a graph that is no directed cycle
+        (two_cycles, 1, 2, False, True),  # the arcs of a derangement, but of two cycles
+        (cycle, 1, 3, False, False),  # a directed cycle with 2d < p
+    ]
+    rows, d, p, want_ok, want_equality = zip(*cases)
+    ok, equality = _ratio_half_verdicts(np.array(rows, dtype=np.int64), d, p)
+    assert ok.tolist() == list(want_ok)
+    assert equality.tolist() == list(want_equality)
 
 
 @pytest.mark.parametrize("family, n", [("digraphs", 3), ("bipartite", 2)])

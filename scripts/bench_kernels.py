@@ -6,8 +6,11 @@ the median and quartiles of the per-call times, with the CPU count, the numpy
 version and the Python version, under a label in a JSON file. Under the same
 label, ``injection`` holds the microseconds per apply_injection call and per
 invert_injection call, round trips and refusals apart, over every digraph on
-4 vertices at every root. Other labels already in the file are kept, so two
-checkouts can be measured into one file as before/after data points:
+4 vertices at every root, and ``census`` the milliseconds per cold build of
+the exhaustive families' host census (cache cleared) and the microseconds per
+host permutation, for K_8 and the flattened K_{4,4}. Other labels already in
+the file are kept, so two checkouts can be measured into one file as
+before/after data points:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --label after
 """
@@ -25,6 +28,9 @@ from permatch import (
     ModelSpec,
     NotInImageError,
     apply_injection,
+    complete_bipartite,
+    complete_graph,
+    count_permutations,
     digraph_from_arc_index,
     enumerate_permutations,
     invert_injection,
@@ -32,11 +38,13 @@ from permatch import (
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.random_models import _usable_cpus
+from permatch.verify import _host_census
 
 SIZES = (9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
+CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold, RUNS times each
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -104,6 +112,34 @@ def time_injection() -> dict:
     return out
 
 
+def time_census() -> dict:
+    """Per host in CENSUS: the milliseconds of each of RUNS cold _host_census
+    builds (cache cleared first), and the same times per host permutation in
+    microseconds; the permutations are counted apart, as the host's permanent."""
+    out = {}
+    for family, n in CENSUS:
+        host = complete_graph(n) if family == "digraphs" else complete_bipartite(n).to_graph()
+        permutations = count_permutations(host)
+        times = []
+        for _ in range(RUNS):
+            _host_census.cache_clear()
+            start = time.perf_counter()
+            _host_census(family, n)
+            times.append(time.perf_counter() - start)
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out[f"{family}-{n}"] = {
+            "permutations": permutations,
+            "builds": RUNS,
+            "median_ms": median * 1e3,
+            "q1_ms": q1 * 1e3,
+            "q3_ms": q3 * 1e3,
+            "median_us_per_permutation": median / permutations * 1e6,
+            "q1_us_per_permutation": q1 / permutations * 1e6,
+            "q3_us_per_permutation": q3 / permutations * 1e6,
+        }
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
@@ -113,12 +149,14 @@ def main(argv=None):
     doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     sizes = {str(n): time_pair(n) for n in SIZES}
     injection = time_injection()
+    census = time_census()
     doc.setdefault("runs", {})[args.label] = {
         "cpus": _usable_cpus(),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "sizes": sizes,
         "injection": injection,
+        "census": census,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in sizes.items():
@@ -126,6 +164,11 @@ def main(argv=None):
     for key in ("apply", "round_trip", "refusal"):
         row = injection[key]
         print(f"injection {key:<10}  median {row['median_us']:7.2f} us  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
+    for host, row in census.items():
+        print(
+            f"census {host:<11}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
+            f"  {row['median_us_per_permutation']:.2f} us per permutation ({row['permutations']})"
+        )
     return 0
 
 

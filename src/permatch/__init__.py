@@ -61,7 +61,6 @@ from .counting import (
 from .injection import (
     HamiltonCensus,
     apply_injection,
-    cycle_decomposition,
     hamilton_census,
     invert_injection,
 )

@@ -33,23 +33,6 @@ from .errors import NotInImageError, OutOfRangeError, TooLargeError
 from .graphs import Digraph, UndirectedGraph, bits_of
 
 
-def cycle_decomposition(g: Digraph | UndirectedGraph, sigma: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The nontrivial orbits of sigma, each rotated to start at its smallest
-    vertex, listed in order of that vertex."""
-    sigma = check_permutation_on_graph(g, sigma)
-    seen = [False] * len(sigma)
-    cycles = []
-    for v in range(len(sigma)):
-        if seen[v]:
-            continue
-        orbit = _orbit(sigma, v)
-        for w in orbit:
-            seen[w] = True
-        if len(orbit) > 1:
-            cycles.append(tuple(orbit))
-    return tuple(cycles)
-
-
 def _orbit(sigma: Permutation, v: int) -> list[int]:
     """The orbit of v under a checked permutation, in walk order from v."""
     orbit = [v]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .counting import dp_ratio
 from .errors import BadParamsError, CounterexampleError, TooLargeError
-from .graphs import Digraph, UndirectedGraph
+from .graphs import MAX_VERTICES, Digraph, UndirectedGraph
 
 MODEL_KINDS = ("digraph", "graph")
 # below Python's 4,300-digit int-to-str limit: E[p] <= n! and its denominator
@@ -55,6 +55,8 @@ class ModelSpec:
             raise BadParamsError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if type(self.n) is not int or self.n < 1:  # bool is no size
             raise BadParamsError(f"model needs a positive vertex count, got {self.n!r}")
+        if self.n > MAX_VERTICES:  # before sample draws n(n-1) words for a graph the constructor refuses
+            raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
         object.__setattr__(self, "q", _as_probability(self.q))
 
 

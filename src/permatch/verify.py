@@ -45,10 +45,9 @@ from .graphs import (
     blowup,
     canonical_matching,
     complete_graph,
-    new_digraph,
     require_perfect_matching,
 )
-from .injection import apply_injection, cycle_decomposition, hamilton_census, invert_injection
+from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, sample
 
@@ -368,48 +367,48 @@ def check_cycle_doubling(g: Digraph | UndirectedGraph) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive families' slot numbering and host census, and the cycle-doubling sweep
+# the exhaustive families' host census, and the cycle-doubling sweep
 
 
 @cache
-def _slot_table(family: str, n: int) -> tuple[UndirectedGraph, dict[tuple[int, int], int]]:
-    """The complete host of an exhaustive family and the slot of each of its
-    arcs (bit s of a graph's index is slot s); cached for the one-index
-    decodes of digraph_from_arc_index, so callers only read the dict.
-    "digraphs": K_n, arcs row-major skipping the diagonal. "bipartite": the
-    flattened K_{n,n}, both arcs of edge (i, j) of the biadjacency in slot n*i + j.
-    """
+def _host_census(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The complete host of an exhaustive family, read once per process into four read-only arrays: the slot
+    matrix (host vertices x host vertices, -1 off the host; bit s of a graph's index is slot s) and, over the host's
+    permutations, the slots each moves along and the vertices it moves (both as int64 bitmasks, so at most 63
+    slots: K_8), and its count of nontrivial orbits. "digraphs": K_n, arcs row-major skipping the diagonal.
+    "bipartite": the flattened K_{n,n}, both arcs of edge (i, j) of the biadjacency in slot n*i + j, so a 2-cycle
+    moves along one bit. The graph classes build the host first, so they refuse a size outside [1, 64] before any
+    array is sized."""
     if family == "digraphs":
         host = complete_graph(n)
-        return host, {arc: s for s, arc in enumerate(host.base.arcs())}
-    # built by the class, which refuses a part size below 1
-    host = BipartiteGraph(n, n, tuple((1 << n) - 1 for _ in range(n))).to_graph()
-    return host, {arc: n * i + j for i in range(n) for j in range(n) for arc in ((i, n + j), (n + j, i))}
-
-
-@cache
-def _host_census(family: str, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """Every permutation of the family's complete host, listed once per process:
-    the slots it moves along, as a bitmask (a bipartite 2-cycle's two arcs
-    share one slot, so the slots are ORed), and its nontrivial orbits, as
-    cycle_decomposition gives them. A tuple, so no caller can change the
-    cached value."""
-    host, slot = _slot_table(family, n)
-    census = []
-    for sigma in enumerate_permutations(host):
-        mask = 0
-        for v, w in enumerate(sigma):
-            if v != w:
-                mask |= 1 << slot[v, w]
-        census.append((mask, cycle_decomposition(host, sigma)))
-    return tuple(census)
+        slot = np.full((n, n), -1, dtype=np.int64)
+        slot[~np.eye(n, dtype=bool)] = np.arange(n * (n - 1))
+    else:
+        host = BipartiteGraph(n, n, tuple((1 << n) - 1 for _ in range(n))).to_graph()
+        slot = np.full((2 * n, 2 * n), -1, dtype=np.int64)
+        slot[:n, n:] = np.arange(n * n).reshape(n, n)
+        slot[n:, :n] = slot[:n, n:].T
+    vertices = np.arange(host.n)
+    perms = np.array(list(enumerate_permutations(host)), dtype=np.int64)
+    moved = perms != vertices
+    masks = np.bitwise_or.reduce(moved << np.maximum(slot[vertices, perms], 0), axis=1)
+    # each vertex's orbit minimum, over sigma^0 .. sigma^(n-1): a nontrivial orbit has one moved vertex at its minimum
+    low, image = vertices, perms
+    for _ in range(host.n - 1):
+        low, image = np.minimum(low, image), np.take_along_axis(perms, image, axis=1)
+    orbits = (moved & (low == vertices)).sum(axis=1)
+    census = slot, masks, (moved << vertices).sum(axis=1), orbits
+    for column in census:
+        column.flags.writeable = False
+    return census
 
 
 def cycle_doubling_sweep(n: int) -> dict:
     """Check the doubling corollary on every digraph with n <= 5 vertices at once.
 
     For every graph, its Hamilton cycles and the cycles through each vertex v
-    are subset sums of the census entries with one nontrivial orbit. Returns
+    are subset sums of the masks of K_n's permutations with one nontrivial
+    orbit: those that move every vertex, and those that move v. Returns
     counts; "failures" lists the offending arc-mask indices (expected empty).
     """
     if n < 2:
@@ -418,12 +417,13 @@ def cycle_doubling_sweep(n: int) -> dict:
         raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
     slots = n * (n - 1)
     total = 1 << slots
-    cycles = [(arcs, orbits[0]) for arcs, orbits in _host_census("digraphs", n) if len(orbits) == 1]
-    ham = subset_permanents(slots, [arcs for arcs, cycle in cycles if len(cycle) == n])
+    _, masks, moved, orbits = _host_census("digraphs", n)
+    cycles = orbits == 1
+    ham = subset_permanents(slots, masks[cycles & (moved == (1 << n) - 1)])
     twice = 2 * ham
     doubled = np.zeros(total, dtype=bool)
     for v in range(n):
-        doubled |= subset_permanents(slots, [arcs for arcs, cycle in cycles if v in cycle]) >= twice
+        doubled |= subset_permanents(slots, masks[cycles & (moved >> v & 1 == 1)]) >= twice
     arc_count = np.bitwise_count(np.arange(total, dtype=np.uint32))
     is_cycle_graph = (ham >= 1) & (arc_count == n)
     ok = (ham == 0) | is_cycle_graph | doubled
@@ -441,10 +441,14 @@ def cycle_doubling_sweep(n: int) -> dict:
 def digraph_from_arc_index(n: int, index: int) -> Digraph:
     """The digraph whose arcs are the set bits of index, in the slot numbering
     of the exhaustive digraph family; index must lie in [0, 2^(n(n-1)))."""
-    _, slot = _slot_table("digraphs", n)
-    if not 0 <= index < 1 << len(slot):
-        raise OutOfRangeError(f"arc index must lie in [0, 2^{len(slot)}) for n={n}, got {index}")
-    return new_digraph(n, [arc for arc, s in slot.items() if index >> s & 1])
+    rows = []
+    for u in range(n):  # row u is the index's (n-1)-bit chunk u with a 0 spliced in at bit u
+        chunk = index >> (n - 1) * u & (1 << n - 1) - 1
+        rows.append(chunk >> u << u + 1 | chunk & (1 << u) - 1)
+    g = Digraph(n, tuple(rows))  # refuses n outside [1, 64] before the index is checked
+    if not 0 <= index < 1 << n * (n - 1):
+        raise OutOfRangeError(f"arc index must lie in [0, 2^{n * (n - 1)}) for n={n}, got {index}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -494,26 +498,26 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, list[int], list
     family and n): the adjacency rows (graphs x vertices), d and p, whether
     each graph passes its checks, and whether it meets the ratio-half equality.
 
-    A graph's index bits are the slots of _slot_table; a bipartite record
+    A graph's index bits are the slots of _host_census; a bipartite record
     describes the flattened graph. A host permutation moves along a fixed
-    set of slots, so p and d of every graph are subset sums of the masks of
-    _host_census: every entry, and the derangements. A bipartite graph with
-    a perfect matching also gets the half-hitting and extremal checks, from
-    per(B) as subset sums of the n! perfect matchings of K_{n,n}."""
-    host, slot = _slot_table(family, n)
-    slots = len(set(slot.values()))
+    set of slots, so p and d of every graph are subset sums of the census
+    masks: every one, and those that move every vertex. A bipartite graph
+    with a perfect matching also gets the half-hitting and extremal checks,
+    from per(B) as subset sums of the n! perfect matchings of K_{n,n}: the
+    derangements of the flattened host with n orbits, all 2-cycles."""
+    slot, masks, moved, orbits = _host_census(family, n)
+    slots = int(slot.max()) + 1
     total = 1 << slots
     index = np.arange(total, dtype=np.int64)
-    census = _host_census(family, n)
-    p = subset_permanents(slots, [mask for mask, _ in census])
-    derangements = [mask for mask, orbits in census if sum(map(len, orbits)) == host.n]
-    d = subset_permanents(slots, derangements)
-    rows = np.zeros((host.n, total), dtype=np.int64)
-    for (u, v), s in slot.items():
-        rows[u] |= (index >> s & 1) << v
+    p = subset_permanents(slots, masks)
+    deranged = moved == (1 << len(slot)) - 1
+    d = subset_permanents(slots, masks[deranged])
+    rows = np.zeros((len(slot), total), dtype=np.int64)
+    for u, v in np.argwhere(slot >= 0):
+        rows[u] |= (index >> slot[u, v] & 1) << v
     ok, equality = _ratio_half_verdicts(rows.T, d, p)
     if family == "bipartite":
-        matchings = [mask for mask, orbits in census if [len(o) for o in orbits] == [2] * n]
+        matchings = masks[deranged & (orbits == n)].tolist()
         per = subset_permanents(slots, matchings)
         # each perfect matching M of B misses per(B - M) of them and hits the rest
         half_hitting = np.ones(total, dtype=bool)

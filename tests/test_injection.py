@@ -9,7 +9,6 @@ from permatch import (
     TooLargeError,
     apply_injection,
     complete_graph,
-    cycle_decomposition,
     directed_cycle,
     enumerate_permutations,
     hamilton_census,
@@ -64,12 +63,14 @@ def worked_example():
     return new_digraph(8, arcs)
 
 
-def test_cycle_decomposition():
+def test_permutation_check_accepts_orbits_along_arcs():
     g = new_digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
-    assert cycle_decomposition(g, (1, 0, 3, 4, 2)) == ((0, 1), (2, 3, 4))
+    assert check_permutation_on_graph(g, (1, 0, 3, 4, 2), require_derangement=True) == (1, 0, 3, 4, 2)
     assert fixed_points((1, 0, 3, 4, 2)) == ()
-    assert cycle_decomposition(g, (0, 1, 3, 4, 2)) == ((2, 3, 4),)
+    assert check_permutation_on_graph(g, [0, 1, 3, 4, 2]) == (0, 1, 3, 4, 2)
     assert fixed_points((0, 1, 3, 4, 2)) == (0, 1)
+    with pytest.raises(NotDerangementError):
+        check_permutation_on_graph(g, (0, 1, 3, 4, 2), require_derangement=True)
 
 
 def test_forward_chords_on_worked_example():
@@ -117,7 +118,7 @@ def test_apply_validates_input():
         apply_injection(g, (3, 0, 1, 2), 0)
 
 
-def test_invert_and_decomposition_validate_input():
+def test_invert_and_the_shared_check_validate_input():
     # the unchecked cores run only behind these checks, so each entry point
     # must refuse bad input itself, with the same message as the shared check
     g = directed_cycle(4)
@@ -132,9 +133,9 @@ def test_invert_and_decomposition_validate_input():
     with pytest.raises(OutOfRangeError, match="vertex -1 out of range for n=4"):
         invert_injection(g, (0, 1, 2, 3), -1)
     with pytest.raises(BadParamsError, match="is not a permutation of 0..3"):
-        cycle_decomposition(g, (1, 2, 3, 1))
+        check_permutation_on_graph(g, (1, 2, 3, 1))
     with pytest.raises(NotOnGraphError, match=r"missing arc \(0, 2\)"):
-        cycle_decomposition(g, (2, 1, 0, 3))
+        check_permutation_on_graph(g, (2, 1, 0, 3))
 
 
 def test_entry_points_refuse_non_integer_entries():
@@ -147,7 +148,7 @@ def test_entry_points_refuse_non_integer_entries():
     with pytest.raises(BadParamsError, match=message):
         apply_injection(g, (1.0, 2.0, 0.0), 0)
     with pytest.raises(BadParamsError, match=message):
-        cycle_decomposition(g, (1, 2.0, 0))
+        check_permutation_on_graph(g, (1, 2.0, 0))
     with pytest.raises(BadParamsError, match=message):
         check_permutation_on_graph(g, (1, 2, "0"))
     with pytest.raises(BadParamsError, match=r"\(True, False\) is not a permutation of 0..1"):
@@ -286,12 +287,14 @@ def _census_by_patterns(g):
     arcs = 0
     for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
         arcs |= g.has_arc(i, j) << t
+    _, masks, moved, orbits = _host_census("digraphs", n)
+    cycles = orbits == 1
     ham = 0
     through = [0] * n
-    for arc_mask, orbits in _host_census("digraphs", n):
-        if len(orbits) == 1 and arc_mask & arcs == arc_mask:
-            ham += len(orbits[0]) == n
-            for v in orbits[0]:
+    for arc_mask, vertices in zip(masks[cycles].tolist(), moved[cycles].tolist()):
+        if arc_mask & arcs == arc_mask:
+            ham += vertices == (1 << n) - 1
+            for v in bits_of(vertices):
                 through[v] += 1
     return ham, tuple(through)
 

@@ -40,6 +40,31 @@ def test_model_spec_validation():
     with pytest.raises(BadParamsError, match="positive vertex count"):
         ModelSpec("graph", 0, q=Fraction(1, 2))
     assert ModelSpec("digraph", 4, q="0.25").q == Fraction(1, 4)
+    assert ModelSpec("graph", 64, q="1/2").n == 64
+    with pytest.raises(BadParamsError) as exc:
+        ModelSpec("digraph", 65, q="1/2")
+    assert str(exc.value) == "vertex count must be in [1, 64], got 65"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "digraph", "--n", "2000", "--q", "1/2", "--samples", "1"],
+        ["scan", "--family", "sampled-undirected", "--n", "2000", "--samples", "1"],
+    ],
+)
+def test_oversized_models_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, argv):
+    def no_draw(*args):
+        raise AssertionError("a graph was drawn")
+
+    from permatch import verify
+
+    monkeypatch.setattr(random_models, "sample", no_draw)  # mc's route
+    monkeypatch.setattr(verify, "sample", no_draw)  # the sampled scan's route
+    out = tmp_path / "records.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "scan" else [])) == 2
+    assert capsys.readouterr() == ("", "error: vertex count must be in [1, 64], got 2000\n")
+    assert not out.exists()
 
 
 def test_sampling_is_deterministic():

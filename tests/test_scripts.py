@@ -72,6 +72,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "RUNS", 2)
     monkeypatch.setattr(bench, "OUT", out)
     monkeypatch.setattr(bench, "INJECTION_N", 3)
+    monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
     assert bench.main(["--label", "first"]) == 0
     assert bench.main(["--label", "second"]) == 0
     doc = json.loads(out.read_text())
@@ -93,5 +94,12 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for key in ("apply", "round_trip", "refusal"):
             row = injection[key]
             assert 0 < row["q1_us"] <= row["median_us"] <= row["q3_us"]
+    # K_3 has 3! permutations; the flattened K_{2,2} has 2!^2 derangements, 4 one-edge ones and the identity
+    for run in doc["runs"].values():
+        census = run["census"]
+        assert {host: row["permutations"] for host, row in census.items()} == {"digraphs-3": 6, "bipartite-2": 9}
+        for row in census.values():
+            assert row["builds"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+            assert 0 < row["q1_us_per_permutation"] <= row["median_us_per_permutation"] <= row["q3_us_per_permutation"]
     printed = capsys.readouterr().out
-    assert "n= 6" in printed and "injection refusal" in printed
+    assert "n= 6" in printed and "injection refusal" in printed and "census bipartite-2" in printed

@@ -312,6 +312,10 @@ def test_digraph_from_arc_index_refuses_indices_outside_the_family():
     for n, index in [(3, 64), (3, -1), (2, 7)]:
         with pytest.raises(OutOfRangeError):
             digraph_from_arc_index(n, index)
+    # a vertex count outside [1, 64] is refused first, whatever the index
+    for n, index in [(0, 0), (0, 5), (-1, 7), (65, 0), (65, -1)]:
+        with pytest.raises(BadParamsError, match=f"vertex count must be in \\[1, 64\\], got {n}"):
+            digraph_from_arc_index(n, index)
 
 
 # the digraph cases keep their ids from before the bipartite cases joined
@@ -322,26 +326,108 @@ HOSTS = [pytest.param("digraphs", n, id=str(n)) for n in range(2, 6)] + [
 
 @pytest.mark.parametrize("family, n", HOSTS)
 def test_cycle_patterns_are_the_one_orbit_permutations(family, n):
-    census = _host_census(family, n)
-    assert isinstance(census, tuple)
+    slot, masks, moved, orbits = _host_census(family, n)
     size = n if family == "digraphs" else 2 * n
-    derangements = [orbits for _, orbits in census if sum(map(len, orbits)) == size]
+    assert slot.shape == (size, size) and len(masks) == len(moved) == len(orbits)
+    deranged = moved == (1 << size) - 1
     if family == "digraphs":
-        # a digraph permutation moves along its own arcs, so no two share an entry
-        assert len(set(census)) == len(census) == factorial(n)
-        assert len(derangements) == derangement_number(n)
+        # a digraph permutation moves along its own arcs, so no two share a mask
+        assert len(set(masks.tolist())) == len(masks) == factorial(n)
+        assert np.count_nonzero(deranged) == derangement_number(n)
         # C(n, k) vertex sets of each size k >= 2, each closed into (k-1)! cycles
-        cycles = [(arcs, orbits[0]) for arcs, orbits in census if len(orbits) == 1]
-        assert len(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
-        assert sum(len(cycle) == n for _, cycle in cycles) == factorial(n - 1)
-        assert all(arcs.bit_count() == sum(map(len, orbits)) for arcs, orbits in census)
+        cycles = orbits == 1
+        assert np.count_nonzero(cycles) == sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+        assert np.count_nonzero(cycles & deranged) == factorial(n - 1)
+        assert (np.bitwise_count(masks) == np.bitwise_count(moved)).all()
     else:
-        assert len(census) == bipartite_permutation_sum(complete_bipartite(n))
-        assert len(derangements) == factorial(n) ** 2
-        assert sum(all(len(o) == 2 for o in orbits) for orbits in derangements) == factorial(n)
-        # both arcs of an edge share a slot: a 2-cycle moves along one bit, a longer orbit one per vertex
-        for arcs, orbits in census:
-            assert arcs.bit_count() == sum(1 if len(o) == 2 else len(o) for o in orbits)
+        assert len(masks) == bipartite_permutation_sum(complete_bipartite(n))
+        assert np.count_nonzero(deranged) == factorial(n) ** 2
+        matchings = deranged & (orbits == n)
+        assert np.count_nonzero(matchings) == factorial(n)
+        # both arcs of an edge share a slot: a perfect matching's n 2-cycles move along n bits
+        assert (np.bitwise_count(masks[matchings]) == n).all()
+
+
+def cycle_decomposition(sigma):
+    """Oracle for the census columns: the nontrivial orbits of a permutation,
+    each rotated to start at its smallest vertex, in order of that vertex."""
+    seen, cycles = set(), []
+    for v in range(len(sigma)):
+        if v not in seen:
+            orbit = [v]
+            while sigma[orbit[-1]] != v:
+                orbit.append(sigma[orbit[-1]])
+            seen.update(orbit)
+            if len(orbit) > 1:
+                cycles.append(tuple(orbit))
+    return tuple(cycles)
+
+
+def host_slots(family, n):
+    """Oracle for the census's numbering: the complete host and the slot of
+    each host arc, row-major for K_n and n*i + j for edge (i, j) of K_{n,n}."""
+    if family == "digraphs":
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        return complete_graph(n), {arc: s for s, arc in enumerate(arcs)}
+    pairs = (((i, n + j), n * i + j) for i in range(n) for j in range(n))
+    return complete_bipartite(n).to_graph(), {arc: s for (u, v), s in pairs for arc in ((u, v), (v, u))}
+
+
+def test_orbit_oracle_on_worked_permutations():
+    assert cycle_decomposition((1, 0, 3, 4, 2)) == ((0, 1), (2, 3, 4))
+    assert cycle_decomposition((0, 1, 3, 4, 2)) == ((2, 3, 4),)
+    assert cycle_decomposition((2, 0, 1)) == ((0, 2, 1),)
+    assert cycle_decomposition((0,)) == ()
+
+
+CENSUS_HOSTS = [pytest.param("digraphs", n, id=f"digraphs-{n}") for n in range(1, 6)] + [
+    pytest.param("bipartite", n, id=f"bipartite-{n}") for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("family, n", CENSUS_HOSTS)
+def test_host_census_columns_match_the_orbit_oracle(family, n):
+    host, slot_of = host_slots(family, n)
+    slot, masks, moved, orbits = _host_census(family, n)
+    want_slot = np.full((host.n, host.n), -1)
+    for (u, v), s in slot_of.items():
+        want_slot[u, v] = s
+    assert slot.tolist() == want_slot.tolist()
+    want = []
+    for sigma in enumerate_permutations(host):
+        cycles = cycle_decomposition(sigma)
+        mask = 0
+        for cycle in cycles:
+            for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+                mask |= 1 << slot_of[v, w]
+        want.append((mask, sum(1 << v for cycle in cycles for v in cycle), len(cycles)))
+    assert list(zip(masks.tolist(), moved.tolist(), orbits.tolist())) == want
+
+
+@pytest.mark.parametrize("family, n", [("digraphs", 3), ("bipartite", 2)])
+def test_host_census_columns_are_read_only(family, n):
+    census = _host_census(family, n)
+    for column in census:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert all(a is b for a, b in zip(census, _host_census(family, n)))  # every caller reads the cached arrays
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_each_census_slot_decodes_to_its_one_arc(n):
+    slot = _host_census("digraphs", n)[0]
+    arcs = [(u, v) for (u, v), s in np.ndenumerate(slot) if s >= 0]
+    assert len(arcs) == n * (n - 1)
+    for u, v in arcs:
+        assert digraph_from_arc_index(n, 1 << int(slot[u, v])).arcs() == [(u, v)]
+
+
+def test_digraph_from_arc_index_is_the_row_major_arc_set():
+    for n in range(1, 5):
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for index in range(1 << len(arcs)):
+            want = new_digraph(n, [arc for s, arc in enumerate(arcs) if index >> s & 1])
+            assert digraph_from_arc_index(n, index) == want, (n, index)
 
 
 def test_repeated_all_graphs_routes_list_no_permutation(monkeypatch):

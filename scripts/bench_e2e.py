@@ -36,9 +36,10 @@ COMMANDS = {
     "scan-digraphs-4": ["scan", "--family", "digraphs", "--n", "4", "--out", "{tmp}/records.csv"],
     "scan-bipartite-3": ["scan", "--family", "bipartite", "--n", "3", "--out", "{tmp}/records.csv"],
     "scan-bipartite-4": ["scan", "--family", "bipartite", "--n", "4", "--out", "{tmp}/records.csv"],
-    # the sampled family: 200 draws of G(12, 1/2), the 0/1 permanent at n = 12
+    # the sampled family: 2,000 draws of G(12, 1/2), the 0/1 permanent at n = 12; enough draws
+    # (about 0.6 s of them) that the sampled route, not interpreter start-up, dominates the run
     "scan-sampled-12": [
-        "scan", "--family", "sampled-undirected", "--n", "12", "--samples", "200", "--seed", "7",
+        "scan", "--family", "sampled-undirected", "--n", "12", "--samples", "2000", "--seed", "7",
         "--out", "{tmp}/records.csv",
     ],
     "verify-corollary-K12": ["verify", "--theorem", "corollary", "--input", "{tmp}/k12.txt"],

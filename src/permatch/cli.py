@@ -42,7 +42,7 @@ from .verify import format_12sig, format_ratio
 _Result = tuple[int, dict | None, str | None]  # exit code, JSON document, plain text; main prints one
 
 
-def _load_graph(path: str) -> Digraph | UndirectedGraph | BipartiteGraph:
+def _load_graph(path: str) -> Digraph | BipartiteGraph:
     try:
         return parse_graph(Path(path).read_text())
     except (PermatchError, UnicodeDecodeError) as exc:

@@ -35,11 +35,10 @@ GENERAL_MATCH_LIMIT = 24
 Permutation = tuple[int, ...]
 
 
-def as_digraph(g: Digraph | UndirectedGraph) -> Digraph:
+def as_digraph(g: Digraph) -> Digraph:
+    """g itself, an undirected graph included; refuses a bipartite graph, whose rows are a biadjacency."""
     if isinstance(g, Digraph):
         return g
-    if isinstance(g, UndirectedGraph):
-        return g.base
     raise BadParamsError(
         f"expected a directed or undirected graph, got {type(g).__name__}"
         " (bipartite graphs flatten via .to_graph())"
@@ -50,28 +49,28 @@ def as_digraph(g: Digraph | UndirectedGraph) -> Digraph:
 # permutations on a digraph
 
 
-def count_derangements(g: Digraph | UndirectedGraph) -> int:
+def count_derangements(g: Digraph) -> int:
     """per(A) for the adjacency A of g: the perfect matchings of g's bipartite
     double cover, with an edge u-v' per arc u -> v, are its derangements."""
     dg = as_digraph(g)
     return permanent_zero_one(dg.rows, dg.n)
 
 
-def count_permutations(g: Digraph | UndirectedGraph) -> int:
+def count_permutations(g: Digraph) -> int:
     """per(A + I): with an edge u-u' added per vertex u, the double cover's
     perfect matchings are the permutations of g."""
     dg = as_digraph(g)
     return permanent_zero_one([row | 1 << i for i, row in enumerate(dg.rows)], dg.n)
 
 
-def dp_counts(g: Digraph | UndirectedGraph) -> tuple[int, int]:
+def dp_counts(g: Digraph) -> tuple[int, int]:
     """(count_derangements(g), count_permutations(g)), i.e. per(A) and per(A + I)
     for the adjacency A, from one kernel pass: use it wherever both are needed."""
     dg = as_digraph(g)
     return permanent_zero_one_pair(dg.rows, dg.n)
 
 
-def dp_ratio(g: Digraph | UndirectedGraph) -> Fraction:
+def dp_ratio(g: Digraph) -> Fraction:
     """Derangements over permutations; well-defined since the identity always counts."""
     return Fraction(*dp_counts(g))
 
@@ -103,7 +102,7 @@ def _row_matchings(rows: Sequence[int]) -> Iterator[Permutation]:
 
 
 def enumerate_permutations(
-    g: Digraph | UndirectedGraph, derangements_only: bool = False
+    g: Digraph, derangements_only: bool = False
 ) -> Iterator[Permutation]:
     """All permutations on g in lexicographic order (as image tuples)."""
     dg = as_digraph(g)
@@ -119,7 +118,7 @@ def fixed_points(sigma: Sequence[int]) -> tuple[int, ...]:
 
 
 def check_permutation_on_graph(
-    g: Digraph | UndirectedGraph, sigma: Sequence[int], require_derangement: bool = False
+    g: Digraph, sigma: Sequence[int], require_derangement: bool = False
 ) -> Permutation:
     """Validate that sigma is a permutation moving along arcs of g; returns it as a tuple."""
     dg = as_digraph(g)
@@ -157,7 +156,7 @@ def format_permutation(sigma: Sequence[int]) -> str:
     return ",".join(str(x) for x in sigma)
 
 
-def is_directed_cycle(g: Digraph | UndirectedGraph) -> bool:
+def is_directed_cycle(g: Digraph) -> bool:
     """True iff the arcs form exactly one directed cycle through every vertex."""
     dg = as_digraph(g)
     if dg.n < 2:
@@ -176,7 +175,7 @@ def is_directed_cycle(g: Digraph | UndirectedGraph) -> bool:
     return steps == dg.n
 
 
-def permutations_by_fixed_points(g: Digraph | UndirectedGraph) -> tuple[int, ...]:
+def permutations_by_fixed_points(g: Digraph) -> tuple[int, ...]:
     """counts[k] = number of permutations on g with exactly k fixed points.
 
     One pass of the used-column subset DP: row i takes a free column of
@@ -301,7 +300,7 @@ def count_matchings_avoiding_general(g: UndirectedGraph, m: Matching) -> int:
     for a, c in m:
         rows[a] &= ~(1 << c)
         rows[c] &= ~(1 << a)
-    return count_perfect_matchings_general(UndirectedGraph(Digraph(g.n, tuple(rows))))
+    return count_perfect_matchings_general(UndirectedGraph(g.n, tuple(rows)))
 
 
 def bipartite_permutation_sum(b: BipartiteGraph) -> int:

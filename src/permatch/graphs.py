@@ -2,9 +2,11 @@
 
 Vertices are 0-based. Everything lives on at most 64 vertices so a row of
 the adjacency matrix fits in one integer: bit j of ``rows[u]`` is set iff
-the arc (u, j) is present. Undirected graphs are symmetric digraphs under
-the hood; bipartite graphs keep an ``nl x nr`` biadjacency in the same row
-encoding. All three types are frozen dataclasses and hence hashable.
+the arc (u, j) is present. An undirected graph is the symmetric case of a
+digraph: ``UndirectedGraph(n, rows)`` is a ``Digraph`` that also checks its
+rows are symmetric, so every digraph routine takes it as it is. Bipartite
+graphs keep an ``nl x nr`` biadjacency in the same row encoding. All three
+types are frozen dataclasses and hence hashable.
 """
 
 from __future__ import annotations
@@ -99,35 +101,20 @@ class Digraph:
 
 
 @dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph stored as a symmetric loopless digraph."""
-
-    base: Digraph
+class UndirectedGraph(Digraph):
+    """Simple undirected graph: a loopless digraph whose adjacency is symmetric."""
 
     def __post_init__(self) -> None:
-        if not self.base.is_symmetric():
+        super().__post_init__()
+        if not self.is_symmetric():
             raise BadParamsError("undirected graph requires a symmetric adjacency")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return self.base.rows
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.base.has_arc(u, v)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.rows[u]) if u < v]
 
     @property
     def edge_count(self) -> int:
-        return self.base.arc_count // 2
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self.base.matrix()
+        return self.arc_count // 2
 
 
 @dataclass(frozen=True)
@@ -152,9 +139,6 @@ class BipartiteGraph:
     def is_balanced(self) -> bool:
         return self.nl == self.nr
 
-    def has_edge(self, left: int, right: int) -> bool:
-        return bool(self.biadj[left] >> right & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.nl) for j in bits_of(self.biadj[i])]
 
@@ -173,7 +157,7 @@ class BipartiteGraph:
             rows[i] = row << self.nl
             for j in bits_of(row):
                 rows[self.nl + j] |= 1 << i
-        return UndirectedGraph(Digraph(n, tuple(rows)))
+        return UndirectedGraph(n, tuple(rows))
 
 
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
@@ -196,7 +180,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
     for u, v in edges:
         both.append((u, v))
         both.append((v, u))
-    return UndirectedGraph(new_digraph(n, both))
+    return UndirectedGraph(n, new_digraph(n, both).rows)
 
 
 def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
@@ -296,7 +280,7 @@ _CONSTRUCTIONS = {
 }
 
 
-def construct(kind: str, **params: int) -> Digraph | UndirectedGraph:
+def construct(kind: str, **params: int) -> Digraph:
     """Build the named construction from its parameters (see _CONSTRUCTIONS)."""
     if kind not in _CONSTRUCTIONS:
         raise BadParamsError(f"unknown construction {kind!r}; expected one of {tuple(_CONSTRUCTIONS)}")
@@ -321,7 +305,7 @@ def is_perfect_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> boo
     for a, b in m:
         if a == b or not (0 <= a < g.n and 0 <= b < g.n):
             return False
-        if not g.has_edge(a, b):
+        if not g.has_arc(a, b):
             return False
         if seen >> a & 1 or seen >> b & 1:
             return False
@@ -348,18 +332,18 @@ _KINDS = {
 }
 
 
-def _layout(g: Digraph | UndirectedGraph | BipartiteGraph) -> tuple[str, list[int], list[tuple[int, int]]]:
+def _layout(g: Digraph | BipartiteGraph) -> tuple[str, list[int], list[tuple[int, int]]]:
     """A graph's kind, its sizes and its sorted pairs, as both file formats write them."""
+    if isinstance(g, UndirectedGraph):  # before Digraph: every undirected graph is one
+        return "graph", [g.n], sorted(g.edges())
     if isinstance(g, Digraph):
         return "digraph", [g.n], sorted(g.arcs())
-    if isinstance(g, UndirectedGraph):
-        return "graph", [g.n], sorted(g.edges())
     if isinstance(g, BipartiteGraph):
         return "bipartite", [g.nl, g.nr], sorted(g.edges())
     raise BadParamsError(f"cannot serialize {type(g).__name__}")
 
 
-def serialize_graph(g: Digraph | UndirectedGraph | BipartiteGraph, fmt: str = "text") -> str:
+def serialize_graph(g: Digraph | BipartiteGraph, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(graph_to_json_dict(g), separators=(", ", ": ")) + "\n"
     if fmt != "text":
@@ -368,7 +352,7 @@ def serialize_graph(g: Digraph | UndirectedGraph | BipartiteGraph, fmt: str = "t
     return "\n".join([" ".join(map(str, [kind, *sizes]))] + [f"{a} {b}" for a, b in pairs]) + "\n"
 
 
-def graph_to_json_dict(g: Digraph | UndirectedGraph | BipartiteGraph) -> dict:
+def graph_to_json_dict(g: Digraph | BipartiteGraph) -> dict:
     kind, sizes, pairs = _layout(g)
     fields, pair_field, _ = _KINDS[kind]
     return {"type": kind, **dict(zip(fields, sizes)), pair_field: [list(pair) for pair in pairs]}
@@ -381,7 +365,7 @@ def _json_pairs(items: list) -> list[tuple[int, int]]:
     return [(a, b) for a, b in items]
 
 
-def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGraph:
+def graph_from_json_dict(doc: dict) -> Digraph | BipartiteGraph:
     try:
         kind = doc["type"]
         # only a string names a kind; `in` would hash a JSON list or object and raise TypeError
@@ -393,7 +377,7 @@ def graph_from_json_dict(doc: dict) -> Digraph | UndirectedGraph | BipartiteGrap
     raise GraphSyntaxError(f"unknown graph type {kind!r}")
 
 
-def parse_graph(text: str) -> Digraph | UndirectedGraph | BipartiteGraph:
+def parse_graph(text: str) -> Digraph | BipartiteGraph:
     """Parse the text format (or the JSON alternative if text starts with '{')."""
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .counting import Permutation, as_digraph, check_permutation_on_graph
 from .errors import NotInImageError, OutOfRangeError, TooLargeError
-from .graphs import Digraph, UndirectedGraph, bits_of
+from .graphs import Digraph, bits_of
 
 
 def _orbit(sigma: Permutation, v: int) -> list[int]:
@@ -67,13 +67,12 @@ def _canonical_chord(g: Digraph, cycle: tuple[int, ...]) -> tuple[int, int] | No
     return None if best_start < 0 else (best_start, best_stop)
 
 
-def apply_injection(g: Digraph | UndirectedGraph, sigma: Sequence[int], v: int) -> Permutation:
+def apply_injection(g: Digraph, sigma: Sequence[int], v: int) -> Permutation:
     """Image of the derangement sigma under the cycle break rooted at v."""
-    dg = as_digraph(g)
-    sigma = check_permutation_on_graph(dg, sigma, require_derangement=True)
-    if not 0 <= v < dg.n:
-        raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
-    return _apply(dg, sigma, v)
+    sigma = check_permutation_on_graph(g, sigma, require_derangement=True)
+    if not 0 <= v < g.n:
+        raise OutOfRangeError(f"vertex {v} out of range for n={g.n}")
+    return _apply(g, sigma, v)
 
 
 def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
@@ -96,14 +95,13 @@ def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
     return tuple(out)
 
 
-def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> Permutation:
+def invert_injection(g: Digraph, p: Sequence[int], v: int) -> Permutation:
     """Preimage of the permutation p under the cycle break rooted at v, or
     NotInImageError when none exists."""
-    dg = as_digraph(g)
-    p = check_permutation_on_graph(dg, p)
-    if not 0 <= v < dg.n:
-        raise OutOfRangeError(f"vertex {v} out of range for n={dg.n}")
-    rows = dg.rows
+    p = check_permutation_on_graph(g, p)
+    if not 0 <= v < g.n:
+        raise OutOfRangeError(f"vertex {v} out of range for n={g.n}")
+    rows = g.rows
     fix_mask = 0
     for x, y in enumerate(p):
         if x == y:
@@ -152,10 +150,10 @@ def invert_injection(g: Digraph | UndirectedGraph, p: Sequence[int], v: int) -> 
         if not rows[x] >> y & 1:
             raise NotInImageError(f"reconstructed tour needs the missing arc ({x}, {y})")
         out[x] = y
-    # every tour arc is an arc of dg and the tour covers v's orbit plus the
-    # fixed points, so cand is a derangement on dg: the unchecked map applies
+    # every tour arc is an arc of g and the tour covers v's orbit plus the
+    # fixed points, so cand is a derangement on g: the unchecked map applies
     cand = tuple(out)
-    if _apply(dg, cand, v) != p:
+    if _apply(g, cand, v) != p:
         raise NotInImageError("candidate preimage does not map back to the input")
     return cand
 
@@ -169,7 +167,7 @@ class HamiltonCensus:
     through: tuple[int, ...]
 
 
-def hamilton_census(g: Digraph | UndirectedGraph) -> HamiltonCensus:
+def hamilton_census(g: Digraph) -> HamiltonCensus:
     """Subset DP (Held-Karp): each cycle is rooted at its lowest vertex, and
     paths from the root over higher vertices are counted per (vertex set, end
     vertex). closed[s] counts the cycles with vertex set s."""

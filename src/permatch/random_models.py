@@ -60,7 +60,7 @@ class ModelSpec:
         object.__setattr__(self, "q", _as_probability(self.q))
 
 
-def sample(model: ModelSpec, seed: int) -> Digraph | UndirectedGraph:
+def sample(model: ModelSpec, seed: int) -> Digraph:
     draw = random.Random(seed).getrandbits
     n, threshold, den = model.n, model.q.numerator << 53, model.q.denominator
     directed = model.kind == "digraph"
@@ -70,8 +70,7 @@ def sample(model: ModelSpec, seed: int) -> Digraph | UndirectedGraph:
             if j != i and draw(53) * den < threshold:
                 rows[i] |= 1 << j
                 rows[j] |= (not directed) << i  # an edge {i, j}, i < j, is drawn once and set in both rows
-    g = Digraph(n, tuple(rows))
-    return g if directed else UndirectedGraph(g)
+    return (Digraph if directed else UndirectedGraph)(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,10 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
 
 
 def child_seed(seed: int, index: int) -> int:
-    # keep the full master seed and the index in disjoint bit ranges
+    # keep the full master seed and the index in disjoint bit ranges; random.Random seeds by
+    # the absolute value of an int, so a negative seed would repeat a positive seed's draws
+    if seed < 0:
+        raise BadParamsError(f"seed must be a non-negative integer, got {seed}")
     return seed * (1 << 32) + index
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .counting import (
-    as_digraph,
     count_matchings_avoiding,
     count_matchings_avoiding_general,
     count_perfect_matchings,
@@ -95,7 +94,7 @@ class TheoremReport:
         return out
 
 
-def _describe(g: Digraph | UndirectedGraph | BipartiteGraph) -> str:
+def _describe(g: Digraph | BipartiteGraph) -> str:
     if isinstance(g, BipartiteGraph):
         return f"bipartite {g.nl}x{g.nr}, {g.edge_count} edges"
     if isinstance(g, UndirectedGraph):
@@ -107,7 +106,7 @@ def _describe(g: Digraph | UndirectedGraph | BipartiteGraph) -> str:
 # per-instance checks
 
 
-def check_ratio_half(g: Digraph | UndirectedGraph) -> TheoremReport:
+def check_ratio_half(g: Digraph) -> TheoremReport:
     """Derangements are at most half of permutations, with equality exactly on
     directed cycles."""
     d, p = dp_counts(g)
@@ -272,7 +271,7 @@ def check_blowup_formulas(k: int, l: int) -> TheoremReport:
     )
 
 
-def check_subpermanent(g: Digraph | UndirectedGraph | BipartiteGraph, k: int | None = None) -> TheoremReport:
+def check_subpermanent(g: Digraph | BipartiteGraph, k: int | None = None) -> TheoremReport:
     """The block-splitting identity for the instance's 0/1 matrix, all k by default."""
     if isinstance(g, BipartiteGraph) and not g.is_balanced:
         raise BadParamsError("the splitting identity needs a square matrix; use balanced parts")
@@ -289,7 +288,7 @@ def check_subpermanent(g: Digraph | UndirectedGraph | BipartiteGraph, k: int | N
     return TheoremReport("subpermanent-split", _describe(g), ok, None, {"sides": sides})
 
 
-def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None) -> TheoremReport:
+def check_injection(g: Digraph, sample_cap: int | None = None) -> TheoremReport:
     """Round-trip and injectivity audit of the cycle-breaking map on one graph.
 
     For every root v: images of distinct derangements stay distinct, have a
@@ -307,26 +306,25 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     """
     if sample_cap is not None and (type(sample_cap) is not int or sample_cap < 0):  # bool is no size
         raise BadParamsError(f"sample cap must be a non-negative integer or None, got {sample_cap!r}")
-    dg = as_digraph(g)
     derangements = list(
-        islice(enumerate_permutations(dg, derangements_only=True), sample_cap)
+        islice(enumerate_permutations(g, derangements_only=True), sample_cap)
     )
     exhaustive = sample_cap is None
-    permutations = list(enumerate_permutations(dg)) if exhaustive else []
+    permutations = list(enumerate_permutations(g)) if exhaustive else []
     ok = True
     details: dict = {"derangements": len(derangements), "exhaustive": exhaustive}
     round_trips = 0
     refused = 0
-    for v in range(dg.n):
+    for v in range(g.n):
         images = set()
         for d in derangements:
-            p = apply_injection(dg, d, v)
+            p = apply_injection(g, d, v)
             if not fixed_points(p) or p in images:
                 ok = False
                 details["witness"] = {"v": v, "derangement": list(d)}
                 break
             images.add(p)
-            if invert_injection(dg, p, v) != d:
+            if invert_injection(g, p, v) != d:
                 ok = False
                 details["witness"] = {"v": v, "derangement": list(d), "image": list(p)}
                 break
@@ -336,7 +334,7 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
                 if p in images:
                     continue
                 try:
-                    back = invert_injection(dg, p, v)
+                    back = invert_injection(g, p, v)
                 except NotInImageError:
                     refused += 1
                     continue
@@ -348,10 +346,10 @@ def check_injection(g: Digraph | UndirectedGraph, sample_cap: int | None = None)
     details["round_trips"] = round_trips
     if exhaustive:
         details["refusals"] = refused
-    return TheoremReport("cycle-breaking-injection", _describe(dg), ok, None, details)
+    return TheoremReport("cycle-breaking-injection", _describe(g), ok, None, details)
 
 
-def check_cycle_doubling(g: Digraph | UndirectedGraph) -> TheoremReport:
+def check_cycle_doubling(g: Digraph) -> TheoremReport:
     """If a graph other than a bare directed cycle has a Hamilton cycle, some
     vertex lies on at least twice as many simple cycles as there are Hamilton
     cycles. Vacuously true otherwise."""

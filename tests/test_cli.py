@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -427,6 +428,10 @@ def test_verify_commands(capsys, write_graph, schema_loader):
     code, out, _ = run(capsys, "verify", "--theorem", "2", "--input", gpath, "--json")
     validate(json.loads(out), rpt)
     assert code == 0
+    # every check describes an undirected input as it was given, the injection audit included
+    for token in ("2", "3", "injection", "subpermanent", "corollary"):
+        code, out, _ = run(capsys, "verify", "--theorem", token, "--input", gpath)
+        assert code == 0 and out.splitlines()[0].endswith(" on graph n=4, 6 edges"), token
 
     dpath = write_graph(CYCLE5)
     for token in ("3", "injection", "subpermanent", "corollary"):
@@ -496,6 +501,40 @@ def test_mc_cli(capsys, schema_loader):
         capsys, "mc", "--model", "graph", "--n", "5", "--q", "1/2", "--samples", "5", "--seed", "1"
     )
     assert (code, out) == (0, "samples=5 mean=0.061667 stddev=0.092721 target=0.135335\n")
+
+
+def test_mc_exits_1_on_a_counterexample(capsys, monkeypatch, schema_loader):
+    from permatch import random_models
+
+    monkeypatch.setattr(random_models, "dp_ratio", lambda g: Fraction(3, 5))
+    argv = ("mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "3", "--seed", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "counterexample: derangement/permutation ratio 3/5 exceeds 1/2 on a sampled graph "
+        "(kind=digraph, n=4, seed=2, index=0)\n"
+    )
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (1, "") and len(err.splitlines()) == 1
+    doc = json.loads(err)
+    validate(doc, schema_loader("error"))
+    assert (doc["error"], doc["exit"]) == ("CounterexampleError", 1) and "ratio 3/5 exceeds 1/2" in doc["message"]
+
+
+def test_scan_exits_1_on_counterexamples_and_keeps_every_record(capsys, monkeypatch, tmp_path, schema_loader):
+    from permatch import verify
+
+    monkeypatch.setattr(verify, "dp_counts", lambda g: (3, 5))
+    monkeypatch.delenv("PERMATCH_THREADS", raising=False)
+    out = tmp_path / "records.csv"
+    code, text, _ = run(
+        capsys, "scan", "--family", "sampled-undirected", "--n", "6", "--samples", "5", "--out", str(out)
+    )
+    doc = json.loads(text)
+    validate(doc, schema_loader("scan"))
+    assert code == 1 and doc["counterexamples"] == doc["samples"] == doc["graphs"] == 5
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 5 and all(line.endswith(",3,5,3/5,0.600000000000") for line in lines[1:])
 
 
 def test_verify_theorem_2_budget_edge(capsys, write_graph):

@@ -73,10 +73,24 @@ def test_undirected_symmetry_enforced():
     g = new_graph(3, [(0, 1), (2, 1)])
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.rows[1].bit_count() == 2
-    with pytest.raises(BadParamsError):
-        from permatch import UndirectedGraph
-
-        UndirectedGraph(new_digraph(2, [(0, 1)]))
+    with pytest.raises(BadParamsError, match="symmetric adjacency"):
+        UndirectedGraph(2, new_digraph(2, [(0, 1)]).rows)
+    # an undirected graph is a Digraph: the digraph API reads it as it is
+    g = UndirectedGraph(3, (0b110, 0b001, 0b001))
+    assert isinstance(g, Digraph) and g == new_graph(3, [(0, 1), (0, 2)])
+    assert g.has_arc(0, 1) and g.has_arc(1, 0) and not g.has_arc(1, 2)
+    assert (g.arc_count, g.edge_count, g.edges()) == (4, 2, [(0, 1), (0, 2)])
+    assert g.matrix() == ((0, 1, 1), (1, 0, 0), (1, 0, 0))
+    assert g != Digraph(3, g.rows)  # the two kinds serialize differently
+    # Digraph's checks run before the symmetry check
+    with pytest.raises(BadParamsError, match="vertex count"):
+        UndirectedGraph(True, (0,))
+    with pytest.raises(BadParamsError, match="expected 2 adjacency rows"):
+        UndirectedGraph(2, (0,))
+    with pytest.raises(SelfLoopError):
+        UndirectedGraph(2, (0b01, 0b00))  # symmetric, but a loop at 0
+    with pytest.raises(OutOfRangeError):
+        UndirectedGraph(2, (0b100, 0b000))
 
 
 def test_induced_subgraph_relabels_in_sorted_order():
@@ -125,11 +139,11 @@ def test_undirected_graph_refuses_one_missing_reverse_arc():
         rows = list(full)
         rows[u] &= ~(1 << v)  # v -> u stays, u -> v goes
         with pytest.raises(BadParamsError, match="symmetric adjacency"):
-            UndirectedGraph(Digraph(64, tuple(rows)))
+            UndirectedGraph(64, tuple(rows))
     for k in (1, 3, 32):
-        assert UndirectedGraph(blowup(k, 2)).base == blowup(k, 2)
+        assert UndirectedGraph(2 * k, blowup(k, 2).rows).rows == blowup(k, 2).rows
     for n in (1, 2, 7, 64):
-        assert UndirectedGraph(complete_graph(n).base).edge_count == n * (n - 1) // 2
+        assert UndirectedGraph(n, complete_graph(n).rows).edge_count == n * (n - 1) // 2
     assert not blowup(3, 3).is_symmetric()
 
 
@@ -172,6 +186,9 @@ def test_parse_serialize_text():
     with_comments = "# header comment\n\ngraph 2\n0 1  # inline\n"
     h = parse_graph(with_comments)
     assert h == new_graph(2, [(0, 1)])
+    # an undirected graph is also a Digraph, and still writes as one
+    assert serialize_graph(h) == "graph 2\n0 1\n"
+    assert graph_to_json_dict(h) == {"type": "graph", "n": 2, "edges": [[0, 1]]}
 
     b = parse_graph("bipartite 2 3\n0 0\n1 2\n")
     assert b == new_bipartite(2, 3, [(0, 0), (1, 2)])

@@ -47,13 +47,16 @@ def test_model_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["mc", "--model", "digraph", "--n", "2000", "--q", "1/2", "--samples", "1"],
-        ["scan", "--family", "sampled-undirected", "--n", "2000", "--samples", "1"],
+        (["mc", "--model", "digraph", "--n", "2000", "--q", "1/2", "--samples", "1"], "vertex count must be in [1, 64], got 2000"),
+        (["scan", "--family", "sampled-undirected", "--n", "2000", "--samples", "1"], "vertex count must be in [1, 64], got 2000"),
+        # random.Random seeds by the absolute value, so seed -1 would repeat seed 1's draws
+        (["mc", "--model", "digraph", "--n", "8", "--q", "1/2", "--samples", "1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["scan", "--family", "sampled-undirected", "--n", "8", "--samples", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ],
 )
-def test_oversized_models_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, argv):
+def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, error):
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
@@ -63,7 +66,7 @@ def test_oversized_models_are_refused_before_any_draw(monkeypatch, capsys, tmp_p
     monkeypatch.setattr(verify, "sample", no_draw)  # the sampled scan's route
     out = tmp_path / "records.csv"
     assert main(argv + (["--out", str(out)] if argv[0] == "scan" else [])) == 2
-    assert capsys.readouterr() == ("", "error: vertex count must be in [1, 64], got 2000\n")
+    assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
 
 
@@ -183,6 +186,10 @@ def test_expected_counts_refuses_bad_sizes(n, m, message):
 def test_child_seed_disjoint():
     seen = {child_seed(s, i) for s in range(3) for i in range(100)}
     assert len(seen) == 300
+    # -(2^32) and 2^32 seed the same stream, so child_seed refuses a negative seed
+    assert random.Random(-(1 << 32)).getrandbits(53) == random.Random(1 << 32).getrandbits(53)
+    with pytest.raises(BadParamsError, match="non-negative"):
+        child_seed(-1, 0)
 
 
 def test_ratio_target():

@@ -103,3 +103,28 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
             assert 0 < row["q1_us_per_permutation"] <= row["median_us_per_permutation"] <= row["q3_us_per_permutation"]
     printed = capsys.readouterr().out
     assert "n= 6" in printed and "injection refusal" in printed and "census bipartite-2" in printed
+
+
+def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):
+    gate = load("mutants")
+    real = next(m for m in gate.MUTANTS if m.name == "half-hitting-strict")
+    # a replacement that changes nothing must survive its test
+    noop = gate.Mutant("noop", "src/permatch/permanent.py", "RYSER_GROUP = 7\n", "RYSER_GROUP = 7  # same\n",
+                       ("tests/test_permanent.py::test_row_group_fits_int32",))
+    monkeypatch.setattr(gate, "MUTANTS", (real, noop))
+    out = tmp_path / "mutants.json"
+    assert gate.main(["--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["killed"], doc["survived"]) == (1, 1) and doc["wall_s"] > 0
+    assert [(m["name"], m["outcome"]) for m in doc["mutants"]] == [("half-hitting-strict", "killed"), ("noop", "survived")]
+    assert doc["mutants"][1]["passed_under_mutant"] == list(noop.tests)
+    assert "noop" in capsys.readouterr().out
+
+
+def test_mutants_fails_on_a_stale_snippet(capsys, monkeypatch, tmp_path):
+    gate = load("mutants")
+    stale = gate.Mutant("stale", "src/permatch/permanent.py", "RYSER_GROUP = 99\n", "", ("tests/test_permanent.py",))
+    monkeypatch.setattr(gate, "MUTANTS", (stale,))
+    out = tmp_path / "mutants.json"
+    assert gate.main(["--out", str(out)]) == 2
+    assert "stale: snippet occurs 0 times" in capsys.readouterr().err and not out.exists()

@@ -18,8 +18,8 @@ parse at the oldest Python that ``pyproject.toml`` declares
 the suite runs on a newer interpreter.
 
 The match is by name only, so two definitions that share a name are
-covered by each other's callers: ``UndirectedGraph.induced`` would pass on
-the strength of ``Digraph.induced``'s callers alone.
+covered by each other's callers: ``UndirectedGraph.edges`` would pass on
+the strength of ``BipartiteGraph.edges``' callers alone.
 """
 
 import ast

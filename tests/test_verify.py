@@ -98,6 +98,8 @@ def test_check_half_hitting():
     assert rep.holds
     assert rep.details["matchings"] == 6
     assert rep.details["worst_hits"] >= rep.details["worst_misses"]
+    # K_{2,2}: each of its two matchings misses the other, exactly half
+    assert check_half_hitting(complete_bipartite(2)).holds
     # the targets differ here, and the worst is one with the most misses
     b = new_bipartite(4, 4, [(i, j) for i in range(4) for j in range(4) if (i, j) not in ((0, 0), (1, 1))])
     assert check_half_hitting(b).details == {"matchings": 14, "worst_hits": 9, "worst_misses": 5}
@@ -308,7 +310,7 @@ def test_cycle_doubling_sweep_matches_census():
 
 
 def test_digraph_from_arc_index_refuses_indices_outside_the_family():
-    assert digraph_from_arc_index(3, 63) == complete_graph(3).base
+    assert digraph_from_arc_index(3, 63).rows == complete_graph(3).rows
     for n, index in [(3, 64), (3, -1), (2, 7)]:
         with pytest.raises(OutOfRangeError):
             digraph_from_arc_index(n, index)
@@ -479,6 +481,9 @@ def test_survey_record_and_hex():
     g = directed_cycle(4)
     ok, equality = _ratio_half_verdicts(np.array([g.rows, (0, 0, 0, 0)]), [1, 0], [2, 1])
     assert (ok.tolist(), equality.tolist()) == ([True, True], [True, False])
+    # the equality flag must match the cycle test both ways: d/p = 1/2 off a cycle, or below 1/2 on one, fails
+    ok, equality = _ratio_half_verdicts(np.array([g.rows, (0, 0, 0, 0)]), [0, 1], [1, 2])
+    assert (ok.tolist(), equality.tolist()) == ([False, False], [False, True])
     assert adjacency_hex(g.rows) == "2:4:8:1"
     assert _hex_text(np.array([g.rows, (0, 0, 0, 0)])) == ["2:4:8:1", "0:0:0:0"]
     assert _ratio_text(1, 2) == ("1/2", "0.500000000000")

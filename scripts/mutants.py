@@ -10,7 +10,7 @@ The summary, ``BENCH_mutants.json`` by default, holds each mutant's outcome
 and seconds, the killed and surviving counts, and the wall time:
 
     python3 scripts/mutants.py
-    python3 scripts/mutants.py --only half-hitting-strict --out /tmp/mutants.json
+    python3 scripts/mutants.py --out summary.json
 
 Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
@@ -140,27 +140,25 @@ def caught(test: str, failed: set[str]) -> bool:
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", action="append", choices=[m.name for m in MUTANTS], help="run this row (repeatable)")
     ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args(argv)
-    rows = [m for m in MUTANTS if not args.only or m.name in args.only]
 
     start = time.perf_counter()
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=IGNORE)
-        originals = {m.file: (copy / m.file).read_text() for m in rows}
+        originals = {m.file: (copy / m.file).read_text() for m in MUTANTS}
         stale = [f"{m.name}: snippet occurs {originals[m.file].count(m.snippet)} times in {m.file}, not once"
-                 for m in rows if originals[m.file].count(m.snippet) != 1]
+                 for m in MUTANTS if originals[m.file].count(m.snippet) != 1]
         if stale:
             print("\n".join(stale), file=sys.stderr)
             return 2
-        code, failed = run_tests(copy, sorted({t for m in rows for t in m.tests}))
+        code, failed = run_tests(copy, sorted({t for m in MUTANTS for t in m.tests}))
         if code != 0:
             print(f"the named tests fail unmutated (pytest exit {code}): {sorted(failed)}", file=sys.stderr)
             return 2
-        for m in rows:
+        for m in MUTANTS:
             t0 = time.perf_counter()
             path = copy / m.file
             path.write_text(originals[m.file].replace(m.snippet, m.replacement))

@@ -79,7 +79,7 @@ class Digraph:
         return tuple(tuple(row >> j & 1 for j in range(self.n)) for row in self.rows)
 
     def induced(self, vertices: Sequence[int]) -> "Digraph":
-        """Subgraph on the given vertices, relabeled 0..k-1 in ascending vertex order."""
+        """Subgraph on the given vertices, relabeled 0..k-1 in ascending vertex order, of the receiver's kind."""
         if any(type(v) is not int for v in vertices):  # a bool or a float is no vertex
             raise BadParamsError(f"induced vertex list must hold integers, got {vertices!r}")
         keep = sorted(set(vertices))
@@ -97,7 +97,7 @@ class Digraph:
             for w in bits_of(self.rows[v] & kept):  # only arcs that stay get relabelled
                 row |= 1 << index[w]
             rows.append(row)
-        return Digraph(len(keep), tuple(rows))
+        return type(self)(len(keep), tuple(rows))  # an induced subgraph of a symmetric graph is symmetric
 
 
 @dataclass(frozen=True)

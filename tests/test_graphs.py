@@ -101,6 +101,10 @@ def test_induced_subgraph_relabels_in_sorted_order():
     with pytest.raises(BadParamsError):
         g.induced([1, 1])
     assert g.induced(range(5)) == g
+    # an undirected input stays undirected, whether or not a vertex is dropped
+    k4 = complete_graph(4)
+    assert k4.induced([0, 1, 2]) == complete_graph(3)  # dataclass equality compares the class too
+    assert type(k4.induced(range(4))) is UndirectedGraph
     # a float or a bool is refused, also where every vertex is kept
     for bad in ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2], [True, 2]):
         with pytest.raises(BadParamsError, match="induced vertex list must hold integers"):

@@ -2,7 +2,9 @@
 
 Each row crosses layer width k with cycle length l and lists the derangement
 count, permutation count, and their exact ratio alongside the closed forms.
-A mismatch between the permanent route and the closed form aborts.
+A mismatch between the permanent route and the closed form aborts with exit
+1. Blowups count through the exact 0/1 kernel, so ``--max-vertices`` above
+its cap is refused with exit 2 before any row is printed.
 
     python3 scripts/blowup_table.py --max-k 3 --max-l 5 --max-vertices 14
 """
@@ -11,6 +13,7 @@ import argparse
 from fractions import Fraction
 
 from permatch import check_blowup_formulas, format_12sig
+from permatch.permanent import DP_MAX
 
 
 def main(argv=None):
@@ -19,6 +22,8 @@ def main(argv=None):
     ap.add_argument("--max-l", type=int, default=4)
     ap.add_argument("--max-vertices", type=int, default=12)
     args = ap.parse_args(argv)
+    if args.max_vertices > DP_MAX:
+        ap.error(f"--max-vertices must be at most {DP_MAX}, the exact kernel's cap, got {args.max_vertices}")
 
     print(f"{'k':>3} {'l':>3} {'derangements':>14} {'permutations':>14} "
           f"{'ratio':>12} {'float':>16}")

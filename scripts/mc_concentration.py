@@ -41,7 +41,10 @@ def main(argv=None):
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--q-grid", default="1/4,1/2,3/4,9/10")
     ap.add_argument("--json", action="store_true")
-    run(ap.parse_args(argv))
+    args = ap.parse_args(argv)
+    if args.threads < 1:
+        ap.error(f"--threads must be a positive integer, got {args.threads}")
+    run(args)
     return 0
 
 

@@ -116,6 +116,40 @@ MUTANTS = (
         '    return TheoremReport("half-hitting", _describe(b), 2 * worst < total == len(misses), None, details)\n',
         ("tests/test_verify.py::test_check_half_hitting",),
     ),
+    Mutant(
+        "half-hitting-without-count-term",
+        "src/permatch/verify.py",
+        '    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total == len(misses), None, details)\n',
+        '    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total, None, details)\n',
+        ("tests/test_verify.py::test_checks_fail_when_count_and_enumeration_disagree",),
+    ),
+    Mutant(
+        "census-masks-summed",
+        "src/permatch/verify.py",
+        "    masks = np.bitwise_or.reduce(moved << np.maximum(slot[vertices, perms], 0), axis=1)\n",
+        "    masks = (moved << np.maximum(slot[vertices, perms], 0)).sum(axis=1)\n",
+        (
+            "tests/test_verify.py::test_host_census_columns_match_the_orbit_oracle",
+            "tests/test_verify.py::test_each_biadjacency_slot_is_one_edge",
+        ),
+    ),
+    Mutant(
+        "chord-tie-earliest-start",
+        "src/permatch/injection.py",
+        "            if i + 1 < stop <= best_stop:  # forward and not the cycle's own arc\n",
+        "            if i + 1 < stop < best_stop:  # forward and not the cycle's own arc\n",
+        ("tests/test_injection.py::test_first_minimal_chord_matches_inclusion_definition",),
+    ),
+    Mutant(
+        "expected-inclusion-off-by-one",
+        "src/permatch/random_models.py",
+        "        prob.append(prob[-1] * Fraction(m - t, slots - t))\n",
+        "        prob.append(prob[-1] * Fraction(m - t - 1, slots - t))\n",
+        (
+            "tests/test_random_models.py::test_expected_counts_against_full_enumeration",
+            "tests/test_random_models.py::test_expected_counts_pinned_value",
+        ),
+    ),
 )
 
 

@@ -10,7 +10,6 @@ from .errors import (
     NotDerangementError,
     NotInImageError,
     NotOnGraphError,
-    NotPerfectMatchingError,
     OutOfRangeError,
     PermatchError,
     SelfLoopError,
@@ -25,11 +24,9 @@ from .graphs import (
     canonical_matching,
     complete_bipartite,
     complete_graph,
-    construct,
     directed_cycle,
     graph_from_json_dict,
     graph_to_json_dict,
-    is_perfect_matching,
     lonely_matching_ring,
     new_bipartite,
     new_digraph,

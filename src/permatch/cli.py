@@ -30,7 +30,6 @@ from .graphs import (
     BipartiteGraph,
     Digraph,
     UndirectedGraph,
-    construct,
     lonely_matching_ring,
     parse_graph,
     serialize_graph,
@@ -103,10 +102,11 @@ def _cmd_count(args: argparse.Namespace) -> _Result:
 
 def _cmd_construct(args: argparse.Namespace) -> _Result:
     kind = args.kind
-    params = {name: getattr(args, name) for name in _CONSTRUCTIONS[kind][0]}
-    if None in params.values():
-        raise BadParamsError(f"{kind} needs " + " and ".join(f"--{name}" for name in params))
-    g = construct(kind, **params)
+    names, build = _CONSTRUCTIONS[kind]
+    params = [getattr(args, name) for name in names]
+    if None in params:
+        raise BadParamsError(f"{kind} needs " + " and ".join(f"--{name}" for name in names))
+    g = build(*params)
     fmt = "json" if args.out.endswith(".json") else "text"
     Path(args.out).write_text(serialize_graph(g, fmt))
     if kind != "thm2h":

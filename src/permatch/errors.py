@@ -31,10 +31,6 @@ class GraphSyntaxError(PermatchError):
         super().__init__(message)
 
 
-class NotPerfectMatchingError(PermatchError):
-    pass
-
-
 class NotOnGraphError(PermatchError):
     """A permutation moves some vertex along a missing arc."""
 

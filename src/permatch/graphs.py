@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BadParamsError,
     GraphSyntaxError,
-    NotPerfectMatchingError,
     OutOfRangeError,
     SelfLoopError,
 )
@@ -54,9 +53,6 @@ class Digraph:
                 raise OutOfRangeError(f"row {u} references a vertex outside 0..{self.n - 1}")
             if row >> u & 1:
                 raise SelfLoopError(f"self-loop at vertex {u}")
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
 
     def arcs(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits_of(self.rows[u])]
@@ -211,10 +207,8 @@ def complete_graph(n: int) -> UndirectedGraph:
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def complete_bipartite(nl: int, nr: int | None = None) -> BipartiteGraph:
-    if nr is None:
-        nr = nl
-    return new_bipartite(nl, nr, [(i, j) for i in range(nl) for j in range(nr)])
+def complete_bipartite(n: int) -> BipartiteGraph:
+    return new_bipartite(n, n, [(i, j) for i in range(n) for j in range(n)])
 
 
 def blowup(k: int, l: int) -> Digraph:
@@ -280,45 +274,12 @@ _CONSTRUCTIONS = {
 }
 
 
-def construct(kind: str, **params: int) -> Digraph:
-    """Build the named construction from its parameters (see _CONSTRUCTIONS)."""
-    if kind not in _CONSTRUCTIONS:
-        raise BadParamsError(f"unknown construction {kind!r}; expected one of {tuple(_CONSTRUCTIONS)}")
-    names, build = _CONSTRUCTIONS[kind]
-    for name in names:
-        if name not in params:
-            raise BadParamsError(f"construction {kind!r} is missing parameter {name!r}")
-    return build(*(params[name] for name in names))
-
-
 # ---------------------------------------------------------------------------
 # matchings
 
 
 def canonical_matching(pairs: Iterable[tuple[int, int]]) -> Matching:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
-
-
-def is_perfect_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> bool:
-    seen = 0
-    count = 0
-    for a, b in m:
-        if a == b or not (0 <= a < g.n and 0 <= b < g.n):
-            return False
-        if not g.has_arc(a, b):
-            return False
-        if seen >> a & 1 or seen >> b & 1:
-            return False
-        seen |= 1 << a | 1 << b
-        count += 1
-    return count * 2 == g.n
-
-
-def require_perfect_matching(g: UndirectedGraph, m: Iterable[tuple[int, int]]) -> Matching:
-    m = canonical_matching(m)
-    if not is_perfect_matching(g, m):
-        raise NotPerfectMatchingError(f"{m!r} is not a perfect matching of the graph")
-    return m
 
 
 # ---------------------------------------------------------------------------

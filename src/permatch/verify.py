@@ -11,7 +11,6 @@ surfaced as findings, not failures.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -44,7 +43,6 @@ from .graphs import (
     blowup,
     canonical_matching,
     complete_graph,
-    require_perfect_matching,
 )
 from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
@@ -149,14 +147,14 @@ def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     return TheoremReport("half-hitting", _describe(b), 2 * worst <= total == len(misses), None, details)
 
 
-def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] | None = None) -> TheoremReport:
-    """Any perfect matching of a 2n-vertex graph meets more than a
+def check_matching_lower_bound(g: UndirectedGraph) -> TheoremReport:
+    """Every perfect matching of a 2n-vertex graph meets more than a
     1/(2^(n-1)+1) fraction of all perfect matchings: misses <= 2^(n-1) * hits.
 
     The perfect matchings are counted and listed, and the two must agree.
-    The misses of each target are counted on the graph without its edges. Up
-    to CROSS_CHECK_LIMIT vertices they are also listed, and the listed set
-    must match both the count and the cover of _bipartition_matchings.
+    Each one is a target, whose misses are counted on the graph without its
+    edges. Up to CROSS_CHECK_LIMIT vertices they are also listed, and the
+    listed set must match both the count and the cover of _bipartition_matchings.
     Refuses graphs with more than MATCHING_BOUND_LIMIT perfect matchings
     before listing any.
     """
@@ -166,13 +164,12 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
         raise TooLargeError(f"matching bound capped at {MATCHING_BOUND_LIMIT} perfect matchings, got {counted}")
     half_n = g.n // 2
     matchings = list(enumerate_perfect_matchings_general(g))
-    targets = matchings if m is None else [require_perfect_matching(g, m)]
     total = len(matchings)
     cross_check = g.n <= CROSS_CHECK_LIMIT
     bound = 1 << max(half_n - 1, 0)
     ok = counted == total
     worst: dict = {}
-    for ref in targets:
+    for ref in matchings:
         misses = count_matchings_avoiding_general(g, ref)
         hits = total - misses
         if misses > bound * hits:
@@ -190,7 +187,7 @@ def check_matching_lower_bound(g: UndirectedGraph, m: Iterable[tuple[int, int]] 
                     "direct_misses": len(direct),
                     "bipartition_misses": len(covered),
                 }
-    details = {"matchings": total, "targets": len(targets), "bound_factor": bound}
+    details = {"matchings": total, "targets": total, "bound_factor": bound}
     if counted != total:
         details["counted_matchings"] = counted
     if worst:

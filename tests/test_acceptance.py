@@ -48,7 +48,7 @@ from permatch import (
     scan,
     subpermanent_sides,
 )
-from permatch.counting import count_matchings_avoiding
+from permatch.counting import count_matchings_avoiding, count_matchings_avoiding_general
 from permatch.graphs import BipartiteGraph
 from permatch.injection import _canonical_chord
 
@@ -208,7 +208,8 @@ def test_criterion_07_matching_lower_bound():
             others = [pm for pm in pms if set(pm) != ref]
             assert len(others) == 1 << n
             assert all(not ref.intersection(pm) for pm in others)
-            assert check_matching_lower_bound(g, m0).holds
+            assert count_matchings_avoiding_general(g, m0) == 1 << n  # the extremal pair: misses = 2^n, hits = 1
+            assert check_matching_lower_bound(g).holds  # every perfect matching is a target, m0 among them
 
         rng = random.Random(707)
         checked = 0

@@ -9,7 +9,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
 from permatch.cli import main
-from permatch import complete_bipartite, complete_graph, directed_cycle, parse_graph, serialize_graph
+from permatch import (
+    blowup,
+    complete_bipartite,
+    complete_graph,
+    directed_cycle,
+    enumerate_perfect_matchings_general,
+    lonely_matching_ring,
+    parse_graph,
+    serialize_graph,
+)
+from permatch.graphs import _CONSTRUCTIONS
 
 CYCLE5 = "digraph 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 K33 = "bipartite 3 3\n" + "".join(f"{i} {j}\n" for i in range(3) for j in range(3))
@@ -332,9 +342,24 @@ def test_construct_ring_prints_matching(capsys, tmp_path):
     assert text.startswith("m0:")
     pairs = [tuple(map(int, tok.split("-"))) for tok in text.split()[1:]]
     g = parse_graph(out.read_text())
-    from permatch import is_perfect_matching
+    assert tuple(pairs) in set(enumerate_perfect_matchings_general(g))
 
-    assert is_perfect_matching(g, pairs)
+
+def test_construct_writes_each_named_builders_graph(capsys, tmp_path):
+    built = {
+        "cycle": ({"n": 3}, directed_cycle(3)),
+        "complete": ({"n": 4}, complete_graph(4)),
+        "complete-bipartite": ({"n": 3}, complete_bipartite(3).to_graph()),
+        "blowup": ({"k": 2, "l": 3}, blowup(2, 3)),
+        "thm2h": ({"n": 2}, lonely_matching_ring(2)[0]),
+    }
+    assert set(built) == set(_CONSTRUCTIONS)
+    for kind, (params, want) in built.items():
+        flags = [arg for name, value in params.items() for arg in (f"--{name}", str(value))]
+        for out in (tmp_path / f"{kind}.txt", tmp_path / f"{kind}.json"):
+            code, _, err = run(capsys, "construct", "--kind", kind, *flags, "--out", str(out))
+            assert (code, err) == (0, "")
+            assert parse_graph(out.read_text()) == want  # dataclass equality compares the class too
 
 
 def test_inject_forward_and_back(capsys, write_graph, schema_loader):

@@ -136,7 +136,7 @@ def test_is_directed_cycle_negative_cases():
 
 def test_bipartite_matchings():
     assert count_perfect_matchings(complete_bipartite(4)) == 24
-    assert count_perfect_matchings(complete_bipartite(2, 3)) == 0
+    assert count_perfect_matchings(new_bipartite(2, 3, [(i, j) for i in range(2) for j in range(3)])) == 0
     b = new_bipartite(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     assert count_perfect_matchings(b) == 2
     assert list(enumerate_perfect_matchings(b)) == [(0, 1, 2), (1, 0, 2)]

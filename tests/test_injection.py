@@ -286,7 +286,7 @@ def _census_by_patterns(g):
     n = g.n
     arcs = 0
     for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
-        arcs |= g.has_arc(i, j) << t
+        arcs |= (g.rows[i] >> j & 1) << t
     _, masks, moved, orbits = _host_census("digraphs", n)
     cycles = orbits == 1
     ham = 0

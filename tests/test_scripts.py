@@ -31,6 +31,23 @@ def test_script_runs(capsys, name, argv):
     assert capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        # a 24-vertex blowup is past the exact 0/1 kernel, whose refusal would exit 1 like a mismatch
+        ("blowup_table", ["--max-k", "3", "--max-l", "8", "--max-vertices", "24"],
+         "--max-vertices must be at most 20, the exact kernel's cap, got 24"),
+        ("mc_concentration", ["--n", "4", "--samples", "2", "--q-grid", "1/2", "--threads", "-2"],
+         "--threads must be a positive integer, got -2"),
+    ],
+)
+def test_script_refuses_an_out_of_range_option_with_exit_2(capsys, name, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and message in err
+
+
 def test_mc_concentration_prints_no_nan_for_a_zero_target(capsys):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")

@@ -8,6 +8,11 @@ Each public function, class and method defined in ``src/permatch/*.py``
 the tests: a name only the tests call is surface that nothing else uses.
 The exceptions are listed in ``ALLOWED``, each with its reason.
 
+The same rule holds for parameters: every parameter with a default, of each
+public function and method defined there, must be passed, by position or by
+keyword, in some call under the same three directories. A default that no
+caller overrides is a mode that only the tests reach.
+
 Each name a module under ``src/permatch`` (``__init__`` aside),
 ``scripts/``, ``perfbench/`` or ``tests/`` imports must appear in it as an
 ``ast.Name``, so a deletion leaves no import behind.
@@ -83,7 +88,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if path.parent == PACKAGE
         for name, node in _public_definitions(tree)
     ]
-    assert len(definitions) > 100  # the scan found the package
+    assert {"permanent_zero_one", "scan", "Digraph"} <= {name for name, _ in definitions}  # the scan found the package
     unused = set()
     for name, node in definitions:
         own = {id(n) for n in ast.walk(node)}
@@ -91,6 +96,55 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             unused.add(name)
     assert unused - set(ALLOWED) == set(), "public names with no caller; delete them or list them in ALLOWED"
     assert set(ALLOWED) <= unused, "ALLOWED names that now have a caller; drop them from the table"
+
+
+def _optional_parameters(node):
+    """(name, position) of each parameter of a function node that has a default;
+    position is None for keyword-only parameters, and a method's receiver is not counted."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    receiver = int(bool(positional) and positional[0].arg in ("self", "cls"))
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, index - receiver
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passed(call, name, position):
+    """Whether a call passes the parameter, by keyword, by position, or through * or ** unpacking."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    trees = {path: tree for directory in CALLERS for path, tree in _trees(directory)}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    functions = [
+        (name, node)
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, node in _public_definitions(tree)
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert {"permanent_zero_one", "scan", "dp_ratio"} <= {name for name, _ in functions}  # the scan found the package
+    unpassed = {
+        f"{name}.{param}"
+        for name, node in functions
+        for param, position in _optional_parameters(node)
+        if not any(_passed(call, param, position) for call in calls.get(name, ()))
+    }
+    assert unpassed == set(), "optional parameters that no caller passes; drop them or make them required"
 
 
 def _imported_names(tree):

@@ -8,7 +8,10 @@ label, ``injection`` holds the microseconds per apply_injection call and per
 invert_injection call, round trips and refusals apart, over every digraph on
 4 vertices at every root, and ``census`` the milliseconds per cold build of
 the exhaustive families' host census (cache cleared) and the microseconds per
-host permutation, for K_8 and the flattened K_{4,4}. Other labels already in
+host permutation, for K_8 and the flattened K_{4,4}, and ``scan`` the
+milliseconds per verify.scan call with its records written, for the
+exhaustive digraphs on 4 vertices and bipartite graphs with parts of 3 and 4
+(in one process, so interpreter start-up does not count). Other labels already in
 the file are kept, so two checkouts can be measured into one file as
 before/after data points:
 
@@ -19,6 +22,7 @@ import argparse
 import json
 import platform
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,6 +39,7 @@ from permatch import (
     enumerate_permutations,
     invert_injection,
     sample,
+    scan,
 )
 from permatch.permanent import permanent_zero_one_pair
 from permatch.random_models import _usable_cpus
@@ -45,6 +50,7 @@ GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold, RUNS times each
+SCANS = (("digraphs", 4), ("bipartite", 3), ("bipartite", 4))  # the exhaustive scans timed, RUNS calls each
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -140,6 +146,25 @@ def time_census() -> dict:
     return out
 
 
+def time_scans() -> dict:
+    """Per scan in SCANS: the milliseconds of each of RUNS verify.scan calls
+    with records written to a CSV file, after one warm-up call that fills the
+    host census cache, as every later scan in a process finds it."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "records.csv")
+        for family, n in SCANS:
+            graphs = scan(family, n, out_path=path)["graphs"]
+            times = []
+            for _ in range(RUNS):
+                start = time.perf_counter()
+                scan(family, n, out_path=path)
+                times.append((time.perf_counter() - start) * 1e3)
+            q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+            out[f"{family}-{n}"] = {"graphs": graphs, "calls": RUNS, "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="current", help="key of this run in the output file")
@@ -150,6 +175,7 @@ def main(argv=None):
     sizes = {str(n): time_pair(n) for n in SIZES}
     injection = time_injection()
     census = time_census()
+    scans = time_scans()
     doc.setdefault("runs", {})[args.label] = {
         "cpus": _usable_cpus(),
         "numpy": np.__version__,
@@ -157,6 +183,7 @@ def main(argv=None):
         "sizes": sizes,
         "injection": injection,
         "census": census,
+        "scan": scans,
     }
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in sizes.items():
@@ -169,6 +196,9 @@ def main(argv=None):
             f"census {host:<11}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
             f"  {row['median_us_per_permutation']:.2f} us per permutation ({row['permutations']})"
         )
+    for name, row in scans.items():
+        print(f"scan {name:<13}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
+              f"  {row['graphs']} graphs")
     return 0
 
 

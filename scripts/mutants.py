@@ -124,6 +124,16 @@ MUTANTS = (
         ("tests/test_verify.py::test_checks_fail_when_count_and_enumeration_disagree",),
     ),
     Mutant(
+        "matching-bound-no-count-term",
+        "src/permatch/verify.py",
+        "    ok = counted == total\n",
+        "    ok = True\n",
+        (
+            "tests/test_verify.py::test_checks_fail_when_count_and_enumeration_disagree"
+            "[check_matching_lower_bound-count_perfect_matchings_general-instance1]",
+        ),
+    ),
+    Mutant(
         "census-masks-summed",
         "src/permatch/verify.py",
         "    masks = np.bitwise_or.reduce(moved << np.maximum(slot[vertices, perms], 0), axis=1)\n",
@@ -149,6 +159,20 @@ MUTANTS = (
             "tests/test_random_models.py::test_expected_counts_against_full_enumeration",
             "tests/test_random_models.py::test_expected_counts_pinned_value",
         ),
+    ),
+    Mutant(
+        "scan-tie-to-last-graph",
+        "src/permatch/verify.py",
+        "    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), -first[j]))\n",
+        "    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), first[j]))\n",
+        ("tests/test_verify.py::test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs",),
+    ),
+    Mutant(
+        "exceedances-per-distinct-pair",
+        "src/permatch/verify.py",
+        '            summary["conjecture_exceedances"] = int(count[exceeding].sum())\n',
+        '            summary["conjecture_exceedances"] = int(np.count_nonzero(exceeding))\n',
+        ("tests/test_verify.py::test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs",),
     ),
 )
 

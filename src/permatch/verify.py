@@ -488,9 +488,9 @@ def _ratio_half_verdicts(rows: np.ndarray, d, p) -> tuple[np.ndarray, np.ndarray
 FAMILIES = ("digraphs", "bipartite", "sampled-undirected")
 
 
-def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, list[int], list[int], np.ndarray, np.ndarray]:
+def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every graph of an exhaustive scan family at once (scan checks the
-    family and n): the adjacency rows (graphs x vertices), d and p, whether
+    family and n): the adjacency rows (graphs x vertices), d and p (int64), whether
     each graph passes its checks, and whether it meets the ratio-half equality.
 
     A graph's index bits are the slots of _host_census; a bipartite record
@@ -524,12 +524,25 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, list[int], list
         lhs, rhs = p * target.denominator, d * target.numerator
         extremal = (d == per * per) & (lhs >= rhs) & ((lhs == rhs) == (index == total - 1))
         ok &= (per == 0) | (half_hitting & extremal)
-    return rows.T, d.tolist(), p.tolist(), ok, equality
+    return rows.T, d, p, ok, equality
 
 
 def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, ...], int, int]:  # rows, d, p
     g = sample(model, child_seed(seed, index))
     return (g.rows, *dp_counts(g))
+
+
+def _distinct_pairs(d: np.ndarray, p: np.ndarray) -> tuple[list[int], list[int], np.ndarray, list[int], np.ndarray]:
+    """A scan's table of distinct (d, p) values, from one stable lexsort of the int64 columns (ordered by p, then
+    d): the values' d and p as ints, each graph's index into them, each value's first graph, and its graph count."""
+    order = np.lexsort((d, p))
+    d, p = d[order], p[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (d[1:] != d[:-1]) | (p[1:] != p[:-1])
+    starts = np.flatnonzero(new)
+    value = np.empty(len(order), dtype=np.intp)
+    value[order] = np.cumsum(new) - 1
+    return d[starts].tolist(), p[starts].tolist(), value, order[starts].tolist(), np.bincount(value)
 
 
 def scan(
@@ -571,45 +584,44 @@ def scan(
             Path(out_path).open("a").close()
     if family == "sampled-undirected":
         results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
-        rows, derangements, permutations = zip(*results)
-        rows = np.array(rows, dtype=np.int64)
-        oks, equalities = _ratio_half_verdicts(rows, derangements, permutations)
+        rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
+        oks, equalities = _ratio_half_verdicts(rows, d, p)
     else:
-        rows, derangements, permutations, oks, equalities = _exhaustive_survey(family, n)
+        rows, d, p, oks, equalities = _exhaustive_survey(family, n)
 
-    # the largest d/p, the first graph winning ties: built from the back, first keeps each pair's first index
-    pairs = list(zip(derangements, permutations))
-    first = dict(zip(reversed(pairs), range(len(pairs) - 1, -1, -1)))
-    best, i = max(first.items(), key=lambda kv: (Fraction(*kv[0]), -kv[1]))
-    max_ratio, max_ratio_float = _ratio_text(*best)
+    table = d_values, p_values, _, first, count = _distinct_pairs(d, p)
+    # the largest d/p, the first graph winning ties, also between equal ratios such as 2/8 and 1/4
+    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), -first[j]))
+    max_ratio, max_ratio_float = _ratio_text(d_values[best], p_values[best])
     summary: dict = {
         "family": family,
         "n": n,
-        "graphs": len(pairs),
-        "counterexamples": len(pairs) - int(np.count_nonzero(oks)),
+        "graphs": len(d),
+        "counterexamples": len(d) - int(np.count_nonzero(oks)),
         "equality_count": int(np.count_nonzero(equalities)),
         "max_ratio": max_ratio,
         "max_ratio_float": max_ratio_float,
-        "argmax_adjacency_hex": _hex_text(rows[i : i + 1])[0],
+        "argmax_adjacency_hex": _hex_text(rows[first[best] : first[best] + 1])[0],
     }
     if family == "sampled-undirected":
         summary |= {"seed": seed, "q": str(model.q), "samples": samples}
         if n % 2 == 0 and n >= 2:
             reference = 1 / knn_ratio_sum(n // 2)
             summary["reference_ratio"] = format_ratio(reference)
-            summary["conjecture_exceedances"] = sum(
-                d * reference.denominator > p * reference.numerator for d, p in pairs
-            )
+            exceeding = [dv * reference.denominator > pv * reference.numerator for dv, pv in zip(d_values, p_values)]
+            summary["conjecture_exceedances"] = int(count[exceeding].sum())
     if out_path is not None:
-        write_records(rows, pairs, out_path)
+        write_records(rows, table, out_path)
         summary["out"] = str(out_path)
     return summary
 
 
-def write_records(rows: np.ndarray, pairs: list[tuple[int, int]], out_path: str | Path) -> None:
-    """One record per graph, from its adjacency rows (graphs x vertices) and its (d, p): CSV by default, or one JSON
-    object per line for a .jsonl suffix, written at once, the bytes of csv.writer or json.dumps. A line joins the
-    graph's arc count and hex, both made from the rows here, to its (d, p) text, made once per distinct pair."""
+def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
+    """One record per graph, from its adjacency rows (graphs x vertices) and the scan's _distinct_pairs table: CSV by
+    default, or one JSON object per line for a .jsonl suffix, written at once, the bytes of csv.writer or json.dumps.
+    A line joins the head of the graph's arc count and its hex, both made from the rows here, to the tail of its
+    (d, p); each head and each tail is formatted once."""
+    d_values, p_values, value, _, _ = table
     n = rows.shape[1]
     if Path(out_path).suffix == ".jsonl":  # hex digits and colons need no JSON escaping
         header, head, mid, sep = "", f'{{"n": {n}, "arcs": ', ', "adjacency_hex": "', '", '
@@ -618,7 +630,8 @@ def write_records(rows: np.ndarray, pairs: list[tuple[int, int]], out_path: str 
         header = "n,arcs,adjacency_hex,derangements,permutations,ratio_exact,ratio_float\r\n"
         head, mid, sep = f"{n},", ",", ","
         tail = "{},{},{},{}\r\n"
-    tails = {pair: tail.format(*pair, *_ratio_text(*pair)) for pair in set(pairs)}
-    arcs = np.bitwise_count(rows).sum(axis=1).tolist()
-    lines = [f"{head}{a}{mid}{h}{sep}{tails[dp]}" for a, h, dp in zip(arcs, _hex_text(rows), pairs)]
-    Path(out_path).write_text(header + "".join(lines), newline="")
+    arcs = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+    heads = np.array([f"{head}{a}{mid}" if k else "" for a, k in enumerate(np.bincount(arcs).tolist())], object)
+    tails = np.array([sep + tail.format(dv, pv, *_ratio_text(dv, pv)) for dv, pv in zip(d_values, p_values)], object)
+    lines = zip(heads[arcs].tolist(), _hex_text(rows), tails[value].tolist())
+    Path(out_path).write_text(header + "".join(map("".join, lines)), newline="")

@@ -90,6 +90,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "OUT", out)
     monkeypatch.setattr(bench, "INJECTION_N", 3)
     monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
+    monkeypatch.setattr(bench, "SCANS", (("digraphs", 3), ("bipartite", 2)))
     assert bench.main(["--label", "first"]) == 0
     assert bench.main(["--label", "second"]) == 0
     doc = json.loads(out.read_text())
@@ -118,8 +119,13 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for row in census.values():
             assert row["builds"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
             assert 0 < row["q1_us_per_permutation"] <= row["median_us_per_permutation"] <= row["q3_us_per_permutation"]
+    for run in doc["runs"].values():
+        assert {name: row["graphs"] for name, row in run["scan"].items()} == {"digraphs-3": 64, "bipartite-2": 16}
+        for row in run["scan"].values():
+            assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     printed = capsys.readouterr().out
     assert "n= 6" in printed and "injection refusal" in printed and "census bipartite-2" in printed
+    assert "scan digraphs-3" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):

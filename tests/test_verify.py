@@ -670,9 +670,15 @@ def test_written_records_match_the_per_record_route(monkeypatch, tmp_path, famil
     written = []
     write_records = verify.write_records
 
-    def kept(rows, pairs, path):
+    def kept(rows, table, path):
+        d_values, p_values, value, first, count = table
+        pairs = [(d_values[j], p_values[j]) for j in value.tolist()]
+        # the table against a loop over the graphs: distinct values, each one's first graph and its graph count
+        assert sorted(set(pairs), key=lambda dp: dp[::-1]) == list(zip(d_values, p_values))
+        assert first == [pairs.index(dp) for dp in zip(d_values, p_values)]
+        assert count.tolist() == [pairs.count(dp) for dp in zip(d_values, p_values)]
         written.append(record_tuples(rows, pairs))
-        write_records(rows, pairs, path)
+        write_records(rows, table, path)
 
     monkeypatch.setattr(verify, "write_records", kept)
     out = tmp_path / f"records{suffix}"
@@ -781,6 +787,30 @@ def test_exhaustive_survey_largest_host_matches_pair_kernel():
     assert tuple(rows[-1].tolist()) == flat.rows
     assert (d[-1], p[-1]) == permanent_zero_one_pair(flat.rows, 8)
     assert p[-1] == 1313 and ok.all()
+
+
+def test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs(monkeypatch):
+    def draws(pairs):  # draw i has row 0 = i + 1, so the summary's hex names the draw
+        return lambda model, seed, index: ((index + 1, 0, 0, 0), *pairs[index])
+
+    # 2/8 in draw 1 ties 1/4 in draw 2 at the largest ratio; the distinct table lists (1, 4) first
+    monkeypatch.setattr(verify, "_sampled_row", draws([(0, 1), (2, 8), (1, 4), (1, 8)]))
+    summary = scan("sampled-undirected", 4, samples=4)
+    assert (summary["max_ratio"], summary["argmax_adjacency_hex"]) == ("1/4", "2:0:0:0")
+    # against the reference 4/9 of n = 4, the repeated (1, 2) exceeds in two graphs; (4, 9) only meets it
+    monkeypatch.setattr(verify, "_sampled_row", draws([(1, 2), (0, 1), (1, 2), (4, 9)]))
+    summary = scan("sampled-undirected", 4, samples=4)
+    assert (summary["reference_ratio"], summary["conjecture_exceedances"]) == ("4/9", 2)
+    assert (summary["max_ratio"], summary["argmax_adjacency_hex"]) == ("1/2", "1:0:0:0")
+
+
+def test_sampled_scan_keeps_counts_past_2_53_exact(tmp_path):
+    # G(20, 1) draws K20 every time, whose d and p lie far past 2^53: a float step anywhere would change d
+    out = tmp_path / "k20.csv"
+    summary = scan("sampled-undirected", 20, samples=2, q="1", seed=0, out_path=out)
+    assert summary["max_ratio"] == "4282366656425369/11640679464960000"
+    records = [(r["derangements"], r["permutations"]) for r in csv.DictReader(out.read_text().splitlines())]
+    assert records == [("895014631192902121", "2432902008176640000")] * 2
 
 
 def test_scan_single_vertex_families():

@@ -1,10 +1,12 @@
 """Wall time of the 0/1 permanent pair kernel by matrix size, and of the injection.
 
-Times permanent_zero_one_pair (per(A) and per(A | I) from one pass) on the
-rows of seeded D(n, 1/2) digraphs at n = 9, 12, 13, 16 and 20, and stores
-the median and quartiles of the per-call times, with the CPU count, the numpy
-version and the Python version, under a label in a JSON file. Under the same
-label, ``injection`` holds the microseconds per apply_injection call and per
+Times permanent_zero_one_pair (per(A) and per(A | I)) on the rows of seeded
+D(n, 1/2) digraphs at n = 4, 6 and 8 (two passes of the dict DP) and 9, 12,
+13, 16 and 20 (one Ryser pass), and stores the median and quartiles of the
+per-call times, with the CPU count, the numpy version and the Python version,
+under a label in a JSON file. Under the same label, ``profile`` holds the
+milliseconds per permutations_by_fixed_points call on K_10 and K_12 (one pass
+of the dict DP in packed-profile mode), ``injection`` holds the microseconds per apply_injection call and per
 invert_injection call, round trips and refusals apart, over every digraph on
 4 vertices at every root, and ``census`` the milliseconds per cold build of
 the exhaustive families' host census (cache cleared) and the microseconds per
@@ -38,6 +40,7 @@ from permatch import (
     digraph_from_arc_index,
     enumerate_permutations,
     invert_injection,
+    permutations_by_fixed_points,
     sample,
     scan,
 )
@@ -45,9 +48,10 @@ from permatch.permanent import permanent_zero_one_pair
 from permatch.random_models import _usable_cpus
 from permatch.verify import _host_census
 
-SIZES = (9, 12, 13, 16, 20)
+SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
+PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed, RUNS calls each
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold, RUNS times each
 SCANS = (("digraphs", 4), ("bipartite", 3), ("bipartite", 4))  # the exhaustive scans timed, RUNS calls each
@@ -67,6 +71,22 @@ def time_pair(n: int) -> dict:
             times.append((time.perf_counter() - start) * 1e3)
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"calls": len(times), "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+
+
+def time_profiles() -> dict:
+    """Per K_n in PROFILES: the milliseconds of each of RUNS permutations_by_fixed_points calls, after a warm-up."""
+    out = {}
+    for n in PROFILES:
+        g = complete_graph(n)
+        permutations_by_fixed_points(g)
+        times = []
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            permutations_by_fixed_points(g)
+            times.append((time.perf_counter() - start) * 1e3)
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        out[f"K{n}"] = {"calls": RUNS, "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+    return out
 
 
 def time_injection() -> dict:
@@ -173,6 +193,7 @@ def main(argv=None):
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     sizes = {str(n): time_pair(n) for n in SIZES}
+    profiles = time_profiles()
     injection = time_injection()
     census = time_census()
     scans = time_scans()
@@ -181,6 +202,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "python": platform.python_version(),
         "sizes": sizes,
+        "profile": profiles,
         "injection": injection,
         "census": census,
         "scan": scans,
@@ -188,6 +210,8 @@ def main(argv=None):
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in sizes.items():
         print(f"n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for name, row in profiles.items():
+        print(f"profile {name:<4}  median {row['median_ms']:8.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
     for key in ("apply", "round_trip", "refusal"):
         row = injection[key]
         print(f"injection {key:<10}  median {row['median_us']:7.2f} us  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")

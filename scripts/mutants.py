@@ -174,6 +174,26 @@ MUTANTS = (
         '            summary["conjecture_exceedances"] = int(np.count_nonzero(exceeding))\n',
         ("tests/test_verify.py::test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs",),
     ),
+    Mutant(
+        "profile-shift-dropped",
+        "src/permatch/permanent.py",
+        "                new[key] = get(key, 0) + (count << width if low == own else count)\n",
+        "                new[key] = get(key, 0) + count\n",
+        (
+            "tests/test_counting.py::test_fixed_point_profile",
+            "tests/test_counting.py::test_fixed_point_profile_sums_to_permutations",
+        ),
+    ),
+    Mutant(
+        "mc-verdict-ignored",
+        "src/permatch/verify.py",
+        "    if not oks.all():\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_mc_exits_1_on_a_counterexample",
+            "tests/test_cli.py::test_mc_exits_1_on_equality_off_a_directed_cycle",
+        ),
+    ),
 )
 
 

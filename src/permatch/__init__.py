@@ -65,7 +65,6 @@ from .random_models import (
     ModelSpec,
     derangement_number,
     expected_counts,
-    mc_dp_ratio,
     ratio_target,
     sample,
 )
@@ -83,6 +82,7 @@ from .verify import (
     digraph_from_arc_index,
     format_12sig,
     knn_ratio_sum,
+    mc_dp_ratio,
     scan,
 )
 

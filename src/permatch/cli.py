@@ -35,8 +35,8 @@ from .graphs import (
     serialize_graph,
 )
 from .injection import apply_injection, invert_injection
-from .random_models import ModelSpec, expected_counts, mc_dp_ratio
-from .verify import format_12sig, format_ratio
+from .random_models import ModelSpec, expected_counts
+from .verify import format_12sig, format_ratio, mc_dp_ratio
 
 _Result = tuple[int, dict | None, str | None]  # exit code, JSON document, plain text; main prints one
 

@@ -2,7 +2,8 @@
 
 A permutation on a graph maps every non-fixed vertex along a present arc; a
 derangement additionally has no fixed point. Counts reduce to permanents of
-0/1 adjacency matrices; enumeration routines are kept independent of the
+0/1 adjacency matrices, and the fixed-point profile is one pass of the
+permanent's dict DP; enumeration routines are kept independent of the
 permanent code so the two can cross-check each other.
 """
 
@@ -26,7 +27,7 @@ from .graphs import (
     UndirectedGraph,
     bits_of,
 )
-from .permanent import permanent_ryser, permanent_zero_one, permanent_zero_one_pair
+from .permanent import _permanent_bits_sparse, permanent_ryser, permanent_zero_one, permanent_zero_one_pair
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -178,28 +179,17 @@ def is_directed_cycle(g: Digraph) -> bool:
 def permutations_by_fixed_points(g: Digraph) -> tuple[int, ...]:
     """counts[k] = number of permutations on g with exactly k fixed points.
 
-    One pass of the used-column subset DP: row i takes a free column of
-    row | 1 << i, and taking column i is a fixed point. Each state carries
-    its whole profile packed into one int, count k in the k-th field, so a
-    fixed point shifts the profile up one field. Every count is at most n!,
-    which fits a field. counts[0] is the derangement count, sum(counts) the
-    permutation count.
+    One pass of the permanent's dict DP on the rows of A + I in packed-profile
+    mode: taking column i in row i is a fixed point and moves the count up one
+    field. Every count is at most n!, which fits a field. counts[0] is the
+    derangement count, sum(counts) the permutation count.
     """
     dg = as_digraph(g)
     n = dg.n
     if n > 12:
         raise TooLargeError(f"fixed-point profile capped at n=12, got {n}")
     width = factorial(n).bit_length()
-    cur = {0: 1}
-    for i, row in enumerate(dg.rows):
-        new: dict[int, int] = {}
-        get = new.get
-        for mask, profile in cur.items():
-            for j in bits_of((row | 1 << i) & ~mask):
-                key = mask | 1 << j
-                new[key] = get(key, 0) + (profile << width if j == i else profile)
-        cur = new
-    packed = cur[(1 << n) - 1]
+    packed = _permanent_bits_sparse([row | 1 << i for i, row in enumerate(dg.rows)], width)
     return tuple(packed >> (width * k) & ((1 << width) - 1) for k in range(n + 1))
 
 

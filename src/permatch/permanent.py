@@ -10,7 +10,8 @@ Three independent routes are kept deliberately:
   wrapping int64), with the d/p pair (per(A), per(A | I)) from one stacked pass
   in ``permanent_zero_one_pair``. Ryser's sum is an integer combination of
   products of row counts, so the int64 total is per mod 2^64, which is per
-  itself as 0 <= per <= 20! < 2^63. Larger inputs are refused.
+  itself as 0 <= per <= 20! < 2^63. Larger inputs are refused. The dict DP
+  also packs the fixed-point profile of ``counting.permutations_by_fixed_points``.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -122,18 +123,21 @@ _BYTES = np.arange(256, dtype=np.uint8)
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
-def _permanent_bits_sparse(bitrows: Sequence[int]) -> int:
+def _permanent_bits_sparse(bitrows: Sequence[int], width: int = 0) -> int:
+    """per(A) by a DP over the reachable sets of used columns. With width > 0, row i taking its own column i moves
+    the count up one width-bit field: field k of the result counts the matchings with k such diagonal entries."""
     cur = {0: 1}
-    for row in bitrows:
+    for i, row in enumerate(bitrows):
         new: dict[int, int] = {}
         get = new.get
+        own = 1 << i if width else 0
         for mask, count in cur.items():
             free = row & ~mask
             while free:
                 low = free & -free
                 free ^= low
                 key = mask | low
-                new[key] = get(key, 0) + count
+                new[key] = get(key, 0) + (count << width if low == own else count)
         cur = new
     return sum(cur.values())
 

@@ -1,9 +1,10 @@
-"""Random graph models, exact first-moment formulas, and Monte Carlo ratio runs.
+"""Random graph models, sampling, exact first-moment formulas, and the worker pool.
 
 Sampling is deterministic given (model, seed): arc slots are visited in
 row-major order and each Bernoulli draw consumes exactly one 53-bit word, so
-adding features cannot silently shift the stream. Monte Carlo runs derive one
-child seed per sample index, which makes them chunkable across workers
+adding features cannot silently shift the stream. Sampled runs (``mc`` and
+the sampled scan, both in :mod:`permatch.verify`) derive one child seed per
+sample index, which makes them chunkable across ``parallel_map``'s workers
 without changing the output.
 """
 
@@ -14,13 +15,10 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import comb, exp
-from statistics import fmean, stdev
 from typing import Callable, Sequence, TypeVar
 
-from .counting import dp_ratio
-from .errors import BadParamsError, CounterexampleError, TooLargeError
+from .errors import BadParamsError, TooLargeError
 from .graphs import MAX_VERTICES, Digraph, UndirectedGraph
 
 MODEL_KINDS = ("digraph", "graph")
@@ -127,17 +125,6 @@ def child_seed(seed: int, index: int) -> int:
     return seed * (1 << 32) + index
 
 
-def _ratio_at(model: ModelSpec, seed: int, index: int) -> Fraction:
-    g = sample(model, child_seed(seed, index))
-    r = dp_ratio(g)
-    if r > Fraction(1, 2):
-        raise CounterexampleError(
-            f"derangement/permutation ratio {r} exceeds 1/2 on a sampled graph "
-            f"(kind={model.kind}, n={model.n}, seed={seed}, index={index})"
-        )
-    return r
-
-
 def ratio_target(q: Fraction) -> float:
     """Large-n heuristic for the dense model: missing diagonal slots each cost
     a factor about e^(-1/q) relative to allowing fixed points."""
@@ -163,22 +150,3 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list
     workers = min(threads, -(-len(items) // step))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=step))
-
-
-def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> dict:
-    """Sample dp ratios; every sample is also asserted against the 1/2 bound.
-    Returns the document `mc --json` prints (schemas/mc.schema.json)."""
-    if samples < 1:
-        raise BadParamsError(f"need at least one sample, got {samples}")
-    ratios = parallel_map(partial(_ratio_at, model, seed), range(samples), threads)
-    floats = [float(r) for r in ratios]
-    return {
-        "kind": model.kind,
-        "n": model.n,
-        "q": float(model.q),
-        "m": None,  # mc.schema.json requires the key; only `expect` takes an arc count
-        "samples": samples,
-        "mean": fmean(floats),
-        "stddev": stdev(floats) if samples > 1 else 0.0,
-        "target": ratio_target(model.q),
-    }

@@ -6,7 +6,9 @@ witness data to be useful when it does not. Checks that admit two independent
 computation routes run both, and fail when the routes disagree. ``scan``
 sweeps a family, records one row per graph, and reports any violation it
 meets; exceedances of the extremal conjecture for undirected graphs are
-surfaced as findings, not failures.
+surfaced as findings, not failures. ``mc_dp_ratio`` runs the sampled scan's
+draws, counts and ratio-half verdicts, raises on the first failing draw, and
+reports the ratios' mean and spread.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import cache, partial
 from itertools import islice
 from math import comb, factorial
 from pathlib import Path
+from statistics import fmean, stdev
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .counting import (
     fixed_points,
     is_directed_cycle,
 )
-from .errors import BadParamsError, NotInImageError, OutOfRangeError, TooLargeError
+from .errors import BadParamsError, CounterexampleError, NotInImageError, OutOfRangeError, TooLargeError
 from .graphs import (
     BipartiteGraph,
     Digraph,
@@ -46,7 +49,7 @@ from .graphs import (
 )
 from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
-from .random_models import ModelSpec, child_seed, parallel_map, sample
+from .random_models import ModelSpec, child_seed, parallel_map, ratio_target, sample
 
 HALF = Fraction(1, 2)
 HALF_HITTING_LIMIT = 6  # parts of the half-hitting check
@@ -451,7 +454,8 @@ def digraph_from_arc_index(n: int, index: int) -> Digraph:
 
 
 def _ratio_text(d: int, p: int) -> tuple[str, str]:  # a record's ratio_exact and ratio_float
-    return format_ratio(Fraction(d, p)), format_12sig(Fraction(d, p))
+    ratio = Fraction(d, p)
+    return format_ratio(ratio), format_12sig(ratio)
 
 
 _HEX_CODES = np.array(list(map(ord, "0123456789abcdef:")), dtype=np.uint32)
@@ -532,6 +536,16 @@ def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, ..
     return (g.rows, *dp_counts(g))
 
 
+def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> tuple[np.ndarray, ...]:
+    """The draws of `mc` and the sampled scan: `samples` graphs of the model at the seed, fanned out to `threads`
+    workers, as their adjacency rows (draws x vertices), d and p (int64), and ratio-half verdicts and equality flags."""
+    if type(samples) is not int or samples < 1:  # bool is no count
+        raise BadParamsError(f"need at least one sample, got {samples!r}")
+    results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
+    rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
+    return rows, d, p, *_ratio_half_verdicts(rows, d, p)
+
+
 def _distinct_pairs(d: np.ndarray, p: np.ndarray) -> tuple[list[int], list[int], np.ndarray, list[int], np.ndarray]:
     """A scan's table of distinct (d, p) values, from one stable lexsort of the int64 columns (ordered by p, then
     d): the values' d and p as ints, each graph's index into them, each value's first graph, and its graph count."""
@@ -571,8 +585,6 @@ def scan(
     if family == "bipartite" and n > 4:
         raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
     if family == "sampled-undirected":
-        if samples < 1:
-            raise BadParamsError("sampled scan needs samples >= 1")
         model = ModelSpec("graph", n, q=q)
     elif family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -583,9 +595,7 @@ def scan(
         except FileExistsError:
             Path(out_path).open("a").close()
     if family == "sampled-undirected":
-        results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
-        rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
-        oks, equalities = _ratio_half_verdicts(rows, d, p)
+        rows, d, p, oks, equalities = _sampled_survey(model, samples, seed, threads)
     else:
         rows, d, p, oks, equalities = _exhaustive_survey(family, n)
 
@@ -635,3 +645,28 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     tails = np.array([sep + tail.format(dv, pv, *_ratio_text(dv, pv)) for dv, pv in zip(d_values, p_values)], object)
     lines = zip(heads[arcs].tolist(), _hex_text(rows), tails[value].tolist())
     Path(out_path).write_text(header + "".join(map("".join, lines)), newline="")
+
+
+def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> dict:
+    """Sample d/p ratios, every draw held to the scan's ratio-half verdict: the first draw that fails it raises
+    CounterexampleError. Returns the document `mc --json` prints (schemas/mc.schema.json)."""
+    _, d, p, oks, _ = _sampled_survey(model, samples, seed, threads)
+    d, p = d.tolist(), p.tolist()
+    if not oks.all():
+        i = int(np.argmin(oks))
+        rule = "exceeds 1/2" if 2 * d[i] > p[i] else "breaks equality exactly on directed cycles"
+        raise CounterexampleError(
+            f"derangement/permutation ratio {Fraction(d[i], p[i])} {rule} on a sampled graph "
+            f"(kind={model.kind}, n={model.n}, seed={seed}, index={i})"
+        )
+    ratios = [x / y for x, y in zip(d, p)]  # int / int rounds once, as float(Fraction(x, y)) does
+    return {
+        "kind": model.kind,
+        "n": model.n,
+        "q": float(model.q),
+        "m": None,  # mc.schema.json requires the key; only `expect` takes an arc count
+        "samples": samples,
+        "mean": fmean(ratios),
+        "stddev": stdev(ratios) if samples > 1 else 0.0,
+        "target": ratio_target(model.q),
+    }

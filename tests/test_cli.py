@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -529,9 +528,9 @@ def test_mc_cli(capsys, schema_loader):
 
 
 def test_mc_exits_1_on_a_counterexample(capsys, monkeypatch, schema_loader):
-    from permatch import random_models
+    from permatch import verify
 
-    monkeypatch.setattr(random_models, "dp_ratio", lambda g: Fraction(3, 5))
+    monkeypatch.setattr(verify, "dp_counts", lambda g: (3, 5))
     argv = ("mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "3", "--seed", "2")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -544,6 +543,19 @@ def test_mc_exits_1_on_a_counterexample(capsys, monkeypatch, schema_loader):
     doc = json.loads(err)
     validate(doc, schema_loader("error"))
     assert (doc["error"], doc["exit"]) == ("CounterexampleError", 1) and "ratio 3/5 exceeds 1/2" in doc["message"]
+
+
+def test_mc_exits_1_on_equality_off_a_directed_cycle(capsys, monkeypatch):
+    # d/p = 1/2 keeps the bound but not its equality case, which holds only on directed cycles
+    from permatch import verify
+
+    monkeypatch.setattr(verify, "dp_counts", lambda g: (1, 2))
+    code, out, err = run(capsys, "mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "3", "--seed", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "counterexample: derangement/permutation ratio 1/2 breaks equality exactly on directed cycles "
+        "on a sampled graph (kind=digraph, n=4, seed=2, index=0)\n"
+    )
 
 
 def test_scan_exits_1_on_counterexamples_and_keeps_every_record(capsys, monkeypatch, tmp_path, schema_loader):

@@ -207,7 +207,8 @@ def test_fixed_point_profile(monkeypatch):
     for n in range(2, 13):
         g = complete_graph(n)
         with monkeypatch.context() as m:
-            # the profile is its own DP, so it cross-checks the permanent kernel
+            # the profile runs the dict DP even past SPARSE_MAX, where count_permutations runs Ryser; the
+            # enumeration, derangement_number and the rearrangement identity are the independent routes
             m.setattr(counting, "permanent_zero_one", None)
             m.setattr(counting, "permanent_zero_one_pair", None)
             profile = permutations_by_fixed_points(g)

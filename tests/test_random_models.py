@@ -19,8 +19,8 @@ from permatch import (
     mc_dp_ratio,
     new_digraph,
     new_graph,
-    random_models,
     sample,
+    verify,
 )
 from permatch.cli import main
 from permatch.random_models import child_seed, ratio_target
@@ -60,10 +60,7 @@ def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeyp
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
-    from permatch import verify
-
-    monkeypatch.setattr(random_models, "sample", no_draw)  # mc's route
-    monkeypatch.setattr(verify, "sample", no_draw)  # the sampled scan's route
+    monkeypatch.setattr(verify, "sample", no_draw)  # the route of mc and the sampled scan
     out = tmp_path / "records.csv"
     assert main(argv + (["--out", str(out)] if argv[0] == "scan" else [])) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -121,7 +118,7 @@ def test_mc_json_is_the_same_through_the_oracle_sampler(monkeypatch):
 
     runs = [("--model", "digraph", "--n", "9", "--q", "1/3"), ("--model", "graph", "--n", "12", "--q", "1/2")]
     new = [mc_json(*args) for args in runs]
-    monkeypatch.setattr(random_models, "sample", arc_list_sample)
+    monkeypatch.setattr(verify, "sample", arc_list_sample)
     assert new == [mc_json(*args) for args in runs]
 
 
@@ -210,8 +207,9 @@ def test_mc_small_run():
     again = mc_dp_ratio(model, samples=40, seed=5)
     assert again == s
     assert mc_dp_ratio(model, samples=40, seed=5, threads=2) == s
-    with pytest.raises(BadParamsError):
-        mc_dp_ratio(model, samples=0, seed=5)
+    for samples in (0, True, 2.5):  # a bool or a float is no sample count
+        with pytest.raises(BadParamsError, match="need at least one sample"):
+            mc_dp_ratio(model, samples=samples, seed=5)
 
 
 def test_mc_respects_half_bound_on_graph_model():

@@ -89,6 +89,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "RUNS", 2)
     monkeypatch.setattr(bench, "OUT", out)
     monkeypatch.setattr(bench, "INJECTION_N", 3)
+    monkeypatch.setattr(bench, "PROFILES", (3, 4))
     monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "SCANS", (("digraphs", 3), ("bipartite", 2)))
     assert bench.main(["--label", "first"]) == 0
@@ -101,6 +102,9 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for row in run["sizes"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     assert set(run["sizes"]) == {"5", "6"}
+    assert set(run["profile"]) == {"K3", "K4"}
+    for row in run["profile"].values():
+        assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     # every digraph on 3 vertices at every root: 3 * d(G) applies and round trips, 3 * (p(G) - d(G)) refusals
     graphs = [digraph_from_arc_index(3, i) for i in range(64)]
     derangements = 3 * sum(map(count_derangements, graphs))

@@ -829,6 +829,9 @@ def test_scan_rejects_bad_requests(tmp_path):
 
     with pytest.raises(BadParamsError):
         scan("sampled-undirected", 5)
+    for samples in (True, 2.5):  # a bool or a float is no sample count
+        with pytest.raises(BadParamsError, match="need at least one sample"):
+            scan("sampled-undirected", 5, samples=samples)
     with pytest.raises(BadParamsError):
         scan("mystery", 3)
 

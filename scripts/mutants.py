@@ -15,6 +15,10 @@ and seconds, the killed and surviving counts, and the wall time:
 Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
 that fails unmutated, or on a pytest run that errors instead of failing.
+
+A mutant whose outcome cannot change is no row. ``SPARSE_MAX = 9`` (the dict
+DP taking n = 9 from Ryser) is one: both routes are exact on either side of
+the switch, so every test passes under it.
 """
 
 import argparse
@@ -70,8 +74,8 @@ MUTANTS = (
     Mutant(
         "negative-seed-accepted",
         "src/permatch/random_models.py",
-        "    if seed < 0:\n"
-        '        raise BadParamsError(f"seed must be a non-negative integer, got {seed}")\n',
+        "    if type(seed) is not int or seed < 0:  # a bool or a float is no seed\n"
+        '        raise BadParamsError(f"seed must be a non-negative integer, got {seed!r}")\n',
         "",
         (
             "tests/test_random_models.py::test_oversized_models_and_negative_seeds_are_refused_before_any_draw",
@@ -107,6 +111,26 @@ MUTANTS = (
         (
             "tests/test_permanent.py::test_row_group_fits_int32",
             "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+        ),
+    ),
+    Mutant(
+        "ryser-high-sign",
+        "src/permatch/permanent.py",
+        "        totals += (-1) ** (n + h.bit_count()) * prod.sum(axis=(1, 2))\n",
+        "        totals += (-1) ** n * prod.sum(axis=(1, 2))\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[20]",
+            "tests/test_permanent.py::test_block_diagonal_product",
+        ),
+    ),
+    Mutant(
+        "ryser-int64-accumulator",
+        "src/permatch/permanent.py",
+        "    prod = np.empty(groups.shape[1:], dtype=np.int64)\n",
+        "    prod = np.empty(groups.shape[1:], dtype=np.int32)\n",
+        (
+            "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+            "tests/test_permanent.py::test_pair_rows_with_diagonal[20]",
         ),
     ),
     Mutant(

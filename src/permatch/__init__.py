@@ -35,14 +35,11 @@ from .graphs import (
     serialize_graph,
 )
 from .permanent import (
-    log_bounds,
-    permanent_naive,
     permanent_ryser,
     permanent_zero_one,
     subpermanent_sides,
 )
 from .counting import (
-    bipartite_permutation_sum,
     count_derangements,
     count_perfect_matchings,
     count_perfect_matchings_general,
@@ -63,7 +60,6 @@ from .injection import (
 )
 from .random_models import (
     ModelSpec,
-    derangement_number,
     expected_counts,
     ratio_target,
     sample,
@@ -78,7 +74,6 @@ from .verify import (
     check_matching_lower_bound,
     check_ratio_half,
     check_subpermanent,
-    cycle_doubling_sweep,
     digraph_from_arc_index,
     format_12sig,
     knn_ratio_sum,

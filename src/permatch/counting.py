@@ -10,7 +10,6 @@ permanent code so the two can cross-check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 from typing import Generator, Iterator, Sequence
 
@@ -27,7 +26,7 @@ from .graphs import (
     UndirectedGraph,
     bits_of,
 )
-from .permanent import _permanent_bits_sparse, permanent_ryser, permanent_zero_one, permanent_zero_one_pair
+from .permanent import _permanent_bits_sparse, permanent_zero_one, permanent_zero_one_pair
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -291,22 +290,3 @@ def count_matchings_avoiding_general(g: UndirectedGraph, m: Matching) -> int:
         rows[a] &= ~(1 << c)
         rows[c] &= ~(1 << a)
     return count_perfect_matchings_general(UndirectedGraph(g.n, tuple(rows)))
-
-
-def bipartite_permutation_sum(b: BipartiteGraph) -> int:
-    """Permutation count of the flattened bipartite graph, via squared subpermanents.
-
-    Permutations of a bipartite graph pair up a left subset S with a right
-    subset S' and use each crossing matching twice (once per direction), so
-    the count is the sum of per(B[S, S'])^2 over all equal-size pairs.
-    """
-    if max(b.nl, b.nr) > 8:
-        raise TooLargeError(f"squared subpermanent sum capped at parts of 8, got {b.nl} x {b.nr}")
-    mat = b.matrix()
-    total = 0
-    for k in range(min(b.nl, b.nr) + 1):
-        for s in combinations(range(b.nl), k):
-            for sp in combinations(range(b.nr), k):
-                sub = [[mat[i][j] for j in sp] for i in s]
-                total += permanent_ryser(sub) ** 2
-    return total

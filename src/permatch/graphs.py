@@ -198,8 +198,8 @@ def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> Biparti
 
 def directed_cycle(n: int) -> Digraph:
     """The directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
-    if n < 2:
-        raise BadParamsError(f"a directed cycle needs at least 2 vertices, got {n}")
+    if type(n) is not int or n < 2:  # bool is no size
+        raise BadParamsError(f"a directed cycle needs an integer n >= 2, got {n!r}")
     return new_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -218,8 +218,8 @@ def blowup(k: int, l: int) -> Digraph:
     arcs to all k vertices of layer (j+1) mod l. For l = 2 this is K_{k,k}
     with both orientations of each edge, i.e. a symmetric digraph.
     """
-    if k < 1 or l < 2:
-        raise BadParamsError(f"blowup needs k >= 1 and l >= 2, got k={k}, l={l}")
+    if {type(k), type(l)} != {int} or k < 1 or l < 2:  # bool is no size
+        raise BadParamsError(f"blowup needs integers k >= 1 and l >= 2, got k={k!r}, l={l!r}")
     if k * l > MAX_VERTICES:
         raise BadParamsError(f"blowup on {k * l} vertices exceeds the {MAX_VERTICES}-vertex cap")
     rows = []
@@ -240,8 +240,8 @@ def lonely_matching_ring(n: int) -> tuple[UndirectedGraph, Matching]:
     m0 consists of the rungs plus the ring edges; m0 shares no edge with any
     other perfect matching, and there are exactly 2^n others.
     """
-    if n < 1:
-        raise BadParamsError(f"ring length must be positive, got {n}")
+    if type(n) is not int or n < 1:  # bool is no size
+        raise BadParamsError(f"ring length must be a positive integer, got {n!r}")
     if 4 * n > MAX_VERTICES:
         raise BadParamsError(f"ring on {4 * n} vertices exceeds the {MAX_VERTICES}-vertex cap")
 

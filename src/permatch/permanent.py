@@ -1,8 +1,8 @@
-"""Exact matrix permanents and permanent bounds.
+"""Exact matrix permanents.
 
-Three independent routes are kept deliberately:
+Two independent routes are kept deliberately; the tests hold both to a third,
+the naive sum over all n! permutations in ``tests/oracles.py``:
 
-* ``permanent_naive`` sums over all n! permutations and exists as an oracle.
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
 * ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, numpy Ryser
@@ -17,14 +17,14 @@ Three independent routes are kept deliberately:
 restriction of one host at once. Each permutation of the host uses a fixed
 set of entries (slots), so per(A restricted to S) counts the permutation
 masks inside S, for all 2^slots sets S in one subset-sum (zeta) transform.
-The exhaustive scans and sweeps in :mod:`permatch.verify` run on it; the
+The exhaustive scans in :mod:`permatch.verify` run on it; the
 tests compare it with ``permanent_zero_one`` on every small biadjacency.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, lgamma, log
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import BadParamsError, TooLargeError
 
 RYSER_LIMIT = 21
-NAIVE_LIMIT = 10
 
 Matrix = Sequence[Sequence[int]]
 
@@ -48,27 +47,6 @@ def as_int_matrix(m: Matrix) -> tuple[tuple[int, ...], ...]:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise BadParamsError(f"matrix entries must be nonnegative integers, got {x!r}")
     return rows
-
-
-def permanent_naive(m: Matrix) -> int:
-    """Permanent by direct summation over permutations. Oracle use only."""
-    rows = as_int_matrix(m)
-    n = len(rows)
-    if n > NAIVE_LIMIT:
-        raise TooLargeError(f"naive permanent capped at n={NAIVE_LIMIT}, got {n}")
-    if n == 0:
-        return 1
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        prod = 1
-        for i, j in enumerate(perm):
-            x = rows[i][j]
-            if not x:
-                prod = 0
-                break
-            prod *= x
-        total += prod
-    return total
 
 
 def permanent_ryser(m: Matrix) -> int:
@@ -261,13 +239,3 @@ def subpermanent_sides(m: Matrix, k: int) -> tuple[int, int]:
             sp_c = tuple(x for x in everything if x not in sp)
             rhs += sub_per(s, sp) * sub_per(s_c, sp_c)
     return lhs, rhs
-
-
-def log_bounds(n: int, k: int) -> tuple[float, float]:
-    """Log-space sandwich for the permanent of any n x n 0/1 matrix whose row
-    and column sums all equal k: n! (k/n)^n below, (k!)^(n/k) above."""
-    if n < 1 or not 1 <= k <= n:
-        raise BadParamsError(f"need 1 <= k <= n, got n={n}, k={k}")
-    lower = lgamma(n + 1) + n * (log(k) - log(n))
-    upper = (n / k) * lgamma(k + 1)
-    return lower, upper

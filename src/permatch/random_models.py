@@ -83,13 +83,6 @@ def _derangement_numbers(n: int) -> list[int]:
     return d
 
 
-def derangement_number(n: int) -> int:
-    """Derangements of an n-set."""
-    if n < 0:
-        raise BadParamsError(f"need n >= 0, got {n}")
-    return _derangement_numbers(n)[n]
-
-
 def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     """(E[derangements], E[permutations]) for a uniform m-arc digraph on n vertices.
 
@@ -120,8 +113,8 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
 def child_seed(seed: int, index: int) -> int:
     # keep the full master seed and the index in disjoint bit ranges; random.Random seeds by
     # the absolute value of an int, so a negative seed would repeat a positive seed's draws
-    if seed < 0:
-        raise BadParamsError(f"seed must be a non-negative integer, got {seed}")
+    if type(seed) is not int or seed < 0:  # a bool or a float is no seed
+        raise BadParamsError(f"seed must be a non-negative integer, got {seed!r}")
     return seed * (1 << 32) + index
 
 

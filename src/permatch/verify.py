@@ -365,7 +365,7 @@ def check_cycle_doubling(g: Digraph) -> TheoremReport:
 
 
 # ---------------------------------------------------------------------------
-# the exhaustive families' host census, and the cycle-doubling sweep
+# the exhaustive families' host census
 
 
 @cache
@@ -399,41 +399,6 @@ def _host_census(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for column in census:
         column.flags.writeable = False
     return census
-
-
-def cycle_doubling_sweep(n: int) -> dict:
-    """Check the doubling corollary on every digraph with n <= 5 vertices at once.
-
-    For every graph, its Hamilton cycles and the cycles through each vertex v
-    are subset sums of the masks of K_n's permutations with one nontrivial
-    orbit: those that move every vertex, and those that move v. Returns
-    counts; "failures" lists the offending arc-mask indices (expected empty).
-    """
-    if n < 2:
-        raise BadParamsError(f"the exhaustive sweep needs at least 2 vertices, got {n}")
-    if n > 5:
-        raise TooLargeError("the exhaustive sweep is sized for 2..5 vertices")
-    slots = n * (n - 1)
-    total = 1 << slots
-    _, masks, moved, orbits = _host_census("digraphs", n)
-    cycles = orbits == 1
-    ham = subset_permanents(slots, masks[cycles & (moved == (1 << n) - 1)])
-    twice = 2 * ham
-    doubled = np.zeros(total, dtype=bool)
-    for v in range(n):
-        doubled |= subset_permanents(slots, masks[cycles & (moved >> v & 1 == 1)]) >= twice
-    arc_count = np.bitwise_count(np.arange(total, dtype=np.uint32))
-    is_cycle_graph = (ham >= 1) & (arc_count == n)
-    ok = (ham == 0) | is_cycle_graph | doubled
-    failures = np.flatnonzero(~ok)
-    return {
-        "n": n,
-        "graphs": int(total),
-        "with_hamilton": int((ham > 0).sum()),
-        "directed_cycles": int(is_cycle_graph.sum()),
-        "failures": [int(x) for x in failures[:20]],
-        "failure_count": int(failures.size),
-    }
 
 
 def digraph_from_arc_index(n: int, index: int) -> Digraph:

@@ -1,0 +1,50 @@
+"""Independent routes the tests hold the package to, each written from its
+definition. Nothing here imports ``permatch``, so no oracle can share code
+with the kernel it checks (``test_surface`` enforces that)."""
+
+from itertools import combinations, permutations
+from math import comb, factorial, lgamma, log
+
+
+def permanent_naive(m):
+    """The permanent of a square matrix: over all n! permutations, the sum of
+    the products of their entries. A product stops at its first zero entry."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        prod = 1
+        for i, j in enumerate(perm):
+            prod *= m[i][j]
+            if not prod:
+                break
+        total += prod
+    return total
+
+
+def bipartite_permutation_sum(matrix):
+    """Permutations of the flattened bipartite graph with this nl x nr
+    biadjacency, by squared subpermanents: a permutation pairs a left subset S
+    with a right subset S' of the same size and uses one matching between
+    them in each direction, so the count is the sum of per(B[S, S'])^2."""
+    nl, nr = len(matrix), len(matrix[0])
+    return sum(
+        permanent_naive([[matrix[i][j] for j in cols] for i in rows]) ** 2
+        for k in range(min(nl, nr) + 1)
+        for rows in combinations(range(nl), k)
+        for cols in combinations(range(nr), k)
+    )
+
+
+def derangement_number(n):
+    """Permutations of an n-set with no fixed point, by inclusion-exclusion
+    over the set of points held fixed."""
+    return sum((-1) ** k * comb(n, k) * factorial(n - k) for k in range(n + 1))
+
+
+def log_bounds(n, k):
+    """Log-space sandwich for the permanent of any n x n 0/1 matrix whose row
+    and column sums all equal k: van der Waerden's n! (k/n)^n below and
+    Bregman's (k!)^(n/k) above."""
+    lower = lgamma(n + 1) + n * (log(k) - log(n))
+    upper = (n / k) * lgamma(k + 1)
+    return lower, upper

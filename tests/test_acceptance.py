@@ -14,6 +14,7 @@ from math import comb, factorial, log
 
 import numpy as np
 
+from oracles import log_bounds, permanent_naive
 from permatch import (
     ModelSpec,
     blowup,
@@ -29,18 +30,16 @@ from permatch import (
     count_derangements,
     count_perfect_matchings,
     count_permutations,
-    cycle_doubling_sweep,
     digraph_from_arc_index,
     directed_cycle,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     expected_counts,
     hamilton_census,
-    log_bounds,
+    is_directed_cycle,
     lonely_matching_ring,
     mc_dp_ratio,
     new_digraph,
-    permanent_naive,
     permanent_ryser,
     permanent_zero_one,
     ratio_target,
@@ -51,6 +50,8 @@ from permatch import (
 from permatch.counting import count_matchings_avoiding, count_matchings_avoiding_general
 from permatch.graphs import BipartiteGraph
 from permatch.injection import _canonical_chord
+from permatch.permanent import subset_permanents
+from permatch.verify import _host_census
 
 
 @contextmanager
@@ -312,6 +313,29 @@ def test_criterion_11_mc_concentration():
             assert summary["samples"] == 200
 
 
+def cycle_doubling_sweep(n):
+    """The doubling corollary on every digraph on n vertices at once, in the
+    exhaustive scan's slot numbering. A graph's Hamilton cycles, and its cycles
+    through a vertex v, are subset sums of the masks of K_n's permutations with
+    one nontrivial orbit: those that move every vertex, and those that move v.
+    A graph with a Hamilton cycle fails unless it is a directed cycle (n arcs)
+    or some vertex lies on at least twice as many cycles."""
+    slots = n * (n - 1)
+    _, masks, moved, orbits = _host_census("digraphs", n)
+    cycles = orbits == 1
+    ham = subset_permanents(slots, masks[cycles & (moved == (1 << n) - 1)])
+    doubled = np.zeros(1 << slots, dtype=bool)
+    for v in range(n):
+        doubled |= subset_permanents(slots, masks[cycles & (moved >> v & 1 == 1)]) >= 2 * ham
+    cycle_graphs = (ham > 0) & (np.bitwise_count(np.arange(1 << slots, dtype=np.uint32)) == n)
+    return {
+        "graphs": len(ham),
+        "with_hamilton": int(np.count_nonzero(ham)),
+        "directed_cycles": int(np.count_nonzero(cycle_graphs)),
+        "failures": np.flatnonzero((ham > 0) & ~cycle_graphs & ~doubled).tolist(),
+    }
+
+
 def test_criterion_12_cycle_doubling_sweep():
     # exhaustive vectorized sweep over every digraph on up to 5 vertices,
     # cross-checked against the per-graph census route (~1s)
@@ -319,13 +343,15 @@ def test_criterion_12_cycle_doubling_sweep():
         for n in range(2, 6):
             res = cycle_doubling_sweep(n)
             assert res["graphs"] == 1 << (n * (n - 1))
-            assert res["failure_count"] == 0 and res["failures"] == []
+            assert res["failures"] == []
             assert res["directed_cycles"] == factorial(n - 1)
-        with_ham = 0
+        with_ham = cycles = 0
         for idx in range(64):
             g = digraph_from_arc_index(3, idx)
             assert check_cycle_doubling(g).holds
             with_ham += hamilton_census(g).ham_count >= 1
-        assert with_ham == cycle_doubling_sweep(3)["with_hamilton"]
+            cycles += is_directed_cycle(g)
+        res = cycle_doubling_sweep(3)
+        assert (res["with_hamilton"], res["directed_cycles"]) == (with_ham, cycles)
         for idx in range(0, 4096, 61):
             assert check_cycle_doubling(digraph_from_arc_index(4, idx)).holds

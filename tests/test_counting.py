@@ -5,11 +5,11 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bipartite_permutation_sum, derangement_number
 from permatch import (
     BadParamsError,
     ModelSpec,
     TooLargeError,
-    bipartite_permutation_sum,
     blowup,
     complete_bipartite,
     complete_graph,
@@ -17,7 +17,6 @@ from permatch import (
     count_perfect_matchings,
     count_perfect_matchings_general,
     count_permutations,
-    derangement_number,
     directed_cycle,
     dp_counts,
     dp_ratio,
@@ -246,7 +245,7 @@ def test_bipartite_permutation_sum_matches_flat_count():
         b = new_bipartite(
             nl, nr, [(i, j) for i in range(nl) for j in range(nr) if rng.random() < 0.6]
         )
-        assert bipartite_permutation_sum(b) == count_permutations(b.to_graph())
+        assert bipartite_permutation_sum(b.matrix()) == count_permutations(b.to_graph())
 
 
 def test_blowup_closed_forms():

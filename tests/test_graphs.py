@@ -12,6 +12,7 @@ from permatch import (
     UndirectedGraph,
     blowup,
     canonical_matching,
+    check_blowup_formulas,
     complete_bipartite,
     complete_graph,
     directed_cycle,
@@ -64,6 +65,26 @@ def test_sizes_refuse_bool():
     ):
         with pytest.raises(BadParamsError):
             build()
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (blowup, (1.5, 2)),
+        (blowup, (True, 2)),
+        (blowup, (2, 3.0)),
+        (check_blowup_formulas, (1.5, 2)),
+        (check_blowup_formulas, (True, 3)),
+        (directed_cycle, (2.0,)),
+        (directed_cycle, (3.0,)),
+        (lonely_matching_ring, (1.5,)),
+        (lonely_matching_ring, (True,)),
+    ],
+)
+def test_sized_constructions_refuse_a_size_that_is_not_an_int(build, sizes):
+    # 1.5 used to escape as a bare TypeError, and True built the size-1 graph
+    with pytest.raises(BadParamsError, match="integer"):
+        build(*sizes)
 
 
 def test_undirected_symmetry_enforced():

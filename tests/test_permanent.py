@@ -6,12 +6,10 @@ from math import comb, factorial, log
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import derangement_number, log_bounds, permanent_naive
 from permatch import (
     BadParamsError,
     TooLargeError,
-    derangement_number,
-    log_bounds,
-    permanent_naive,
     permanent_ryser,
     permanent_zero_one,
     subpermanent_sides,
@@ -67,8 +65,6 @@ def test_input_validation():
         permanent_ryser([[-1]])
     with pytest.raises(BadParamsError):
         permanent_ryser([[1.5]])
-    with pytest.raises(TooLargeError):
-        permanent_naive(brick(11, 1))
     for n in (21, 31):
         with pytest.raises(TooLargeError):
             permanent_zero_one([0] * n, n)
@@ -225,10 +221,6 @@ def test_log_bounds_bracket_known_values():
     # is exactly 0 at k = 1 while the lower one stays strictly below
     lo, hi = log_bounds(6, 1)
     assert lo < 0 and abs(hi) < 1e-12
-    with pytest.raises(BadParamsError):
-        log_bounds(3, 4)
-    with pytest.raises(BadParamsError):
-        log_bounds(3, 0)
 
 
 def test_log_bounds_on_circulants():

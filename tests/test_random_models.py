@@ -2,11 +2,13 @@ import contextlib
 import io
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import exp, isclose
 
 import pytest
 
+from oracles import derangement_number
 from permatch import (
     BadParamsError,
     Digraph,
@@ -14,7 +16,6 @@ from permatch import (
     UndirectedGraph,
     count_derangements,
     count_permutations,
-    derangement_number,
     expected_counts,
     mc_dp_ratio,
     new_digraph,
@@ -23,7 +24,7 @@ from permatch import (
     verify,
 )
 from permatch.cli import main
-from permatch.random_models import child_seed, ratio_target
+from permatch.random_models import _derangement_numbers, child_seed, ratio_target
 from permatch.verify import digraph_from_arc_index
 
 
@@ -47,22 +48,36 @@ def test_model_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "argv, error",
+    "call, error",
     [
         (["mc", "--model", "digraph", "--n", "2000", "--q", "1/2", "--samples", "1"], "vertex count must be in [1, 64], got 2000"),
         (["scan", "--family", "sampled-undirected", "--n", "2000", "--samples", "1"], "vertex count must be in [1, 64], got 2000"),
         # random.Random seeds by the absolute value, so seed -1 would repeat seed 1's draws
         (["mc", "--model", "digraph", "--n", "8", "--q", "1/2", "--samples", "1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
         (["scan", "--family", "sampled-undirected", "--n", "8", "--samples", "3", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        # the CLI parses --seed as an int; a library caller can pass a bool or a float, which the schemas refuse
+        *(
+            (run, f"seed must be a non-negative integer, got {seed!r}")
+            for seed in (True, 1.5)
+            for run in (
+                partial(verify.scan, "sampled-undirected", 4, samples=3, seed=seed),
+                partial(mc_dp_ratio, ModelSpec("digraph", 4, q="1/2"), samples=3, seed=seed),
+            )
+        ),
     ],
 )
-def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, argv, error):
+def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, call, error):
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
     monkeypatch.setattr(verify, "sample", no_draw)  # the route of mc and the sampled scan
+    if callable(call):  # a library call, else CLI arguments
+        with pytest.raises(BadParamsError) as exc:
+            call()
+        assert str(exc.value) == error
+        return
     out = tmp_path / "records.csv"
-    assert main(argv + (["--out", str(out)] if argv[0] == "scan" else [])) == 2
+    assert main(call + (["--out", str(out)] if call[0] == "scan" else [])) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
     assert not out.exists()
 
@@ -139,9 +154,8 @@ def test_sampling_frequency_sanity():
 
 
 def test_derangement_numbers():
-    assert [derangement_number(n) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
-    with pytest.raises(BadParamsError):
-        derangement_number(-1)
+    # the recurrence expected_counts runs on, against inclusion-exclusion
+    assert _derangement_numbers(7) == [derangement_number(n) for n in range(8)] == [1, 0, 1, 2, 9, 44, 265, 1854]
 
 
 def test_expected_counts_against_full_enumeration():

@@ -6,7 +6,9 @@ Each public function, class and method defined in ``src/permatch/*.py``
 ``ast.Name`` or an attribute, somewhere in ``src/permatch``, ``scripts/`` or
 ``perfbench/``. The re-exports in ``__init__`` do not count, and neither do
 the tests: a name only the tests call is surface that nothing else uses.
-The exceptions are listed in ``ALLOWED``, each with its reason.
+The rule has no exceptions; the independent routes the tests compare the
+package against live in ``tests/oracles.py``, which imports nothing from
+``permatch``.
 
 The same rule holds for parameters: every parameter with a default, of each
 public function and method defined there, must be passed, by position or by
@@ -35,17 +37,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "permatch"
 CALLERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 IMPORTERS = (*CALLERS, ROOT / "tests")
-
-ALLOWED = {
-    # independent oracles that the tests compare the kernels against
-    "permanent_naive": "oracle: the permanent by its definition, for the kernel tests",
-    "bipartite_permutation_sum": "oracle: p of a flattened bipartite graph by squared subpermanents",
-    "derangement_number": "oracle: d(n) by recurrence, against the complete-graph counts",
-    "log_bounds": "oracle: the van der Waerden and Bregman bounds criterion 09 holds permanent_zero_one to",
-    # a statement of the paper with no CLI entry yet
-    "cycle_doubling_sweep": "paper: the cycle-doubling corollary on every digraph up to 5 vertices; "
-    "waits on the ROADMAP item that adds a `sweep` command",
-}
 
 
 def _trees(directory):
@@ -94,8 +85,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         own = {id(n) for n in ast.walk(node)}
         if not refs.get(name, set()) - own:
             unused.add(name)
-    assert unused - set(ALLOWED) == set(), "public names with no caller; delete them or list them in ALLOWED"
-    assert set(ALLOWED) <= unused, "ALLOWED names that now have a caller; drop them from the table"
+    assert unused == set(), "public names with no caller; delete them or move them into the tests"
 
 
 def _optional_parameters(node):
@@ -158,6 +148,15 @@ def _imported_names(tree):
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    # an oracle that calls into permatch could quietly become the kernel it checks
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "itertools" in modules  # the scan found the imports
+    assert [m for m in modules if m.partition(".")[0] == "permatch"] == []
 
 
 def test_every_imported_name_is_used():

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 import permatch
-from permatch import complete_graph, directed_cycle, serialize_graph
+from permatch import complete_bipartite, complete_graph, directed_cycle, serialize_graph
 from permatch.random_models import _usable_cpus
 
 COMMANDS = {
@@ -47,8 +47,9 @@ COMMANDS = {
     # the injection audit: exhaustive at the CLI's 5-vertex cap, sampled (200 derangements) above it
     "verify-injection-K5": ["verify", "--theorem", "injection", "--input", "{tmp}/k5.txt"],
     "verify-injection-K10": ["verify", "--theorem", "injection", "--input", "{tmp}/k10.txt"],
-    # the splitting identity at its 8-vertex cap, every block size k
+    # the splitting identity at its cap of 8 vertices (K8) or parts of 8 (K_{8,8}), every block size k
     "verify-subpermanent-K8": ["verify", "--theorem", "subpermanent", "--input", "{tmp}/k8.txt"],
+    "verify-subpermanent-K88": ["verify", "--theorem", "subpermanent", "--input", "{tmp}/k88.txt"],
     # the slowest arc count found at the 500-vertex cap
     "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
@@ -107,6 +108,7 @@ def main(argv=None):
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
         Path(tmp, "k8.txt").write_text(serialize_graph(complete_graph(8)))
+        Path(tmp, "k88.txt").write_text(serialize_graph(complete_bipartite(8)))
         Path(tmp, "k5.txt").write_text(serialize_graph(complete_graph(5)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {

@@ -18,7 +18,9 @@ that fails unmutated, or on a pytest run that errors instead of failing.
 
 A mutant whose outcome cannot change is no row. ``SPARSE_MAX = 9`` (the dict
 DP taking n = 9 from Ryser) is one: both routes are exact on either side of
-the switch, so every test passes under it.
+the switch, so every test passes under it. ``RYSER_LOW = 13`` and ``16`` are
+others: the high part then needs at most 8 bits, inside its one-byte popcount
+table, and the kernel stays exact at n = 9, 13, 17 and 20.
 """
 
 import argparse
@@ -124,6 +126,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "ryser-low-11",  # the high part needs 9 bits at n = 20, past its one-byte popcount table
+        "src/permatch/permanent.py",
+        "RYSER_LOW = 12\n",
+        "RYSER_LOW = 11\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[20]",
+            "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+        ),
+    ),
+    Mutant(
         "ryser-int64-accumulator",
         "src/permatch/permanent.py",
         "    prod = np.empty(groups.shape[1:], dtype=np.int64)\n",
@@ -207,6 +219,13 @@ MUTANTS = (
             "tests/test_counting.py::test_fixed_point_profile",
             "tests/test_counting.py::test_fixed_point_profile_sums_to_permutations",
         ),
+    ),
+    Mutant(
+        "block-table-weight-dropped",
+        "src/permatch/permanent.py",
+        "                block[r, c] = sum(x * block[rest, c ^ 1 << j] for j, x in enumerate(row) if c >> j & 1)\n",
+        "                block[r, c] = sum(block[rest, c ^ 1 << j] for j, x in enumerate(row) if c >> j & 1)\n",
+        ("tests/test_permanent.py::test_subpermanent_identity_small",),
     ),
     Mutant(
         "mc-verdict-ignored",

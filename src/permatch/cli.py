@@ -161,7 +161,9 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             cap = None if g.n <= 5 else 200
             report = verify.check_injection(g, sample_cap=cap)
         elif token == "subpermanent":
-            report = verify.check_subpermanent(g, k=args.k)
+            if args.k is not None:
+                raise BadParamsError("verify --theorem subpermanent checks every block size; drop --k")
+            report = verify.check_subpermanent(g)
         else:
             if token in ("3", "corollary") and isinstance(g, BipartiteGraph):
                 g = g.to_graph()  # both statements read the flattened graph
@@ -250,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check one of the counting statements on an instance")
     p.add_argument("--theorem", required=True, choices=list(_THEOREM_TOKENS))
     p.add_argument("--input")
-    p.add_argument("--k", type=int, help="blowup width, or a single block size for subpermanent")
+    p.add_argument("--k", type=int, help="blowup width")
     p.add_argument("--l", type=int, help="blowup cycle length")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

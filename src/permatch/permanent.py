@@ -19,11 +19,13 @@ set of entries (slots), so per(A restricted to S) counts the permutation
 masks inside S, for all 2^slots sets S in one subset-sum (zeta) transform.
 The exhaustive scans in :mod:`permatch.verify` run on it; the
 tests compare it with ``permanent_zero_one`` on every small biadjacency.
+
+``subpermanent_sides`` reads the block-splitting identity at every block size
+off one table of square-block permanents, held to ``permanent_ryser``.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 from typing import Sequence
 
@@ -206,36 +208,29 @@ def subset_permanents(slots: int, masks: Sequence[int]) -> np.ndarray:
     return out
 
 
-def subpermanent_sides(m: Matrix, k: int) -> tuple[int, int]:
+def subpermanent_sides(m: Matrix) -> list[tuple[int, int]]:
     """Both sides of the splitting identity
 
         C(n, k) * per(M) = sum over |S| = |S'| = k of per(M[S, S']) * per(M[~S, ~S'])
 
-    summing over row sets S and column sets S' of size k. Returned as
-    (lhs, rhs); callers assert equality.
+    summing over row sets S and column sets S' of size k, as [(lhs, rhs) for k = 0..n];
+    callers assert equality. block[rows, cols] (two masks) is a square block's
+    permanent, expanded along its lowest row over the blocks one size smaller.
     """
     rows = as_int_matrix(m)
     n = len(rows)
     if n > 8:
         raise TooLargeError(f"subpermanent sum capped at n=8, got {n}")
-    if not 0 <= k <= n:
-        raise BadParamsError(f"block size k must be in [0, {n}], got {k}")
-    lhs = comb(n, k) * permanent_ryser(rows)
-
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def sub_per(rs: tuple[int, ...], cs: tuple[int, ...]) -> int:
-        key = (rs, cs)
-        if key not in memo:
-            memo[key] = permanent_ryser([[rows[i][j] for j in cs] for i in rs])
-        return memo[key]
-
-    everything = range(n)
-    picks = list(itertools.combinations(everything, k))
-    rhs = 0
-    for s in picks:
-        s_c = tuple(x for x in everything if x not in s)
-        for sp in picks:
-            sp_c = tuple(x for x in everything if x not in sp)
-            rhs += sub_per(s, sp) * sub_per(s_c, sp_c)
-    return lhs, rhs
+    by_size = [[s for s in range(1 << n) if s.bit_count() == k] for k in range(n + 1)]
+    block = {(0, 0): 1}
+    for k in range(1, n + 1):
+        for r in by_size[k]:
+            rest, row = r & r - 1, rows[(r & -r).bit_length() - 1]
+            for c in by_size[k]:
+                block[r, c] = sum(x * block[rest, c ^ 1 << j] for j, x in enumerate(row) if c >> j & 1)
+    full = (1 << n) - 1
+    rhs = [0] * (n + 1)
+    for (r, c), value in block.items():
+        rhs[r.bit_count()] += value * block[full ^ r, full ^ c]
+    per = permanent_ryser(rows)
+    return [(comb(n, k) * per, rhs[k]) for k in range(n + 1)]

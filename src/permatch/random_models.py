@@ -93,6 +93,8 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     if type(n) is not int or n < 1:  # bool is no size
         raise BadParamsError(f"model needs a positive vertex count, got {n!r}")
     slots = n * (n - 1)
+    if type(m) is not int:  # bool is no count
+        raise BadParamsError(f"arc count must be an integer, got {m!r}")
     if not 0 <= m <= slots:
         raise BadParamsError(f"arc count must lie in [0, {slots}], got {m}")
     if n > EXPECT_LIMIT:

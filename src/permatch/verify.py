@@ -271,21 +271,14 @@ def check_blowup_formulas(k: int, l: int) -> TheoremReport:
     )
 
 
-def check_subpermanent(g: Digraph | BipartiteGraph, k: int | None = None) -> TheoremReport:
-    """The block-splitting identity for the instance's 0/1 matrix, all k by default."""
+def check_subpermanent(g: Digraph | BipartiteGraph) -> TheoremReport:
+    """The block-splitting identity for the instance's 0/1 matrix at every block size k."""
     if isinstance(g, BipartiteGraph) and not g.is_balanced:
         raise BadParamsError("the splitting identity needs a square matrix; use balanced parts")
-    mat = g.matrix()
-    n = len(mat)
-    ks = range(n + 1) if k is None else [k]
-    ok = True
-    sides = {}
-    for kk in ks:
-        lhs, rhs = subpermanent_sides(mat, kk)
-        sides[str(kk)] = [lhs, rhs]
-        if lhs != rhs:
-            ok = False
-    return TheoremReport("subpermanent-split", _describe(g), ok, None, {"sides": sides})
+    sides = subpermanent_sides(g.matrix())
+    holds = all(lhs == rhs for lhs, rhs in sides)
+    details = {"sides": {str(k): list(pair) for k, pair in enumerate(sides)}}
+    return TheoremReport("subpermanent-split", _describe(g), holds, None, details)
 
 
 def check_injection(g: Digraph, sample_cap: int | None = None) -> TheoremReport:
@@ -404,11 +397,13 @@ def _host_census(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def digraph_from_arc_index(n: int, index: int) -> Digraph:
     """The digraph whose arcs are the set bits of index, in the slot numbering
     of the exhaustive digraph family; index must lie in [0, 2^(n(n-1)))."""
+    if type(index) is not int:  # bool is no index
+        raise BadParamsError(f"arc index must be an integer, got {index!r}")
     rows = []
     for u in range(n):  # row u is the index's (n-1)-bit chunk u with a 0 spliced in at bit u
         chunk = index >> (n - 1) * u & (1 << n - 1) - 1
         rows.append(chunk >> u << u + 1 | chunk & (1 << u) - 1)
-    g = Digraph(n, tuple(rows))  # refuses n outside [1, 64] before the index is checked
+    g = Digraph(n, tuple(rows))  # refuses n outside [1, 64] before the index's range is checked
     if not 0 <= index < 1 << n * (n - 1):
         raise OutOfRangeError(f"arc index must lie in [0, 2^{n * (n - 1)}) for n={n}, got {index}")
     return g
@@ -506,6 +501,8 @@ def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> 
     workers, as their adjacency rows (draws x vertices), d and p (int64), and ratio-half verdicts and equality flags."""
     if type(samples) is not int or samples < 1:  # bool is no count
         raise BadParamsError(f"need at least one sample, got {samples!r}")
+    if type(threads) is not int or threads < 1:
+        raise BadParamsError(f"threads must be a positive integer, got {threads!r}")
     results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
     rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
     return rows, d, p, *_ratio_half_verdicts(rows, d, p)

@@ -295,6 +295,10 @@ K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
             "error: the injection audit needs a directed or undirected input",
         ),
         (["verify", "--theorem", "3"], "error: verify --theorem 3 needs --input"),
+        (
+            ["verify", "--theorem", "subpermanent", "--input", "{k22}", "--k", "1"],
+            "error: verify --theorem subpermanent checks every block size; drop --k",
+        ),
     ],
 )
 def test_refusals_exit_2_with_their_line(capsys, tmp_path, write_graph, argv, line):

@@ -201,15 +201,15 @@ def test_subpermanent_identity_small():
     for trial in range(20):
         n = rng.randint(1, 5)
         m = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
-        for k in range(n + 1):
-            lhs, rhs = subpermanent_sides(m, k)
-            assert lhs == rhs
-            if k == 0:
-                assert lhs == permanent_ryser(m)
-    with pytest.raises(BadParamsError):
-        subpermanent_sides([[1]], 2)
+        sides = subpermanent_sides(m)
+        assert len(sides) == n + 1
+        assert all(lhs == rhs for lhs, rhs in sides), trial
+        # the block table's whole-matrix entry, read at k = 0 and k = n, against the naive sum
+        per = permanent_naive(m)
+        assert sides[0] == sides[n] == (per, per)
+    assert subpermanent_sides([]) == [(1, 1)]
     with pytest.raises(TooLargeError):
-        subpermanent_sides(brick(9, 1), 1)
+        subpermanent_sides(brick(9, 1))
 
 
 def test_log_bounds_bracket_known_values():

@@ -64,6 +64,20 @@ def test_model_spec_validation():
                 partial(mc_dp_ratio, ModelSpec("digraph", 4, q="1/2"), samples=3, seed=seed),
             )
         ),
+        # the CLI refuses these before the call; a library caller reaches the same check
+        *(
+            (run, f"threads must be a positive integer, got {threads!r}")
+            for threads in (0, 1.5, True)
+            for run in (
+                partial(verify.scan, "sampled-undirected", 6, samples=3, threads=threads),
+                partial(mc_dp_ratio, ModelSpec("digraph", 4, q="1/2"), samples=3, seed=0, threads=threads),
+            )
+        ),
+        # an arc index decodes by shifts, so a float or a bool would decode or die in the loop
+        *(
+            (partial(digraph_from_arc_index, 3, index), f"arc index must be an integer, got {index!r}")
+            for index in (1.5, True)
+        ),
     ],
 )
 def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeypatch, capsys, tmp_path, call, error):
@@ -186,6 +200,9 @@ def test_expected_counts_pinned_value():
         (0, 0, "model needs a positive vertex count, got 0"),
         (3, 7, "arc count must lie in [0, 6], got 7"),
         (3, -1, "arc count must lie in [0, 6], got -1"),
+        # True == 1 and 2.5 compares, but neither is an arc count
+        (4, 2.5, "arc count must be an integer, got 2.5"),
+        (4, True, "arc count must be an integer, got True"),
     ],
 )
 def test_expected_counts_refuses_bad_sizes(n, m, message):

@@ -175,8 +175,6 @@ def test_check_subpermanent():
     rep = check_subpermanent(complete_graph(4))
     assert rep.holds
     assert set(rep.details["sides"]) == {str(k) for k in range(5)}
-    single = check_subpermanent(directed_cycle(3), k=1)
-    assert single.holds and list(single.details["sides"]) == ["1"]
 
 
 # every check `permatch verify` hands a loaded graph to

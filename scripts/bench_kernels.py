@@ -4,7 +4,13 @@ Times permanent_zero_one_pair (per(A) and per(A | I)) on the rows of seeded
 D(n, 1/2) digraphs at n = 4, 6 and 8 (two passes of the dict DP) and 9, 12,
 13, 16 and 20 (one Ryser pass), and stores the median and quartiles of the
 per-call times, with the CPU count, the numpy version and the Python version,
-under a label in a JSON file. Under the same label, ``profile`` holds the
+under a label in a JSON file. Under the same label, ``stacked`` holds the
+microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 9, 12, 13 and 14,
+counted by one permanent_zero_one_pairs call against one permanent_zero_one_pair
+call per draw (the two alternate round by round), and ``pass_sweep`` the same
+one-call time at n = 12 with passes of 2, 4, 8 and 16 matrices (there a pass
+holds RYSER_BLOCK matrices, so the sweep sets it for the run and restores it),
+``profile`` holds the
 milliseconds per permutations_by_fixed_points call on K_10 and K_12 (one pass
 of the dict DP in packed-profile mode), ``injection`` holds the microseconds per apply_injection call and per
 invert_injection call, round trips and refusals apart, over every digraph on
@@ -44,13 +50,17 @@ from permatch import (
     sample,
     scan,
 )
-from permatch.permanent import permanent_zero_one_pair
+from permatch import permanent
+from permatch.permanent import permanent_zero_one_pair, permanent_zero_one_pairs
 from permatch.random_models import _usable_cpus
 from permatch.verify import _host_census
 
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
+STACKED = (9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
+DRAWS = 25  # draws per stacked call: one sampled-scan block of the benchmark
+PASS_SIZES = (2, 4, 8, 16)  # matrices per pass in the sweep at n = 12
 PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed, RUNS calls each
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold, RUNS times each
@@ -71,6 +81,54 @@ def time_pair(n: int) -> dict:
             times.append((time.perf_counter() - start) * 1e3)
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"calls": len(times), "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+
+
+def _quartiles_us(times: list[float], draws: int) -> dict:
+    q1, median, q3 = statistics.quantiles([t / draws * 1e6 for t in times], n=4, method="inclusive")
+    return {"median_us_per_draw": median, "q1_us_per_draw": q1, "q3_us_per_draw": q3}
+
+
+def time_stacked() -> dict:
+    """Per n in STACKED: microseconds per draw over RUNS rounds of DRAWS seeded
+    G(n, 1/2) draws, as one stacked call and as one pair call per draw, the
+    two in turn within each round."""
+    out = {}
+    for n in STACKED:
+        rows = [sample(ModelSpec("graph", n, q="1/2"), seed).rows for seed in range(DRAWS)]
+        routes = {
+            "one_call": lambda: permanent_zero_one_pairs(n, rows),
+            "call_per_draw": lambda: [permanent_zero_one_pair(r, n) for r in rows],
+        }
+        times: dict[str, list[float]] = {name: [] for name in routes}
+        for route in routes.values():
+            route()  # warm-up
+        for _ in range(RUNS):
+            for name, route in routes.items():
+                start = time.perf_counter()
+                route()
+                times[name].append(time.perf_counter() - start)
+        out[str(n)] = {"draws": DRAWS, "rounds": RUNS, **{name: _quartiles_us(t, DRAWS) for name, t in times.items()}}
+    return out
+
+
+def time_pass_sweep() -> dict:
+    """Microseconds per draw of one stacked call over DRAWS draws of G(12, 1/2),
+    for each pass size in PASS_SIZES (RYSER_BLOCK matrices at n = 12), the sizes
+    in turn within each of RUNS rounds; RYSER_BLOCK is restored afterwards."""
+    rows = [sample(ModelSpec("graph", 12, q="1/2"), seed).rows for seed in range(DRAWS)]
+    times: dict[int, list[float]] = {size: [] for size in PASS_SIZES}
+    kept = permanent.RYSER_BLOCK
+    try:
+        for run in range(RUNS + 1):  # round 0 warms up
+            for size in PASS_SIZES:
+                permanent.RYSER_BLOCK = size
+                start = time.perf_counter()
+                permanent_zero_one_pairs(12, rows)
+                if run:
+                    times[size].append(time.perf_counter() - start)
+    finally:
+        permanent.RYSER_BLOCK = kept
+    return {"n": 12, "draws": DRAWS, "rounds": RUNS, **{str(size): _quartiles_us(t, DRAWS) for size, t in times.items()}}
 
 
 def time_profiles() -> dict:
@@ -193,6 +251,8 @@ def main(argv=None):
     doc = json.loads(OUT.read_text()) if OUT.exists() else {}
     doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     sizes = {str(n): time_pair(n) for n in SIZES}
+    stacked = time_stacked()
+    sweep = time_pass_sweep()
     profiles = time_profiles()
     injection = time_injection()
     census = time_census()
@@ -202,6 +262,8 @@ def main(argv=None):
         "numpy": np.__version__,
         "python": platform.python_version(),
         "sizes": sizes,
+        "stacked": stacked,
+        "pass_sweep": sweep,
         "profile": profiles,
         "injection": injection,
         "census": census,
@@ -210,6 +272,15 @@ def main(argv=None):
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for n, row in sizes.items():
         print(f"n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for n, row in stacked.items():
+        one, each = row["one_call"], row["call_per_draw"]
+        print(f"stacked n={n:>2}  {one['median_us_per_draw']:8.1f} us per draw in one call"
+              f"  [{one['q1_us_per_draw']:.1f}, {one['q3_us_per_draw']:.1f}],"
+              f"  {each['median_us_per_draw']:.1f} us in one call per draw")
+    for size in PASS_SIZES:
+        row = sweep[str(size)]
+        print(f"pass of {size:>2} matrices, n=12  {row['median_us_per_draw']:8.1f} us per draw"
+              f"  [{row['q1_us_per_draw']:.1f}, {row['q3_us_per_draw']:.1f}]")
     for name, row in profiles.items():
         print(f"profile {name:<4}  median {row['median_ms']:8.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
     for key in ("apply", "round_trip", "refusal"):

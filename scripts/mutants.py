@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "ryser-high-sign",
         "src/permatch/permanent.py",
-        "        totals += (-1) ** (n + h.bit_count()) * prod.sum(axis=(1, 2))\n",
-        "        totals += (-1) ** n * prod.sum(axis=(1, 2))\n",
+        "            totals[first : first + m] += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
+        "            totals[first : first + m] += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_block_diagonal_product",
@@ -133,6 +133,17 @@ MUTANTS = (
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+        ),
+    ),
+    Mutant(
+        "ryser-stale-row-counts",  # every pass after the first reads the previous pass's |row_i & L|
+        "src/permatch/permanent.py",
+        "        np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))\n",
+        "        if not first:\n"
+        "            np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))\n",
+        (
+            "tests/test_permanent.py::test_stacked_passes_match_the_single_graph_route",
+            "tests/test_counting.py::test_dp_counts_many_matches_one_graph_at_a_time",
         ),
     ),
     Mutant(
@@ -226,6 +237,16 @@ MUTANTS = (
         "                block[r, c] = sum(x * block[rest, c ^ 1 << j] for j, x in enumerate(row) if c >> j & 1)\n",
         "                block[r, c] = sum(block[rest, c ^ 1 << j] for j, x in enumerate(row) if c >> j & 1)\n",
         ("tests/test_permanent.py::test_subpermanent_identity_small",),
+    ),
+    Mutant(
+        "records-tail-kept",  # a shorter scan over a longer file leaves the old tail behind
+        "src/permatch/verify.py",
+        "        f.truncate()\n",
+        "",
+        (
+            "tests/test_cli.py::test_shorter_scan_over_a_longer_out_leaves_exactly_its_bytes",
+            "tests/test_cli.py::test_scan_writes_through_a_symlinked_out",
+        ),
     ),
     Mutant(
         "mc-verdict-ignored",

@@ -45,6 +45,7 @@ from .counting import (
     count_perfect_matchings_general,
     count_permutations,
     dp_counts,
+    dp_counts_many,
     dp_ratio,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,

@@ -142,18 +142,30 @@ _STATEMENT_CHECKS = {
     "6": verify.check_bipartite_extremal,
     "corollary": verify.check_cycle_doubling,
 }
-_THEOREM_TOKENS = (*_STATEMENT_CHECKS, "injection", "blowup", "subpermanent")
+# the options each token's check reads; verify refuses the others
+_VERIFY_OPTIONS = {token: ("input",) for token in _STATEMENT_CHECKS} | {
+    "injection": ("input",),
+    "blowup": ("k", "l"),
+    "subpermanent": ("input",),
+}
+_THEOREM_TOKENS = tuple(_VERIFY_OPTIONS)
+
+
+def _flags(names) -> str:
+    return " and ".join(f"--{name}" for name in names)
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     token = args.theorem
+    reads = _VERIFY_OPTIONS[token]
+    unread = [name for name in ("input", "k", "l") if name not in reads and getattr(args, name) is not None]
+    if unread:
+        raise BadParamsError(f"verify --theorem {token} reads only {_flags(reads)}; drop {_flags(unread)}")
+    if any(getattr(args, name) is None for name in reads):
+        raise BadParamsError(f"verify --theorem {token} needs {_flags(reads)}")
     if token == "blowup":
-        if args.k is None or args.l is None:
-            raise BadParamsError("verify --theorem blowup needs --k and --l")
         report = verify.check_blowup_formulas(args.k, args.l)
     else:
-        if args.input is None:
-            raise BadParamsError(f"verify --theorem {token} needs --input")
         g = _load_graph(args.input)
         if token == "injection":
             if isinstance(g, BipartiteGraph):
@@ -161,8 +173,6 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
             cap = None if g.n <= 5 else 200
             report = verify.check_injection(g, sample_cap=cap)
         elif token == "subpermanent":
-            if args.k is not None:
-                raise BadParamsError("verify --theorem subpermanent checks every block size; drop --k")
             report = verify.check_subpermanent(g)
         else:
             if token in ("3", "corollary") and isinstance(g, BipartiteGraph):

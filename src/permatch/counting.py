@@ -26,7 +26,7 @@ from .graphs import (
     UndirectedGraph,
     bits_of,
 )
-from .permanent import _permanent_bits_sparse, permanent_zero_one, permanent_zero_one_pair
+from .permanent import _permanent_bits_sparse, permanent_zero_one, permanent_zero_one_pairs
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -66,8 +66,17 @@ def count_permutations(g: Digraph) -> int:
 def dp_counts(g: Digraph) -> tuple[int, int]:
     """(count_derangements(g), count_permutations(g)), i.e. per(A) and per(A + I)
     for the adjacency A, from one kernel pass: use it wherever both are needed."""
-    dg = as_digraph(g)
-    return permanent_zero_one_pair(dg.rows, dg.n)
+    return dp_counts_many([g])[0]
+
+
+def dp_counts_many(graphs: Sequence[Digraph]) -> list[tuple[int, int]]:
+    """dp_counts of each graph, all on the same number of vertices, from one
+    kernel call: above the dict DP's size they share stacked Ryser passes."""
+    dgs = [as_digraph(g) for g in graphs]
+    sizes = sorted({dg.n for dg in dgs}) or [0]
+    if len(sizes) > 1:
+        raise BadParamsError(f"graphs must share one vertex count, got {sizes}")
+    return permanent_zero_one_pairs(sizes[0], [dg.rows for dg in dgs])
 
 
 def dp_ratio(g: Digraph) -> Fraction:

@@ -7,8 +7,10 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
 * ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, numpy Ryser
   for 9 <= n <= 20 (int32 products of 7 row counts, as 20^7 < 2^31, combined in
-  wrapping int64), with the d/p pair (per(A), per(A | I)) from one stacked pass
-  in ``permanent_zero_one_pair``. Ryser's sum is an integer combination of
+  wrapping int64). ``permanent_zero_one_pairs`` gives the d/p pair
+  (per(A), per(A | I)) of many graphs in one call, all their matrices stacked
+  into Ryser passes that reuse one set of work arrays; ``permanent_zero_one_pair``
+  is its one-graph call. Ryser's sum is an integer combination of
   products of row counts, so the int64 total is per mod 2^64, which is per
   itself as 0 <= per <= 20! < 2^63. Larger inputs are refused. The dict DP
   also packs the fixed-point profile of ``counting.permutations_by_fixed_points``.
@@ -94,12 +96,16 @@ def permanent_ryser(m: Matrix) -> int:
 SPARSE_MAX = 8
 DP_MAX = 20
 # Ryser splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
-# parts H at a time: for a pair, int32 arrays of 256 KB. A row count is at most
-# DP_MAX and DP_MAX^7 < 2^31, so a product of RYSER_GROUP row counts fits int32.
+# parts H at a time. A pass stacks as many matrices as fit RYSER_BLOCK * 2^RYSER_LOW
+# int32 elements per row group, and never fewer than two (a d/p pair): 8 at n = 12,
+# 4 at n = 13, 2 from n = 14 on. A row count is at most DP_MAX and
+# DP_MAX^7 < 2^31, so a product of RYSER_GROUP row counts fits int32.
 RYSER_LOW = 12
 RYSER_BLOCK = 8
 RYSER_GROUP = 7
 _BYTES = np.arange(256, dtype=np.uint8)
+_POPCOUNTS = np.bitwise_count(_BYTES[:, None] & _BYTES)  # [a, b] = |a & b|, read-only
+_POPCOUNTS.flags.writeable = False
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
@@ -124,48 +130,59 @@ def _permanent_bits_sparse(bitrows: Sequence[int], width: int = 0) -> int:
 
 def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """Ryser's per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|
-    for several 0/1 matrices in one pass, with products of RYSER_GROUP row counts
-    in int32 and of those in int64 that wraps. The sum is an integer combination
-    of products, so its int64 value is per(A) mod 2^64, and
-    0 <= per(A) <= n! <= 20! < 2^63 makes that residue per(A) itself."""
+    for several 0/1 matrices, stacked in passes of up to per_pass matrices, with
+    products of RYSER_GROUP row counts in int32 and of those in int64 that wraps.
+    The sum is an integer combination of products, so its int64 value is per(A)
+    mod 2^64, and 0 <= per(A) <= n! <= 20! < 2^63 makes that residue per(A) itself.
+    The work arrays are allocated once per call, sized for one pass, and every
+    pass overwrites them: fresh arrays per pass page-fault again each time."""
     low = min(n, RYSER_LOW)
     high = n - low
     k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
-    # popcounts of bytes 0 and 1 and of the high part of each row against every
-    # byte; uint8 tables stay small enough for the heap to reuse between calls
-    parts = (np.array(matrices, dtype=np.int64)[:, :, None] >> [0, 8, low]).astype(np.uint8)
-    counts = np.bitwise_count(parts[..., None] & _BYTES)  # (k, n, 3, 256)
-    lo = counts[:, :, 1, : max(width >> 8, 1), None] + counts[:, :, 0, None, : min(width, 256)]
-    lo = lo.reshape(k, n, width)  # |row_i & L|
-    hi = counts[:, :, 2, : 1 << high]  # |row_i & H|
+    per_pass = max(1, min(k, max(2, (RYSER_BLOCK << RYSER_LOW) // (block * width))))
+    # the first byte and the rest of L, and H, of every row: indices into _POPCOUNTS
+    parts = (np.array(matrices, dtype=np.int64).reshape(k, n, 1) >> [0, 8, low]).astype(np.uint8)
+    lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, RYSER_GROUP)
-    groups = np.empty((len(starts), k, block, width), dtype=np.int32)
+    lo = np.empty((per_pass, n, width), dtype=np.uint8)  # |row_i & L|
+    groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
     term = np.empty(groups.shape[1:], dtype=np.uint8)
     prod = np.empty(groups.shape[1:], dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
-    for h in range(0, 1 << high, block):
-        for g, s in zip(groups, starts):
-            for i in range(s, min(s + RYSER_GROUP, n)):
-                row = np.add(lo[:, i, None], hi[:, i, h : h + block, None], out=term) if high else lo[:, i, None]
-                # a group starts from its first row, the first group times the signs
-                np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
-        np.copyto(prod, groups[0])
-        for g in groups[1:]:
-            np.multiply(prod, g, out=prod)
-        totals += (-1) ** (n + h.bit_count()) * prod.sum(axis=(1, 2))
+    for first in range(0, k, per_pass):
+        m = min(per_pass, k - first)
+        part = parts[first : first + m]
+        lo_low, lo_high = _POPCOUNTS[:, :lo_bytes][part[:, :, 0]], _POPCOUNTS[:, :lo_rest][part[:, :, 1]]
+        np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))
+        hi = _POPCOUNTS[:, : 1 << high][part[:, :, 2]]  # |row_i & H|
+        pass_groups, pass_term, pass_prod = groups[:, :m], term[:m], prod[:m]
+        for h in range(0, 1 << high, block):
+            for g, s in zip(pass_groups, starts):
+                for i in range(s, min(s + RYSER_GROUP, n)):
+                    row = lo[:m, i, None]
+                    if high:
+                        row = np.add(row, hi[:, i, h : h + block, None], out=pass_term)
+                    # a group starts from its first row, the first group times the signs
+                    np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
+            np.copyto(pass_prod, pass_groups[0])
+            for g in pass_groups[1:]:
+                np.multiply(pass_prod, g, out=pass_prod)
+            totals[first : first + m] += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
     return totals.tolist()
 
 
-def _permanents_bits(matrices: list[Sequence[int]], n: int) -> list[int]:
-    """Permanents of n x n 0/1 matrices; matrices[0] is the caller's input."""
-    if n < 0 or len(matrices[0]) != n:
-        raise BadParamsError(f"expected {n} rows, got {len(matrices[0])}")
+def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Permanents of n x n 0/1 matrices given as row bitmasks, every matrix
+    validated before any is counted; above SPARSE_MAX they share stacked Ryser passes."""
     if n > DP_MAX:
         raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
-    for i, row in enumerate(matrices[0]):
-        if row < 0 or row >> n:
-            raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
+    for rows in matrices:
+        if n < 0 or len(rows) != n:
+            raise BadParamsError(f"expected {n} rows, got {len(rows)}")
+        for i, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
     if n <= SPARSE_MAX:
         return [_permanent_bits_sparse(rows) for rows in matrices]
     return _permanent_bits_ryser(matrices, n)
@@ -178,11 +195,20 @@ def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
     return _permanents_bits([bitrows], n)[0]
 
 
+def permanent_zero_one_pairs(n: int, graphs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """(per(A), per(A | I)) for each n x n 0/1 matrix A in graphs, given as row
+    bitmasks (a graph's adjacency rows); above SPARSE_MAX every A and A | I share
+    stacked Ryser passes. Same limits as permanent_zero_one, checked on every A."""
+    matrices: list[Sequence[int]] = []
+    for rows in graphs:
+        matrices += rows, [row | 1 << i for i, row in enumerate(rows)]
+    counts = _permanents_bits(matrices, n)
+    return list(zip(counts[::2], counts[1::2]))
+
+
 def permanent_zero_one_pair(bitrows: Sequence[int], n: int) -> tuple[int, int]:
-    """(per(A), per(A | I)) for the 0/1 matrix A given as row bitmasks; above
-    SPARSE_MAX both come from one Ryser pass. Same limits as permanent_zero_one."""
-    d, p = _permanents_bits([bitrows, [row | 1 << i for i, row in enumerate(bitrows)]], n)
-    return d, p
+    """(per(A), per(A | I)) for one matrix: permanent_zero_one_pairs of a single graph."""
+    return permanent_zero_one_pairs(n, [bitrows])[0]
 
 
 SUBSET_SLOTS_MAX = 24  # a 128 MB int64 table

@@ -5,7 +5,8 @@ row-major order and each Bernoulli draw consumes exactly one 53-bit word, so
 adding features cannot silently shift the stream. Sampled runs (``mc`` and
 the sampled scan, both in :mod:`permatch.verify`) derive one child seed per
 sample index, which makes them chunkable across ``parallel_map``'s workers
-without changing the output.
+without changing the output: each worker draws and counts a whole chunk of
+indices in one call.
 """
 
 from __future__ import annotations
@@ -133,15 +134,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
-    """[fn(x) for x in items], in order, fanned out to at most `threads` worker
-    processes, and to no more than the CPUs this process may use. Items go out
-    in at most 4 * workers chunks, so no worker waits long on a slow last chunk,
-    and no more workers start than there are chunks. fn and the items must pickle."""
+def parallel_map(fn: Callable[[Sequence[T]], Sequence[R]], items: Sequence[T], threads: int) -> list[R]:
+    """The concatenated results of fn over chunks of items, in order: fn takes a
+    slice of items and returns one result per item. The chunks fan out to at
+    most `threads` worker processes, and to no more than the CPUs this process
+    may use; with one worker, fn takes every item in one call. Otherwise items
+    go out in at most 4 * workers chunks, so no worker waits long on a slow last
+    chunk, and no more workers start than there are chunks. fn and the item
+    slices must pickle."""
     threads = min(threads, _usable_cpus())
     if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
+        return list(fn(items))
     step = -(-len(items) // (4 * threads))
-    workers = min(threads, -(-len(items) // step))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=step))
+    chunks = [items[i : i + step] for i in range(0, len(items), step)]
+    with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+        return [result for part in pool.map(fn, chunks) for result in part]

@@ -13,6 +13,7 @@ reports the ratios' mean and spread.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .counting import (
     count_perfect_matchings,
     count_perfect_matchings_general,
     dp_counts,
+    dp_counts_many,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
@@ -491,9 +493,10 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return rows.T, d, p, ok, equality
 
 
-def _sampled_row(model: ModelSpec, seed: int, index: int) -> tuple[tuple[int, ...], int, int]:  # rows, d, p
-    g = sample(model, child_seed(seed, index))
-    return (g.rows, *dp_counts(g))
+def _sampled_rows(model: ModelSpec, seed: int, indices: range) -> list[tuple[tuple[int, ...], int, int]]:
+    """The rows, d and p of each draw in a chunk of sample indices, the chunk counted in one kernel call."""
+    graphs = [sample(model, child_seed(seed, index)) for index in indices]
+    return [(g.rows, d, p) for g, (d, p) in zip(graphs, dp_counts_many(graphs))]
 
 
 def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> tuple[np.ndarray, ...]:
@@ -503,7 +506,7 @@ def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> 
         raise BadParamsError(f"need at least one sample, got {samples!r}")
     if type(threads) is not int or threads < 1:
         raise BadParamsError(f"threads must be a positive integer, got {threads!r}")
-    results = parallel_map(partial(_sampled_row, model, seed), range(samples), threads)
+    results = parallel_map(partial(_sampled_rows, model, seed), range(samples), threads)
     rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
     return rows, d, p, *_ratio_half_verdicts(rows, d, p)
 
@@ -592,7 +595,8 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     """One record per graph, from its adjacency rows (graphs x vertices) and the scan's _distinct_pairs table: CSV by
     default, or one JSON object per line for a .jsonl suffix, written at once, the bytes of csv.writer or json.dumps.
     A line joins the head of the graph's arc count and its hex, both made from the rows here, to the tail of its
-    (d, p); each head and each tail is formatted once."""
+    (d, p); each head and each tail is formatted once. An existing file (or a symlink's target) is overwritten in
+    place and then cut to the new length, so it ends with exactly the new bytes."""
     d_values, p_values, value, _, _ = table
     n = rows.shape[1]
     if Path(out_path).suffix == ".jsonl":  # hex digits and colons need no JSON escaping
@@ -606,7 +610,11 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     heads = np.array([f"{head}{a}{mid}" if k else "" for a, k in enumerate(np.bincount(arcs).tolist())], object)
     tails = np.array([sep + tail.format(dv, pv, *_ratio_text(dv, pv)) for dv, pv in zip(d_values, p_values)], object)
     lines = zip(heads[arcs].tolist(), _hex_text(rows), tails[value].tolist())
-    Path(out_path).write_text(header + "".join(map("".join, lines)), newline="")
+    text = (header + "".join(map("".join, lines))).encode()
+    # overwrite in place and cut the tail after: truncating to zero first makes ext4 flush the blocks on close
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(text)
+        f.truncate()
 
 
 def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> dict:

@@ -210,6 +210,26 @@ def test_failed_scan_leaves_no_out_it_made(capsys, tmp_path):
     assert code == 0 and out.read_text().count("\n") == 5  # the header and four records
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_shorter_scan_over_a_longer_out_leaves_exactly_its_bytes(capsys, tmp_path, suffix):
+    # records are overwritten in place and the old tail is cut after, so no byte of the longer file survives
+    out, fresh = tmp_path / f"records{suffix}", tmp_path / f"fresh{suffix}"
+    assert run(capsys, "scan", "--family", "digraphs", "--n", "3", "--out", str(out))[0] == 0
+    longer = out.read_bytes()
+    for path in (out, fresh):
+        assert run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", str(path))[0] == 0
+    assert out.read_bytes() == fresh.read_bytes() and len(fresh.read_bytes()) < len(longer)
+
+
+def test_scan_writes_through_a_symlinked_out(capsys, tmp_path):
+    target, link, plain = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "plain.csv"
+    target.write_text("earlier,records\n" * 100)
+    link.symlink_to(target)
+    for path in (link, plain):
+        assert run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", str(path))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+
+
 def test_successive_main_calls_share_no_state(capsys, monkeypatch, tmp_path):
     from permatch import cli
 
@@ -297,7 +317,7 @@ K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
         (["verify", "--theorem", "3"], "error: verify --theorem 3 needs --input"),
         (
             ["verify", "--theorem", "subpermanent", "--input", "{k22}", "--k", "1"],
-            "error: verify --theorem subpermanent checks every block size; drop --k",
+            "error: verify --theorem subpermanent reads only --input; drop --k",
         ),
     ],
 )
@@ -305,6 +325,31 @@ def test_refusals_exit_2_with_their_line(capsys, tmp_path, write_graph, argv, li
     where = {"out": str(tmp_path / "g.txt"), "k22": write_graph(K22)}
     code, out, err = run(capsys, *(arg.format(**where) for arg in argv))
     assert (code, out, err) == (2, "", line + "\n")
+
+
+SQUARE = "graph 4\n0 1\n1 2\n2 3\n3 0\n"
+
+
+@pytest.mark.parametrize(
+    "token, graph, extra, reads, dropped",
+    [
+        ("1", K22, ["--k", "2"], "--input", "--k"),
+        ("2", SQUARE, ["--l", "5"], "--input", "--l"),
+        ("3", CYCLE5, ["--k", "2", "--l", "5"], "--input", "--k and --l"),
+        ("6", K22, ["--l", "1"], "--input", "--l"),
+        ("corollary", CYCLE5, ["--k", "1"], "--input", "--k"),
+        ("injection", CYCLE5, ["--l", "3"], "--input", "--l"),
+        ("subpermanent", CYCLE5, ["--l", "2"], "--input", "--l"),
+        ("blowup", CYCLE5, ["--k", "2", "--l", "2"], "--k and --l", "--input"),
+    ],
+)
+def test_verify_refuses_options_its_theorem_does_not_read(capsys, write_graph, token, graph, extra, reads, dropped):
+    # each token's check holds on its graph, so the unread option is the only reason to refuse
+    argv = ["verify", "--theorem", token, "--input", write_graph(graph), *extra]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: verify --theorem {token} reads only {reads}; drop {dropped}\n")
+    kept = argv[:3] + extra if token == "blowup" else argv[:5]
+    assert run(capsys, *kept)[0] == 0
 
 
 def test_count_matchings_of_an_undirected_four_cycle(capsys, write_graph):
@@ -534,7 +579,7 @@ def test_mc_cli(capsys, schema_loader):
 def test_mc_exits_1_on_a_counterexample(capsys, monkeypatch, schema_loader):
     from permatch import verify
 
-    monkeypatch.setattr(verify, "dp_counts", lambda g: (3, 5))
+    monkeypatch.setattr(verify, "dp_counts_many", lambda graphs: [(3, 5)] * len(graphs))
     argv = ("mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "3", "--seed", "2")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -553,7 +598,7 @@ def test_mc_exits_1_on_equality_off_a_directed_cycle(capsys, monkeypatch):
     # d/p = 1/2 keeps the bound but not its equality case, which holds only on directed cycles
     from permatch import verify
 
-    monkeypatch.setattr(verify, "dp_counts", lambda g: (1, 2))
+    monkeypatch.setattr(verify, "dp_counts_many", lambda graphs: [(1, 2)] * len(graphs))
     code, out, err = run(capsys, "mc", "--model", "digraph", "--n", "4", "--q", "1/2", "--samples", "3", "--seed", "2")
     assert (code, out) == (1, "")
     assert err == (
@@ -565,7 +610,7 @@ def test_mc_exits_1_on_equality_off_a_directed_cycle(capsys, monkeypatch):
 def test_scan_exits_1_on_counterexamples_and_keeps_every_record(capsys, monkeypatch, tmp_path, schema_loader):
     from permatch import verify
 
-    monkeypatch.setattr(verify, "dp_counts", lambda g: (3, 5))
+    monkeypatch.setattr(verify, "dp_counts_many", lambda graphs: [(3, 5)] * len(graphs))
     monkeypatch.delenv("PERMATCH_THREADS", raising=False)
     out = tmp_path / "records.csv"
     code, text, _ = run(

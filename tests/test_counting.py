@@ -19,6 +19,7 @@ from permatch import (
     count_permutations,
     directed_cycle,
     dp_counts,
+    dp_counts_many,
     dp_ratio,
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
@@ -81,6 +82,19 @@ def test_enumeration_matches_counts():
         assert set(ders) <= set(perms)
         for sigma in perms:
             check_permutation_on_graph(g, sigma)
+
+
+def test_dp_counts_many_matches_one_graph_at_a_time():
+    # n = 5 runs the dict DP, n = 12 stacks the graphs' matrices into shared Ryser passes
+    for n in (5, 12):
+        graphs = [sample(ModelSpec("graph", n, q="1/2"), seed) for seed in range(10)]
+        graphs += [complete_graph(n), directed_cycle(n)]
+        assert dp_counts_many(graphs) == [(count_derangements(g), count_permutations(g)) for g in graphs]
+    assert dp_counts_many([]) == []
+    with pytest.raises(BadParamsError, match="one vertex count"):
+        dp_counts_many([complete_graph(3), complete_graph(4)])
+    with pytest.raises(BadParamsError, match="bipartite"):
+        dp_counts_many([complete_graph(4), complete_bipartite(2)])
 
 
 def nested_row_matchings(rows):
@@ -209,7 +223,7 @@ def test_fixed_point_profile(monkeypatch):
             # the profile runs the dict DP even past SPARSE_MAX, where count_permutations runs Ryser; the
             # enumeration, derangement_number and the rearrangement identity are the independent routes
             m.setattr(counting, "permanent_zero_one", None)
-            m.setattr(counting, "permanent_zero_one_pair", None)
+            m.setattr(counting, "permanent_zero_one_pairs", None)
             profile = permutations_by_fixed_points(g)
         assert len(profile) == n + 1
         assert profile[n] == 1

@@ -23,6 +23,7 @@ from permatch.permanent import (
     _permanent_bits_sparse,
     SUBSET_SLOTS_MAX,
     permanent_zero_one_pair,
+    permanent_zero_one_pairs,
     subset_permanents,
 )
 
@@ -102,7 +103,7 @@ def test_zero_one_routes_agree(data):
     assert _permanent_bits_ryser([rows], n) == [expected]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12, deadline=None, derandomize=True)  # the naive sum at n <= 10 costs seconds on some draws
 @given(st.data())
 def test_ryser_kernel_matches_dict_dp(data):
     # generic Ryser shares the kernel's formula, so the oracles here are the
@@ -115,6 +116,41 @@ def test_ryser_kernel_matches_dict_dp(data):
     assert permanent_zero_one(rows, n) == expected
     with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
     assert permanent_zero_one_pair(rows, n) == (expected, _permanent_bits_sparse(with_diagonal))
+
+
+# matrices per stacked Ryser pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements, never fewer than two
+PER_PASS = {9: 64, 12: 8, 13: 4, 14: 2, 20: 2}
+
+
+@pytest.mark.parametrize("n", sorted(PER_PASS))
+def test_stacked_passes_match_the_single_graph_route(n):
+    # 1, per_pass - 1, per_pass and per_pass + 1 inputs, so some calls end on a short pass; the zero and the full
+    # matrix lead every call, in one pass, and every later pass must refill its own row counts
+    rng = random.Random(n)
+    per_pass, full = PER_PASS[n], (1 << n) - 1
+    for count in sorted({1, per_pass - 1, per_pass, per_pass + 1}):
+        inputs = ([[0] * n, [full] * n] + [[rng.getrandbits(n) for _ in range(n)] for _ in range(count)])[:count]
+        want = [_permanent_bits_ryser([rows], n)[0] for rows in inputs]
+        assert _permanent_bits_ryser(inputs, n) == want, count
+        assert want[:2] == [0, factorial(n)][:count]
+        pairs = [permanent_zero_one_pair(rows, n) for rows in inputs]
+        assert permanent_zero_one_pairs(n, inputs) == pairs, count
+        assert pairs[:2] == [(0, 1), (factorial(n), factorial(n))][:count]
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_every_stacked_input_is_validated(n):
+    # the dict DP (n = 4) and Ryser (n = 9) routes refuse a bad later matrix before counting any
+    good = [(1 << n) - 1] * n
+    bad_rows = ([good, good[:-1]], [good, [*good[:3], 1 << n, *good[4:]]], [good, good, [*good[:-1], -1]])
+    for graphs, message in zip(bad_rows, (f"expected {n} rows, got {n - 1}", "row 3 has bits", f"row {n - 1} has")):
+        with pytest.raises(BadParamsError, match=message):
+            permanent_zero_one_pairs(n, graphs)
+    with pytest.raises(TooLargeError):
+        permanent_zero_one_pairs(21, [[0] * 21])
+    with pytest.raises(BadParamsError):
+        permanent_zero_one_pairs(-1, [[]])
+    assert permanent_zero_one_pairs(n, []) == []
 
 
 def test_dispatcher_switch_agrees():

@@ -92,6 +92,10 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "PROFILES", (3, 4))
     monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "SCANS", (("digraphs", 3), ("bipartite", 2)))
+    monkeypatch.setattr(bench, "STACKED", (9,))
+    monkeypatch.setattr(bench, "DRAWS", 3)
+    monkeypatch.setattr(bench, "PASS_SIZES", (2, 4))
+    block = bench.permanent.RYSER_BLOCK
     assert bench.main(["--label", "first"]) == 0
     assert bench.main(["--label", "second"]) == 0
     doc = json.loads(out.read_text())
@@ -102,6 +106,13 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for row in run["sizes"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     assert set(run["sizes"]) == {"5", "6"}
+    assert bench.permanent.RYSER_BLOCK == block  # the pass sweep puts the pass size back
+    for run in doc["runs"].values():
+        assert set(run["stacked"]) == {"9"} and set(run["pass_sweep"]) == {"n", "draws", "rounds", "2", "4"}
+        rows = [run["stacked"]["9"][route] for route in ("one_call", "call_per_draw")]
+        rows += [run["pass_sweep"][size] for size in ("2", "4")]
+        for row in rows:
+            assert 0 < row["q1_us_per_draw"] <= row["median_us_per_draw"] <= row["q3_us_per_draw"]
     assert set(run["profile"]) == {"K3", "K4"}
     for row in run["profile"].values():
         assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]

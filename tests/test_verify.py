@@ -53,7 +53,7 @@ from permatch.verify import (
     _host_census,
     _ratio_half_verdicts,
     _ratio_text,
-    _sampled_row,
+    _sampled_rows,
     digraph_from_arc_index,
     format_ratio,
 )
@@ -447,7 +447,7 @@ def test_each_biadjacency_slot_is_one_edge(n):
 
 def test_survey_record_and_hex():
     model = ModelSpec("graph", 2, q="1")
-    assert _sampled_row(model, 0, 0) == ((2, 1), 1, 2)  # K2's rows, d and p
+    assert _sampled_rows(model, 0, range(1)) == [((2, 1), 1, 2)]  # K2's rows, d and p
     g = directed_cycle(4)
     ok, equality = _ratio_half_verdicts(np.array([g.rows, (0, 0, 0, 0)]), [1, 0], [2, 1])
     assert (ok.tolist(), equality.tolist()) == ([True, True], [True, False])
@@ -712,12 +712,23 @@ def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
     from permatch import random_models
 
     items = range(-500, 500)
+    chunks = []
+
+    def chunk_abs(chunk):  # fn takes a whole chunk and returns one result per item
+        chunks.append(chunk)
+        return [abs(x) for x in chunk]
+
     cpus = random_models._usable_cpus()
-    assert random_models.parallel_map(abs, items, 1000) == [abs(x) for x in items]
+    assert random_models.parallel_map(chunk_abs, items, 1000) == [abs(x) for x in items]
     assert pool_sizes == ([cpus] if cpus > 1 else [])  # one CPU runs inline
+    assert len(chunks) == (4 * cpus if cpus > 1 else 1)  # inline, every item goes in one call
     monkeypatch.setattr(random_models, "_usable_cpus", lambda: 3)
-    assert random_models.parallel_map(abs, items, 1000) == [abs(x) for x in items]
+    chunks.clear()
+    assert random_models.parallel_map(chunk_abs, items, 1000) == [abs(x) for x in items]
     assert pool_sizes[-1] == 3
+    # at most 4 * workers chunks of ceil(1000 / 12) items, in order
+    assert [len(c) for c in chunks] == [84] * 11 + [76] and [x for c in chunks for x in c] == list(items)
+    assert random_models.parallel_map(chunk_abs, range(1), 3) == [0] and chunks[-1] == range(1)
 
 
 def per_graph_row(family, n, index):
@@ -764,14 +775,14 @@ def test_exhaustive_survey_largest_host_matches_pair_kernel():
 
 def test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs(monkeypatch):
     def draws(pairs):  # draw i has row 0 = i + 1, so the summary's hex names the draw
-        return lambda model, seed, index: ((index + 1, 0, 0, 0), *pairs[index])
+        return lambda model, seed, indices: [((i + 1, 0, 0, 0), *pairs[i]) for i in indices]
 
     # 2/8 in draw 1 ties 1/4 in draw 2 at the largest ratio; the distinct table lists (1, 4) first
-    monkeypatch.setattr(verify, "_sampled_row", draws([(0, 1), (2, 8), (1, 4), (1, 8)]))
+    monkeypatch.setattr(verify, "_sampled_rows", draws([(0, 1), (2, 8), (1, 4), (1, 8)]))
     summary = scan("sampled-undirected", 4, samples=4)
     assert (summary["max_ratio"], summary["argmax_adjacency_hex"]) == ("1/4", "2:0:0:0")
     # against the reference 4/9 of n = 4, the repeated (1, 2) exceeds in two graphs; (4, 9) only meets it
-    monkeypatch.setattr(verify, "_sampled_row", draws([(1, 2), (0, 1), (1, 2), (4, 9)]))
+    monkeypatch.setattr(verify, "_sampled_rows", draws([(1, 2), (0, 1), (1, 2), (4, 9)]))
     summary = scan("sampled-undirected", 4, samples=4)
     assert (summary["reference_ratio"], summary["conjecture_exceedances"]) == ("4/9", 2)
     assert (summary["max_ratio"], summary["argmax_adjacency_hex"]) == ("1/2", "1:0:0:0")

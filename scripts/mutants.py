@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "ryser-high-sign",
         "src/permatch/permanent.py",
-        "            totals[first : first + m] += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
-        "            totals[first : first + m] += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
+        "            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
+        "            pass_totals += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_block_diagonal_product",
@@ -138,9 +138,9 @@ MUTANTS = (
     Mutant(
         "ryser-stale-row-counts",  # every pass after the first reads the previous pass's |row_i & L|
         "src/permatch/permanent.py",
-        "        np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))\n",
+        "        np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))\n",
         "        if not first:\n"
-        "            np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))\n",
+        "            np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))\n",
         (
             "tests/test_permanent.py::test_stacked_passes_match_the_single_graph_route",
             "tests/test_counting.py::test_dp_counts_many_matches_one_graph_at_a_time",
@@ -241,11 +241,21 @@ MUTANTS = (
     Mutant(
         "records-tail-kept",  # a shorter scan over a longer file leaves the old tail behind
         "src/permatch/verify.py",
-        "        f.truncate()\n",
-        "",
+        "            f.truncate()\n",
+        "            pass\n",
         (
             "tests/test_cli.py::test_shorter_scan_over_a_longer_out_leaves_exactly_its_bytes",
             "tests/test_cli.py::test_scan_writes_through_a_symlinked_out",
+        ),
+    ),
+    Mutant(
+        "records-cut-anywhere",  # cutting the tail of /dev/null or a pipe fails after the sweep has run
+        "src/permatch/verify.py",
+        "        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or a pipe has no length to cut\n",
+        "        if True:\n",
+        (
+            "tests/test_cli.py::test_scan_writes_to_a_device",
+            "tests/test_cli.py::test_scan_writes_to_a_pipe",
         ),
     ),
     Mutant(

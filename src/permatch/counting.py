@@ -73,10 +73,7 @@ def dp_counts_many(graphs: Sequence[Digraph]) -> list[tuple[int, int]]:
     """dp_counts of each graph, all on the same number of vertices, from one
     kernel call: above the dict DP's size they share stacked Ryser passes."""
     dgs = [as_digraph(g) for g in graphs]
-    sizes = sorted({dg.n for dg in dgs}) or [0]
-    if len(sizes) > 1:
-        raise BadParamsError(f"graphs must share one vertex count, got {sizes}")
-    return permanent_zero_one_pairs(sizes[0], [dg.rows for dg in dgs])
+    return permanent_zero_one_pairs(dgs[0].n if dgs else 0, [dg.rows for dg in dgs])
 
 
 def dp_ratio(g: Digraph) -> Fraction:

@@ -140,8 +140,6 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
     high = n - low
     k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
     per_pass = max(1, min(k, max(2, (RYSER_BLOCK << RYSER_LOW) // (block * width))))
-    # the first byte and the rest of L, and H, of every row: indices into _POPCOUNTS
-    parts = (np.array(matrices, dtype=np.int64).reshape(k, n, 1) >> [0, 8, low]).astype(np.uint8)
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, RYSER_GROUP)
@@ -152,15 +150,18 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
     totals = np.zeros(k, dtype=np.int64)
     for first in range(0, k, per_pass):
         m = min(per_pass, k - first)
-        part = parts[first : first + m]
+        pass_lo, pass_groups, pass_term, pass_prod = lo[:m], groups[:, :m], term[:m], prod[:m]
+        pass_totals = totals[first : first + m]
+        # the first byte and the rest of L, and H, of every row of the pass: indices into _POPCOUNTS
+        part = np.array(matrices[first : first + m], dtype=np.int64).reshape(m, n, 1)
+        part = (part >> [0, 8, low]).astype(np.uint8)
         lo_low, lo_high = _POPCOUNTS[:, :lo_bytes][part[:, :, 0]], _POPCOUNTS[:, :lo_rest][part[:, :, 1]]
-        np.add(lo_high[..., None], lo_low[:, :, None], out=lo[:m].reshape(m, n, lo_rest, lo_bytes))
-        hi = _POPCOUNTS[:, : 1 << high][part[:, :, 2]]  # |row_i & H|
-        pass_groups, pass_term, pass_prod = groups[:, :m], term[:m], prod[:m]
+        np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
+        hi = _POPCOUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # |row_i & H|
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
                 for i in range(s, min(s + RYSER_GROUP, n)):
-                    row = lo[:m, i, None]
+                    row = pass_lo[:, i, None]
                     if high:
                         row = np.add(row, hi[:, i, h : h + block, None], out=pass_term)
                     # a group starts from its first row, the first group times the signs
@@ -168,13 +169,12 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
             np.copyto(pass_prod, pass_groups[0])
             for g in pass_groups[1:]:
                 np.multiply(pass_prod, g, out=pass_prod)
-            totals[first : first + m] += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
+            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
     return totals.tolist()
 
 
-def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Permanents of n x n 0/1 matrices given as row bitmasks, every matrix
-    validated before any is counted; above SPARSE_MAX they share stacked Ryser passes."""
+def _check_bits(matrices: Sequence[Sequence[int]], n: int) -> None:
+    """Refuse a size over DP_MAX, or any matrix that is not n rows of n-bit masks."""
     if n > DP_MAX:
         raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
     for rows in matrices:
@@ -183,6 +183,11 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
         for i, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
+
+
+def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Permanents of n x n 0/1 matrices given as row bitmasks, which the caller
+    has put through _check_bits; above SPARSE_MAX they share stacked Ryser passes."""
     if n <= SPARSE_MAX:
         return [_permanent_bits_sparse(rows) for rows in matrices]
     return _permanent_bits_ryser(matrices, n)
@@ -192,13 +197,16 @@ def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
     """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij).
 
     Exact up to n = DP_MAX; larger inputs raise TooLargeError."""
+    _check_bits([bitrows], n)
     return _permanents_bits([bitrows], n)[0]
 
 
 def permanent_zero_one_pairs(n: int, graphs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """(per(A), per(A | I)) for each n x n 0/1 matrix A in graphs, given as row
     bitmasks (a graph's adjacency rows); above SPARSE_MAX every A and A | I share
-    stacked Ryser passes. Same limits as permanent_zero_one, checked on every A."""
+    stacked Ryser passes. Same limits as permanent_zero_one, every A checked
+    before any is counted."""
+    _check_bits(graphs, n)
     matrices: list[Sequence[int]] = []
     for rows in graphs:
         matrices += rows, [row | 1 << i for i, row in enumerate(rows)]

@@ -14,6 +14,7 @@ reports the ratios' mean and spread.
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -493,10 +494,17 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return rows.T, d, p, ok, equality
 
 
+SAMPLED_BLOCK = 64  # draws held and counted per kernel call, so a chunk's memory does not grow with its length
+
+
 def _sampled_rows(model: ModelSpec, seed: int, indices: range) -> list[tuple[tuple[int, ...], int, int]]:
-    """The rows, d and p of each draw in a chunk of sample indices, the chunk counted in one kernel call."""
-    graphs = [sample(model, child_seed(seed, index)) for index in indices]
-    return [(g.rows, d, p) for g, (d, p) in zip(graphs, dp_counts_many(graphs))]
+    """The rows, d and p of each draw in a chunk of sample indices, drawn and counted SAMPLED_BLOCK at a time,
+    each block in one kernel call."""
+    out = []
+    for start in range(0, len(indices), SAMPLED_BLOCK):
+        graphs = [sample(model, child_seed(seed, index)) for index in indices[start : start + SAMPLED_BLOCK]]
+        out += [(g.rows, d, p) for g, (d, p) in zip(graphs, dp_counts_many(graphs))]
+    return out
 
 
 def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> tuple[np.ndarray, ...]:
@@ -596,7 +604,7 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     default, or one JSON object per line for a .jsonl suffix, written at once, the bytes of csv.writer or json.dumps.
     A line joins the head of the graph's arc count and its hex, both made from the rows here, to the tail of its
     (d, p); each head and each tail is formatted once. An existing file (or a symlink's target) is overwritten in
-    place and then cut to the new length, so it ends with exactly the new bytes."""
+    place and then cut to the new length, so it ends with exactly the new bytes; a device or a pipe is written to."""
     d_values, p_values, value, _, _ = table
     n = rows.shape[1]
     if Path(out_path).suffix == ".jsonl":  # hex digits and colons need no JSON escaping
@@ -614,7 +622,8 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     # overwrite in place and cut the tail after: truncating to zero first makes ext4 flush the blocks on close
     with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(text)
-        f.truncate()
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or a pipe has no length to cut
+            f.truncate()
 
 
 def mc_dp_ratio(model: ModelSpec, samples: int, seed: int, threads: int = 1) -> dict:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 
 import pytest
@@ -228,6 +229,26 @@ def test_scan_writes_through_a_symlinked_out(capsys, tmp_path):
     for path in (link, plain):
         assert run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", str(path))[0] == 0
     assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+
+
+def test_scan_writes_to_a_device(capsys):
+    # /dev/null has no length to cut: ftruncate refuses a character device
+    code, out, err = run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", os.devnull)
+    assert (code, err) == (0, "") and json.loads(out)["out"] == os.devnull
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_scan_writes_to_a_pipe(capsys, tmp_path):
+    # a pipe refuses the seek that would find the length to cut; the records go through whole
+    fresh = tmp_path / "fresh.csv"
+    assert run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", str(fresh))[0] == 0
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe:
+        try:
+            code, _, err = run(capsys, "scan", "--family", "digraphs", "--n", "2", "--out", f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        assert (code, err, pipe.read()) == (0, "", fresh.read_bytes())
 
 
 def test_successive_main_calls_share_no_state(capsys, monkeypatch, tmp_path):

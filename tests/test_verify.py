@@ -445,6 +445,13 @@ def test_each_biadjacency_slot_is_one_edge(n):
             assert tuple(rows[1 << n * i + j].tolist()) == flat.rows, (n, i, j)
 
 
+def test_sampled_rows_count_a_long_chunk_block_by_block():
+    # a chunk longer than SAMPLED_BLOCK is drawn and counted in blocks, each draw as if it were counted alone
+    model = ModelSpec("graph", 9, q="1/2")
+    indices = range(3, 3 + 2 * verify.SAMPLED_BLOCK + 1)
+    assert _sampled_rows(model, 7, indices) == [row for i in indices for row in _sampled_rows(model, 7, range(i, i + 1))]
+
+
 def test_survey_record_and_hex():
     model = ModelSpec("graph", 2, q="1")
     assert _sampled_rows(model, 0, range(1)) == [((2, 1), 1, 2)]  # K2's rows, d and p

@@ -5,15 +5,18 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
 
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
-* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, numpy Ryser
-  for 9 <= n <= 20 (int32 products of 7 row counts, as 20^7 < 2^31, combined in
-  wrapping int64). ``permanent_zero_one_pairs`` gives the d/p pair
+* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, then one
+  stacked numpy kernel, which sums Glynn's formula for 9 <= n <= 16 and
+  Ryser's for 17 <= n <= 20. Row values go into int32 products of 7 (at most
+  20 in magnitude, and 20^7 < 2^31), combined in wrapping int64, so either sum
+  is exact mod 2^64. Ryser's sum is per itself, 0 <= per <= 20! < 2^63.
+  Glynn's sum, over half as many column sets, is 2^(n-1) per <= 2^15 * 16!
+  < 2^63, which a shift turns into per; from n = 17 that bound fails, hence
+  Ryser there. ``permanent_zero_one_pairs`` gives the d/p pair
   (per(A), per(A | I)) of many graphs in one call, all their matrices stacked
-  into Ryser passes that reuse one set of work arrays; ``permanent_zero_one_pair``
-  is its one-graph call. Ryser's sum is an integer combination of
-  products of row counts, so the int64 total is per mod 2^64, which is per
-  itself as 0 <= per <= 20! < 2^63. Larger inputs are refused. The dict DP
-  also packs the fixed-point profile of ``counting.permutations_by_fixed_points``.
+  into passes that reuse one set of work arrays; ``permanent_zero_one_pair``
+  is its one-graph call. Larger inputs are refused. The dict DP also packs
+  the fixed-point profile of ``counting.permutations_by_fixed_points``.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -92,20 +95,26 @@ def permanent_ryser(m: Matrix) -> int:
 
 
 # Up to SPARSE_MAX rows the DP runs over a dict of the reachable masks only,
-# which beats numpy's per-call overhead; above it Ryser's formula runs on numpy.
+# which beats numpy's per-call overhead; above it the stacked numpy kernel runs.
 SPARSE_MAX = 8
 DP_MAX = 20
-# Ryser splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
+# Through GLYNN_MAX rows the kernel sums Glynn's formula, half of Ryser's terms,
+# whose total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^60: exact in int64. Past it
+# that bound breaks (2^16 * 17! > 2^64), so n = 17 to 20 sum Ryser's formula.
+GLYNN_MAX = 16
+# The kernel splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
 # parts H at a time. A pass stacks as many matrices as fit RYSER_BLOCK * 2^RYSER_LOW
-# int32 elements per row group, and never fewer than two (a d/p pair): 8 at n = 12,
-# 4 at n = 13, 2 from n = 14 on. A row count is at most DP_MAX and
-# DP_MAX^7 < 2^31, so a product of RYSER_GROUP row counts fits int32.
+# int32 elements per row group, and never fewer than two (a d/p pair): 16 at n = 12,
+# 8 at n = 13, 4 at n = 14, 2 from n = 15 on. A row value is at most DP_MAX in
+# magnitude and DP_MAX^7 < 2^31, so a product of RYSER_GROUP row values fits int32.
 RYSER_LOW = 12
 RYSER_BLOCK = 8
 RYSER_GROUP = 7
 _BYTES = np.arange(256, dtype=np.uint8)
-_POPCOUNTS = np.bitwise_count(_BYTES[:, None] & _BYTES)  # [a, b] = |a & b|, read-only
-_POPCOUNTS.flags.writeable = False
+# [a, b] = |a & b| (Ryser's row count) and 2 |a & b| (Glynn's), int8 and read-only
+_COUNTS = tuple(scale * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8) for scale in (1, 2))
+for _table in _COUNTS:
+    _table.flags.writeable = False
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
@@ -129,35 +138,39 @@ def _permanent_bits_sparse(bitrows: Sequence[int], width: int = 0) -> int:
 
 
 def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Ryser's per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|
-    for several 0/1 matrices, stacked in passes of up to per_pass matrices, with
-    products of RYSER_GROUP row counts in int32 and of those in int64 that wraps.
-    The sum is an integer combination of products, so its int64 value is per(A)
-    mod 2^64, and 0 <= per(A) <= n! <= 20! < 2^63 makes that residue per(A) itself.
-    The work arrays are allocated once per call, sized for one pass, and every
-    pass overwrites them: fresh arrays per pass page-fault again each time."""
-    low = min(n, RYSER_LOW)
-    high = n - low
+    """per(A) for several n x n 0/1 matrices, stacked in passes of up to per_pass matrices, with products of
+    RYSER_GROUP row values in int32 and of those in int64 that wraps, exact as the module docstring argues.
+    Through GLYNN_MAX the sum is Glynn's: column 0 weighs +1 and column j > 0 weighs +1 in S and -1 outside it, so
+    with r_i the count of row i, 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of
+    (-1)^(n-1-|S|) prod_i (2 |(row_i >> 1) & S| + 2 a_i0 - r_i). Past it the sum is Ryser's,
+    per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work arrays are allocated once per
+    call, sized for one pass, and every pass overwrites them: fresh arrays per pass page-fault again each time."""
+    glynn = n <= GLYNN_MAX
+    bits = n - glynn  # the columns S ranges over: Glynn holds column 0 fixed
+    low = min(bits, RYSER_LOW)
+    high = bits - low
+    counts = _COUNTS[glynn]
     k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
     per_pass = max(1, min(k, max(2, (RYSER_BLOCK << RYSER_LOW) // (block * width))))
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, RYSER_GROUP)
-    lo = np.empty((per_pass, n, width), dtype=np.uint8)  # |row_i & L|
+    lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value on L, H = 0
     groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
-    term = np.empty(groups.shape[1:], dtype=np.uint8)
+    term = np.empty(groups.shape[1:], dtype=np.int8)
     prod = np.empty(groups.shape[1:], dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
     for first in range(0, k, per_pass):
         m = min(per_pass, k - first)
         pass_lo, pass_groups, pass_term, pass_prod = lo[:m], groups[:, :m], term[:m], prod[:m]
         pass_totals = totals[first : first + m]
-        # the first byte and the rest of L, and H, of every row of the pass: indices into _POPCOUNTS
-        part = np.array(matrices[first : first + m], dtype=np.int64).reshape(m, n, 1)
-        part = (part >> [0, 8, low]).astype(np.uint8)
-        lo_low, lo_high = _POPCOUNTS[:, :lo_bytes][part[:, :, 0]], _POPCOUNTS[:, :lo_rest][part[:, :, 1]]
+        rows = np.array(matrices[first : first + m], dtype=np.int64)
+        offset = glynn * (2 * (rows & 1) - np.bitwise_count(rows)).astype(np.int8)  # Glynn's row value at S = 0
+        # the first byte and the rest of L, and H, of every row of the pass: indices into the count tables
+        part = (rows[..., None] >> [glynn, 8 + glynn, low + glynn]).astype(np.uint8)
+        lo_low, lo_high = counts[:, :lo_bytes][part[:, :, 0]], counts[:, :lo_rest][part[:, :, 1]] + offset[..., None]
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
-        hi = _POPCOUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # |row_i & H|
+        hi = counts[:, : 1 << high][part[:, :, 2]] if high else None  # row i's value on H, less its value at H = 0
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
                 for i in range(s, min(s + RYSER_GROUP, n)):
@@ -169,8 +182,8 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
             np.copyto(pass_prod, pass_groups[0])
             for g in pass_groups[1:]:
                 np.multiply(pass_prod, g, out=pass_prod)
-            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
-    return totals.tolist()
+            pass_totals += (-1) ** (bits + h.bit_count()) * pass_prod.sum(axis=(1, 2))
+    return (totals >> (bits if glynn else 0)).tolist()
 
 
 def _check_bits(matrices: Sequence[Sequence[int]], n: int) -> None:

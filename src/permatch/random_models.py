@@ -2,7 +2,9 @@
 
 Sampling is deterministic given (model, seed): arc slots are visited in
 row-major order and each Bernoulli draw consumes exactly one 53-bit word, so
-adding features cannot silently shift the stream. Sampled runs (``mc`` and
+adding features cannot silently shift the stream. ``sample_rows`` draws a
+whole block of seeds as adjacency rows in numpy; ``sample`` is its one-draw
+call. Sampled runs (``mc`` and
 the sampled scan, both in :mod:`permatch.verify`) derive one child seed per
 sample index, which makes them chunkable across ``parallel_map``'s workers
 without changing the output: each worker draws and counts a whole chunk of
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp
 from typing import Callable, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import BadParamsError, TooLargeError
 from .graphs import MAX_VERTICES, Digraph, UndirectedGraph
@@ -59,17 +63,32 @@ class ModelSpec:
         object.__setattr__(self, "q", _as_probability(self.q))
 
 
+def sample_rows(model: ModelSpec, seeds: Sequence[int]) -> np.ndarray:
+    """The adjacency rows (seeds x n, uint64) of one draw of the model per seed.
+
+    A draw reads its slots (arcs, or edges i < j) in row-major order from one
+    getrandbits(64 * slots) call: each slot takes one 64-bit word w, two 32-bit
+    outputs of the generator, of which getrandbits(53) would keep the first (the
+    low half of w) whole and the top 21 bits of the second: the 53-bit draw
+    (w & 0xFFFFFFFF) | (w >> 43) << 32. A slot is present when its draw is below
+    ceil(q * 2^53), as draw * den < num * 2^53 says, exact in uint64."""
+    n, q, directed = model.n, model.q, model.kind == "digraph"
+    heads, tails = np.nonzero(~np.eye(n, dtype=bool)) if directed else np.triu_indices(n, 1)
+    slots = len(heads)
+    stream = b"".join(random.Random(seed).getrandbits(64 * slots).to_bytes(8 * slots, "little") for seed in seeds)
+    words = np.frombuffer(stream, dtype="<u8").reshape(len(seeds), slots)
+    present = (words & 0xFFFFFFFF | words >> 43 << 32) < -(-(q.numerator << 53) // q.denominator)
+    adjacency = np.zeros((len(seeds), n, 64), dtype=bool)
+    adjacency[:, heads, tails] = present
+    if not directed:
+        adjacency[:, tails, heads] = present
+    return np.packbits(adjacency, axis=2, bitorder="little").view("<u8")[:, :, 0]
+
+
 def sample(model: ModelSpec, seed: int) -> Digraph:
-    draw = random.Random(seed).getrandbits
-    n, threshold, den = model.n, model.q.numerator << 53, model.q.denominator
-    directed = model.kind == "digraph"
-    rows = [0] * n
-    for i in range(n):
-        for j in range(0 if directed else i + 1, n):
-            if j != i and draw(53) * den < threshold:
-                rows[i] |= 1 << j
-                rows[j] |= (not directed) << i  # an edge {i, j}, i < j, is drawn once and set in both rows
-    return (Digraph if directed else UndirectedGraph)(n, tuple(rows))
+    """One draw of the model: sample_rows of a single seed, as its graph."""
+    kind = Digraph if model.kind == "digraph" else UndirectedGraph
+    return kind(model.n, tuple(sample_rows(model, [seed])[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

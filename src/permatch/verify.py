@@ -52,7 +52,7 @@ from .graphs import (
 )
 from .injection import apply_injection, hamilton_census, invert_injection
 from .permanent import subpermanent_sides, subset_permanents
-from .random_models import ModelSpec, child_seed, parallel_map, ratio_target, sample
+from .random_models import ModelSpec, child_seed, parallel_map, ratio_target, sample_rows
 
 HALF = Fraction(1, 2)
 HALF_HITTING_LIMIT = 6  # parts of the half-hitting check
@@ -499,10 +499,12 @@ SAMPLED_BLOCK = 64  # draws held and counted per kernel call, so a chunk's memor
 
 def _sampled_rows(model: ModelSpec, seed: int, indices: range) -> list[tuple[tuple[int, ...], int, int]]:
     """The rows, d and p of each draw in a chunk of sample indices, drawn and counted SAMPLED_BLOCK at a time,
-    each block in one kernel call."""
+    each block in one sampler call and one kernel call. A draw is counted as the Digraph of its rows, which the
+    sampler makes symmetric for the graph kind: d and p depend on the rows alone."""
     out = []
     for start in range(0, len(indices), SAMPLED_BLOCK):
-        graphs = [sample(model, child_seed(seed, index)) for index in indices[start : start + SAMPLED_BLOCK]]
+        block = sample_rows(model, [child_seed(seed, index) for index in indices[start : start + SAMPLED_BLOCK]])
+        graphs = [Digraph(model.n, tuple(rows)) for rows in block.tolist()]
         out += [(g.rows, d, p) for g, (d, p) in zip(graphs, dp_counts_many(graphs))]
     return out
 

@@ -16,6 +16,7 @@ from permatch import (
 )
 from permatch.permanent import (
     DP_MAX,
+    GLYNN_MAX,
     RYSER_GROUP,
     RYSER_LIMIT,
     SPARSE_MAX,
@@ -108,7 +109,7 @@ def test_zero_one_routes_agree(data):
 def test_ryser_kernel_matches_dict_dp(data):
     # generic Ryser shares the kernel's formula, so the oracles here are the
     # dict DP (a different algorithm) and, where affordable, naive summation
-    n = data.draw(st.integers(9, 14))
+    n = data.draw(st.integers(9, GLYNN_MAX))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     expected = _permanent_bits_sparse(rows)
     if n <= 10:
@@ -118,8 +119,9 @@ def test_ryser_kernel_matches_dict_dp(data):
     assert permanent_zero_one_pair(rows, n) == (expected, _permanent_bits_sparse(with_diagonal))
 
 
-# matrices per stacked Ryser pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements, never fewer than two
-PER_PASS = {9: 64, 12: 8, 13: 4, 14: 2, 20: 2}
+# matrices per stacked pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements, never fewer than two; Glynn's
+# sum (n <= GLYNN_MAX) runs over half as many column sets as Ryser's, so twice as many matrices fit until the floor
+PER_PASS = {9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 20: 2}
 
 
 @pytest.mark.parametrize("n", sorted(PER_PASS))
@@ -163,12 +165,13 @@ def test_dispatcher_switch_agrees():
         assert _permanent_bits_sparse(rows) == _permanent_bits_ryser([rows], n)[0] == expected
 
 
-@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 14, 15, 20])
+@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 14, 15, 16, 17, 20])
 def test_zero_one_boundaries(n):
-    # dict DP / Ryser switch at 8/9, the Ryser split with no high part (12) and
-    # one high bit (13), int32 row groups of 7 + 7 (14) and 7 + 7 + 1 (15), and
-    # n = 20, where 20! and d(20) sit closest to the int64 wrap-around the
-    # exactness argument relies on
+    # dict DP / Glynn switch at 8/9, Glynn's split of columns 1..n-1 with no
+    # high part (13) and one high bit (14), int32 row groups of 7 + 7 (14) and
+    # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest Glynn total, the
+    # first Ryser size (17), and n = 20, where 20! and d(20) sit closest to the
+    # int64 wrap-around the exactness argument relies on
     full = (1 << n) - 1
     assert permanent_zero_one([full] * n, n) == factorial(n)
     assert permanent_zero_one_pair([full] * n, n) == (factorial(n), factorial(n))
@@ -194,6 +197,12 @@ def test_row_group_fits_int32():
     # a signed product of RYSER_GROUP row counts, each at most DP_MAX, must not
     # overflow the kernel's int32 group arrays
     assert DP_MAX**RYSER_GROUP < 2**31
+
+
+def test_glynn_total_fits_int64():
+    # Glynn's total 2^(n-1) * per(A) <= 2^(n-1) * n! stays below the int64 wrap-around
+    # through GLYNN_MAX, and no further
+    assert 2 ** (GLYNN_MAX - 1) * factorial(GLYNN_MAX) < 2**63 <= 2**GLYNN_MAX * factorial(GLYNN_MAX + 1)
 
 
 @pytest.mark.parametrize("n, split", [(14, 6), (15, 8)])

@@ -6,6 +6,7 @@ from functools import partial
 from itertools import combinations
 from math import exp, isclose
 
+import numpy as np
 import pytest
 
 from oracles import derangement_number
@@ -24,7 +25,7 @@ from permatch import (
     verify,
 )
 from permatch.cli import main
-from permatch.random_models import _derangement_numbers, child_seed, ratio_target
+from permatch.random_models import _derangement_numbers, child_seed, ratio_target, sample_rows
 from permatch.verify import digraph_from_arc_index
 
 
@@ -84,7 +85,7 @@ def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeyp
     def no_draw(*args):
         raise AssertionError("a graph was drawn")
 
-    monkeypatch.setattr(verify, "sample", no_draw)  # the route of mc and the sampled scan
+    monkeypatch.setattr(verify, "sample_rows", no_draw)  # the route of mc and the sampled scan
     if callable(call):  # a library call, else CLI arguments
         with pytest.raises(BadParamsError) as exc:
             call()
@@ -131,11 +132,18 @@ def arc_list_sample(model, seed):
 @pytest.mark.parametrize("kind", ["digraph", "graph"])
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
 def test_row_sampler_matches_the_arc_list_oracle(kind, n):
+    # one draw through sample, and blocks of 1, 63, 64 and 65 seeds through sample_rows; n = 1 has no slots
+    seeds = [child_seed(9, index) for index in range(65)]
     for q in ("0", "1/3", "1/2", "4/5", "1"):
         model = ModelSpec(kind, n, q=q)
-        for seed in range(50):
-            got, want = sample(model, seed), arc_list_sample(model, seed)
-            assert type(got) is type(want) and got.rows == want.rows, (q, seed)
+        want = [arc_list_sample(model, seed) for seed in seeds]
+        for seed, graph in zip(seeds[:50], want):
+            got = sample(model, seed)
+            assert type(got) is type(graph) and got.rows == graph.rows, (q, seed)
+        for count in (0, 1, 63, 64, 65):
+            rows = sample_rows(model, seeds[:count])
+            assert rows.shape == (count, n) and rows.dtype == np.uint64, (q, count)
+            assert rows.tolist() == [list(graph.rows) for graph in want[:count]], (q, count)
 
 
 def test_mc_json_is_the_same_through_the_oracle_sampler(monkeypatch):
@@ -145,10 +153,17 @@ def test_mc_json_is_the_same_through_the_oracle_sampler(monkeypatch):
             assert main(["mc", *args, "--samples", "6", "--seed", "3", "--threads", "1", "--json"]) == 0
         return out.getvalue()
 
+    drawn = []
+
+    def oracle_rows(model, seeds):
+        drawn.extend(seeds)
+        return np.array([arc_list_sample(model, seed).rows for seed in seeds], dtype=np.uint64)
+
     runs = [("--model", "digraph", "--n", "9", "--q", "1/3"), ("--model", "graph", "--n", "12", "--q", "1/2")]
     new = [mc_json(*args) for args in runs]
-    monkeypatch.setattr(verify, "sample", arc_list_sample)
+    monkeypatch.setattr(verify, "sample_rows", oracle_rows)
     assert new == [mc_json(*args) for args in runs]
+    assert drawn == [child_seed(3, index) for index in range(6)] * len(runs)  # every draw came from the oracle
 
 
 def test_sampling_edge_probabilities():

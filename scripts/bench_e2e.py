@@ -8,7 +8,12 @@ package's Python files. Each ``label=SRC_DIR`` pair names a source
 tree to run the package from; with none, the commands run the permatch
 package this script imports, under the label ``current``. Every run of a
 command goes to each label in turn, the order reversed on every other run,
-so two checkouts measured in one sitting see the same machine:
+so two checkouts measured in one sitting see the same machine.
+
+Each label also gets ``tier1``: the wall seconds of TIER1_RUNS runs of the
+tier-1 suite from the checkout that holds its source tree (the labels taken in
+turn as above), the passed and failed counts of its last run, and per
+``ACCEPTANCE NN`` line the seconds that line reports:
 
     PYTHONPATH=src python3 scripts/bench_e2e.py parent=/tmp/parent/src change=src
 
@@ -19,6 +24,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -55,6 +61,10 @@ COMMANDS = {
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
 }
 RUNS = 11  # fewer runs leave a 10-15 % change inside the noise of a 2-vCPU machine
+# the tier-1 suite, run from a checkout's root; -rP in its pytest options prints every ACCEPTANCE line
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1_RUNS = 3  # each run takes most of a minute
+ACCEPTANCE = re.compile(r"^ACCEPTANCE (\d+) (\S+): (?:PASS|FAIL) \(([\d.]+)s\)$", re.M)
 OUT = Path(__file__).resolve().parent.parent / "BENCH_e2e.json"
 
 
@@ -71,11 +81,37 @@ def time_command(argv: list[str], envs: dict[str, dict]) -> dict[str, dict]:
             times[label].append(time.perf_counter() - start)
             if proc.returncode != 0:
                 raise SystemExit(f"{label}: {' '.join(argv)} exited {proc.returncode}: {proc.stderr.decode()}")
-    out = {}
-    for label, ts in times.items():
-        q1, median, q3 = statistics.quantiles(ts, n=4, method="inclusive")
-        out[label] = {"runs": RUNS, "median_s": median, "q1_s": q1, "q3_s": q3}
-    return out
+    return {label: spread(ts) for label, ts in times.items()}
+
+
+def spread(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"runs": len(times), "median_s": median, "q1_s": q1, "q3_s": q3}
+
+
+def time_tier1(roots: dict[str, Path], envs: dict[str, dict]) -> dict[str, dict]:
+    """Per label: wall seconds of TIER1_RUNS tier-1 runs from its checkout root,
+    the labels taken in turn within each run; the passed and failed counts of
+    the last run; and the seconds each ACCEPTANCE NN line reports, per run."""
+    walls: dict[str, list[float]] = {label: [] for label in envs}
+    lines: dict[str, dict[str, list[float]]] = {label: {} for label in envs}
+    counts: dict[str, dict[str, int]] = {}
+    for run in range(TIER1_RUNS):
+        for label in list(envs)[:: -1 if run % 2 else 1]:
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, *TIER1], cwd=roots[label], env=envs[label],
+                                  capture_output=True, text=True)
+            walls[label].append(time.perf_counter() - start)
+            for num, slug, seconds in ACCEPTANCE.findall(proc.stdout):
+                lines[label].setdefault(f"{num} {slug}", []).append(float(seconds))
+            tail = proc.stdout.strip().splitlines()[-1:] or [""]
+            counts[label] = {kind: int(count) for count, kind in re.findall(r"(\d+) (passed|failed)", tail[0])}
+    return {
+        label: {**spread(walls[label]), "passed": counts[label].get("passed", 0),
+                "failed": counts[label].get("failed", 0),
+                "acceptance": {line: spread(ts) for line, ts in sorted(lines[label].items())}}
+        for label in envs
+    }
 
 
 def source_lines(src: Path) -> int:
@@ -114,6 +150,7 @@ def main(argv=None):
         timings = {
             name: time_command([a.format(tmp=tmp) for a in cmd], envs) for name, cmd in COMMANDS.items()
         }
+    tier1 = time_tier1({label: src.parent for label, src in sources.items()}, envs)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs = doc.setdefault("runs", {})
@@ -127,12 +164,18 @@ def main(argv=None):
                 name: {"command": " ".join(cmd).replace("{tmp}/", ""), **timings[name][label]}
                 for name, cmd in COMMANDS.items()
             },
+            "tier1": tier1[label],
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for name, rows in timings.items():
         for label, row in rows.items():
             print(f"{name:<22} {label:<8} median {row['median_s']:7.3f} s"
                   f"  [{row['q1_s']:.3f}, {row['q3_s']:.3f}]")
+    for label, row in tier1.items():
+        print(f"{'tier-1':<22} {label:<8} median {row['median_s']:7.3f} s  [{row['q1_s']:.3f}, {row['q3_s']:.3f}]"
+              f"  {row['passed']} passed, {row['failed']} failed")
+        for line, times in row["acceptance"].items():
+            print(f"  ACCEPTANCE {line:<26} {label:<8} median {times['median_s']:6.1f} s")
     return 0
 
 

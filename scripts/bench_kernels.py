@@ -1,299 +1,379 @@
-"""Wall time of the 0/1 permanent pair kernel by matrix size, and of the injection.
+"""Wall time of the 0/1 permanent kernels by matrix size, and of the injection.
 
-Times permanent_zero_one_pair (per(A) and per(A | I)) on the rows of seeded
-D(n, 1/2) digraphs at n = 4, 6 and 8 (two passes of the dict DP) and 9, 12,
-13, 16 and 20 (one Ryser pass), and stores the median and quartiles of the
-per-call times, with the CPU count, the numpy version and the Python version,
-under a label in a JSON file. Under the same label, ``stacked`` holds the
-microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 9, 12, 13 and 14,
-counted by one permanent_zero_one_pairs call against one permanent_zero_one_pair
-call per draw (the two alternate round by round), and ``pass_sweep`` the same
-one-call time at n = 12 with passes of 2, 4, 8 and 16 matrices (there a pass
-holds RYSER_BLOCK matrices, so the sweep sets it for the run and restores it),
-``profile`` holds the
-milliseconds per permutations_by_fixed_points call on K_10 and K_12 (one pass
-of the dict DP in packed-profile mode), ``injection`` holds the microseconds per apply_injection call and per
-invert_injection call, round trips and refusals apart, over every digraph on
-4 vertices at every root, and ``census`` the milliseconds per cold build of
-the exhaustive families' host census (cache cleared) and the microseconds per
-host permutation, for K_8 and the flattened K_{4,4}, and ``scan`` the
-milliseconds per verify.scan call with its records written, for the
-exhaustive digraphs on 4 vertices and bipartite graphs with parts of 3 and 4
-(in one process, so interpreter start-up does not count). Other labels already in
-the file are kept, so two checkouts can be measured into one file as
-before/after data points:
+Each ``label=SRC_DIR`` pair names a source tree whose permatch package is
+loaded under a module name of its own, so two checkouts run side by side in
+one process; with none, the permatch package this script imports runs under
+the label ``current``. Every timed step goes to each tree in turn within a
+round, the order reversed on every other round, after one warm-up round, so
+machine drift during a sitting reaches both trees alike. Under each label:
 
-    PYTHONPATH=src python3 scripts/bench_kernels.py --label after
+* ``sizes``: milliseconds per permanent_zero_one_pair call (per(A) and
+  per(A | I)) on the rows of seeded D(n, 1/2) digraphs at n = 4, 6 and 8 (two
+  passes of the dict DP), 9 to 16 (Glynn's formula) and 20 (Ryser's);
+* ``stacked``: microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 9,
+  12, 13 and 14, counted by one permanent_zero_one_pairs call against one
+  permanent_zero_one_pair call per draw;
+* ``glynn``: microseconds per matrix of that one call at n = 9 to 16, with
+  Glynn's formula against Ryser's (GLYNN_MAX set to 0 for the call); only for
+  a tree whose kernel has GLYNN_MAX;
+* ``pass_sweep``: the same one-call time at n = 12 with RYSER_BLOCK set to 2,
+  4, 8 and 16 for the call (a pass then holds 2 * RYSER_BLOCK matrices under
+  Glynn, RYSER_BLOCK under Ryser);
+* ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
+  K_12 (one pass of the dict DP in packed-profile mode);
+* ``injection``: microseconds per apply_injection call and per
+  invert_injection call, round trips and refusals apart, over every digraph on
+  4 vertices at every root;
+* ``census``: milliseconds per cold build of the exhaustive families' host
+  census (cache cleared) and microseconds per host permutation, for K_8 and
+  the flattened K_{4,4};
+* ``scan``: milliseconds per verify.scan call with its records written, for
+  the exhaustive digraphs on 4 vertices and bipartite graphs with parts of 3
+  and 4 (in one process, so interpreter start-up does not count).
+
+Each entry stores the median and quartiles, with the CPU count, the numpy
+version and the Python version. Other labels already in the file are kept:
+
+    PYTHONPATH=src python3 scripts/bench_kernels.py parent=/tmp/parent/src change=src
 """
 
 import argparse
+import importlib.util
 import json
 import platform
 import statistics
+import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from types import ModuleType
+from typing import Callable
 
 import numpy as np
 
-from permatch import (
-    ModelSpec,
-    NotInImageError,
-    apply_injection,
-    complete_bipartite,
-    complete_graph,
-    count_permutations,
-    digraph_from_arc_index,
-    enumerate_permutations,
-    invert_injection,
-    permutations_by_fixed_points,
-    sample,
-    scan,
-)
-from permatch import permanent
-from permatch.permanent import permanent_zero_one_pair, permanent_zero_one_pairs
+import permatch
 from permatch.random_models import _usable_cpus
-from permatch.verify import _host_census
 
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
-RUNS = 11  # rounds over the seeded graphs: 33 timed calls per size; rounds of the injection
+RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
 STACKED = (9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
 DRAWS = 25  # draws per stacked call: one sampled-scan block of the benchmark
-PASS_SIZES = (2, 4, 8, 16)  # matrices per pass in the sweep at n = 12
-PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed, RUNS calls each
+GLYNN_SIZES = tuple(range(9, 17))  # sizes where Glynn's formula runs against Ryser's
+PASS_SIZES = (2, 4, 8, 16)  # RYSER_BLOCK values in the sweep at n = 12
+PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
-CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold, RUNS times each
-SCANS = (("digraphs", 4), ("bipartite", 3), ("bipartite", 4))  # the exhaustive scans timed, RUNS calls each
+CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold
+SCANS = (("digraphs", 4), ("bipartite", 3), ("bipartite", 4))  # the exhaustive scans timed
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
+Trees = dict[str, ModuleType]
 
-def time_pair(n: int) -> dict:
-    """Per-call milliseconds over RUNS rounds of every seeded graph at size n."""
-    rows = [sample(ModelSpec("digraph", n, q="1/2"), seed).rows for seed in range(GRAPHS)]
-    for r in rows:
-        permanent_zero_one_pair(r, n)  # warm-up: imports, allocator
-    times = []
-    for _ in range(RUNS):
-        for r in rows:
+
+def load_tree(index: int, src: Path) -> ModuleType:
+    """The permatch package under src, imported as the package ``_bench_tree<index>``."""
+    name = f"_bench_tree{index}"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "permatch" / "__init__.py", submodule_search_locations=[str(src / "permatch")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def alternate(steps: dict[tuple[str, object], Callable[[], object]]) -> dict[str, dict[object, list[float]]]:
+    """Seconds of each step, keyed (label, key), in each of RUNS rounds after a
+    warm-up round: the steps in turn within a round, their order reversed on
+    every other round. Returned as label -> key -> seconds per round."""
+    times: dict[str, dict[object, list[float]]] = {}
+    for label, key in steps:
+        times.setdefault(label, {})[key] = []
+    for run in range(RUNS + 1):
+        for label, key in list(steps)[:: -1 if run % 2 else 1]:
             start = time.perf_counter()
-            permanent_zero_one_pair(r, n)
-            times.append((time.perf_counter() - start) * 1e3)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"calls": len(times), "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+            steps[label, key]()
+            if run:
+                times[label][key].append(time.perf_counter() - start)
+    return times
 
 
-def _quartiles_us(times: list[float], draws: int) -> dict:
-    q1, median, q3 = statistics.quantiles([t / draws * 1e6 for t in times], n=4, method="inclusive")
-    return {"median_us_per_draw": median, "q1_us_per_draw": q1, "q3_us_per_draw": q3}
-
-
-def time_stacked() -> dict:
-    """Per n in STACKED: microseconds per draw over RUNS rounds of DRAWS seeded
-    G(n, 1/2) draws, as one stacked call and as one pair call per draw, the
-    two in turn within each round."""
-    out = {}
-    for n in STACKED:
-        rows = [sample(ModelSpec("graph", n, q="1/2"), seed).rows for seed in range(DRAWS)]
-        routes = {
-            "one_call": lambda: permanent_zero_one_pairs(n, rows),
-            "call_per_draw": lambda: [permanent_zero_one_pair(r, n) for r in rows],
-        }
-        times: dict[str, list[float]] = {name: [] for name in routes}
-        for route in routes.values():
-            route()  # warm-up
-        for _ in range(RUNS):
-            for name, route in routes.items():
-                start = time.perf_counter()
-                route()
-                times[name].append(time.perf_counter() - start)
-        out[str(n)] = {"draws": DRAWS, "rounds": RUNS, **{name: _quartiles_us(t, DRAWS) for name, t in times.items()}}
-    return out
-
-
-def time_pass_sweep() -> dict:
-    """Microseconds per draw of one stacked call over DRAWS draws of G(12, 1/2),
-    for each pass size in PASS_SIZES (RYSER_BLOCK matrices at n = 12), the sizes
-    in turn within each of RUNS rounds; RYSER_BLOCK is restored afterwards."""
-    rows = [sample(ModelSpec("graph", 12, q="1/2"), seed).rows for seed in range(DRAWS)]
-    times: dict[int, list[float]] = {size: [] for size in PASS_SIZES}
-    kept = permanent.RYSER_BLOCK
+def with_setting(module: ModuleType, name: str, value, fn: Callable[[], object]):
+    """fn() with module.name set to value, restored afterwards."""
+    kept = getattr(module, name)
+    setattr(module, name, value)
     try:
-        for run in range(RUNS + 1):  # round 0 warms up
-            for size in PASS_SIZES:
-                permanent.RYSER_BLOCK = size
-                start = time.perf_counter()
-                permanent_zero_one_pairs(12, rows)
-                if run:
-                    times[size].append(time.perf_counter() - start)
+        return fn()
     finally:
-        permanent.RYSER_BLOCK = kept
-    return {"n": 12, "draws": DRAWS, "rounds": RUNS, **{str(size): _quartiles_us(t, DRAWS) for size, t in times.items()}}
+        setattr(module, name, kept)
 
 
-def time_profiles() -> dict:
-    """Per K_n in PROFILES: the milliseconds of each of RUNS permutations_by_fixed_points calls, after a warm-up."""
+def quartiles(values: list[float], unit: str, scale: float) -> dict:
+    q1, median, q3 = statistics.quantiles([v * scale for v in values], n=4, method="inclusive")
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3}
+
+
+def draws(pm: ModuleType, kind: str, n: int, count: int) -> list[tuple[int, ...]]:
+    return [pm.sample(pm.ModelSpec(kind, n, q="1/2"), seed).rows for seed in range(count)]
+
+
+def time_pair(trees: Trees, n: int) -> dict[str, dict]:
+    """Per label: milliseconds per pair call on every seeded D(n, 1/2) graph in every round."""
+    steps = {
+        (label, seed): partial(pm.permanent.permanent_zero_one_pair, rows, n)
+        for label, pm in trees.items()
+        for seed, rows in enumerate(draws(pm, "digraph", n, GRAPHS))
+    }
     out = {}
-    for n in PROFILES:
-        g = complete_graph(n)
-        permutations_by_fixed_points(g)
-        times = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            permutations_by_fixed_points(g)
-            times.append((time.perf_counter() - start) * 1e3)
-        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        out[f"K{n}"] = {"calls": RUNS, "median_ms": median, "q1_ms": q1, "q3_ms": q3}
+    for label, by_seed in alternate(steps).items():
+        times = [t for ts in by_seed.values() for t in ts]
+        out[label] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
     return out
 
 
-def time_injection() -> dict:
-    """Microseconds per call over RUNS rounds of every digraph on INJECTION_N
-    vertices at every root: apply_injection on every derangement, then
-    invert_injection on every image (round trips) and on every other
-    permutation (refusals). Each round's total time over its calls is one
-    data point."""
-    n = INJECTION_N
-    cases = []  # (graph, root, derangements, their images, the other permutations)
+def pair_per_draw(pm: ModuleType, n: int, rows: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    return [pm.permanent.permanent_zero_one_pair(r, n) for r in rows]
+
+
+def time_stacked(trees: Trees) -> dict[str, dict]:
+    """Per label and n in STACKED: microseconds per draw of DRAWS seeded G(n, 1/2)
+    draws, as one stacked call and as one pair call per draw."""
+    out: dict[str, dict] = {label: {} for label in trees}
+    for n in STACKED:
+        steps = {}
+        for label, pm in trees.items():
+            rows = draws(pm, "graph", n, DRAWS)
+            steps[label, "one_call"] = partial(pm.permanent.permanent_zero_one_pairs, n, rows)
+            steps[label, "call_per_draw"] = partial(pair_per_draw, pm, n, rows)
+        for label, routes in alternate(steps).items():
+            out[label][str(n)] = {"draws": DRAWS, "rounds": RUNS,
+                                  **{route: quartiles(t, "us_per_draw", 1e6 / DRAWS) for route, t in routes.items()}}
+    return out
+
+
+def time_glynn(trees: Trees) -> dict[str, dict]:
+    """Per label whose kernel has GLYNN_MAX, and n in GLYNN_SIZES: microseconds
+    per matrix of one permanent_zero_one_pairs call over DRAWS seeded G(n, 1/2)
+    draws, summing Glynn's formula and, with GLYNN_MAX set to 0, Ryser's."""
+    trees = {label: pm for label, pm in trees.items() if hasattr(pm.permanent, "GLYNN_MAX")}
+    out: dict[str, dict] = {label: {} for label in trees}
+    for n in GLYNN_SIZES:
+        steps = {}
+        for label, pm in trees.items():
+            call = partial(pm.permanent.permanent_zero_one_pairs, n, draws(pm, "graph", n, DRAWS))
+            steps[label, "glynn"] = call
+            steps[label, "ryser"] = partial(with_setting, pm.permanent, "GLYNN_MAX", 0, call)
+        for label, routes in alternate(steps).items():
+            out[label][str(n)] = {"matrices": 2 * DRAWS, "rounds": RUNS, **{
+                route: quartiles(t, "us_per_matrix", 1e6 / (2 * DRAWS)) for route, t in routes.items()}}
+    return out
+
+
+def time_pass_sweep(trees: Trees) -> dict[str, dict]:
+    """Per label: microseconds per draw of one stacked call over DRAWS draws of
+    G(12, 1/2), for each RYSER_BLOCK value in PASS_SIZES, set for the call."""
+    steps = {
+        (label, size): partial(with_setting, pm.permanent, "RYSER_BLOCK", size,
+                               partial(pm.permanent.permanent_zero_one_pairs, 12, rows))
+        for label, pm in trees.items()
+        for rows in [draws(pm, "graph", 12, DRAWS)]
+        for size in PASS_SIZES
+    }
+    return {
+        label: {"n": 12, "draws": DRAWS, "rounds": RUNS,
+                **{str(size): quartiles(t, "us_per_draw", 1e6 / DRAWS) for size, t in sizes.items()}}
+        for label, sizes in alternate(steps).items()
+    }
+
+
+def time_profiles(trees: Trees) -> dict[str, dict]:
+    """Per label and K_n in PROFILES: milliseconds per permutations_by_fixed_points call."""
+    steps = {
+        (label, f"K{n}"): partial(pm.permutations_by_fixed_points, pm.complete_graph(n))
+        for label, pm in trees.items()
+        for n in PROFILES
+    }
+    return {
+        label: {name: {"calls": RUNS, **quartiles(t, "ms", 1e3)} for name, t in graphs.items()}
+        for label, graphs in alternate(steps).items()
+    }
+
+
+def injection_cases(pm: ModuleType) -> list[tuple]:
+    """(graph, root, derangements, their images, the other permutations) of every
+    digraph on INJECTION_N vertices at every root."""
+    n, cases = INJECTION_N, []
     for index in range(1 << n * (n - 1)):
-        g = digraph_from_arc_index(n, index)
-        derangements = list(enumerate_permutations(g, derangements_only=True))
-        permutations = list(enumerate_permutations(g))
+        g = pm.digraph_from_arc_index(n, index)
+        derangements = list(pm.enumerate_permutations(g, derangements_only=True))
+        permutations = list(pm.enumerate_permutations(g))
         for v in range(n):
-            images = [apply_injection(g, d, v) for d in derangements]
+            images = [pm.apply_injection(g, d, v) for d in derangements]
             image_set = set(images)
             cases.append((g, v, derangements, images, [p for p in permutations if p not in image_set]))
-    spent: dict[str, list[float]] = {"apply": [], "round_trip": [], "refusal": []}
-    for _ in range(RUNS):
-        apply_s = trip_s = refusal_s = 0.0
-        for g, v, derangements, images, others in cases:
-            t0 = time.perf_counter()
+    return cases
+
+
+def time_injection(trees: Trees) -> dict[str, dict]:
+    """Per label: microseconds per call over every case of injection_cases,
+    apply_injection on every derangement, then invert_injection on every
+    image (round trips) and on every other permutation (refusals). Each
+    round's time over all its calls of one kind is one data point."""
+
+    def apply(pm, cases):
+        for g, v, derangements, _, _ in cases:
             for d in derangements:
-                apply_injection(g, d, v)
-            t1 = time.perf_counter()
+                pm.apply_injection(g, d, v)
+
+    def round_trip(pm, cases):
+        for g, v, _, images, _ in cases:
             for p in images:
-                invert_injection(g, p, v)
-            t2 = time.perf_counter()
+                pm.invert_injection(g, p, v)
+
+    def refusal(pm, cases):
+        for g, v, _, _, others in cases:
             for p in others:
                 try:
-                    invert_injection(g, p, v)
-                except NotInImageError:
+                    pm.invert_injection(g, p, v)
+                except pm.NotInImageError:
                     pass
-            t3 = time.perf_counter()
-            apply_s, trip_s, refusal_s = apply_s + t1 - t0, trip_s + t2 - t1, refusal_s + t3 - t2
-        for key, total in zip(spent, (apply_s, trip_s, refusal_s)):
-            spent[key].append(total)
-    calls = {
-        "apply": sum(len(derangements) for _, _, derangements, _, _ in cases),
-        "round_trip": sum(len(images) for _, _, _, images, _ in cases),
-        "refusal": sum(len(others) for _, _, _, _, others in cases),
-    }
-    out: dict = {"n": n, "graphs": 1 << n * (n - 1), "rounds": RUNS}
-    for key, totals in spent.items():
-        per_call = [total / calls[key] * 1e6 for total in totals]
-        q1, median, q3 = statistics.quantiles(per_call, n=4, method="inclusive")
-        out[key] = {"calls": calls[key], "median_us": median, "q1_us": q1, "q3_us": q3}
-    return out
 
-
-def time_census() -> dict:
-    """Per host in CENSUS: the milliseconds of each of RUNS cold _host_census
-    builds (cache cleared first), and the same times per host permutation in
-    microseconds; the permutations are counted apart, as the host's permanent."""
+    kinds = {"apply": apply, "round_trip": round_trip, "refusal": refusal}
+    cases = {label: injection_cases(pm) for label, pm in trees.items()}
+    steps = {(label, kind): partial(fn, pm, cases[label]) for label, pm in trees.items() for kind, fn in kinds.items()}
     out = {}
-    for family, n in CENSUS:
-        host = complete_graph(n) if family == "digraphs" else complete_bipartite(n).to_graph()
-        permutations = count_permutations(host)
-        times = []
-        for _ in range(RUNS):
-            _host_census.cache_clear()
-            start = time.perf_counter()
-            _host_census(family, n)
-            times.append(time.perf_counter() - start)
-        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-        out[f"{family}-{n}"] = {
-            "permutations": permutations,
-            "builds": RUNS,
-            "median_ms": median * 1e3,
-            "q1_ms": q1 * 1e3,
-            "q3_ms": q3 * 1e3,
-            "median_us_per_permutation": median / permutations * 1e6,
-            "q1_us_per_permutation": q1 / permutations * 1e6,
-            "q3_us_per_permutation": q3 / permutations * 1e6,
+    for label, spent in alternate(steps).items():
+        some = cases[label]
+        calls = {
+            "apply": sum(len(derangements) for _, _, derangements, _, _ in some),
+            "round_trip": sum(len(images) for _, _, _, images, _ in some),
+            "refusal": sum(len(others) for _, _, _, _, others in some),
         }
+        out[label] = {"n": INJECTION_N, "graphs": 1 << INJECTION_N * (INJECTION_N - 1), "rounds": RUNS}
+        for kind, totals in spent.items():
+            out[label][kind] = {"calls": calls[kind], **quartiles(totals, "us", 1e6 / calls[kind])}
     return out
 
 
-def time_scans() -> dict:
-    """Per scan in SCANS: the milliseconds of each of RUNS verify.scan calls
-    with records written to a CSV file, after one warm-up call that fills the
-    host census cache, as every later scan in a process finds it."""
-    out = {}
+def time_census(trees: Trees) -> dict[str, dict]:
+    """Per label and host in CENSUS: milliseconds per cold _host_census build
+    (its cache cleared in the step), and the same time per host permutation in
+    microseconds; the permutations are counted apart, as the host's permanent."""
+
+    def build(pm, family, n):
+        pm.verify._host_census.cache_clear()
+        pm.verify._host_census(family, n)
+
+    steps = {(label, host): partial(build, pm, *host) for label, pm in trees.items() for host in CENSUS}
+    out: dict[str, dict] = {}
+    for label, hosts in alternate(steps).items():
+        pm = trees[label]
+        out[label] = {}
+        for (family, n), times in hosts.items():
+            host = pm.complete_graph(n) if family == "digraphs" else pm.complete_bipartite(n).to_graph()
+            permutations = pm.count_permutations(host)
+            out[label][f"{family}-{n}"] = {
+                "permutations": permutations,
+                "builds": RUNS,
+                **quartiles(times, "ms", 1e3),
+                **quartiles(times, "us_per_permutation", 1e6 / permutations),
+            }
+    return out
+
+
+def time_scans(trees: Trees) -> dict[str, dict]:
+    """Per label and scan in SCANS: milliseconds per verify.scan call with its
+    records written to a CSV file; the warm-up round fills the host census
+    cache, as every later scan in a process finds it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "records.csv")
-        for family, n in SCANS:
-            graphs = scan(family, n, out_path=path)["graphs"]
-            times = []
-            for _ in range(RUNS):
-                start = time.perf_counter()
-                scan(family, n, out_path=path)
-                times.append((time.perf_counter() - start) * 1e3)
-            q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-            out[f"{family}-{n}"] = {"graphs": graphs, "calls": RUNS, "median_ms": median, "q1_ms": q1, "q3_ms": q3}
-    return out
+        steps = {
+            (label, (family, n)): partial(pm.scan, family, n, out_path=path)
+            for label, pm in trees.items()
+            for family, n in SCANS
+        }
+        times = alternate(steps)
+        return {
+            label: {
+                f"{family}-{n}": {"graphs": trees[label].scan(family, n, out_path=path)["graphs"], "calls": RUNS,
+                                  **quartiles(t, "ms", 1e3)}
+                for (family, n), t in scans.items()
+            }
+            for label, scans in times.items()
+        }
+
+
+def source_pair(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (label and sep and Path(src, "permatch").is_dir()):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC_DIR with SRC_DIR/permatch, got {text!r}")
+    return label, Path(src).resolve()
+
+
+def report(label: str, run: dict) -> None:
+    for n, row in run["sizes"].items():
+        print(f"{label}  n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for n, row in run["stacked"].items():
+        one, each = row["one_call"], row["call_per_draw"]
+        print(f"{label}  stacked n={n:>2}  {one['median_us_per_draw']:8.1f} us per draw in one call"
+              f"  [{one['q1_us_per_draw']:.1f}, {one['q3_us_per_draw']:.1f}],"
+              f"  {each['median_us_per_draw']:.1f} us in one call per draw")
+    for n, row in run.get("glynn", {}).items():
+        glynn, ryser = row["glynn"], row["ryser"]
+        print(f"{label}  glynn n={n:>2}  {glynn['median_us_per_matrix']:8.1f} us per matrix"
+              f"  [{glynn['q1_us_per_matrix']:.1f}, {glynn['q3_us_per_matrix']:.1f}],"
+              f"  ryser {ryser['median_us_per_matrix']:.1f}")
+    for size in PASS_SIZES:
+        row = run["pass_sweep"][str(size)]
+        print(f"{label}  RYSER_BLOCK {size:>2}, n=12  {row['median_us_per_draw']:8.1f} us per draw"
+              f"  [{row['q1_us_per_draw']:.1f}, {row['q3_us_per_draw']:.1f}]")
+    for name, row in run["profile"].items():
+        print(f"{label}  profile {name:<4}  median {row['median_ms']:8.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for key in ("apply", "round_trip", "refusal"):
+        row = run["injection"][key]
+        print(f"{label}  injection {key:<10}  median {row['median_us']:7.2f} us"
+              f"  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
+    for host, row in run["census"].items():
+        print(f"{label}  census {host:<11}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
+              f"  {row['median_us_per_permutation']:.2f} us per permutation ({row['permutations']})")
+    for name, row in run["scan"].items():
+        print(f"{label}  scan {name:<13}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
+              f"  {row['graphs']} graphs")
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", default="current", help="key of this run in the output file")
+    ap.add_argument(
+        "sources",
+        nargs="*",
+        type=source_pair,
+        metavar="LABEL=SRC_DIR",
+        help="source trees to run, each under its label (default: current=the imported package)",
+    )
+    ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args(argv)
 
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
-    doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
-    sizes = {str(n): time_pair(n) for n in SIZES}
-    stacked = time_stacked()
-    sweep = time_pass_sweep()
-    profiles = time_profiles()
-    injection = time_injection()
-    census = time_census()
-    scans = time_scans()
-    doc.setdefault("runs", {})[args.label] = {
-        "cpus": _usable_cpus(),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "sizes": sizes,
-        "stacked": stacked,
-        "pass_sweep": sweep,
-        "profile": profiles,
-        "injection": injection,
-        "census": census,
-        "scan": scans,
+    trees = {label: load_tree(i, src) for i, (label, src) in enumerate(args.sources)} or {"current": permatch}
+    sizes = {str(n): time_pair(trees, n) for n in SIZES}
+    entries = {
+        "stacked": time_stacked(trees),
+        "glynn": time_glynn(trees),
+        "pass_sweep": time_pass_sweep(trees),
+        "profile": time_profiles(trees),
+        "injection": time_injection(trees),
+        "census": time_census(trees),
+        "scan": time_scans(trees),
     }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
-    for n, row in sizes.items():
-        print(f"n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-    for n, row in stacked.items():
-        one, each = row["one_call"], row["call_per_draw"]
-        print(f"stacked n={n:>2}  {one['median_us_per_draw']:8.1f} us per draw in one call"
-              f"  [{one['q1_us_per_draw']:.1f}, {one['q3_us_per_draw']:.1f}],"
-              f"  {each['median_us_per_draw']:.1f} us in one call per draw")
-    for size in PASS_SIZES:
-        row = sweep[str(size)]
-        print(f"pass of {size:>2} matrices, n=12  {row['median_us_per_draw']:8.1f} us per draw"
-              f"  [{row['q1_us_per_draw']:.1f}, {row['q3_us_per_draw']:.1f}]")
-    for name, row in profiles.items():
-        print(f"profile {name:<4}  median {row['median_ms']:8.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-    for key in ("apply", "round_trip", "refusal"):
-        row = injection[key]
-        print(f"injection {key:<10}  median {row['median_us']:7.2f} us  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")
-    for host, row in census.items():
-        print(
-            f"census {host:<11}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
-            f"  {row['median_us_per_permutation']:.2f} us per permutation ({row['permutations']})"
-        )
-    for name, row in scans.items():
-        print(f"scan {name:<13}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
-              f"  {row['graphs']} graphs")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
+    for label in trees:
+        run = {"cpus": _usable_cpus(), "numpy": np.__version__, "python": platform.python_version(),
+               "sizes": {n: by_label[label] for n, by_label in sizes.items()}}
+        run |= {name: by_label[label] for name, by_label in entries.items() if label in by_label}
+        doc.setdefault("runs", {})[label] = run
+        report(label, run)
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -19,8 +19,11 @@ that fails unmutated, or on a pytest run that errors instead of failing.
 A mutant whose outcome cannot change is no row. ``SPARSE_MAX = 9`` (the dict
 DP taking n = 9 from Ryser) is one: both routes are exact on either side of
 the switch, so every test passes under it. ``RYSER_LOW = 13`` and ``16`` are
-others: the high part then needs at most 8 bits, inside its one-byte popcount
-table, and the kernel stays exact at n = 9, 13, 17 and 20.
+others: the high part then needs at most 8 bits, inside its one-byte count
+table, and the kernel stays exact at every n the tests run, Glynn's and
+Ryser's sizes both. ``GLYNN_MAX = 15`` would be one too, as Ryser is exact at
+n = 16, but a test pins GLYNN_MAX to the largest size whose Glynn total fits
+int64.
 """
 
 import argparse
@@ -118,9 +121,9 @@ MUTANTS = (
     Mutant(
         "ryser-high-sign",
         "src/permatch/permanent.py",
-        "            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
-        "            pass_totals += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
-        (
+        "            pass_totals += (-1) ** (bits + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
+        "            pass_totals += (-1) ** bits * pass_prod.sum(axis=(1, 2))\n",
+        (  # through n = 16 one block holds every high part, so only Ryser's sizes reach h > 0
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_block_diagonal_product",
         ),
@@ -136,7 +139,37 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "ryser-stale-row-counts",  # every pass after the first reads the previous pass's |row_i & L|
+        "glynn-max-17",  # 2^16 * 17! passes 2^64, so Glynn's int64 total wraps at n = 17
+        "src/permatch/permanent.py",
+        "GLYNN_MAX = 16\n",
+        "GLYNN_MAX = 17\n",
+        (
+            "tests/test_permanent.py::test_glynn_total_fits_int64",
+            "tests/test_permanent.py::test_zero_one_boundaries[17]",
+        ),
+    ),
+    Mutant(
+        "glynn-offset-dropped",  # each row's value without its 2 a_i0 - r_i
+        "src/permatch/permanent.py",
+        "        offset = glynn * (2 * (rows & 1) - np.bitwise_count(rows)).astype(np.int8)  # Glynn's row value at S = 0\n",
+        "        offset = np.zeros(rows.shape, dtype=np.int8)\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[9]",
+            "tests/test_permanent.py::test_dispatcher_switch_agrees",
+        ),
+    ),
+    Mutant(
+        "sampler-word-shift",  # the second generator output's top 22 bits, not 21, in each 53-bit draw
+        "src/permatch/random_models.py",
+        "    present = (words & 0xFFFFFFFF | words >> 43 << 32) < -(-(q.numerator << 53) // q.denominator)\n",
+        "    present = (words & 0xFFFFFFFF | words >> 42 << 32) < -(-(q.numerator << 53) // q.denominator)\n",
+        (
+            "tests/test_random_models.py::test_row_sampler_matches_the_arc_list_oracle",
+            "tests/test_random_models.py::test_sampled_stream_is_pinned",
+        ),
+    ),
+    Mutant(
+        "ryser-stale-row-counts",  # every pass after the first reads the previous pass's row values on L
         "src/permatch/permanent.py",
         "        np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))\n",
         "        if not first:\n"
@@ -152,6 +185,7 @@ MUTANTS = (
         "    prod = np.empty(groups.shape[1:], dtype=np.int64)\n",
         "    prod = np.empty(groups.shape[1:], dtype=np.int32)\n",
         (
+            "tests/test_permanent.py::test_zero_one_boundaries[16]",
             "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
             "tests/test_permanent.py::test_pair_rows_with_diagonal[20]",
         ),

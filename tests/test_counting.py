@@ -85,7 +85,7 @@ def test_enumeration_matches_counts():
 
 
 def test_dp_counts_many_matches_one_graph_at_a_time():
-    # n = 5 runs the dict DP, n = 12 stacks the graphs' matrices into shared Ryser passes
+    # n = 5 runs the dict DP, n = 12 stacks the graphs' matrices into two shared Glynn passes
     for n in (5, 12):
         graphs = [sample(ModelSpec("graph", n, q="1/2"), seed) for seed in range(10)]
         graphs += [complete_graph(n), directed_cycle(n)]

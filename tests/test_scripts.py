@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from permatch import count_derangements, count_permutations, digraph_from_arc_index
+from permatch import count_derangements, count_permutations, digraph_from_arc_index, permanent
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -66,6 +66,10 @@ def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     bench = load("bench_e2e")
     monkeypatch.setattr(bench, "COMMANDS", {"count-ratio-C5": bench.COMMANDS["count-ratio-C5"]})
     monkeypatch.setattr(bench, "RUNS", 2)
+    # a tier-1 stand-in that prints what a passing run of the suite prints last: an ACCEPTANCE line, then the counts
+    lines = ["ACCEPTANCE 10 sparse-expectations: PASS (0.1s)", "1 passed in 0.13s"]
+    monkeypatch.setattr(bench, "TIER1", ["-c", f"print({chr(10).join(lines)!r})"])
+    monkeypatch.setattr(bench, "TIER1_RUNS", 2)
     out = tmp_path / "e2e.json"
     src = str(SCRIPTS.parent / "src")
     assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0
@@ -77,8 +81,13 @@ def test_bench_e2e_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         timing = run["commands"]["count-ratio-C5"]
         assert timing["command"] == "count --input c5.txt --what ratio"
         assert timing["runs"] == 2 and 0 < timing["q1_s"] <= timing["median_s"] <= timing["q3_s"]
+        tier1 = run["tier1"]
+        assert (tier1["runs"], tier1["passed"], tier1["failed"]) == (2, 1, 0)
+        assert 0 < tier1["q1_s"] <= tier1["median_s"] <= tier1["q3_s"]
+        assert list(tier1["acceptance"]) == ["10 sparse-expectations"]
+        assert tier1["acceptance"]["10 sparse-expectations"]["runs"] == 2
     printed = capsys.readouterr().out
-    assert "first" in printed and "second" in printed
+    assert "first" in printed and "second" in printed and "ACCEPTANCE 10 sparse-expectations" in printed
 
 
 def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
@@ -87,35 +96,41 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "SIZES", (5, 6))
     monkeypatch.setattr(bench, "GRAPHS", 2)
     monkeypatch.setattr(bench, "RUNS", 2)
-    monkeypatch.setattr(bench, "OUT", out)
     monkeypatch.setattr(bench, "INJECTION_N", 3)
     monkeypatch.setattr(bench, "PROFILES", (3, 4))
     monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "SCANS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "STACKED", (9,))
+    monkeypatch.setattr(bench, "GLYNN_SIZES", (9, 10))
     monkeypatch.setattr(bench, "DRAWS", 3)
     monkeypatch.setattr(bench, "PASS_SIZES", (2, 4))
-    block = bench.permanent.RYSER_BLOCK
-    assert bench.main(["--label", "first"]) == 0
-    assert bench.main(["--label", "second"]) == 0
+    settings = (permanent.RYSER_BLOCK, permanent.GLYNN_MAX)
+    assert bench.main(["--out", str(out)]) == 0  # the imported package, as "current"
+    assert (permanent.RYSER_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep and the Glynn entry put them back
+    src = str(SCRIPTS.parent / "src")
+    assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0  # two trees, alternated
     doc = json.loads(out.read_text())
     assert doc["kernel"] == "permanent_zero_one_pair" and doc["graphs_per_size"] == 2
-    assert set(doc["runs"]) == {"first", "second"}
+    assert set(doc["runs"]) == {"current", "first", "second"}
     for run in doc["runs"].values():
         assert {"cpus", "numpy", "python"} <= set(run)
+        assert set(run["sizes"]) == {"5", "6"}
         for row in run["sizes"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
-    assert set(run["sizes"]) == {"5", "6"}
-    assert bench.permanent.RYSER_BLOCK == block  # the pass sweep puts the pass size back
-    for run in doc["runs"].values():
         assert set(run["stacked"]) == {"9"} and set(run["pass_sweep"]) == {"n", "draws", "rounds", "2", "4"}
         rows = [run["stacked"]["9"][route] for route in ("one_call", "call_per_draw")]
         rows += [run["pass_sweep"][size] for size in ("2", "4")]
         for row in rows:
             assert 0 < row["q1_us_per_draw"] <= row["median_us_per_draw"] <= row["q3_us_per_draw"]
-    assert set(run["profile"]) == {"K3", "K4"}
-    for row in run["profile"].values():
-        assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+        assert set(run["glynn"]) == {"9", "10"}
+        for row in run["glynn"].values():
+            assert row["matrices"] == 6 and row["rounds"] == 2
+            for route in ("glynn", "ryser"):
+                assert 0 < row[route]["q1_us_per_matrix"] <= row[route]["median_us_per_matrix"]
+                assert row[route]["median_us_per_matrix"] <= row[route]["q3_us_per_matrix"]
+        assert set(run["profile"]) == {"K3", "K4"}
+        for row in run["profile"].values():
+            assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     # every digraph on 3 vertices at every root: 3 * d(G) applies and round trips, 3 * (p(G) - d(G)) refusals
     graphs = [digraph_from_arc_index(3, i) for i in range(64)]
     derangements = 3 * sum(map(count_derangements, graphs))
@@ -139,8 +154,9 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         for row in run["scan"].values():
             assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
     printed = capsys.readouterr().out
-    assert "n= 6" in printed and "injection refusal" in printed and "census bipartite-2" in printed
-    assert "scan digraphs-3" in printed
+    assert "current  n= 6" in printed and "second  injection refusal" in printed
+    assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
+    assert "first  glynn n=10" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):

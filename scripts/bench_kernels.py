@@ -173,13 +173,11 @@ def time_glynn(trees: Trees) -> dict[str, dict]:
 def time_pass_sweep(trees: Trees) -> dict[str, dict]:
     """Per label: microseconds per draw of one stacked call over DRAWS draws of
     G(12, 1/2), for each RYSER_BLOCK value in PASS_SIZES, set for the call."""
-    steps = {
-        (label, size): partial(with_setting, pm.permanent, "RYSER_BLOCK", size,
-                               partial(pm.permanent.permanent_zero_one_pairs, 12, rows))
-        for label, pm in trees.items()
-        for rows in [draws(pm, "graph", 12, DRAWS)]
-        for size in PASS_SIZES
-    }
+    steps = {}
+    for label, pm in trees.items():
+        call = partial(pm.permanent.permanent_zero_one_pairs, 12, draws(pm, "graph", 12, DRAWS))
+        for size in PASS_SIZES:
+            steps[label, size] = partial(with_setting, pm.permanent, "RYSER_BLOCK", size, call)
     return {
         label: {"n": 12, "draws": DRAWS, "rounds": RUNS,
                 **{str(size): quartiles(t, "us_per_draw", 1e6 / DRAWS) for size, t in sizes.items()}}

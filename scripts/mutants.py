@@ -121,8 +121,8 @@ MUTANTS = (
     Mutant(
         "ryser-high-sign",
         "src/permatch/permanent.py",
-        "            pass_totals += (-1) ** (bits + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
-        "            pass_totals += (-1) ** bits * pass_prod.sum(axis=(1, 2))\n",
+        "            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
+        "            pass_totals += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
         (  # through n = 16 one block holds every high part, so only Ryser's sizes reach h > 0
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_block_diagonal_product",
@@ -149,10 +149,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "glynn-offset-dropped",  # each row's value without its 2 a_i0 - r_i
+        "glynn-offset-dropped",  # each row's value without its -r_i
         "src/permatch/permanent.py",
-        "        offset = glynn * (2 * (rows & 1) - np.bitwise_count(rows)).astype(np.int8)  # Glynn's row value at S = 0\n",
-        "        offset = np.zeros(rows.shape, dtype=np.int8)\n",
+        "            lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]\n",
+        "            pass\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[9]",
             "tests/test_permanent.py::test_dispatcher_switch_agrees",

@@ -99,7 +99,7 @@ def permanent_ryser(m: Matrix) -> int:
 SPARSE_MAX = 8
 DP_MAX = 20
 # Through GLYNN_MAX rows the kernel sums Glynn's formula, half of Ryser's terms,
-# whose total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^60: exact in int64. Past it
+# whose total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63: exact in int64. Past it
 # that bound breaks (2^16 * 17! > 2^64), so n = 17 to 20 sum Ryser's formula.
 GLYNN_MAX = 16
 # The kernel splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
@@ -140,10 +140,10 @@ def _permanent_bits_sparse(bitrows: Sequence[int], width: int = 0) -> int:
 def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """per(A) for several n x n 0/1 matrices, stacked in passes of up to per_pass matrices, with products of
     RYSER_GROUP row values in int32 and of those in int64 that wraps, exact as the module docstring argues.
-    Through GLYNN_MAX the sum is Glynn's: column 0 weighs +1 and column j > 0 weighs +1 in S and -1 outside it, so
-    with r_i the count of row i, 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of
-    (-1)^(n-1-|S|) prod_i (2 |(row_i >> 1) & S| + 2 a_i0 - r_i). Past it the sum is Ryser's,
-    per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work arrays are allocated once per
+    Through GLYNN_MAX the sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
+    outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is), so with r_i the
+    count of row i, 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
+    Past it the sum is Ryser's, per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work arrays are allocated once per
     call, sized for one pass, and every pass overwrites them: fresh arrays per pass page-fault again each time."""
     glynn = n <= GLYNN_MAX
     bits = n - glynn  # the columns S ranges over: Glynn holds column 0 fixed
@@ -155,7 +155,7 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, RYSER_GROUP)
-    lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value on L, H = 0
+    lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value at S = L
     groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
     term = np.empty(groups.shape[1:], dtype=np.int8)
     prod = np.empty(groups.shape[1:], dtype=np.int64)
@@ -165,12 +165,13 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
         pass_lo, pass_groups, pass_term, pass_prod = lo[:m], groups[:, :m], term[:m], prod[:m]
         pass_totals = totals[first : first + m]
         rows = np.array(matrices[first : first + m], dtype=np.int64)
-        offset = glynn * (2 * (rows & 1) - np.bitwise_count(rows)).astype(np.int8)  # Glynn's row value at S = 0
         # the first byte and the rest of L, and H, of every row of the pass: indices into the count tables
         part = (rows[..., None] >> [glynn, 8 + glynn, low + glynn]).astype(np.uint8)
-        lo_low, lo_high = counts[:, :lo_bytes][part[:, :, 0]], counts[:, :lo_rest][part[:, :, 1]] + offset[..., None]
+        lo_low, lo_high = counts[:, :lo_bytes][part[:, :, 0]], counts[:, :lo_rest][part[:, :, 1]]
+        if glynn:  # Glynn's row value at S = 0 is -r_i
+            lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
-        hi = counts[:, : 1 << high][part[:, :, 2]] if high else None  # row i's value on H, less its value at H = 0
+        hi = counts[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
                 for i in range(s, min(s + RYSER_GROUP, n)):
@@ -182,8 +183,10 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
             np.copyto(pass_prod, pass_groups[0])
             for g in pass_groups[1:]:
                 np.multiply(pass_prod, g, out=pass_prod)
-            pass_totals += (-1) ** (bits + h.bit_count()) * pass_prod.sum(axis=(1, 2))
-    return (totals >> (bits if glynn else 0)).tolist()
+            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
+    if glynn:
+        totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
+    return totals.tolist()
 
 
 def _check_bits(matrices: Sequence[Sequence[int]], n: int) -> None:

@@ -78,7 +78,7 @@ def sample_rows(model: ModelSpec, seeds: Sequence[int]) -> np.ndarray:
     stream = b"".join(random.Random(seed).getrandbits(64 * slots).to_bytes(8 * slots, "little") for seed in seeds)
     words = np.frombuffer(stream, dtype="<u8").reshape(len(seeds), slots)
     present = (words & 0xFFFFFFFF | words >> 43 << 32) < -(-(q.numerator << 53) // q.denominator)
-    adjacency = np.zeros((len(seeds), n, 64), dtype=bool)
+    adjacency = np.zeros((len(seeds), n, 64), dtype=bool)  # 64 columns pack into one uint64 per row
     adjacency[:, heads, tails] = present
     if not directed:
         adjacency[:, tails, heads] = present

@@ -327,7 +327,8 @@ def report(label: str, run: dict) -> None:
         print(f"{label}  RYSER_BLOCK {size:>2}, n=12  {row['median_us_per_draw']:8.1f} us per draw"
               f"  [{row['q1_us_per_draw']:.1f}, {row['q3_us_per_draw']:.1f}]")
     for name, row in run["profile"].items():
-        print(f"{label}  profile {name:<4}  median {row['median_ms']:8.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+        print(f"{label}  profile {name:<4}  median {row['median_ms']:8.3f} ms"
+              f"  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
     for key in ("apply", "round_trip", "refusal"):
         row = run["injection"][key]
         print(f"{label}  injection {key:<10}  median {row['median_us']:7.2f} us"

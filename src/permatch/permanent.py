@@ -141,10 +141,14 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
     """per(A) for several n x n 0/1 matrices, stacked in passes of up to per_pass matrices, with products of
     RYSER_GROUP row values in int32 and of those in int64 that wraps, exact as the module docstring argues.
     Through GLYNN_MAX the sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
-    outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is), so with r_i the
-    count of row i, 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
-    Past it the sum is Ryser's, per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work arrays are allocated once per
-    call, sized for one pass, and every pass overwrites them: fresh arrays per pass page-fault again each time."""
+    outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is). With r_i the
+    count of row i,
+
+        2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
+
+    Past it the sum is Ryser's, per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work
+    arrays are allocated once per call, sized for one pass, and every pass overwrites them: fresh arrays per
+    pass page-fault again each time."""
     glynn = n <= GLYNN_MAX
     bits = n - glynn  # the columns S ranges over: Glynn holds column 0 fixed
     low = min(bits, RYSER_LOW)

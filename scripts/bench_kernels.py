@@ -7,12 +7,12 @@ the label ``current``. Every timed step goes to each tree in turn within a
 round, the order reversed on every other round, after one warm-up round, so
 machine drift during a sitting reaches both trees alike. Under each label:
 
-* ``sizes``: milliseconds per permanent_zero_one_pair call (per(A) and
-  per(A | I)) on the rows of seeded D(n, 1/2) digraphs at n = 4, 6 and 8 (two
-  passes of the dict DP), 9 to 16 (Glynn's formula) and 20 (Ryser's);
-* ``stacked``: microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 9,
-  12, 13 and 14, counted by one permanent_zero_one_pairs call against one
-  permanent_zero_one_pair call per draw;
+* ``sizes``: milliseconds per one-graph permanent_zero_one_pairs call (per(A)
+  and per(A | I) in one pass) on the rows of seeded D(n, 1/2) digraphs at
+  n = 4, 6, 8, 9, 12, 13 and 16 (Glynn's formula) and 20 (Ryser's);
+* ``stacked``: microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 4,
+  6, 8, 9, 12, 13 and 14, counted by one permanent_zero_one_pairs call against
+  one such call per draw;
 * ``glynn``: microseconds per matrix of that one call at n = 9 to 16, with
   Glynn's formula against Ryser's (GLYNN_MAX set to 0 for the call); only for
   a tree whose kernel has GLYNN_MAX;
@@ -20,7 +20,7 @@ machine drift during a sitting reaches both trees alike. Under each label:
   4, 8 and 16 for the call (a pass then holds 2 * RYSER_BLOCK matrices under
   Glynn, RYSER_BLOCK under Ryser);
 * ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
-  K_12 (one pass of the dict DP in packed-profile mode);
+  K_12 (one pass of counting's fixed-point DP);
 * ``injection``: microseconds per apply_injection call and per
   invert_injection call, round trips and refusals apart, over every digraph on
   4 vertices at every root;
@@ -58,7 +58,7 @@ from permatch.random_models import _usable_cpus
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
-STACKED = (9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
+STACKED = (4, 6, 8, 9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
 DRAWS = 25  # draws per stacked call: one sampled-scan block of the benchmark
 GLYNN_SIZES = tuple(range(9, 17))  # sizes where Glynn's formula runs against Ryser's
 PASS_SIZES = (2, 4, 8, 16)  # RYSER_BLOCK values in the sweep at n = 12
@@ -121,7 +121,7 @@ def draws(pm: ModuleType, kind: str, n: int, count: int) -> list[tuple[int, ...]
 def time_pair(trees: Trees, n: int) -> dict[str, dict]:
     """Per label: milliseconds per pair call on every seeded D(n, 1/2) graph in every round."""
     steps = {
-        (label, seed): partial(pm.permanent.permanent_zero_one_pair, rows, n)
+        (label, seed): partial(pm.permanent.permanent_zero_one_pairs, n, [rows])
         for label, pm in trees.items()
         for seed, rows in enumerate(draws(pm, "digraph", n, GRAPHS))
     }
@@ -133,7 +133,7 @@ def time_pair(trees: Trees, n: int) -> dict[str, dict]:
 
 
 def pair_per_draw(pm: ModuleType, n: int, rows: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    return [pm.permanent.permanent_zero_one_pair(r, n) for r in rows]
+    return [pm.permanent.permanent_zero_one_pairs(n, [r]) for r in rows]
 
 
 def time_stacked(trees: Trees) -> dict[str, dict]:
@@ -365,7 +365,7 @@ def main(argv=None):
         "scan": time_scans(trees),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.update(kernel="permanent_zero_one_pair", model="D(n, 1/2)", graphs_per_size=GRAPHS)
+    doc.update(kernel="permanent_zero_one_pairs", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     for label in trees:
         run = {"cpus": _usable_cpus(), "numpy": np.__version__, "python": platform.python_version(),
                "sizes": {n: by_label[label] for n, by_label in sizes.items()}}

@@ -16,10 +16,8 @@ Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
 that fails unmutated, or on a pytest run that errors instead of failing.
 
-A mutant whose outcome cannot change is no row. ``SPARSE_MAX = 9`` (the dict
-DP taking n = 9 from Ryser) is one: both routes are exact on either side of
-the switch, so every test passes under it. ``RYSER_LOW = 13`` and ``16`` are
-others: the high part then needs at most 8 bits, inside its one-byte count
+A mutant whose outcome cannot change is no row. ``RYSER_LOW = 13`` and ``16``
+are such: the high part then needs at most 8 bits, inside its one-byte count
 table, and the kernel stays exact at every n the tests run, Glynn's and
 Ryser's sizes both. ``GLYNN_MAX = 15`` would be one too, as Ryser is exact at
 n = 16, but a test pins GLYNN_MAX to the largest size whose Glynn total fits
@@ -155,7 +153,7 @@ MUTANTS = (
         "            pass\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[9]",
-            "tests/test_permanent.py::test_dispatcher_switch_agrees",
+            "tests/test_permanent.py::test_ryser_kernel_matches_dict_dp",
         ),
     ),
     Mutant(
@@ -256,8 +254,19 @@ MUTANTS = (
         ("tests/test_verify.py::test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs",),
     ),
     Mutant(
-        "profile-shift-dropped",
+        "empty-matrix-guard-dropped",  # n = 0 then reaches the column split, 1 << -1
         "src/permatch/permanent.py",
+        "    if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split\n"
+        "        return [1] * len(matrices)\n",
+        "",
+        (
+            "tests/test_permanent.py::test_tiny_cases",
+            "tests/test_permanent.py::test_empty_matrix_pairs",
+        ),
+    ),
+    Mutant(
+        "profile-shift-dropped",
+        "src/permatch/counting.py",
         "                new[key] = get(key, 0) + (count << width if low == own else count)\n",
         "                new[key] = get(key, 0) + count\n",
         (

@@ -189,15 +189,11 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_scan(args: argparse.Namespace) -> _Result:
-    summary = verify.scan(
-        args.family,
-        args.n,
-        samples=args.samples,
-        q=args.q,
-        seed=args.seed,
-        out_path=args.out,
-        threads=_threads(args),
-    )
+    # only the sampled family reads these; verify.scan holds their defaults
+    given = {name: getattr(args, name) for name in ("samples", "q", "seed") if getattr(args, name) is not None}
+    if given and args.family != "sampled-undirected":
+        raise BadParamsError(f"scan --family {args.family} draws no samples; drop {_flags(given)}")
+    summary = verify.scan(args.family, args.n, **given, out_path=args.out, threads=_threads(args))
     return (1 if summary["counterexamples"] else 0), summary, None
 
 
@@ -270,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep a graph family and write one record per graph")
     p.add_argument("--family", required=True, choices=list(verify.FAMILIES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--q", default="1/2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="sampled family only")
+    p.add_argument("--q", help='sampled family only; defaults to "1/2"')
+    p.add_argument("--seed", type=int, help="sampled family only; defaults to 0")
     p.add_argument("--out", required=True, help=".csv or .jsonl")
     p.add_argument("--threads", type=int, default=None, help="defaults to PERMATCH_THREADS or 1")
     p.set_defaults(func=_cmd_scan)

@@ -2,9 +2,10 @@
 
 A permutation on a graph maps every non-fixed vertex along a present arc; a
 derangement additionally has no fixed point. Counts reduce to permanents of
-0/1 adjacency matrices, and the fixed-point profile is one pass of the
-permanent's dict DP; enumeration routines are kept independent of the
-permanent code so the two can cross-check each other.
+0/1 adjacency matrices, and the fixed-point profile is one pass of a DP
+over the reachable sets of used columns, apart from the permanent kernel;
+enumeration routines are kept independent of the permanent code so the
+routes can cross-check each other.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graphs import (
     UndirectedGraph,
     bits_of,
 )
-from .permanent import _permanent_bits_sparse, permanent_zero_one, permanent_zero_one_pairs
+from .permanent import permanent_zero_one, permanent_zero_one_pairs
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -71,7 +72,7 @@ def dp_counts(g: Digraph) -> tuple[int, int]:
 
 def dp_counts_many(graphs: Sequence[Digraph]) -> list[tuple[int, int]]:
     """dp_counts of each graph, all on the same number of vertices, from one
-    kernel call: above the dict DP's size they share stacked Ryser passes."""
+    kernel call, their matrices stacked into shared passes."""
     dgs = [as_digraph(g) for g in graphs]
     return permanent_zero_one_pairs(dgs[0].n if dgs else 0, [dg.rows for dg in dgs])
 
@@ -181,21 +182,40 @@ def is_directed_cycle(g: Digraph) -> bool:
     return steps == dg.n
 
 
+def _diagonal_profile(bitrows: Sequence[int]) -> tuple[int, ...]:
+    """counts[k] = the ways to give each row i a distinct column from its bitmask bitrows[i] with exactly k rows
+    taking their own column i; their sum is the permanent. One DP over the reachable sets of used columns, each
+    set's counts packed into one int of width-bit fields: row i taking column i moves a count up one field."""
+    n = len(bitrows)
+    width = factorial(n).bit_length()  # every count is at most n!
+    cur = {0: 1}
+    for i, row in enumerate(bitrows):
+        new: dict[int, int] = {}
+        get = new.get
+        own = 1 << i
+        for mask, count in cur.items():
+            free = row & ~mask
+            while free:
+                low = free & -free
+                free ^= low
+                key = mask | low
+                new[key] = get(key, 0) + (count << width if low == own else count)
+        cur = new
+    packed = sum(cur.values())
+    return tuple(packed >> width * k & (1 << width) - 1 for k in range(n + 1))
+
+
 def permutations_by_fixed_points(g: Digraph) -> tuple[int, ...]:
     """counts[k] = number of permutations on g with exactly k fixed points.
 
-    One pass of the permanent's dict DP on the rows of A + I in packed-profile
-    mode: taking column i in row i is a fixed point and moves the count up one
-    field. Every count is at most n!, which fits a field. counts[0] is the
-    derangement count, sum(counts) the permutation count.
+    The diagonal profile of the rows of A + I: taking column i in row i is a
+    fixed point. counts[0] is the derangement count, sum(counts) the
+    permutation count.
     """
     dg = as_digraph(g)
-    n = dg.n
-    if n > 12:
-        raise TooLargeError(f"fixed-point profile capped at n=12, got {n}")
-    width = factorial(n).bit_length()
-    packed = _permanent_bits_sparse([row | 1 << i for i, row in enumerate(dg.rows)], width)
-    return tuple(packed >> (width * k) & ((1 << width) - 1) for k in range(n + 1))
+    if dg.n > 12:
+        raise TooLargeError(f"fixed-point profile capped at n=12, got {dg.n}")
+    return _diagonal_profile([row | 1 << i for i, row in enumerate(dg.rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,17 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
 
 * ``permanent_ryser`` walks column subsets in Gray-code order, updating the
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
-* ``permanent_zero_one`` is the 0/1 kernel: dict DP for n <= 8, then one
-  stacked numpy kernel, which sums Glynn's formula for 9 <= n <= 16 and
-  Ryser's for 17 <= n <= 20. Row values go into int32 products of 7 (at most
-  20 in magnitude, and 20^7 < 2^31), combined in wrapping int64, so either sum
-  is exact mod 2^64. Ryser's sum is per itself, 0 <= per <= 20! < 2^63.
-  Glynn's sum, over half as many column sets, is 2^(n-1) per <= 2^15 * 16!
-  < 2^63, which a shift turns into per; from n = 17 that bound fails, hence
-  Ryser there. ``permanent_zero_one_pairs`` gives the d/p pair
-  (per(A), per(A | I)) of many graphs in one call, all their matrices stacked
-  into passes that reuse one set of work arrays; ``permanent_zero_one_pair``
-  is its one-graph call. Larger inputs are refused. The dict DP also packs
-  the fixed-point profile of ``counting.permutations_by_fixed_points``.
+* ``permanent_zero_one`` is the 0/1 kernel, one stacked numpy kernel for every
+  1 <= n <= 20 (the empty matrix, n = 0, has permanent 1): it sums Glynn's
+  formula for n <= 16 and Ryser's for 17 <= n <= 20. Row values go into int32
+  products of 7 (at most 20 in magnitude, and 20^7 < 2^31), combined in
+  wrapping int64, so either sum is exact mod 2^64. Ryser's sum is per itself,
+  0 <= per <= 20! < 2^63. Glynn's sum, over half as many column sets, is
+  2^(n-1) per <= 2^15 * 16! < 2^63, which a shift turns into per; from n = 17
+  that bound fails, hence Ryser there. ``permanent_zero_one_pairs`` gives the
+  d/p pair (per(A), per(A | I)) of many graphs in one call, all their matrices
+  stacked into passes that reuse one set of work arrays. Larger inputs are
+  refused.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -94,9 +93,6 @@ def permanent_ryser(m: Matrix) -> int:
     return total
 
 
-# Up to SPARSE_MAX rows the DP runs over a dict of the reachable masks only,
-# which beats numpy's per-call overhead; above it the stacked numpy kernel runs.
-SPARSE_MAX = 8
 DP_MAX = 20
 # Through GLYNN_MAX rows the kernel sums Glynn's formula, half of Ryser's terms,
 # whose total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63: exact in int64. Past it
@@ -118,28 +114,10 @@ for _table in _COUNTS:
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
-def _permanent_bits_sparse(bitrows: Sequence[int], width: int = 0) -> int:
-    """per(A) by a DP over the reachable sets of used columns. With width > 0, row i taking its own column i moves
-    the count up one width-bit field: field k of the result counts the matchings with k such diagonal entries."""
-    cur = {0: 1}
-    for i, row in enumerate(bitrows):
-        new: dict[int, int] = {}
-        get = new.get
-        own = 1 << i if width else 0
-        for mask, count in cur.items():
-            free = row & ~mask
-            while free:
-                low = free & -free
-                free ^= low
-                key = mask | low
-                new[key] = get(key, 0) + (count << width if low == own else count)
-        cur = new
-    return sum(cur.values())
-
-
-def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
-    """per(A) for several n x n 0/1 matrices, stacked in passes of up to per_pass matrices, with products of
-    RYSER_GROUP row values in int32 and of those in int64 that wraps, exact as the module docstring argues.
+def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
+    """per(A) for several n x n 0/1 matrices given as row bitmasks, which the caller has put through _check_bits,
+    stacked in passes of up to per_pass matrices, with products of RYSER_GROUP row values in int32 and of those in
+    int64 that wraps, exact as the module docstring argues.
     Through GLYNN_MAX the sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
     outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is). With r_i the
     count of row i,
@@ -149,6 +127,8 @@ def _permanent_bits_ryser(matrices: Sequence[Sequence[int]], n: int) -> list[int
     Past it the sum is Ryser's, per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work
     arrays are allocated once per call, sized for one pass, and every pass overwrites them: fresh arrays per
     pass page-fault again each time."""
+    if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split
+        return [1] * len(matrices)
     glynn = n <= GLYNN_MAX
     bits = n - glynn  # the columns S ranges over: Glynn holds column 0 fixed
     low = min(bits, RYSER_LOW)
@@ -205,14 +185,6 @@ def _check_bits(matrices: Sequence[Sequence[int]], n: int) -> None:
                 raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
 
 
-def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Permanents of n x n 0/1 matrices given as row bitmasks, which the caller
-    has put through _check_bits; above SPARSE_MAX they share stacked Ryser passes."""
-    if n <= SPARSE_MAX:
-        return [_permanent_bits_sparse(rows) for rows in matrices]
-    return _permanent_bits_ryser(matrices, n)
-
-
 def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
     """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij).
 
@@ -223,20 +195,15 @@ def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
 
 def permanent_zero_one_pairs(n: int, graphs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """(per(A), per(A | I)) for each n x n 0/1 matrix A in graphs, given as row
-    bitmasks (a graph's adjacency rows); above SPARSE_MAX every A and A | I share
-    stacked Ryser passes. Same limits as permanent_zero_one, every A checked
-    before any is counted."""
+    bitmasks (a graph's adjacency rows); every A and A | I share the kernel's
+    stacked passes. Same limits as permanent_zero_one, every A checked before
+    any is counted."""
     _check_bits(graphs, n)
     matrices: list[Sequence[int]] = []
     for rows in graphs:
         matrices += rows, [row | 1 << i for i, row in enumerate(rows)]
     counts = _permanents_bits(matrices, n)
     return list(zip(counts[::2], counts[1::2]))
-
-
-def permanent_zero_one_pair(bitrows: Sequence[int], n: int) -> tuple[int, int]:
-    """(per(A), per(A | I)) for one matrix: permanent_zero_one_pairs of a single graph."""
-    return permanent_zero_one_pairs(n, [bitrows])[0]
 
 
 SUBSET_SLOTS_MAX = 24  # a 128 MB int64 table

@@ -192,6 +192,25 @@ def test_scan_exhaustive_bad_n_exits_2(capsys, tmp_path, family, n, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "family, option, value", [("digraphs", "--samples", "7"), ("bipartite", "--q", "0.9"), ("digraphs", "--seed", "5")]
+)
+def test_exhaustive_scan_refuses_a_sampling_option(capsys, tmp_path, family, option, value):
+    # an exhaustive family draws nothing, so a sampling option would be silently ignored
+    out = tmp_path / "r.csv"
+    code, text, err = run(capsys, "scan", "--family", family, "--n", "2", option, value, "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: scan --family {family} draws no samples; drop {option}\n")
+    assert not out.exists()
+
+
+def test_sampled_scan_defaults_q_and_seed_but_needs_samples(capsys, tmp_path):
+    out = str(tmp_path / "r.csv")
+    code, text, err = run(capsys, "scan", "--family", "sampled-undirected", "--n", "4", "--out", out)
+    assert (code, text, err) == (2, "", "error: need at least one sample, got 0\n")
+    code, text, _ = run(capsys, "scan", "--family", "sampled-undirected", "--n", "4", "--samples", "3", "--out", out)
+    assert code == 0 and json.loads(text)["q"] == "1/2" and json.loads(text)["seed"] == 0
+
+
 def test_failed_scan_keeps_existing_out(capsys, tmp_path):
     out = tmp_path / "records.csv"
     out.write_text("earlier,records\n")

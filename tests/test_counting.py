@@ -85,7 +85,7 @@ def test_enumeration_matches_counts():
 
 
 def test_dp_counts_many_matches_one_graph_at_a_time():
-    # n = 5 runs the dict DP, n = 12 stacks the graphs' matrices into two shared Glynn passes
+    # n = 5 stacks the graphs' matrices into one Glynn pass, n = 12 into two
     for n in (5, 12):
         graphs = [sample(ModelSpec("graph", n, q="1/2"), seed) for seed in range(10)]
         graphs += [complete_graph(n), directed_cycle(n)]
@@ -220,7 +220,7 @@ def test_fixed_point_profile(monkeypatch):
     for n in range(2, 13):
         g = complete_graph(n)
         with monkeypatch.context() as m:
-            # the profile runs the dict DP even past SPARSE_MAX, where count_permutations runs Ryser; the
+            # the profile runs its own DP, never the permanent kernel that count_permutations runs; the
             # enumeration, derangement_number and the rearrangement identity are the independent routes
             m.setattr(counting, "permanent_zero_one", None)
             m.setattr(counting, "permanent_zero_one_pairs", None)

@@ -4,7 +4,7 @@ import warnings
 from math import comb, factorial, log
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from oracles import derangement_number, log_bounds, permanent_naive
 from permatch import (
@@ -14,16 +14,14 @@ from permatch import (
     permanent_zero_one,
     subpermanent_sides,
 )
+from permatch.counting import _diagonal_profile
 from permatch.permanent import (
     DP_MAX,
     GLYNN_MAX,
     RYSER_GROUP,
     RYSER_LIMIT,
-    SPARSE_MAX,
-    _permanent_bits_ryser,
-    _permanent_bits_sparse,
+    _permanents_bits,
     SUBSET_SLOTS_MAX,
-    permanent_zero_one_pair,
     permanent_zero_one_pairs,
     subset_permanents,
 )
@@ -37,6 +35,16 @@ def dense(rows, n):
     return [[row >> j & 1 for j in range(n)] for row in rows]
 
 
+def dict_dp(rows):
+    """per of the 0/1 matrix with these row bitmasks by counting's fixed-point DP, an algorithm apart from the
+    kernel's: the sum of its diagonal profile."""
+    return sum(_diagonal_profile(rows))
+
+
+def pair(rows, n):
+    return permanent_zero_one_pairs(n, [rows])[0]
+
+
 def test_tiny_cases():
     assert permanent_naive([]) == 1
     assert permanent_ryser([]) == 1
@@ -44,6 +52,13 @@ def test_tiny_cases():
     assert permanent_naive([[7]]) == 7
     assert permanent_ryser([[0]]) == 0
     assert permanent_ryser([[1, 2], [3, 4]]) == 1 * 4 + 2 * 3
+
+
+def test_empty_matrix_pairs():
+    # n = 0: the empty matrix and its A | I each have the one empty permutation
+    assert permanent_zero_one_pairs(0, [[]]) == [(1, 1)]
+    assert permanent_zero_one_pairs(0, [[], []]) == [(1, 1), (1, 1)]
+    assert permanent_zero_one_pairs(0, []) == []
 
 
 def test_all_ones_is_factorial():
@@ -71,7 +86,7 @@ def test_input_validation():
         with pytest.raises(TooLargeError):
             permanent_zero_one([0] * n, n)
         with pytest.raises(TooLargeError):
-            permanent_zero_one_pair([0] * n, n)
+            permanent_zero_one_pairs(n, [[0] * n])
     with pytest.raises(TooLargeError):
         permanent_ryser(brick(RYSER_LIMIT + 1, 1))  # past its measured time budget
     with pytest.raises(BadParamsError):
@@ -91,58 +106,60 @@ def test_ryser_matches_naive_on_general_entries(m):
 
 @given(st.data())
 def test_zero_one_routes_agree(data):
-    # n crosses the switch between the dict DP and the numpy Ryser kernel;
-    # both run at every n against generic Ryser on the dense matrix
-    n = data.draw(st.integers(1, SPARSE_MAX + 2))
+    # the kernel and the fixed-point DP against generic Ryser on the dense matrix, from the
+    # smallest kernel size up
+    n = data.draw(st.integers(1, 10))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     mat = dense(rows, n)
     expected = permanent_ryser(mat)
     if n <= 7:
         assert permanent_naive(mat) == expected
     assert permanent_zero_one(rows, n) == expected
-    assert _permanent_bits_sparse(rows) == expected
-    assert _permanent_bits_ryser([rows], n) == [expected]
+    assert dict_dp(rows) == expected
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)  # the naive sum at n <= 10 costs seconds on some draws
+# the naive sum at n <= 10 costs seconds on some draws, so a failing draw is reported as drawn, never shrunk
+@settings(max_examples=12, deadline=None, derandomize=True, phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.data())
 def test_ryser_kernel_matches_dict_dp(data):
     # generic Ryser shares the kernel's formula, so the oracles here are the
-    # dict DP (a different algorithm) and, where affordable, naive summation
+    # fixed-point DP (a different algorithm) and, where affordable, naive summation
     n = data.draw(st.integers(9, GLYNN_MAX))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    expected = _permanent_bits_sparse(rows)
+    expected = dict_dp(rows)
     if n <= 10:
         assert permanent_naive(dense(rows, n)) == expected
     assert permanent_zero_one(rows, n) == expected
     with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
-    assert permanent_zero_one_pair(rows, n) == (expected, _permanent_bits_sparse(with_diagonal))
+    assert pair(rows, n) == (expected, dict_dp(with_diagonal))
 
 
 # matrices per stacked pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements, never fewer than two; Glynn's
 # sum (n <= GLYNN_MAX) runs over half as many column sets as Ryser's, so twice as many matrices fit until the floor
-PER_PASS = {9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 20: 2}
+PER_PASS = {1: 32768, 4: 4096, 8: 256, 9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 20: 2}
 
 
 @pytest.mark.parametrize("n", sorted(PER_PASS))
 def test_stacked_passes_match_the_single_graph_route(n):
-    # 1, per_pass - 1, per_pass and per_pass + 1 inputs, so some calls end on a short pass; the zero and the full
-    # matrix lead every call, in one pass, and every later pass must refill its own row counts
+    # the first 1, per_pass - 1, per_pass and per_pass + 1 inputs, so some calls end on a short pass; the zero and
+    # the full matrix lead every call, in one pass, and every later pass must refill its own row counts. Each input
+    # alone is the reference: one kernel call each, or through n = 8, where a pass holds hundreds to thousands of
+    # inputs and a kernel call each would take seconds, the fixed-point DP
     rng = random.Random(n)
     per_pass, full = PER_PASS[n], (1 << n) - 1
+    inputs = [[0] * n, [full] * n] + [[rng.getrandbits(n) for _ in range(n)] for _ in range(per_pass - 1)]
+    per = dict_dp if n <= 8 else lambda rows: _permanents_bits([rows], n)[0]
+    want = [per(rows) for rows in inputs]
+    pairs = list(zip(want, [per([row | 1 << i for i, row in enumerate(rows)]) for rows in inputs]))
+    assert pairs[:2] == [(0, 1), (factorial(n), factorial(n))]
     for count in sorted({1, per_pass - 1, per_pass, per_pass + 1}):
-        inputs = ([[0] * n, [full] * n] + [[rng.getrandbits(n) for _ in range(n)] for _ in range(count)])[:count]
-        want = [_permanent_bits_ryser([rows], n)[0] for rows in inputs]
-        assert _permanent_bits_ryser(inputs, n) == want, count
-        assert want[:2] == [0, factorial(n)][:count]
-        pairs = [permanent_zero_one_pair(rows, n) for rows in inputs]
-        assert permanent_zero_one_pairs(n, inputs) == pairs, count
-        assert pairs[:2] == [(0, 1), (factorial(n), factorial(n))][:count]
+        assert _permanents_bits(inputs[:count], n) == want[:count], count
+        assert permanent_zero_one_pairs(n, inputs[:count]) == pairs[:count], count
 
 
 @pytest.mark.parametrize("n", [4, 9])
 def test_every_stacked_input_is_validated(n):
-    # the dict DP (n = 4) and Ryser (n = 9) routes refuse a bad later matrix before counting any
+    # a bad later matrix is refused before any is counted
     good = [(1 << n) - 1] * n
     bad_rows = ([good, good[:-1]], [good, [*good[:3], 1 << n, *good[4:]]], [good, good, [*good[:-1], -1]])
     for graphs, message in zip(bad_rows, (f"expected {n} rows, got {n - 1}", "row 3 has bits", f"row {n - 1} has")):
@@ -155,42 +172,33 @@ def test_every_stacked_input_is_validated(n):
     assert permanent_zero_one_pairs(n, []) == []
 
 
-def test_dispatcher_switch_agrees():
-    # the public functions, the dict DP and the Ryser kernel agree on either side of the switch
-    rng = random.Random(5)
-    for n in (SPARSE_MAX, SPARSE_MAX + 1):
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        expected = permanent_ryser(dense(rows, n))
-        assert permanent_zero_one(rows, n) == expected
-        assert _permanent_bits_sparse(rows) == _permanent_bits_ryser([rows], n)[0] == expected
-
-
-@pytest.mark.parametrize("n", [7, 8, 9, 12, 13, 14, 15, 16, 17, 20])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 14, 15, 16, 17, 20])
 def test_zero_one_boundaries(n):
-    # dict DP / Glynn switch at 8/9, Glynn's split of columns 1..n-1 with no
+    # the smallest kernel size (1: Glynn's sum has no column to range over), column
+    # sets under one byte (7, 8) and exactly one (9), Glynn's split of columns 1..n-1 with no
     # high part (13) and one high bit (14), int32 row groups of 7 + 7 (14) and
     # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest Glynn total, the
     # first Ryser size (17), and n = 20, where 20! and d(20) sit closest to the
     # int64 wrap-around the exactness argument relies on
     full = (1 << n) - 1
     assert permanent_zero_one([full] * n, n) == factorial(n)
-    assert permanent_zero_one_pair([full] * n, n) == (factorial(n), factorial(n))
+    assert pair([full] * n, n) == (factorial(n), factorial(n))
     deranging = [full ^ 1 << i for i in range(n)]
     assert permanent_zero_one(deranging, n) == derangement_number(n)
-    assert permanent_zero_one_pair(deranging, n) == (derangement_number(n), factorial(n))
+    assert pair(deranging, n) == (derangement_number(n), factorial(n))
 
 
 def test_block_diagonal_product():
     # per of a block-diagonal matrix is the product of the blocks' permanents,
-    # each taken by the dict DP; n = 20 runs every high part of the kernel
+    # each taken by the fixed-point DP; n = 20 runs every high part of the kernel
     rng = random.Random(20)
     for _ in range(3):
         top = [rng.getrandbits(10) for _ in range(10)]
         bottom = [rng.getrandbits(10) for _ in range(10)]
         rows = top + [row << 10 for row in bottom]
-        d, p = permanent_zero_one_pair(rows, 20)
-        assert d == _permanent_bits_sparse(top) * _permanent_bits_sparse(bottom)
-        assert p == permanent_zero_one_pair(top, 10)[1] * permanent_zero_one_pair(bottom, 10)[1]
+        d, p = pair(rows, 20)
+        assert d == dict_dp(top) * dict_dp(bottom)
+        assert p == pair(top, 10)[1] * pair(bottom, 10)[1]
 
 
 def test_row_group_fits_int32():
@@ -216,13 +224,10 @@ def test_block_diagonal_across_row_groups(n, split):
         rows = top + [row << split for row in bottom]
         top_i = [row | 1 << i for i, row in enumerate(top)]
         bottom_i = [row | 1 << i for i, row in enumerate(bottom)]
-        assert permanent_zero_one_pair(rows, n) == (
-            _permanent_bits_sparse(top) * _permanent_bits_sparse(bottom),
-            _permanent_bits_sparse(top_i) * _permanent_bits_sparse(bottom_i),
-        )
+        assert pair(rows, n) == (dict_dp(top) * dict_dp(bottom), dict_dp(top_i) * dict_dp(bottom_i))
 
 
-@pytest.mark.parametrize("n", [SPARSE_MAX, 20])
+@pytest.mark.parametrize("n", [8, 20])
 def test_pair_rows_with_diagonal(n):
     # even rows already hold their diagonal bit; odd rows lack it. A | I is J,
     # and per(A) counts permutations fixing no odd index (inclusion-exclusion)
@@ -230,7 +235,7 @@ def test_pair_rows_with_diagonal(n):
     rows = [full ^ (i & 1) << i for i in range(n)]
     odd = n // 2
     want = sum((-1) ** k * comb(odd, k) * factorial(n - k) for k in range(odd + 1))
-    assert permanent_zero_one_pair(rows, n) == (want, factorial(n))
+    assert pair(rows, n) == (want, factorial(n))
 
 
 def test_ryser_kernel_wraps_silently():
@@ -238,7 +243,7 @@ def test_ryser_kernel_wraps_silently():
     full = (1 << 20) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert permanent_zero_one_pair([full] * 20, 20) == (factorial(20), factorial(20))
+        assert pair([full] * 20, 20) == (factorial(20), factorial(20))
 
 
 def test_subpermanent_identity_small():

@@ -44,7 +44,7 @@ from permatch import (
     scan,
     verify,
 )
-from permatch.permanent import permanent_zero_one_pair
+from permatch.permanent import permanent_zero_one_pairs
 from permatch.random_models import child_seed
 from permatch.verify import (
     _bipartition_matchings,
@@ -776,7 +776,7 @@ def test_exhaustive_survey_largest_host_matches_pair_kernel():
     rows, d, p, ok, _ = _exhaustive_survey("bipartite", 4)
     flat = complete_bipartite(4).to_graph()
     assert tuple(rows[-1].tolist()) == flat.rows
-    assert (d[-1], p[-1]) == permanent_zero_one_pair(flat.rows, 8)
+    assert [(d[-1], p[-1])] == permanent_zero_one_pairs(8, [flat.rows])
     assert p[-1] == 1313 and ok.all()
 
 

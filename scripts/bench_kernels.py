@@ -115,7 +115,7 @@ def quartiles(values: list[float], unit: str, scale: float) -> dict:
 
 
 def draws(pm: ModuleType, kind: str, n: int, count: int) -> list[tuple[int, ...]]:
-    return [pm.sample(pm.ModelSpec(kind, n, q="1/2"), seed).rows for seed in range(count)]
+    return [tuple(rows) for rows in pm.random_models.sample_rows(pm.ModelSpec(kind, n, q="1/2"), range(count)).tolist()]
 
 
 def time_pair(trees: Trees, n: int) -> dict[str, dict]:

@@ -311,6 +311,16 @@ MUTANTS = (
             "tests/test_cli.py::test_mc_exits_1_on_equality_off_a_directed_cycle",
         ),
     ),
+    Mutant(
+        "scan-sampling-refusal-dropped",  # an exhaustive scan ignores samples, q and seed again
+        "src/permatch/verify.py",
+        '        raise BadParamsError(f"the {family} family draws no samples; drop " + " and ".join(given))\n',
+        "        pass\n",
+        (
+            "tests/test_verify.py::test_exhaustive_scan_refuses_each_sampling_option",
+            "tests/test_cli.py::test_exhaustive_scan_refuses_a_sampling_option",
+        ),
+    ),
 )
 
 

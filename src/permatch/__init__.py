@@ -63,7 +63,6 @@ from .random_models import (
     ModelSpec,
     expected_counts,
     ratio_target,
-    sample,
 )
 from .verify import (
     TheoremReport,

@@ -29,7 +29,6 @@ from .graphs import (
     _CONSTRUCTIONS,
     BipartiteGraph,
     Digraph,
-    UndirectedGraph,
     lonely_matching_ring,
     parse_graph,
     serialize_graph,
@@ -76,12 +75,9 @@ def _cmd_count(args: argparse.Namespace) -> _Result:
     what = args.what
     if what == "matchings":
         if isinstance(g, BipartiteGraph):
-            value = counting.count_perfect_matchings(g)
-        elif isinstance(g, UndirectedGraph):
-            value = counting.count_perfect_matchings_general(g)
-        else:
-            raise BadParamsError("matchings need an undirected or bipartite input")
-        n = g.nl + g.nr if isinstance(g, BipartiteGraph) else g.n
+            value, n = counting.count_perfect_matchings(g), g.nl + g.nr
+        else:  # refuses a digraph, which has no matchings to count
+            value, n = counting.count_perfect_matchings_general(g), g.n
         return 0, {"what": what, "n": n, "value": value}, str(value)
     if isinstance(g, BipartiteGraph):
         g = g.to_graph()  # permutations of a bipartite graph live on the flattened vertex set
@@ -121,9 +117,7 @@ def _cmd_construct(args: argparse.Namespace) -> _Result:
 
 def _cmd_inject(args: argparse.Namespace) -> _Result:
     g = _load_graph(args.input)
-    if isinstance(g, BipartiteGraph):
-        raise BadParamsError("the cycle-breaking map needs a directed or undirected input")
-    sigma = counting.parse_permutation(args.perm, g.n)
+    sigma = counting.parse_permutation(args.perm)  # both directions check it on g, and refuse a bipartite g
     direction = "invert" if args.invert else "apply"
     result = (invert_injection if args.invert else apply_injection)(g, sigma, args.vertex)
     text = counting.format_permutation(result)
@@ -134,21 +128,25 @@ def _cmd_inject(args: argparse.Namespace) -> _Result:
 # ---------------------------------------------------------------------------
 # verify
 
-# the tokens whose check takes the loaded graph and nothing else
-_STATEMENT_CHECKS = {
-    "1": verify.check_half_hitting,
-    "2": verify.check_matching_lower_bound,
-    "3": verify.check_ratio_half,
-    "6": verify.check_bipartite_extremal,
-    "corollary": verify.check_cycle_doubling,
+
+def _flattened(check):
+    """check on the input, a bipartite one read as its flattened graph."""
+    return lambda g: check(g.to_graph() if isinstance(g, BipartiteGraph) else g)
+
+
+# token -> (the options its check reads, in the order it takes them; the check). verify refuses any
+# other option, and each check refuses a graph type it has no statement for
+_VERIFY = {
+    "1": (("input",), verify.check_half_hitting),
+    "2": (("input",), verify.check_matching_lower_bound),
+    "3": (("input",), _flattened(verify.check_ratio_half)),
+    "6": (("input",), verify.check_bipartite_extremal),
+    # exhaustive through 5 vertices, the first 200 derangements above that
+    "injection": (("input",), lambda g: verify.check_injection(g, None if counting.as_digraph(g).n <= 5 else 200)),
+    "blowup": (("k", "l"), verify.check_blowup_formulas),
+    "subpermanent": (("input",), verify.check_subpermanent),
+    "corollary": (("input",), _flattened(verify.check_cycle_doubling)),
 }
-# the options each token's check reads; verify refuses the others
-_VERIFY_OPTIONS = {token: ("input",) for token in _STATEMENT_CHECKS} | {
-    "injection": ("input",),
-    "blowup": ("k", "l"),
-    "subpermanent": ("input",),
-}
-_THEOREM_TOKENS = tuple(_VERIFY_OPTIONS)
 
 
 def _flags(names) -> str:
@@ -157,27 +155,13 @@ def _flags(names) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> _Result:
     token = args.theorem
-    reads = _VERIFY_OPTIONS[token]
+    reads, check = _VERIFY[token]
     unread = [name for name in ("input", "k", "l") if name not in reads and getattr(args, name) is not None]
     if unread:
         raise BadParamsError(f"verify --theorem {token} reads only {_flags(reads)}; drop {_flags(unread)}")
     if any(getattr(args, name) is None for name in reads):
         raise BadParamsError(f"verify --theorem {token} needs {_flags(reads)}")
-    if token == "blowup":
-        report = verify.check_blowup_formulas(args.k, args.l)
-    else:
-        g = _load_graph(args.input)
-        if token == "injection":
-            if isinstance(g, BipartiteGraph):
-                raise BadParamsError("the injection audit needs a directed or undirected input")
-            cap = None if g.n <= 5 else 200
-            report = verify.check_injection(g, sample_cap=cap)
-        elif token == "subpermanent":
-            report = verify.check_subpermanent(g)
-        else:
-            if token in ("3", "corollary") and isinstance(g, BipartiteGraph):
-                g = g.to_graph()  # both statements read the flattened graph
-            report = _STATEMENT_CHECKS[token](g)  # each refuses a graph type it has no statement for
+    report = check(*(_load_graph(args.input) if name == "input" else getattr(args, name) for name in reads))
     verdict = "HOLDS" if report.holds else "FAILS"
     lines = [f"{report.name}: {verdict} on {report.instance}"]
     lines += [f"  {key}: {val}" for key, val in report.details.items()]
@@ -189,11 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_scan(args: argparse.Namespace) -> _Result:
-    # only the sampled family reads these; verify.scan holds their defaults
-    given = {name: getattr(args, name) for name in ("samples", "q", "seed") if getattr(args, name) is not None}
-    if given and args.family != "sampled-undirected":
-        raise BadParamsError(f"scan --family {args.family} draws no samples; drop {_flags(given)}")
-    summary = verify.scan(args.family, args.n, **given, out_path=args.out, threads=_threads(args))
+    summary = verify.scan(args.family, args.n, args.samples, args.q, args.seed, args.out, _threads(args))
     return (1 if summary["counterexamples"] else 0), summary, None
 
 
@@ -256,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("verify", help="check one of the counting statements on an instance")
-    p.add_argument("--theorem", required=True, choices=list(_THEOREM_TOKENS))
+    p.add_argument("--theorem", required=True, choices=list(_VERIFY))
     p.add_argument("--input")
     p.add_argument("--k", type=int, help="blowup width")
     p.add_argument("--l", type=int, help="blowup cycle length")

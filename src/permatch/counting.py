@@ -148,15 +148,12 @@ def check_permutation_on_graph(
     return sigma
 
 
-def parse_permutation(text: str, n: int) -> Permutation:
-    """Parse the comma-separated image list, e.g. "1,2,0"."""
+def parse_permutation(text: str) -> Permutation:
+    """Parse the comma-separated image list, e.g. "1,2,0"; check_permutation_on_graph judges it."""
     try:
-        sigma = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise BadParamsError(f"permutation must be comma-separated integers, got {text!r}") from None
-    if len(sigma) != n or sorted(sigma) != list(range(n)):
-        raise BadParamsError(f"{text!r} is not a permutation of 0..{n - 1}")
-    return sigma
 
 
 def format_permutation(sigma: Sequence[int]) -> str:

@@ -3,12 +3,11 @@
 Sampling is deterministic given (model, seed): arc slots are visited in
 row-major order and each Bernoulli draw consumes exactly one 53-bit word, so
 adding features cannot silently shift the stream. ``sample_rows`` draws a
-whole block of seeds as adjacency rows in numpy; ``sample`` is its one-draw
-call. Sampled runs (``mc`` and
-the sampled scan, both in :mod:`permatch.verify`) derive one child seed per
-sample index, which makes them chunkable across ``parallel_map``'s workers
-without changing the output: each worker draws and counts a whole chunk of
-indices in one call.
+whole block of seeds as adjacency rows in numpy; it is the one sampler.
+Sampled runs (``mc`` and the sampled scan, both in :mod:`permatch.verify`)
+derive one child seed per sample index, which makes them chunkable across
+``parallel_map``'s workers without changing the output: each worker draws
+and counts a whole chunk of indices in one call.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import BadParamsError, TooLargeError
-from .graphs import MAX_VERTICES, Digraph, UndirectedGraph
+from .graphs import MAX_VERTICES
 
 MODEL_KINDS = ("digraph", "graph")
 # below Python's 4,300-digit int-to-str limit: E[p] <= n! and its denominator
@@ -58,7 +57,7 @@ class ModelSpec:
             raise BadParamsError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if type(self.n) is not int or self.n < 1:  # bool is no size
             raise BadParamsError(f"model needs a positive vertex count, got {self.n!r}")
-        if self.n > MAX_VERTICES:  # before sample draws n(n-1) words for a graph the constructor refuses
+        if self.n > MAX_VERTICES:  # before sample_rows draws n(n-1) words for a graph the graph types refuse
             raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
         object.__setattr__(self, "q", _as_probability(self.q))
 
@@ -83,12 +82,6 @@ def sample_rows(model: ModelSpec, seeds: Sequence[int]) -> np.ndarray:
     if not directed:
         adjacency[:, tails, heads] = present
     return np.packbits(adjacency, axis=2, bitorder="little").view("<u8")[:, :, 0]
-
-
-def sample(model: ModelSpec, seed: int) -> Digraph:
-    """One draw of the model: sample_rows of a single seed, as its graph."""
-    kind = Digraph if model.kind == "digraph" else UndirectedGraph
-    return kind(model.n, tuple(sample_rows(model, [seed])[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -537,9 +537,9 @@ def _distinct_pairs(d: np.ndarray, p: np.ndarray) -> tuple[list[int], list[int],
 def scan(
     family: str,
     n: int,
-    samples: int = 0,
-    q: Fraction | str = "1/2",
-    seed: int = 0,
+    samples: int | None = None,
+    q: Fraction | str | None = None,
+    seed: int | None = None,
     out_path: str | Path | None = None,
     threads: int = 1,
 ) -> dict:
@@ -550,19 +550,23 @@ def scan(
       digraphs            all 2^(n(n-1)) digraphs, n <= 4
       bipartite           all 2^(n^2) balanced biadjacencies, n <= 4 (records
                           describe the flattened 2n-vertex graph)
-      sampled-undirected  `samples` draws from G(n, q) at the given seed
+      sampled-undirected  `samples` draws from G(n, q) at `seed` (by default q = 1/2, seed 0)
 
-    The exhaustive families are one in-process pass (_exhaustive_survey);
-    only the sampled family fans out to `threads` workers.
+    An exhaustive family refuses samples, q or seed, as it draws nothing, and is
+    one in-process pass (_exhaustive_survey); only the sampled family fans out
+    to `threads` workers.
     """
     if family == "digraphs" and n > 4:
         raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
     if family == "bipartite" and n > 4:
         raise TooLargeError("exhaustive bipartite scan is sized for parts of at most 4")
     if family == "sampled-undirected":
-        model = ModelSpec("graph", n, q=q)
+        model = ModelSpec("graph", n, q="1/2" if q is None else q)
+        seed = 0 if seed is None else seed  # not `seed or 0`, which would take False or "" as 0
     elif family not in FAMILIES:
         raise BadParamsError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    elif given := [name for name, value in (("samples", samples), ("q", q), ("seed", seed)) if value is not None]:
+        raise BadParamsError(f"the {family} family draws no samples; drop " + " and ".join(given))
     if out_path is not None:
         try:  # a bad path fails before any counting runs, and a failed sweep leaves no file it made
             Path(out_path).open("x").close()

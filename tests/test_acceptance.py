@@ -14,6 +14,7 @@ from math import comb, factorial, log
 
 import numpy as np
 
+from draws import draw
 from oracles import log_bounds, permanent_naive
 from permatch import (
     ModelSpec,
@@ -43,7 +44,6 @@ from permatch import (
     permanent_ryser,
     permanent_zero_one,
     ratio_target,
-    sample,
     scan,
     subpermanent_sides,
 )
@@ -96,7 +96,7 @@ def test_criterion_02_ratio_half():
             assert summary["max_ratio"] == "1/2"
         for trial in range(10000):
             n = 6 if trial % 2 else 7
-            g = sample(ModelSpec("digraph", n, q="1/2"), seed=trial)
+            g = draw(ModelSpec("digraph", n, q="1/2"), seed=trial)
             assert check_ratio_half(g).holds, trial
 
 
@@ -190,7 +190,7 @@ def test_criterion_06_injection_audit():
         seed = 0
         while sampled < 500:
             n = 5 + seed % 3
-            g = sample(ModelSpec("digraph", n, q="1/2"), seed=606 + seed)
+            g = draw(ModelSpec("digraph", n, q="1/2"), seed=606 + seed)
             seed += 1
             rep = check_injection(g, sample_cap=3)
             assert rep.holds, seed
@@ -217,7 +217,7 @@ def test_criterion_07_matching_lower_bound():
         kept = 0
         for trial in range(10000):
             n = rng.choice((4, 6, 8, 10, 12))
-            g = sample(ModelSpec("graph", n, q="1/2"), seed=trial)
+            g = draw(ModelSpec("graph", n, q="1/2"), seed=trial)
             pms = list(enumerate_perfect_matchings_general(g))
             k = len(pms)
             if k == 0:

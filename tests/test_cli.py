@@ -56,10 +56,10 @@ def test_count_matchings(capsys, write_graph, schema_loader):
     doc = json.loads(out)
     validate(doc, schema_loader("count"))
     assert doc["value"] == 6
-    # a digraph has no matchings to count
+    # a digraph has no matchings to count, and the general count says so
     dpath = write_graph(CYCLE5)
-    code, _, err = run(capsys, "count", "--input", dpath, "--what", "matchings")
-    assert code == 2 and "undirected or bipartite" in err
+    code, out, err = run(capsys, "count", "--input", dpath, "--what", "matchings")
+    assert (code, out, err) == (2, "", "error: general perfect matchings need an undirected graph, got Digraph\n")
 
 
 def test_count_bipartite_flattens_for_ratio(capsys, write_graph):
@@ -199,14 +199,14 @@ def test_exhaustive_scan_refuses_a_sampling_option(capsys, tmp_path, family, opt
     # an exhaustive family draws nothing, so a sampling option would be silently ignored
     out = tmp_path / "r.csv"
     code, text, err = run(capsys, "scan", "--family", family, "--n", "2", option, value, "--out", str(out))
-    assert (code, text, err) == (2, "", f"error: scan --family {family} draws no samples; drop {option}\n")
+    assert (code, text, err) == (2, "", f"error: the {family} family draws no samples; drop {option[2:]}\n")
     assert not out.exists()
 
 
 def test_sampled_scan_defaults_q_and_seed_but_needs_samples(capsys, tmp_path):
     out = str(tmp_path / "r.csv")
     code, text, err = run(capsys, "scan", "--family", "sampled-undirected", "--n", "4", "--out", out)
-    assert (code, text, err) == (2, "", "error: need at least one sample, got 0\n")
+    assert (code, text, err) == (2, "", "error: need at least one sample, got None\n")
     code, text, _ = run(capsys, "scan", "--family", "sampled-undirected", "--n", "4", "--samples", "3", "--out", out)
     assert code == 0 and json.loads(text)["q"] == "1/2" and json.loads(text)["seed"] == 0
 
@@ -339,6 +339,9 @@ def test_bad_parameters_exit_2(capsys, tmp_path, monkeypatch, argv):
 
 
 K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
+BIPARTITE_REFUSED = (
+    "error: expected a directed or undirected graph, got BipartiteGraph (bipartite graphs flatten via .to_graph())"
+)
 
 
 @pytest.mark.parametrize(
@@ -346,13 +349,22 @@ K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
     [
         (["construct", "--kind", "cycle", "--out", "{out}"], "error: cycle needs --n"),
         (["construct", "--kind", "blowup", "--k", "2", "--out", "{out}"], "error: blowup needs --k and --l"),
+        # the injection and its audit refuse a bipartite input, and one validator judges a permutation's shape
+        (["inject", "--input", "{k22}", "--vertex", "0", "--perm", "1,0,3,2"], BIPARTITE_REFUSED),
+        (["inject", "--input", "{k22}", "--vertex", "0", "--perm", "1,0", "--invert"], BIPARTITE_REFUSED),
+        (["verify", "--theorem", "injection", "--input", "{k22}"], BIPARTITE_REFUSED),
         (
-            ["inject", "--input", "{k22}", "--vertex", "0", "--perm", "1,0,3,2"],
-            "error: the cycle-breaking map needs a directed or undirected input",
+            ["inject", "--input", "{c3}", "--vertex", "0", "--perm", "1,1,0"],
+            "error: (1, 1, 0) is not a permutation of 0..2",
+        ),
+        (["inject", "--input", "{c3}", "--vertex", "0", "--perm", "1,0"], "error: (1, 0) is not a permutation of 0..2"),
+        (
+            ["inject", "--input", "{c3}", "--vertex", "0", "--perm", "1,0", "--invert"],
+            "error: (1, 0) is not a permutation of 0..2",
         ),
         (
-            ["verify", "--theorem", "injection", "--input", "{k22}"],
-            "error: the injection audit needs a directed or undirected input",
+            ["inject", "--input", "{c3}", "--vertex", "0", "--perm", "1,x,0"],
+            "error: permutation must be comma-separated integers, got '1,x,0'",
         ),
         (["verify", "--theorem", "3"], "error: verify --theorem 3 needs --input"),
         (
@@ -362,7 +374,8 @@ K22 = "bipartite 2 2\n0 0\n0 1\n1 0\n1 1\n"
     ],
 )
 def test_refusals_exit_2_with_their_line(capsys, tmp_path, write_graph, argv, line):
-    where = {"out": str(tmp_path / "g.txt"), "k22": write_graph(K22)}
+    c3 = write_graph(serialize_graph(directed_cycle(3)))
+    where = {"out": str(tmp_path / "g.txt"), "k22": write_graph(K22), "c3": c3}
     code, out, err = run(capsys, *(arg.format(**where) for arg in argv))
     assert (code, out, err) == (2, "", line + "\n")
 
@@ -666,11 +679,12 @@ def test_scan_exits_1_on_counterexamples_and_keeps_every_record(capsys, monkeypa
 def test_verify_theorem_2_budget_edge(capsys, write_graph):
     # seeded 14-vertex graphs with exactly MATCHING_BOUND_LIMIT perfect matchings and one more
     from permatch.counting import count_perfect_matchings_general
-    from permatch.random_models import ModelSpec, sample
+    from draws import draw
+    from permatch.random_models import ModelSpec
     from permatch.verify import MATCHING_BOUND_LIMIT
 
     model = ModelSpec("graph", 14, q="1/2")
-    last, first_refused = sample(model, 862), sample(model, 2188)
+    last, first_refused = draw(model, 862), draw(model, 2188)
     assert count_perfect_matchings_general(last) == MATCHING_BOUND_LIMIT == 1000
     assert count_perfect_matchings_general(first_refused) == MATCHING_BOUND_LIMIT + 1
     paths = [write_graph(serialize_graph(g)) for g in (last, first_refused)]

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from draws import draw
 from oracles import bipartite_permutation_sum, derangement_number
 from permatch import (
     BadParamsError,
@@ -30,7 +31,6 @@ from permatch import (
     new_digraph,
     new_graph,
     permutations_by_fixed_points,
-    sample,
 )
 from permatch import counting
 from permatch.counting import (
@@ -87,7 +87,7 @@ def test_enumeration_matches_counts():
 def test_dp_counts_many_matches_one_graph_at_a_time():
     # n = 5 stacks the graphs' matrices into one Glynn pass, n = 12 into two
     for n in (5, 12):
-        graphs = [sample(ModelSpec("graph", n, q="1/2"), seed) for seed in range(10)]
+        graphs = [draw(ModelSpec("graph", n, q="1/2"), seed) for seed in range(10)]
         graphs += [complete_graph(n), directed_cycle(n)]
         assert dp_counts_many(graphs) == [(count_derangements(g), count_permutations(g)) for g in graphs]
     assert dp_counts_many([]) == []
@@ -115,7 +115,7 @@ def nested_row_matchings(rows):
 
 def test_stack_enumerator_matches_the_nested_oracle():
     graphs = [digraph_from_arc_index(n, index) for n in (3, 4) for index in range(1 << n * (n - 1))]
-    graphs += [sample(ModelSpec("digraph", 1 + seed % 7, q="1/2"), seed) for seed in range(150)]
+    graphs += [draw(ModelSpec("digraph", 1 + seed % 7, q="1/2"), seed) for seed in range(150)]
     for g in graphs:
         for rows in (g.rows, [row | 1 << i for i, row in enumerate(g.rows)]):
             assert list(counting._row_matchings(rows)) == list(nested_row_matchings(rows)), rows
@@ -130,14 +130,16 @@ def test_permutation_validation():
         check_permutation_on_graph(g, (2, 0, 1))  # wrong orientation
     with pytest.raises(NotDerangementError):
         check_permutation_on_graph(g, (0, 1, 2), require_derangement=True)
-    assert parse_permutation("1,2,0", 3) == (1, 2, 0)
+    assert parse_permutation("1,2,0") == (1, 2, 0)
     assert format_permutation((1, 2, 0)) == "1,2,0"
-    with pytest.raises(BadParamsError):
-        parse_permutation("1,2", 3)
-    with pytest.raises(BadParamsError):
-        parse_permutation("1,2,2", 3)
-    with pytest.raises(BadParamsError):
-        parse_permutation("a,b,c", 3)
+    # parse_permutation reads integers only; check_permutation_on_graph judges the shape
+    assert parse_permutation("1,2") == (1, 2) and parse_permutation("1,2,2") == (1, 2, 2)
+    for text in ("1,2", "1,2,2", "-1,0,1"):
+        with pytest.raises(BadParamsError, match=r"is not a permutation of 0\.\.2"):
+            check_permutation_on_graph(g, parse_permutation(text))
+    for text in ("a,b,c", "", "1,,2", "1.0,2,0"):
+        with pytest.raises(BadParamsError, match="permutation must be comma-separated integers"):
+            parse_permutation(text)
 
 
 def test_is_directed_cycle_negative_cases():

@@ -9,19 +9,17 @@ from math import exp, isclose
 import numpy as np
 import pytest
 
+from draws import draw
 from oracles import derangement_number
 from permatch import (
     BadParamsError,
-    Digraph,
     ModelSpec,
-    UndirectedGraph,
     count_derangements,
     count_permutations,
     expected_counts,
     mc_dp_ratio,
     new_digraph,
     new_graph,
-    sample,
     verify,
 )
 from permatch.cli import main
@@ -99,20 +97,15 @@ def test_oversized_models_and_negative_seeds_are_refused_before_any_draw(monkeyp
 
 def test_sampling_is_deterministic():
     model = ModelSpec("digraph", 8, q=Fraction(1, 3))
-    a = sample(model, 123)
-    b = sample(model, 123)
-    c = sample(model, 124)
+    a, b, c = sample_rows(model, [123, 123, 124]).tolist()
     assert a == b
     assert a != c  # overwhelmingly likely, fixed seeds
-    assert isinstance(a, Digraph)
-    u = sample(ModelSpec("graph", 8, q=Fraction(1, 3)), 123)
-    assert isinstance(u, UndirectedGraph)
 
 
 def test_sampled_stream_is_pinned():
     # one 53-bit draw per slot in row-major order; a change here shifts every seeded run
-    assert sample(ModelSpec("digraph", 8, q=Fraction(1, 3)), 123).rows == (10, 76, 208, 18, 3, 2, 0, 10)
-    assert sample(ModelSpec("graph", 12, q="1/2"), 7).rows == (
+    assert draw(ModelSpec("digraph", 8, q=Fraction(1, 3)), 123).rows == (10, 76, 208, 18, 3, 2, 0, 10)
+    assert draw(ModelSpec("graph", 12, q="1/2"), 7).rows == (
         3884, 3336, 1073, 563, 2988, 3037, 2848, 560, 3187, 1273, 2823, 1395,
     )
 
@@ -132,13 +125,13 @@ def arc_list_sample(model, seed):
 @pytest.mark.parametrize("kind", ["digraph", "graph"])
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
 def test_row_sampler_matches_the_arc_list_oracle(kind, n):
-    # one draw through sample, and blocks of 1, 63, 64 and 65 seeds through sample_rows; n = 1 has no slots
+    # one seed at a time as a graph, and blocks of 1, 63, 64 and 65 seeds as rows; n = 1 has no slots
     seeds = [child_seed(9, index) for index in range(65)]
     for q in ("0", "1/3", "1/2", "4/5", "1"):
         model = ModelSpec(kind, n, q=q)
         want = [arc_list_sample(model, seed) for seed in seeds]
         for seed, graph in zip(seeds[:50], want):
-            got = sample(model, seed)
+            got = draw(model, seed)
             assert type(got) is type(graph) and got.rows == graph.rows, (q, seed)
         for count in (0, 1, 63, 64, 65):
             rows = sample_rows(model, seeds[:count])
@@ -167,17 +160,17 @@ def test_mc_json_is_the_same_through_the_oracle_sampler(monkeypatch):
 
 
 def test_sampling_edge_probabilities():
-    full = sample(ModelSpec("digraph", 5, q=Fraction(1)), 0)
+    full = draw(ModelSpec("digraph", 5, q=Fraction(1)), 0)
     assert full.arc_count == 20
-    empty = sample(ModelSpec("digraph", 5, q=Fraction(0)), 0)
+    empty = draw(ModelSpec("digraph", 5, q=Fraction(0)), 0)
     assert empty.arc_count == 0
-    full_u = sample(ModelSpec("graph", 6, q=Fraction(1)), 42)
+    full_u = draw(ModelSpec("graph", 6, q=Fraction(1)), 42)
     assert full_u.edge_count == 15
 
 
 def test_sampling_frequency_sanity():
     model = ModelSpec("digraph", 4, q=Fraction(1, 4))
-    total = sum(sample(model, s).arc_count for s in range(400))
+    total = sum(draw(model, s).arc_count for s in range(400))
     # 400 draws * 12 slots * 1/4 = 1200 expected
     assert 1000 < total < 1400
 

@@ -8,6 +8,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from draws import draw
 from oracles import bipartite_permutation_sum, derangement_number
 from permatch import (
     BadParamsError,
@@ -40,7 +41,6 @@ from permatch import (
     lonely_matching_ring,
     new_bipartite,
     new_digraph,
-    sample,
     scan,
     verify,
 )
@@ -120,7 +120,7 @@ def test_bipartition_cover_is_the_set_of_matchings_missing_the_target():
     targets = 0
     for seed in range(200):
         n = 4 + 2 * (seed % 5)
-        g = sample(ModelSpec("graph", n, q="1/2" if n <= 8 else "1/3"), seed)  # denser n = 10, 12 take seconds
+        g = draw(ModelSpec("graph", n, q="1/2" if n <= 8 else "1/3"), seed)  # denser n = 10, 12 take seconds
         matchings = list(enumerate_perfect_matchings_general(g))
         for ref in matchings:
             assert _bipartition_matchings(g, ref) == {m for m in matchings if not set(ref) & set(m)}, (seed, ref)
@@ -177,14 +177,15 @@ def test_check_subpermanent():
     assert set(rep.details["sides"]) == {str(k) for k in range(5)}
 
 
-# every check `permatch verify` hands a loaded graph to
-VERIFY_TABLE_CHECKS = (*cli._STATEMENT_CHECKS.values(), check_injection, check_subpermanent)
+# the check of every token that `permatch verify` hands a loaded graph to
+VERIFY_TABLE_CHECKS = {token: check for token, (reads, check) in cli._VERIFY.items() if reads == ("input",)}
 ONE_OF_EACH_TYPE = (directed_cycle(4), complete_graph(4), complete_bipartite(2))
 
 
-@pytest.mark.parametrize("check", VERIFY_TABLE_CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("token", VERIFY_TABLE_CHECKS)
 @pytest.mark.parametrize("g", ONE_OF_EACH_TYPE, ids=lambda g: type(g).__name__)
-def test_verify_table_checks_report_or_refuse_every_graph_type(check, g):
+def test_verify_table_checks_report_or_refuse_every_graph_type(token, g):
+    check = VERIFY_TABLE_CHECKS[token]
     try:
         report = check(g)
     except BadParamsError:
@@ -572,7 +573,7 @@ def test_sampled_verdicts_match_per_graph_checks(monkeypatch, n, q, samples):
     summary = scan("sampled-undirected", n, samples=samples, q=q, seed=11)
     ((ok, equality),) = verdicts
     model = ModelSpec("graph", n, q=q)
-    reports = [check_ratio_half(sample(model, child_seed(11, i))) for i in range(samples)]
+    reports = [check_ratio_half(draw(model, child_seed(11, i))) for i in range(samples)]
     assert ok.tolist() == [r.holds for r in reports]
     assert equality.tolist() == [r.equality for r in reports]
     assert summary["counterexamples"] == 0 and summary["equality_count"] == sum(equality.tolist())
@@ -825,6 +826,30 @@ def test_scan_rejects_bad_requests(tmp_path):
             scan("sampled-undirected", 5, samples=samples)
     with pytest.raises(BadParamsError):
         scan("mystery", 3)
+    with pytest.raises(BadParamsError, match="^the digraphs family draws no samples; drop samples and q and seed$"):
+        scan("digraphs", 3, samples=-4, q="zz", seed=-1)
+
+
+@pytest.mark.parametrize("family", ["digraphs", "bipartite"])
+@pytest.mark.parametrize("option, value", [("samples", 7), ("q", "0.9"), ("seed", 5), ("seed", 0), ("seed", False)])
+def test_exhaustive_scan_refuses_each_sampling_option(tmp_path, family, option, value):
+    # an exhaustive family draws nothing, so a sampling option would be silently ignored
+    out = tmp_path / "r.csv"
+    with pytest.raises(BadParamsError) as exc:
+        scan(family, 2, out_path=out, **{option: value})
+    assert str(exc.value) == f"the {family} family draws no samples; drop {option}"
+    assert not out.exists()
+
+
+def test_sampled_scan_defaults_q_and_seed_only_when_left_out():
+    summary = scan("sampled-undirected", 6, samples=4, q=None, seed=None)
+    assert (summary["q"], summary["seed"]) == ("1/2", 0)
+    assert summary == scan("sampled-undirected", 6, samples=4, q=Fraction(1, 2), seed=0)
+    for seed in (False, -1, 1.0):  # a bool is no seed, so it is not read as 0
+        with pytest.raises(BadParamsError, match="seed must be a non-negative integer"):
+            scan("sampled-undirected", 6, samples=4, seed=seed)
+    with pytest.raises(BadParamsError, match="need at least one sample, got None"):
+        scan("sampled-undirected", 6)
 
 
 def test_blowup_ratio_formula_exact():

@@ -48,6 +48,8 @@ COMMANDS = {
         "scan", "--family", "sampled-undirected", "--n", "12", "--samples", "2000", "--seed", "7",
         "--out", "{tmp}/records.csv",
     ],
+    # the half-hitting check at its cap of parts of 6: per(B) and the 720 targets' per(B - M) in one kernel call
+    "verify-1-K66": ["verify", "--theorem", "1", "--input", "{tmp}/k66.txt"],
     "verify-corollary-K12": ["verify", "--theorem", "corollary", "--input", "{tmp}/k12.txt"],
     "verify-2-K10": ["verify", "--theorem", "2", "--input", "{tmp}/k10.txt"],
     # the injection audit: exhaustive at the CLI's 5-vertex cap, sampled (200 derangements) above it
@@ -145,6 +147,7 @@ def main(argv=None):
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
         Path(tmp, "k8.txt").write_text(serialize_graph(complete_graph(8)))
         Path(tmp, "k88.txt").write_text(serialize_graph(complete_bipartite(8)))
+        Path(tmp, "k66.txt").write_text(serialize_graph(complete_bipartite(6)))
         Path(tmp, "k5.txt").write_text(serialize_graph(complete_graph(5)))
         Path(tmp, "c5.txt").write_text(serialize_graph(directed_cycle(5)))
         timings = {

@@ -7,12 +7,12 @@ the label ``current``. Every timed step goes to each tree in turn within a
 round, the order reversed on every other round, after one warm-up round, so
 machine drift during a sitting reaches both trees alike. Under each label:
 
-* ``sizes``: milliseconds per one-graph permanent_zero_one_pairs call (per(A)
-  and per(A | I) in one pass) on the rows of seeded D(n, 1/2) digraphs at
-  n = 4, 6, 8, 9, 12, 13 and 16 (Glynn's formula) and 20 (Ryser's);
+* ``sizes``: milliseconds per one-graph dp_counts_many call (per(A) and
+  per(A + I) in one kernel call) on seeded D(n, 1/2) digraphs at n = 4, 6, 8,
+  9, 12, 13 and 16 (Glynn's formula) and 20 (Ryser's);
 * ``stacked``: microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 4,
-  6, 8, 9, 12, 13 and 14, counted by one permanent_zero_one_pairs call against
-  one such call per draw;
+  6, 8, 9, 12, 13 and 14, counted by one dp_counts_many call against one such
+  call per draw;
 * ``glynn``: microseconds per matrix of that one call at n = 9 to 16, with
   Glynn's formula against Ryser's (GLYNN_MAX set to 0 for the call); only for
   a tree whose kernel has GLYNN_MAX;
@@ -32,7 +32,9 @@ machine drift during a sitting reaches both trees alike. Under each label:
   and 4 (in one process, so interpreter start-up does not count).
 
 Each entry stores the median and quartiles, with the CPU count, the numpy
-version and the Python version. Other labels already in the file are kept:
+version and the Python version. The graphs are built before any step is
+timed, so a step times the counting entry and the kernel, not graph
+construction. Other labels already in the file are kept:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py parent=/tmp/parent/src change=src
 """
@@ -114,16 +116,18 @@ def quartiles(values: list[float], unit: str, scale: float) -> dict:
     return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3}
 
 
-def draws(pm: ModuleType, kind: str, n: int, count: int) -> list[tuple[int, ...]]:
-    return [tuple(rows) for rows in pm.random_models.sample_rows(pm.ModelSpec(kind, n, q="1/2"), range(count)).tolist()]
+def draws(pm: ModuleType, kind: str, n: int, count: int) -> list:
+    """The first count seeded draws of the model, as the tree's Digraphs."""
+    rows = pm.random_models.sample_rows(pm.ModelSpec(kind, n, q="1/2"), range(count)).tolist()
+    return [pm.Digraph(n, tuple(r)) for r in rows]
 
 
 def time_pair(trees: Trees, n: int) -> dict[str, dict]:
-    """Per label: milliseconds per pair call on every seeded D(n, 1/2) graph in every round."""
+    """Per label: milliseconds per one-graph dp_counts_many call on every seeded D(n, 1/2) graph in every round."""
     steps = {
-        (label, seed): partial(pm.permanent.permanent_zero_one_pairs, n, [rows])
+        (label, seed): partial(pm.dp_counts_many, [g])
         for label, pm in trees.items()
-        for seed, rows in enumerate(draws(pm, "digraph", n, GRAPHS))
+        for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS))
     }
     out = {}
     for label, by_seed in alternate(steps).items():
@@ -132,20 +136,20 @@ def time_pair(trees: Trees, n: int) -> dict[str, dict]:
     return out
 
 
-def pair_per_draw(pm: ModuleType, n: int, rows: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    return [pm.permanent.permanent_zero_one_pairs(n, [r]) for r in rows]
+def pair_per_draw(pm: ModuleType, graphs: list) -> list[list[tuple[int, int]]]:
+    return [pm.dp_counts_many([g]) for g in graphs]
 
 
 def time_stacked(trees: Trees) -> dict[str, dict]:
     """Per label and n in STACKED: microseconds per draw of DRAWS seeded G(n, 1/2)
-    draws, as one stacked call and as one pair call per draw."""
+    draws, as one dp_counts_many call and as one such call per draw."""
     out: dict[str, dict] = {label: {} for label in trees}
     for n in STACKED:
         steps = {}
         for label, pm in trees.items():
-            rows = draws(pm, "graph", n, DRAWS)
-            steps[label, "one_call"] = partial(pm.permanent.permanent_zero_one_pairs, n, rows)
-            steps[label, "call_per_draw"] = partial(pair_per_draw, pm, n, rows)
+            graphs = draws(pm, "graph", n, DRAWS)
+            steps[label, "one_call"] = partial(pm.dp_counts_many, graphs)
+            steps[label, "call_per_draw"] = partial(pair_per_draw, pm, graphs)
         for label, routes in alternate(steps).items():
             out[label][str(n)] = {"draws": DRAWS, "rounds": RUNS,
                                   **{route: quartiles(t, "us_per_draw", 1e6 / DRAWS) for route, t in routes.items()}}
@@ -154,14 +158,14 @@ def time_stacked(trees: Trees) -> dict[str, dict]:
 
 def time_glynn(trees: Trees) -> dict[str, dict]:
     """Per label whose kernel has GLYNN_MAX, and n in GLYNN_SIZES: microseconds
-    per matrix of one permanent_zero_one_pairs call over DRAWS seeded G(n, 1/2)
-    draws, summing Glynn's formula and, with GLYNN_MAX set to 0, Ryser's."""
+    per matrix of one dp_counts_many call over DRAWS seeded G(n, 1/2) draws,
+    summing Glynn's formula and, with GLYNN_MAX set to 0, Ryser's."""
     trees = {label: pm for label, pm in trees.items() if hasattr(pm.permanent, "GLYNN_MAX")}
     out: dict[str, dict] = {label: {} for label in trees}
     for n in GLYNN_SIZES:
         steps = {}
         for label, pm in trees.items():
-            call = partial(pm.permanent.permanent_zero_one_pairs, n, draws(pm, "graph", n, DRAWS))
+            call = partial(pm.dp_counts_many, draws(pm, "graph", n, DRAWS))
             steps[label, "glynn"] = call
             steps[label, "ryser"] = partial(with_setting, pm.permanent, "GLYNN_MAX", 0, call)
         for label, routes in alternate(steps).items():
@@ -175,7 +179,7 @@ def time_pass_sweep(trees: Trees) -> dict[str, dict]:
     G(12, 1/2), for each RYSER_BLOCK value in PASS_SIZES, set for the call."""
     steps = {}
     for label, pm in trees.items():
-        call = partial(pm.permanent.permanent_zero_one_pairs, 12, draws(pm, "graph", 12, DRAWS))
+        call = partial(pm.dp_counts_many, draws(pm, "graph", 12, DRAWS))
         for size in PASS_SIZES:
             steps[label, size] = partial(with_setting, pm.permanent, "RYSER_BLOCK", size, call)
     return {
@@ -365,7 +369,7 @@ def main(argv=None):
         "scan": time_scans(trees),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.update(kernel="permanent_zero_one_pairs", model="D(n, 1/2)", graphs_per_size=GRAPHS)
+    doc.update(kernel="dp_counts_many", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     for label in trees:
         run = {"cpus": _usable_cpus(), "numpy": np.__version__, "python": platform.python_version(),
                "sizes": {n: by_label[label] for n, by_label in sizes.items()}}

@@ -196,6 +196,16 @@ MUTANTS = (
         ("tests/test_verify.py::test_check_half_hitting",),
     ),
     Mutant(
+        "half-hitting-target-order",  # per(B) read off the last target's count, a target's off per(B)
+        "src/permatch/verify.py",
+        "    total, *misses = permanent_zero_one(b.nl, [b.biadj, *avoiding])\n",
+        "    total, *misses = permanent_zero_one(b.nl, [*avoiding, b.biadj])\n",
+        (
+            "tests/test_verify.py::test_check_half_hitting",
+            "tests/test_verify.py::test_half_hitting_counts_every_target_in_one_kernel_call",
+        ),
+    ),
+    Mutant(
         "half-hitting-without-count-term",
         "src/permatch/verify.py",
         '    return TheoremReport("half-hitting", _describe(b), 2 * worst <= total == len(misses), None, details)\n',
@@ -261,7 +271,17 @@ MUTANTS = (
         "",
         (
             "tests/test_permanent.py::test_tiny_cases",
-            "tests/test_permanent.py::test_empty_matrix_pairs",
+            "tests/test_permanent.py::test_empty_matrix_and_empty_list",
+        ),
+    ),
+    Mutant(
+        "kernel-row-bits-unchecked",  # a row with bits at or past column n reaches the kernel
+        "src/permatch/permanent.py",
+        "            if row < 0 or row >> n:\n",
+        "            if row < 0:\n",
+        (
+            "tests/test_permanent.py::test_input_validation",
+            "tests/test_permanent.py::test_every_stacked_input_is_validated",
         ),
     ),
     Mutant(

@@ -2,10 +2,11 @@
 
 A permutation on a graph maps every non-fixed vertex along a present arc; a
 derangement additionally has no fixed point. Counts reduce to permanents of
-0/1 adjacency matrices, and the fixed-point profile is one pass of a DP
-over the reachable sets of used columns, apart from the permanent kernel;
-enumeration routines are kept independent of the permanent code so the
-routes can cross-check each other.
+0/1 adjacency matrices: derangements are per(A) and permutations per(A + I),
+which ``dp_counts_many`` builds as pairs of row lists for one kernel call. The
+fixed-point profile is one pass of a DP over the reachable sets of used
+columns, apart from the permanent kernel; enumeration routines are kept
+independent of the permanent code so the routes can cross-check each other.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import (
     UndirectedGraph,
     bits_of,
 )
-from .permanent import permanent_zero_one, permanent_zero_one_pairs
+from .permanent import permanent_zero_one
 
 ENUM_LIMIT = 10
 MATCH_ENUM_LIMIT = 12
@@ -40,10 +41,7 @@ def as_digraph(g: Digraph) -> Digraph:
     """g itself, an undirected graph included; refuses a bipartite graph, whose rows are a biadjacency."""
     if isinstance(g, Digraph):
         return g
-    raise BadParamsError(
-        f"expected a directed or undirected graph, got {type(g).__name__}"
-        " (bipartite graphs flatten via .to_graph())"
-    )
+    raise BadParamsError(f"expected a directed or undirected graph, got {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -54,14 +52,14 @@ def count_derangements(g: Digraph) -> int:
     """per(A) for the adjacency A of g: the perfect matchings of g's bipartite
     double cover, with an edge u-v' per arc u -> v, are its derangements."""
     dg = as_digraph(g)
-    return permanent_zero_one(dg.rows, dg.n)
+    return permanent_zero_one(dg.n, [dg.rows])[0]
 
 
 def count_permutations(g: Digraph) -> int:
     """per(A + I): with an edge u-u' added per vertex u, the double cover's
     perfect matchings are the permutations of g."""
     dg = as_digraph(g)
-    return permanent_zero_one([row | 1 << i for i, row in enumerate(dg.rows)], dg.n)
+    return permanent_zero_one(dg.n, [[row | 1 << i for i, row in enumerate(dg.rows)]])[0]
 
 
 def dp_counts(g: Digraph) -> tuple[int, int]:
@@ -72,9 +70,14 @@ def dp_counts(g: Digraph) -> tuple[int, int]:
 
 def dp_counts_many(graphs: Sequence[Digraph]) -> list[tuple[int, int]]:
     """dp_counts of each graph, all on the same number of vertices, from one
-    kernel call, their matrices stacked into shared passes."""
+    kernel call on the list A_1, A_1 + I, A_2, A_2 + I, ..., whose matrices
+    share the kernel's stacked passes."""
     dgs = [as_digraph(g) for g in graphs]
-    return permanent_zero_one_pairs(dgs[0].n if dgs else 0, [dg.rows for dg in dgs])
+    matrices: list[Sequence[int]] = []
+    for dg in dgs:
+        matrices += dg.rows, [row | 1 << i for i, row in enumerate(dg.rows)]
+    counts = permanent_zero_one(dgs[0].n if dgs else 0, matrices)
+    return list(zip(counts[::2], counts[1::2]))
 
 
 def dp_ratio(g: Digraph) -> Fraction:
@@ -223,7 +226,7 @@ def count_perfect_matchings(b: BipartiteGraph) -> int:
     """Perfect matchings of a bipartite graph; 0 when the parts differ in size."""
     if not b.is_balanced:
         return 0
-    return permanent_zero_one(b.biadj, b.nl)
+    return permanent_zero_one(b.nl, [b.biadj])[0]
 
 
 def enumerate_perfect_matchings(b: BipartiteGraph) -> Iterator[Permutation]:
@@ -297,12 +300,6 @@ def enumerate_perfect_matchings_general(g: UndirectedGraph) -> Iterator[Matching
         return found
 
     return rec((1 << n) - 1)
-
-
-def count_matchings_avoiding(b: BipartiteGraph, image: Permutation) -> int:
-    """Perfect matchings of b sharing no edge with the perfect matching given
-    as an image tuple: per(B - M), B without M's edges."""
-    return permanent_zero_one([row & ~(1 << j) for row, j in zip(b.biadj, image)], b.nl)
 
 
 def count_matchings_avoiding_general(g: UndirectedGraph, m: Matching) -> int:

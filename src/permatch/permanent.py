@@ -12,10 +12,10 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
   wrapping int64, so either sum is exact mod 2^64. Ryser's sum is per itself,
   0 <= per <= 20! < 2^63. Glynn's sum, over half as many column sets, is
   2^(n-1) per <= 2^15 * 16! < 2^63, which a shift turns into per; from n = 17
-  that bound fails, hence Ryser there. ``permanent_zero_one_pairs`` gives the
-  d/p pair (per(A), per(A | I)) of many graphs in one call, all their matrices
-  stacked into passes that reuse one set of work arrays. Larger inputs are
-  refused.
+  that bound fails, hence Ryser there. One call counts a whole list of
+  matrices of one size, stacked into passes that reuse one set of work
+  arrays, so a caller that needs several permanents states them all at once.
+  Larger inputs are refused.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -100,7 +100,7 @@ DP_MAX = 20
 GLYNN_MAX = 16
 # The kernel splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
 # parts H at a time. A pass stacks as many matrices as fit RYSER_BLOCK * 2^RYSER_LOW
-# int32 elements per row group, and never fewer than two (a d/p pair): 16 at n = 12,
+# int32 elements per row group, and never fewer than two: 16 at n = 12,
 # 8 at n = 13, 4 at n = 14, 2 from n = 15 on. A row value is at most DP_MAX in
 # magnitude and DP_MAX^7 < 2^31, so a product of RYSER_GROUP row values fits int32.
 RYSER_LOW = 12
@@ -115,7 +115,7 @@ _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int
 
 
 def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
-    """per(A) for several n x n 0/1 matrices given as row bitmasks, which the caller has put through _check_bits,
+    """per(A) for several n x n 0/1 matrices given as row bitmasks, which permanent_zero_one has checked,
     stacked in passes of up to per_pass matrices, with products of RYSER_GROUP row values in int32 and of those in
     int64 that wraps, exact as the module docstring argues.
     Through GLYNN_MAX the sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
@@ -173,37 +173,23 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     return totals.tolist()
 
 
-def _check_bits(matrices: Sequence[Sequence[int]], n: int) -> None:
-    """Refuse a size over DP_MAX, or any matrix that is not n rows of n-bit masks."""
+def permanent_zero_one(n: int, matrices: Sequence[Sequence[int]]) -> list[int]:
+    """per of each n x n 0/1 matrix in matrices, given as row bitmasks (bit j of row i = entry ij), from one
+    kernel call whose matrices share its stacked passes; one matrix is permanent_zero_one(n, [rows])[0].
+
+    Exact up to n = DP_MAX: a larger n raises TooLargeError. A negative n, a matrix that is not n rows, or a
+    row with bits outside 0..n-1 raises BadParamsError, every matrix checked before any is counted."""
     if n > DP_MAX:
         raise TooLargeError(f"0/1 permanent capped at n={DP_MAX}, got {n}")
+    if n < 0:
+        raise BadParamsError(f"matrix size must be nonnegative, got {n}")
     for rows in matrices:
-        if n < 0 or len(rows) != n:
+        if len(rows) != n:
             raise BadParamsError(f"expected {n} rows, got {len(rows)}")
         for i, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise BadParamsError(f"row {i} has bits outside 0..{n - 1}")
-
-
-def permanent_zero_one(bitrows: Sequence[int], n: int) -> int:
-    """Permanent of the 0/1 matrix given as row bitmasks (bit j of row i = entry ij).
-
-    Exact up to n = DP_MAX; larger inputs raise TooLargeError."""
-    _check_bits([bitrows], n)
-    return _permanents_bits([bitrows], n)[0]
-
-
-def permanent_zero_one_pairs(n: int, graphs: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """(per(A), per(A | I)) for each n x n 0/1 matrix A in graphs, given as row
-    bitmasks (a graph's adjacency rows); every A and A | I share the kernel's
-    stacked passes. Same limits as permanent_zero_one, every A checked before
-    any is counted."""
-    _check_bits(graphs, n)
-    matrices: list[Sequence[int]] = []
-    for rows in graphs:
-        matrices += rows, [row | 1 << i for i, row in enumerate(rows)]
-    counts = _permanents_bits(matrices, n)
-    return list(zip(counts[::2], counts[1::2]))
+    return _permanents_bits(matrices, n)
 
 
 SUBSET_SLOTS_MAX = 24  # a 128 MB int64 table

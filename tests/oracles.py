@@ -41,6 +41,12 @@ def derangement_number(n):
     return sum((-1) ** k * comb(n, k) * factorial(n - k) for k in range(n + 1))
 
 
+def rows_avoiding(biadj, image):
+    """The biadjacency rows of B - M, B without the edges i -> image[i] of a
+    perfect matching M: its perfect matchings are those of B that miss M."""
+    return [row & ~(1 << j) for row, j in zip(biadj, image)]
+
+
 def log_bounds(n, k):
     """Log-space sandwich for the permanent of any n x n 0/1 matrix whose row
     and column sums all equal k: van der Waerden's n! (k/n)^n below and

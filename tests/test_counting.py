@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from draws import draw
-from oracles import bipartite_permutation_sum, derangement_number
+from oracles import bipartite_permutation_sum, derangement_number, rows_avoiding
 from permatch import (
     BadParamsError,
     ModelSpec,
@@ -30,12 +30,12 @@ from permatch import (
     new_bipartite,
     new_digraph,
     new_graph,
+    permanent_zero_one,
     permutations_by_fixed_points,
 )
 from permatch import counting
 from permatch.counting import (
     check_permutation_on_graph,
-    count_matchings_avoiding,
     count_matchings_avoiding_general,
     format_permutation,
     parse_permutation,
@@ -93,7 +93,7 @@ def test_dp_counts_many_matches_one_graph_at_a_time():
     assert dp_counts_many([]) == []
     with pytest.raises(BadParamsError, match="expected 3 rows, got 4"):  # the kernel checks every graph's size
         dp_counts_many([complete_graph(3), complete_graph(4)])
-    with pytest.raises(BadParamsError, match="bipartite"):
+    with pytest.raises(BadParamsError, match="got BipartiteGraph$"):
         dp_counts_many([complete_graph(4), complete_bipartite(2)])
 
 
@@ -207,7 +207,7 @@ def test_intersection_tally():
     b = complete_bipartite(3)
     # among 6 matchings of K_{3,3}: 4 share a pair with the identity, 2 derange
     assert count_perfect_matchings(b) == 6
-    assert count_matchings_avoiding(b, (0, 1, 2)) == 2
+    assert permanent_zero_one(3, [b.biadj, rows_avoiding(b.biadj, (0, 1, 2))]) == [6, 2]
 
 
 def test_undirected_tally_on_ring():
@@ -225,7 +225,6 @@ def test_fixed_point_profile(monkeypatch):
             # the profile runs its own DP, never the permanent kernel that count_permutations runs; the
             # enumeration, derangement_number and the rearrangement identity are the independent routes
             m.setattr(counting, "permanent_zero_one", None)
-            m.setattr(counting, "permanent_zero_one_pairs", None)
             profile = permutations_by_fixed_points(g)
         assert len(profile) == n + 1
         assert profile[n] == 1
@@ -294,9 +293,10 @@ def test_counted_tallies_match_enumeration():
         b = new_bipartite(n, n, [(i, j) for i in range(n) for j in range(n) if rng.random() < q])
         pms = list(enumerate_perfect_matchings(b))
         assert count_perfect_matchings(b) == len(pms)
-        for ref in pms:
-            hits = sum(1 for other in pms if any(x == y for x, y in zip(ref, other)))
-            assert count_matchings_avoiding(b, ref) == len(pms) - hits
+        # per(B) and every target's per(B - M) from one kernel call, as the half-hitting check counts them
+        counted = permanent_zero_one(n, [b.biadj, *(rows_avoiding(b.biadj, ref) for ref in pms)])
+        hits = [sum(1 for other in pms if any(x == y for x, y in zip(ref, other))) for ref in pms]
+        assert counted == [len(pms), *(len(pms) - h for h in hits)]
     for _ in range(60):
         n = rng.choice((2, 4, 6, 8, 10))
         g = new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6])

@@ -22,9 +22,9 @@ from permatch.permanent import (
     RYSER_LIMIT,
     _permanents_bits,
     SUBSET_SLOTS_MAX,
-    permanent_zero_one_pairs,
     subset_permanents,
 )
+from permatch import permanent
 
 
 def brick(n, fill):
@@ -41,30 +41,36 @@ def dict_dp(rows):
     return sum(_diagonal_profile(rows))
 
 
+def per(rows, n):
+    return permanent_zero_one(n, [rows])[0]
+
+
 def pair(rows, n):
-    return permanent_zero_one_pairs(n, [rows])[0]
+    """(per(A), per(A | I)) from one kernel call."""
+    return tuple(permanent_zero_one(n, [rows, [row | 1 << i for i, row in enumerate(rows)]]))
 
 
 def test_tiny_cases():
     assert permanent_naive([]) == 1
     assert permanent_ryser([]) == 1
-    assert permanent_zero_one([], 0) == 1
+    assert permanent_zero_one(0, [[]]) == [1]
     assert permanent_naive([[7]]) == 7
     assert permanent_ryser([[0]]) == 0
     assert permanent_ryser([[1, 2], [3, 4]]) == 1 * 4 + 2 * 3
 
 
-def test_empty_matrix_pairs():
-    # n = 0: the empty matrix and its A | I each have the one empty permutation
-    assert permanent_zero_one_pairs(0, [[]]) == [(1, 1)]
-    assert permanent_zero_one_pairs(0, [[], []]) == [(1, 1), (1, 1)]
-    assert permanent_zero_one_pairs(0, []) == []
+def test_empty_matrix_and_empty_list():
+    # n = 0: every empty matrix has the one empty permutation; no matrices, no counts, at any size
+    assert permanent_zero_one(0, [[]]) == [1]
+    assert permanent_zero_one(0, [[], []]) == [1, 1]
+    for n in (0, 1, 9, DP_MAX):
+        assert permanent_zero_one(n, []) == []
 
 
 def test_all_ones_is_factorial():
     for n in range(1, 7):
         assert permanent_ryser(brick(n, 1)) == factorial(n)
-        assert permanent_zero_one([(1 << n) - 1] * n, n) == factorial(n)
+        assert per([(1 << n) - 1] * n, n) == factorial(n)
 
 
 def test_derangement_matrix():
@@ -84,13 +90,13 @@ def test_input_validation():
         permanent_ryser([[1.5]])
     for n in (21, 31):
         with pytest.raises(TooLargeError):
-            permanent_zero_one([0] * n, n)
+            permanent_zero_one(n, [[0] * n])
         with pytest.raises(TooLargeError):
-            permanent_zero_one_pairs(n, [[0] * n])
+            permanent_zero_one(n, [])
     with pytest.raises(TooLargeError):
         permanent_ryser(brick(RYSER_LIMIT + 1, 1))  # past its measured time budget
     with pytest.raises(BadParamsError):
-        permanent_zero_one([4], 1)  # bit outside the square
+        permanent_zero_one(1, [[4]])  # bit outside the square
 
 
 @given(
@@ -114,7 +120,7 @@ def test_zero_one_routes_agree(data):
     expected = permanent_ryser(mat)
     if n <= 7:
         assert permanent_naive(mat) == expected
-    assert permanent_zero_one(rows, n) == expected
+    assert per(rows, n) == expected
     assert dict_dp(rows) == expected
 
 
@@ -129,7 +135,7 @@ def test_ryser_kernel_matches_dict_dp(data):
     expected = dict_dp(rows)
     if n <= 10:
         assert permanent_naive(dense(rows, n)) == expected
-    assert permanent_zero_one(rows, n) == expected
+    assert per(rows, n) == expected
     with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
     assert pair(rows, n) == (expected, dict_dp(with_diagonal))
 
@@ -148,28 +154,30 @@ def test_stacked_passes_match_the_single_graph_route(n):
     rng = random.Random(n)
     per_pass, full = PER_PASS[n], (1 << n) - 1
     inputs = [[0] * n, [full] * n] + [[rng.getrandbits(n) for _ in range(n)] for _ in range(per_pass - 1)]
-    per = dict_dp if n <= 8 else lambda rows: _permanents_bits([rows], n)[0]
-    want = [per(rows) for rows in inputs]
-    pairs = list(zip(want, [per([row | 1 << i for i, row in enumerate(rows)]) for rows in inputs]))
-    assert pairs[:2] == [(0, 1), (factorial(n), factorial(n))]
+    alone = dict_dp if n <= 8 else lambda rows: _permanents_bits([rows], n)[0]
+    want = [alone(rows) for rows in inputs]
+    assert want[:2] == [0, factorial(n)]
     for count in sorted({1, per_pass - 1, per_pass, per_pass + 1}):
         assert _permanents_bits(inputs[:count], n) == want[:count], count
-        assert permanent_zero_one_pairs(n, inputs[:count]) == pairs[:count], count
+        assert permanent_zero_one(n, inputs[:count]) == want[:count], count
 
 
 @pytest.mark.parametrize("n", [4, 9])
-def test_every_stacked_input_is_validated(n):
-    # a bad later matrix is refused before any is counted
+def test_every_stacked_input_is_validated(n, monkeypatch):
+    # a bad matrix at the end of the list is refused before any is counted: the stacked sum never runs
     good = [(1 << n) - 1] * n
     bad_rows = ([good, good[:-1]], [good, [*good[:3], 1 << n, *good[4:]]], [good, good, [*good[:-1], -1]])
-    for graphs, message in zip(bad_rows, (f"expected {n} rows, got {n - 1}", "row 3 has bits", f"row {n - 1} has")):
+    monkeypatch.setattr(permanent, "_permanents_bits", None)
+    for matrices, message in zip(bad_rows, (f"expected {n} rows, got {n - 1}", "row 3 has bits", f"row {n - 1} has")):
         with pytest.raises(BadParamsError, match=message):
-            permanent_zero_one_pairs(n, graphs)
+            permanent_zero_one(n, matrices)
     with pytest.raises(TooLargeError):
-        permanent_zero_one_pairs(21, [[0] * 21])
-    with pytest.raises(BadParamsError):
-        permanent_zero_one_pairs(-1, [[]])
-    assert permanent_zero_one_pairs(n, []) == []
+        permanent_zero_one(21, [[0] * 21])
+    for size in (-1, -5):
+        with pytest.raises(BadParamsError):
+            permanent_zero_one(size, [[]])
+        with pytest.raises(BadParamsError):
+            permanent_zero_one(size, [])
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 14, 15, 16, 17, 20])
@@ -181,10 +189,10 @@ def test_zero_one_boundaries(n):
     # first Ryser size (17), and n = 20, where 20! and d(20) sit closest to the
     # int64 wrap-around the exactness argument relies on
     full = (1 << n) - 1
-    assert permanent_zero_one([full] * n, n) == factorial(n)
+    assert per([full] * n, n) == factorial(n)
     assert pair([full] * n, n) == (factorial(n), factorial(n))
     deranging = [full ^ 1 << i for i in range(n)]
-    assert permanent_zero_one(deranging, n) == derangement_number(n)
+    assert per(deranging, n) == derangement_number(n)
     assert pair(deranging, n) == (derangement_number(n), factorial(n))
 
 
@@ -282,7 +290,7 @@ def test_log_bounds_on_circulants():
             for d in range(k):
                 row |= 1 << ((i + d) % n)
             rows.append(row)
-        p = permanent_zero_one(rows, n)
+        p = per(rows, n)
         lo, hi = log_bounds(n, k)
         assert lo - 1e-9 <= log(p) <= hi + 1e-9
 
@@ -291,11 +299,10 @@ def test_log_bounds_on_circulants():
 def test_subset_permanents_match_zero_one_kernel(n):
     # bit n*i + j of S is entry (i, j): the n! matchings of K_{n,n} as masks
     masks = [sum(1 << n * i + j for i, j in enumerate(sigma)) for sigma in itertools.permutations(range(n))]
-    per = subset_permanents(n * n, masks)
-    assert per.shape == (1 << n * n,) and per[-1] == len(masks) == factorial(n)
-    for index in range(1 << n * n):
-        rows = [index >> n * i & ((1 << n) - 1) for i in range(n)]
-        assert per[index] == permanent_zero_one(rows, n), index
+    table = subset_permanents(n * n, masks)
+    assert table.shape == (1 << n * n,) and table[-1] == len(masks) == factorial(n)
+    hosts = [[index >> n * i & ((1 << n) - 1) for i in range(n)] for index in range(1 << n * n)]
+    assert table.tolist() == permanent_zero_one(n, hosts)
 
 
 def test_subset_permanents_edges():

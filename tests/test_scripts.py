@@ -110,7 +110,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     src = str(SCRIPTS.parent / "src")
     assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0  # two trees, alternated
     doc = json.loads(out.read_text())
-    assert doc["kernel"] == "permanent_zero_one_pairs" and doc["graphs_per_size"] == 2
+    assert doc["kernel"] == "dp_counts_many" and doc["graphs_per_size"] == 2
     assert set(doc["runs"]) == {"current", "first", "second"}
     for run in doc["runs"].values():
         assert {"cpus", "numpy", "python"} <= set(run)

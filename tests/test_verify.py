@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from draws import draw
-from oracles import bipartite_permutation_sum, derangement_number
+from oracles import bipartite_permutation_sum, derangement_number, rows_avoiding
 from permatch import (
     BadParamsError,
     BipartiteGraph,
@@ -32,7 +32,9 @@ from permatch import (
     complete_graph,
     count_perfect_matchings,
     directed_cycle,
+    dp_counts_many,
     dp_ratio,
+    enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
     format_12sig,
@@ -44,7 +46,7 @@ from permatch import (
     scan,
     verify,
 )
-from permatch.permanent import permanent_zero_one_pairs
+from permatch.permanent import permanent_zero_one
 from permatch.random_models import child_seed
 from permatch.verify import (
     _bipartition_matchings,
@@ -104,6 +106,37 @@ def test_check_half_hitting():
         check_half_hitting(new_bipartite(2, 3, [(i, j) for i in range(2) for j in range(3)]))
 
 
+def test_half_hitting_counts_every_target_in_one_kernel_call(monkeypatch):
+    # per(B) and every per(B - M) come from one kernel call; each target counted alone, in a call of its own,
+    # must give the same details
+    calls = []
+
+    def counted(n, matrices):
+        calls.append(len(matrices))
+        return permanent_zero_one(n, matrices)
+
+    monkeypatch.setattr(verify, "permanent_zero_one", counted)
+    rng = random.Random(32)
+    sizes = [rng.randint(1, 6) for _ in range(40)]
+    biadjacencies = [complete_bipartite(n).biadj for n in range(1, 7)] + [
+        tuple(rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)) for n in sizes
+    ]
+    with_targets = 0
+    for biadj in biadjacencies:
+        b = BipartiteGraph(len(biadj), len(biadj), biadj)
+        total = count_perfect_matchings(b)
+        misses = [permanent_zero_one(b.nl, [rows_avoiding(biadj, m)])[0] for m in enumerate_perfect_matchings(b)]
+        want = {"matchings": len(misses)}
+        if misses:
+            want |= {"worst_hits": total - max(misses), "worst_misses": max(misses)}
+            with_targets += 1
+        calls.clear()
+        report = check_half_hitting(b)
+        assert calls == [1 + len(misses)], biadj
+        assert (report.holds, report.details) == (True, want), biadj
+    assert with_targets > 30
+
+
 def test_check_matching_lower_bound_with_cross_check():
     h, _ = lonely_matching_ring(2)
     rep = check_matching_lower_bound(h)
@@ -131,7 +164,7 @@ def test_bipartition_cover_is_the_set_of_matchings_missing_the_target():
 @pytest.mark.parametrize(
     "check, counter, instance",
     [
-        (check_half_hitting, "count_perfect_matchings", complete_bipartite(3)),
+        (check_half_hitting, "permanent_zero_one", complete_bipartite(3)),
         (check_matching_lower_bound, "count_perfect_matchings_general", complete_graph(6)),
     ],
 )
@@ -139,7 +172,12 @@ def test_checks_fail_when_count_and_enumeration_disagree(monkeypatch, check, cou
     passing = check(instance)
     assert passing.holds and "counted_matchings" not in passing.details
     real = getattr(verify, counter)
-    monkeypatch.setattr(verify, counter, lambda g: real(g) + 1)
+
+    def bumped(*args):  # the count one too high: the general count, or per(B) ahead of the targets' misses
+        counts = real(*args)
+        return counts + 1 if isinstance(counts, int) else [counts[0] + 1, *counts[1:]]
+
+    monkeypatch.setattr(verify, counter, bumped)
     report = check(instance)
     assert not report.holds
     assert report.details["counted_matchings"] == report.details["matchings"] + 1
@@ -777,7 +815,7 @@ def test_exhaustive_survey_largest_host_matches_pair_kernel():
     rows, d, p, ok, _ = _exhaustive_survey("bipartite", 4)
     flat = complete_bipartite(4).to_graph()
     assert tuple(rows[-1].tolist()) == flat.rows
-    assert [(d[-1], p[-1])] == permanent_zero_one_pairs(8, [flat.rows])
+    assert [(d[-1], p[-1])] == dp_counts_many([flat])
     assert p[-1] == 1313 and ok.all()
 
 

@@ -9,16 +9,14 @@ machine drift during a sitting reaches both trees alike. Under each label:
 
 * ``sizes``: milliseconds per one-graph dp_counts_many call (per(A) and
   per(A + I) in one kernel call) on seeded D(n, 1/2) digraphs at n = 4, 6, 8,
-  9, 12, 13 and 16 (Glynn's formula) and 20 (Ryser's);
+  9, 12, 13, 16 and 20;
 * ``stacked``: microseconds per draw of DRAWS seeded G(n, 1/2) draws at n = 4,
   6, 8, 9, 12, 13 and 14, counted by one dp_counts_many call against one such
   call per draw;
-* ``glynn``: microseconds per matrix of that one call at n = 9 to 16, with
-  Glynn's formula against Ryser's (GLYNN_MAX set to 0 for the call); only for
-  a tree whose kernel has GLYNN_MAX;
-* ``pass_sweep``: the same one-call time at n = 12 with RYSER_BLOCK set to 2,
-  4, 8 and 16 for the call (a pass then holds 2 * RYSER_BLOCK matrices under
-  Glynn, RYSER_BLOCK under Ryser);
+* ``wide``: the one-graph call of ``sizes`` at n = 17, 18, 19 and 20, where
+  Glynn's int64 total wraps and a float64 total completes it;
+* ``pass_sweep``: the stacked one-call time at n = 12 with RYSER_BLOCK set to
+  2, 4, 8 and 16 for the call (a pass then holds 2 * RYSER_BLOCK matrices);
 * ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
   K_12 (one pass of counting's fixed-point DP);
 * ``injection``: microseconds per apply_injection call and per
@@ -58,11 +56,11 @@ import permatch
 from permatch.random_models import _usable_cpus
 
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
+WIDE_SIZES = (17, 18, 19, 20)  # sizes past GLYNN_MAX, whose Glynn total needs the float completion
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
 STACKED = (4, 6, 8, 9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
 DRAWS = 25  # draws per stacked call: one sampled-scan block of the benchmark
-GLYNN_SIZES = tuple(range(9, 17))  # sizes where Glynn's formula runs against Ryser's
 PASS_SIZES = (2, 4, 8, 16)  # RYSER_BLOCK values in the sweep at n = 12
 PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
@@ -122,17 +120,19 @@ def draws(pm: ModuleType, kind: str, n: int, count: int) -> list:
     return [pm.Digraph(n, tuple(r)) for r in rows]
 
 
-def time_pair(trees: Trees, n: int) -> dict[str, dict]:
-    """Per label: milliseconds per one-graph dp_counts_many call on every seeded D(n, 1/2) graph in every round."""
-    steps = {
-        (label, seed): partial(pm.dp_counts_many, [g])
-        for label, pm in trees.items()
-        for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS))
-    }
-    out = {}
-    for label, by_seed in alternate(steps).items():
-        times = [t for ts in by_seed.values() for t in ts]
-        out[label] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
+def time_pairs(trees: Trees, sizes: tuple[int, ...]) -> dict[str, dict]:
+    """Per label and n in sizes: milliseconds per one-graph dp_counts_many call on every seeded D(n, 1/2) graph
+    in every round."""
+    out: dict[str, dict] = {label: {} for label in trees}
+    for n in sizes:
+        steps = {
+            (label, seed): partial(pm.dp_counts_many, [g])
+            for label, pm in trees.items()
+            for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS))
+        }
+        for label, by_seed in alternate(steps).items():
+            times = [t for ts in by_seed.values() for t in ts]
+            out[label][str(n)] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
     return out
 
 
@@ -153,24 +153,6 @@ def time_stacked(trees: Trees) -> dict[str, dict]:
         for label, routes in alternate(steps).items():
             out[label][str(n)] = {"draws": DRAWS, "rounds": RUNS,
                                   **{route: quartiles(t, "us_per_draw", 1e6 / DRAWS) for route, t in routes.items()}}
-    return out
-
-
-def time_glynn(trees: Trees) -> dict[str, dict]:
-    """Per label whose kernel has GLYNN_MAX, and n in GLYNN_SIZES: microseconds
-    per matrix of one dp_counts_many call over DRAWS seeded G(n, 1/2) draws,
-    summing Glynn's formula and, with GLYNN_MAX set to 0, Ryser's."""
-    trees = {label: pm for label, pm in trees.items() if hasattr(pm.permanent, "GLYNN_MAX")}
-    out: dict[str, dict] = {label: {} for label in trees}
-    for n in GLYNN_SIZES:
-        steps = {}
-        for label, pm in trees.items():
-            call = partial(pm.dp_counts_many, draws(pm, "graph", n, DRAWS))
-            steps[label, "glynn"] = call
-            steps[label, "ryser"] = partial(with_setting, pm.permanent, "GLYNN_MAX", 0, call)
-        for label, routes in alternate(steps).items():
-            out[label][str(n)] = {"matrices": 2 * DRAWS, "rounds": RUNS, **{
-                route: quartiles(t, "us_per_matrix", 1e6 / (2 * DRAWS)) for route, t in routes.items()}}
     return out
 
 
@@ -314,18 +296,14 @@ def source_pair(text: str) -> tuple[str, Path]:
 
 
 def report(label: str, run: dict) -> None:
-    for n, row in run["sizes"].items():
-        print(f"{label}  n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
+    for entry, name in (("sizes", ""), ("wide", "wide ")):
+        for n, row in run[entry].items():
+            print(f"{label}  {name}n={n:>2}  median {row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
     for n, row in run["stacked"].items():
         one, each = row["one_call"], row["call_per_draw"]
         print(f"{label}  stacked n={n:>2}  {one['median_us_per_draw']:8.1f} us per draw in one call"
               f"  [{one['q1_us_per_draw']:.1f}, {one['q3_us_per_draw']:.1f}],"
               f"  {each['median_us_per_draw']:.1f} us in one call per draw")
-    for n, row in run.get("glynn", {}).items():
-        glynn, ryser = row["glynn"], row["ryser"]
-        print(f"{label}  glynn n={n:>2}  {glynn['median_us_per_matrix']:8.1f} us per matrix"
-              f"  [{glynn['q1_us_per_matrix']:.1f}, {glynn['q3_us_per_matrix']:.1f}],"
-              f"  ryser {ryser['median_us_per_matrix']:.1f}")
     for size in PASS_SIZES:
         row = run["pass_sweep"][str(size)]
         print(f"{label}  RYSER_BLOCK {size:>2}, n=12  {row['median_us_per_draw']:8.1f} us per draw"
@@ -358,10 +336,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     trees = {label: load_tree(i, src) for i, (label, src) in enumerate(args.sources)} or {"current": permatch}
-    sizes = {str(n): time_pair(trees, n) for n in SIZES}
     entries = {
+        "sizes": time_pairs(trees, SIZES),
+        "wide": time_pairs(trees, WIDE_SIZES),
         "stacked": time_stacked(trees),
-        "glynn": time_glynn(trees),
         "pass_sweep": time_pass_sweep(trees),
         "profile": time_profiles(trees),
         "injection": time_injection(trees),
@@ -371,9 +349,8 @@ def main(argv=None):
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(kernel="dp_counts_many", model="D(n, 1/2)", graphs_per_size=GRAPHS)
     for label in trees:
-        run = {"cpus": _usable_cpus(), "numpy": np.__version__, "python": platform.python_version(),
-               "sizes": {n: by_label[label] for n, by_label in sizes.items()}}
-        run |= {name: by_label[label] for name, by_label in entries.items() if label in by_label}
+        run = {"cpus": _usable_cpus(), "numpy": np.__version__, "python": platform.python_version()}
+        run |= {name: by_label[label] for name, by_label in entries.items()}
         doc.setdefault("runs", {})[label] = run
         report(label, run)
     args.out.write_text(json.dumps(doc, indent=2) + "\n")

@@ -16,12 +16,13 @@ Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
 that fails unmutated, or on a pytest run that errors instead of failing.
 
-A mutant whose outcome cannot change is no row. ``RYSER_LOW = 13`` and ``16``
-are such: the high part then needs at most 8 bits, inside its one-byte count
-table, and the kernel stays exact at every n the tests run, Glynn's and
-Ryser's sizes both. ``GLYNN_MAX = 15`` would be one too, as Ryser is exact at
-n = 16, but a test pins GLYNN_MAX to the largest size whose Glynn total fits
-int64.
+A mutant whose outcome cannot change is no row. ``RYSER_LOW = 11``, ``13``
+and ``16`` are such: Glynn's sum ranges over at most 19 columns, so the high
+part then needs at most 8 bits, inside its one-byte count table, and the
+kernel stays exact at every n the tests run, the int64-exact sizes and the
+float-completed ones both. ``GLYNN_MAX = 15`` would be one too, as the float
+completion is exact at n = 16, but a test pins GLYNN_MAX to the largest size
+whose Glynn total fits int64.
 """
 
 import argparse
@@ -119,25 +120,25 @@ MUTANTS = (
     Mutant(
         "ryser-high-sign",
         "src/permatch/permanent.py",
-        "            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))\n",
-        "            pass_totals += (-1) ** n * pass_prod.sum(axis=(1, 2))\n",
-        (  # through n = 16 one block holds every high part, so only Ryser's sizes reach h > 0
+        "            sign = (-1) ** (n + h.bit_count())\n",
+        "            sign = (-1) ** n\n",
+        (  # through n = 16 one block holds every high part, so only the float-completed sizes reach h > 0
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_block_diagonal_product",
         ),
     ),
     Mutant(
-        "ryser-low-11",  # the high part needs 9 bits at n = 20, past its one-byte popcount table
+        "ryser-low-10",  # the high part needs 9 bits at n = 20, past its one-byte count table
         "src/permatch/permanent.py",
         "RYSER_LOW = 12\n",
-        "RYSER_LOW = 11\n",
+        "RYSER_LOW = 10\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
         ),
     ),
     Mutant(
-        "glynn-max-17",  # 2^16 * 17! passes 2^64, so Glynn's int64 total wraps at n = 17
+        "glynn-max-17",  # 2^16 * 17! passes 2^64, so n = 17 reads a wrapped int64 total without its float one
         "src/permatch/permanent.py",
         "GLYNN_MAX = 16\n",
         "GLYNN_MAX = 17\n",
@@ -149,11 +150,31 @@ MUTANTS = (
     Mutant(
         "glynn-offset-dropped",  # each row's value without its -r_i
         "src/permatch/permanent.py",
-        "            lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]\n",
-        "            pass\n",
+        "        lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i\n",
+        "",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[9]",
             "tests/test_permanent.py::test_ryser_kernel_matches_dict_dp",
+        ),
+    ),
+    Mutant(
+        "float-total-integer-product",  # float(g0 g1) * g2 multiplied in int64, which wraps, then converted
+        "src/permatch/permanent.py",
+        "                    np.multiply(pass_prod, g, out=approx[:m], dtype=np.float64)\n",
+        "                    np.multiply(pass_prod, g, out=approx[:m])\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[20]",
+            "tests/test_permanent.py::test_float_completed_sizes_match_the_dict_dp",
+        ),
+    ),
+    Mutant(
+        "float-completion-dropped",  # past GLYNN_MAX per comes from the wrapped int64 total alone
+        "src/permatch/permanent.py",
+        "    if wide:  # T = t + 2^64 j, j the integer that brings T within 2^63 of the float total\n",
+        "    if False:\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[17]",
+            "tests/test_permanent.py::test_float_completed_sizes_match_inclusion_exclusion_when_dense",
         ),
     ),
     Mutant(
@@ -165,6 +186,14 @@ MUTANTS = (
             "tests/test_random_models.py::test_row_sampler_matches_the_arc_list_oracle",
             "tests/test_random_models.py::test_sampled_stream_is_pinned",
         ),
+    ),
+    Mutant(
+        "sampler-q-biased",  # each slot present with probability q + 1/64
+        "src/permatch/random_models.py",
+        "    present = (words & 0xFFFFFFFF | words >> 43 << 32) < -(-(q.numerator << 53) // q.denominator)\n",
+        "    q += Fraction(1, 64)\n"
+        "    present = (words & 0xFFFFFFFF | words >> 43 << 32) < -(-(q.numerator << 53) // q.denominator)\n",
+        ("tests/test_random_models.py::test_mc_mean_lands_near_the_exact_mean",),
     ),
     Mutant(
         "ryser-stale-row-counts",  # every pass after the first reads the previous pass's row values on L

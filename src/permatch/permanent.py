@@ -7,15 +7,17 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
   row sums incrementally; O(2^n * n) with exact big-int arithmetic.
 * ``permanent_zero_one`` is the 0/1 kernel, one stacked numpy kernel for every
   1 <= n <= 20 (the empty matrix, n = 0, has permanent 1): it sums Glynn's
-  formula for n <= 16 and Ryser's for 17 <= n <= 20. Row values go into int32
-  products of 7 (at most 20 in magnitude, and 20^7 < 2^31), combined in
-  wrapping int64, so either sum is exact mod 2^64. Ryser's sum is per itself,
-  0 <= per <= 20! < 2^63. Glynn's sum, over half as many column sets, is
-  2^(n-1) per <= 2^15 * 16! < 2^63, which a shift turns into per; from n = 17
-  that bound fails, hence Ryser there. One call counts a whole list of
-  matrices of one size, stacked into passes that reuse one set of work
-  arrays, so a caller that needs several permanents states them all at once.
-  Larger inputs are refused.
+  formula, whose total over half of Ryser's column sets is 2^(n-1) per. Row
+  values go into int32 products of 7 (at most 20 in magnitude, and
+  20^7 < 2^31), combined in wrapping int64, so the total is exact mod 2^64.
+  Through n = 16 that is the total itself, 2^(n-1) per <= 2^15 * 16! < 2^63,
+  and a shift turns it into per. From n = 17 the kernel also sums each column
+  set's product in float64, which lands within 2^63 of the total (the bound is
+  in ``_permanents_bits``), and picks the one integer of the wrapped residue
+  class that lies that close. One call counts a whole list of matrices of one
+  size, stacked into passes that reuse one set of work arrays, so a caller
+  that needs several permanents states them all at once. Larger inputs are
+  refused.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -94,9 +96,8 @@ def permanent_ryser(m: Matrix) -> int:
 
 
 DP_MAX = 20
-# Through GLYNN_MAX rows the kernel sums Glynn's formula, half of Ryser's terms,
-# whose total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63: exact in int64. Past it
-# that bound breaks (2^16 * 17! > 2^64), so n = 17 to 20 sum Ryser's formula.
+# Glynn's total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63 through GLYNN_MAX rows: the wrapped int64 total is exact.
+# Past it (2^16 * 17! > 2^64) the int64 total keeps the residue mod 2^64, and a float64 total picks the integer.
 GLYNN_MAX = 16
 # The kernel splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
 # parts H at a time. A pass stacks as many matrices as fit RYSER_BLOCK * 2^RYSER_LOW
@@ -107,55 +108,57 @@ RYSER_LOW = 12
 RYSER_BLOCK = 8
 RYSER_GROUP = 7
 _BYTES = np.arange(256, dtype=np.uint8)
-# [a, b] = |a & b| (Ryser's row count) and 2 |a & b| (Glynn's), int8 and read-only
-_COUNTS = tuple(scale * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8) for scale in (1, 2))
-for _table in _COUNTS:
-    _table.flags.writeable = False
+_COUNTS = 2 * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8)  # [a, b] = 2 |a & b|, read-only
+_COUNTS.flags.writeable = False
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
 def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """per(A) for several n x n 0/1 matrices given as row bitmasks, which permanent_zero_one has checked,
     stacked in passes of up to per_pass matrices, with products of RYSER_GROUP row values in int32 and of those in
-    int64 that wraps, exact as the module docstring argues.
-    Through GLYNN_MAX the sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
+    int64 that wraps. The sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
     outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is). With r_i the
     count of row i,
 
-        2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
+        T = 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
 
-    Past it the sum is Ryser's, per(A) = sum over column sets S of (-1)^(n-|S|) prod_i |row_i & S|. The work
-    arrays are allocated once per call, sized for one pass, and every pass overwrites them: fresh arrays per
-    pass page-fault again each time."""
+    The int64 total t is T mod 2^64, and T itself through GLYNN_MAX. Past it (three row groups, g0 g1 g2) each
+    term is also formed in float64 as float(g0 g1) * g2, g0 g1 exact in int64, and summed into a float total a.
+    A term then carries at most 2 roundings and the sum at most N - 1 more, N = 2^(n-1) terms, so with
+    u = 2^-53, |a - T| <= (N + 2) u sum_S prod_i |v_i(S)|. By Hoelder that sum is at most
+    B_n = max over rows of sum_S |v_i(S)|^n, and (N + 2) u B_n < 2^62 from GLYNN_MAX + 1 to DP_MAX (B_20 ~ 2^89.2),
+    so T is the one integer congruent to t mod 2^64 within 2^63 of a, t + 2^64 round((a - t) / 2^64). The work
+    arrays are allocated once per call, sized for one pass, and every pass overwrites them: fresh arrays per pass
+    page-fault again each time."""
     if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split
         return [1] * len(matrices)
-    glynn = n <= GLYNN_MAX
-    bits = n - glynn  # the columns S ranges over: Glynn holds column 0 fixed
+    bits = n - 1  # the columns S ranges over: Glynn holds column 0 fixed
     low = min(bits, RYSER_LOW)
     high = bits - low
-    counts = _COUNTS[glynn]
     k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
     per_pass = max(1, min(k, max(2, (RYSER_BLOCK << RYSER_LOW) // (block * width))))
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, RYSER_GROUP)
+    wide = n > GLYNN_MAX  # three row groups, and a float total beside the wrapped one
     lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value at S = L
     groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
     term = np.empty(groups.shape[1:], dtype=np.int8)
     prod = np.empty(groups.shape[1:], dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
+    if wide:
+        approx, floats = np.empty(groups.shape[1:], dtype=np.float64), np.zeros(k, dtype=np.float64)
     for first in range(0, k, per_pass):
         m = min(per_pass, k - first)
         pass_lo, pass_groups, pass_term, pass_prod = lo[:m], groups[:, :m], term[:m], prod[:m]
         pass_totals = totals[first : first + m]
         rows = np.array(matrices[first : first + m], dtype=np.int64)
-        # the first byte and the rest of L, and H, of every row of the pass: indices into the count tables
-        part = (rows[..., None] >> [glynn, 8 + glynn, low + glynn]).astype(np.uint8)
-        lo_low, lo_high = counts[:, :lo_bytes][part[:, :, 0]], counts[:, :lo_rest][part[:, :, 1]]
-        if glynn:  # Glynn's row value at S = 0 is -r_i
-            lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]
+        # the first byte and the rest of L, and H, of every row of the pass (column 0 dropped): count table indices
+        part = (rows[..., None] >> [1, 9, low + 1]).astype(np.uint8)
+        lo_low, lo_high = _COUNTS[:, :lo_bytes][part[:, :, 0]], _COUNTS[:, :lo_rest][part[:, :, 1]]
+        lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
-        hi = counts[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
+        hi = _COUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
                 for i in range(s, min(s + RYSER_GROUP, n)):
@@ -164,12 +167,17 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
                         row = np.add(row, hi[:, i, h : h + block, None], out=pass_term)
                     # a group starts from its first row, the first group times the signs
                     np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
+            sign = (-1) ** (n + h.bit_count())
             np.copyto(pass_prod, pass_groups[0])
-            for g in pass_groups[1:]:
+            for index, g in enumerate(pass_groups[1:], 2):
+                if wide and index == len(starts):  # without dtype numpy multiplies in int64, which wraps
+                    np.multiply(pass_prod, g, out=approx[:m], dtype=np.float64)
+                    floats[first : first + m] += sign * approx[:m].sum(axis=(1, 2))
                 np.multiply(pass_prod, g, out=pass_prod)
-            pass_totals += (-1) ** (n + h.bit_count()) * pass_prod.sum(axis=(1, 2))
-    if glynn:
-        totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
+            pass_totals += sign * pass_prod.sum(axis=(1, 2))
+    if wide:  # T = t + 2^64 j, j the integer that brings T within 2^63 of the float total
+        return [(t + ((int(a) - t + 2**63) >> 64 << 64)) >> n - 1 for t, a in zip(totals.tolist(), floats.tolist())]
+    totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
     return totals.tolist()
 
 

@@ -2,6 +2,8 @@
 definition. Nothing here imports ``permatch``, so no oracle can share code
 with the kernel it checks (``test_surface`` enforces that)."""
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, lgamma, log
 
@@ -41,6 +43,19 @@ def derangement_number(n):
     return sum((-1) ** k * comb(n, k) * factorial(n - k) for k in range(n + 1))
 
 
+def permanent_avoiding(n, cells):
+    """per of J_n with the given (row, column) cells set to 0, by
+    inclusion-exclusion over the sets of those cells that a permutation could
+    use together (no two in one row or column): a set of k such cells lies on
+    (n - k)! permutations. Fast while there are few cells, at any n."""
+    total = 0
+    for k in range(len(cells) + 1):
+        for chosen in combinations(cells, k):
+            if len({i for i, _ in chosen}) == len({j for _, j in chosen}) == k:
+                total += (-1) ** k * factorial(n - k)
+    return total
+
+
 def rows_avoiding(biadj, image):
     """The biadjacency rows of B - M, B without the edges i -> image[i] of a
     perfect matching M: its perfect matchings are those of B that miss M."""
@@ -54,3 +69,14 @@ def log_bounds(n, k):
     lower = lgamma(n + 1) + n * (log(k) - log(n))
     upper = (n / k) * lgamma(k + 1)
     return lower, upper
+
+
+def exact_mean_ratio(graphs, slots, q):
+    """E_q[d/p] over the random graphs whose `slots` possible arcs are each
+    present with probability q (a Fraction), from every graph's (arc count, d,
+    p): a graph with m arcs has probability q^m (1 - q)^(slots - m), so the
+    graphs are summed once per distinct triple, weighted by its graph count."""
+    return sum(
+        (count * q**m * (1 - q) ** (slots - m) * Fraction(d, p) for (m, d, p), count in Counter(graphs).items()),
+        Fraction(0),
+    )

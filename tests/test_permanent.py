@@ -6,9 +6,11 @@ from math import comb, factorial, log
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from oracles import derangement_number, log_bounds, permanent_naive
+from draws import draw
+from oracles import derangement_number, log_bounds, permanent_avoiding, permanent_naive
 from permatch import (
     BadParamsError,
+    ModelSpec,
     TooLargeError,
     permanent_ryser,
     permanent_zero_one,
@@ -140,9 +142,9 @@ def test_ryser_kernel_matches_dict_dp(data):
     assert pair(rows, n) == (expected, dict_dp(with_diagonal))
 
 
-# matrices per stacked pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements, never fewer than two; Glynn's
-# sum (n <= GLYNN_MAX) runs over half as many column sets as Ryser's, so twice as many matrices fit until the floor
-PER_PASS = {1: 32768, 4: 4096, 8: 256, 9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 20: 2}
+# matrices per stacked pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements over Glynn's 2^(n-1) column
+# sets, never fewer than two, which holds from n = 15 on
+PER_PASS = {1: 32768, 4: 4096, 8: 256, 9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 18: 2, 19: 2, 20: 2}
 
 
 @pytest.mark.parametrize("n", sorted(PER_PASS))
@@ -180,20 +182,23 @@ def test_every_stacked_input_is_validated(n, monkeypatch):
             permanent_zero_one(size, [])
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 14, 15, 16, 17, 20])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20])
 def test_zero_one_boundaries(n):
     # the smallest kernel size (1: Glynn's sum has no column to range over), column
     # sets under one byte (7, 8) and exactly one (9), Glynn's split of columns 1..n-1 with no
     # high part (13) and one high bit (14), int32 row groups of 7 + 7 (14) and
-    # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest Glynn total, the
-    # first Ryser size (17), and n = 20, where 20! and d(20) sit closest to the
-    # int64 wrap-around the exactness argument relies on
+    # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest exact int64 total, and
+    # n = 17 to 20, whose totals 2^(n-1) n! pass 2^64 and need the float total to
+    # complete the wrapped one
     full = (1 << n) - 1
     assert per([full] * n, n) == factorial(n)
     assert pair([full] * n, n) == (factorial(n), factorial(n))
     deranging = [full ^ 1 << i for i in range(n)]
     assert per(deranging, n) == derangement_number(n)
     assert pair(deranging, n) == (derangement_number(n), factorial(n))
+    # the zero matrix, an empty last row, and the permutation matrix of the cycle i -> i + 1
+    cycle = [1 << (i + 1) % n for i in range(n)]
+    assert permanent_zero_one(n, [[0] * n, [full] * (n - 1) + [0], cycle]) == [0, 0, 1]
 
 
 def test_block_diagonal_product():
@@ -219,6 +224,52 @@ def test_glynn_total_fits_int64():
     # Glynn's total 2^(n-1) * per(A) <= 2^(n-1) * n! stays below the int64 wrap-around
     # through GLYNN_MAX, and no further
     assert 2 ** (GLYNN_MAX - 1) * factorial(GLYNN_MAX) < 2**63 <= 2**GLYNN_MAX * factorial(GLYNN_MAX + 1)
+
+
+def test_float_total_lands_within_the_wrapped_totals_reach():
+    # past GLYNN_MAX the kernel takes 2^(n-1) per(A) as the one integer of the wrapped int64 total's residue class
+    # within 2^63 of the float total. A float term carries at most 2 roundings and the sum of N = 2^(n-1) terms
+    # N - 1 more, so with u = 2^-53 the float total is off by at most (N + 2) u sum_S prod_i |v_i(S)|, and by
+    # Hoelder that sum is at most the largest sum_S |v(S)|^n over one row's values v(S) = 2 |(row >> 1) & S| - r.
+    # That sum depends only on the row's count r and whether column 0, which S never holds, is one of its bits:
+    # with f = r or r - 1 bits among columns 1..n-1, |(row >> 1) & S| = j for C(f, j) 2^(n-1-f) sets S
+    for n in range(GLYNN_MAX + 1, DP_MAX + 1):
+        sums = [
+            sum(comb(f, j) * 2 ** (n - 1 - f) * abs(2 * j - r) ** n for j in range(f + 1))
+            for r in range(n + 1)
+            for f in {r, r - 1} & set(range(n))
+        ]
+        assert (2 ** (n - 1) + 2) * max(sums) < 2 ** (62 + 53), n  # (N + 2) u B_n < 2^62
+    assert 2**89 < max(sums) < 2**90  # B_20, the largest
+
+
+# seeds per size: the fixed-point DP oracle takes 0.15 s per draw at n = 17 and 1.6 s at n = 20
+FLOAT_DRAWS = [(17, 0), (17, 1), (17, 2), (18, 0), (18, 1), (19, 0), (20, 0)]
+
+
+@pytest.mark.parametrize("n, seed", FLOAT_DRAWS)
+def test_float_completed_sizes_match_the_dict_dp(n, seed):
+    # a G(n, 1/2) draw A and A + I in one kernel call, against the diagonal profile of A + I by counting's
+    # fixed-point DP, an algorithm apart from the kernel: A has no loop, so the permutations of A + I that fix no
+    # vertex are per(A). Their totals stay under 2^63, so a float total off by 2^64 or more shows here too
+    rows = list(draw(ModelSpec("graph", n, q="1/2"), seed).rows)
+    profile = _diagonal_profile([row | 1 << i for i, row in enumerate(rows)])
+    assert pair(rows, n) == (profile[0], sum(profile))
+
+
+@pytest.mark.parametrize("n", range(GLYNN_MAX + 1, DP_MAX + 1))
+def test_float_completed_sizes_match_inclusion_exclusion_when_dense(n):
+    # G(n, 1/2) draws keep 2^(n-1) per < 2^63, so the wrapped int64 total alone is their total. J_n less a few
+    # seeded cells, and its A | I, have per near n!, past that: the float total must pick the total, against
+    # inclusion-exclusion over the zeroed cells
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for _ in range(8):
+        cells = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 12))})
+        rows = [full & ~sum(1 << j for r, j in cells if r == i) for i in range(n)]
+        want = permanent_avoiding(n, cells), permanent_avoiding(n, [(i, j) for i, j in cells if i != j])
+        assert 2 ** (n - 1) * want[0] >= 2**63
+        assert pair(rows, n) == want, cells
 
 
 @pytest.mark.parametrize("n, split", [(14, 6), (15, 8)])

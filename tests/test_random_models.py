@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from draws import draw
-from oracles import derangement_number
+from oracles import derangement_number, exact_mean_ratio
 from permatch import (
     BadParamsError,
     ModelSpec,
@@ -24,7 +24,7 @@ from permatch import (
 )
 from permatch.cli import main
 from permatch.random_models import _derangement_numbers, child_seed, ratio_target, sample_rows
-from permatch.verify import digraph_from_arc_index
+from permatch.verify import _exhaustive_survey, digraph_from_arc_index
 
 
 def test_model_spec_validation():
@@ -249,6 +249,32 @@ def test_mc_small_run():
     for samples in (0, True, 2.5):  # a bool or a float is no sample count
         with pytest.raises(BadParamsError, match="need at least one sample"):
             mc_dp_ratio(model, samples=samples, seed=5)
+
+
+MC_SAMPLES = 10_000
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("q", ["1/2", "4/5"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_mc_mean_lands_near_the_exact_mean(n, q, seed):
+    # the exact E_q[d/p] on D(n, q), from the exhaustive scan's columns grouped by (arc count, d, p), against mc's
+    # mean within 4 standard errors. These seeds land within 1.6 of them, and a sampler whose threshold is off by
+    # 1/64 in q lands 4.3 to 11.3 away in every case
+    rows, d, p, _, _ = _exhaustive_survey("digraphs", n)
+    arcs = np.bitwise_count(rows).sum(axis=1)
+    exact = exact_mean_ratio(zip(arcs.tolist(), d.tolist(), p.tolist()), n * (n - 1), Fraction(q))
+    summary = mc_dp_ratio(ModelSpec("digraph", n, q=q), samples=MC_SAMPLES, seed=seed)
+    assert abs(summary["mean"] - exact) <= 4 * summary["stddev"] / MC_SAMPLES**0.5, (float(exact), summary)
+
+
+def test_exact_mean_ratio_pinned():
+    # n = 3 at q = 1/2: every one of the 64 digraphs has probability 1/64
+    rows, d, p, _, _ = _exhaustive_survey("digraphs", 3)
+    want = sum((Fraction(x, y) for x, y in zip(d.tolist(), p.tolist())), Fraction(0)) / 64
+    arcs = np.bitwise_count(rows).sum(axis=1).tolist()
+    assert exact_mean_ratio(zip(arcs, d.tolist(), p.tolist()), 6, Fraction(1, 2)) == want
+    assert round(float(want), 6) == 0.075521
 
 
 def test_mc_respects_half_bound_on_graph_model():

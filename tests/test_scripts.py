@@ -101,12 +101,12 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "CENSUS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "SCANS", (("digraphs", 3), ("bipartite", 2)))
     monkeypatch.setattr(bench, "STACKED", (9,))
-    monkeypatch.setattr(bench, "GLYNN_SIZES", (9, 10))
+    monkeypatch.setattr(bench, "WIDE_SIZES", (17, 18))
     monkeypatch.setattr(bench, "DRAWS", 3)
     monkeypatch.setattr(bench, "PASS_SIZES", (2, 4))
     settings = (permanent.RYSER_BLOCK, permanent.GLYNN_MAX)
     assert bench.main(["--out", str(out)]) == 0  # the imported package, as "current"
-    assert (permanent.RYSER_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep and the Glynn entry put them back
+    assert (permanent.RYSER_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep puts RYSER_BLOCK back
     src = str(SCRIPTS.parent / "src")
     assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0  # two trees, alternated
     doc = json.loads(out.read_text())
@@ -122,12 +122,9 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         rows += [run["pass_sweep"][size] for size in ("2", "4")]
         for row in rows:
             assert 0 < row["q1_us_per_draw"] <= row["median_us_per_draw"] <= row["q3_us_per_draw"]
-        assert set(run["glynn"]) == {"9", "10"}
-        for row in run["glynn"].values():
-            assert row["matrices"] == 6 and row["rounds"] == 2
-            for route in ("glynn", "ryser"):
-                assert 0 < row[route]["q1_us_per_matrix"] <= row[route]["median_us_per_matrix"]
-                assert row[route]["median_us_per_matrix"] <= row[route]["q3_us_per_matrix"]
+        assert set(run["wide"]) == {"17", "18"}
+        for row in run["wide"].values():
+            assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert set(run["profile"]) == {"K3", "K4"}
         for row in run["profile"].values():
             assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
@@ -156,7 +153,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     printed = capsys.readouterr().out
     assert "current  n= 6" in printed and "second  injection refusal" in printed
     assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
-    assert "first  glynn n=10" in printed
+    assert "first  wide n=18" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):

@@ -15,8 +15,8 @@ machine drift during a sitting reaches both trees alike. Under each label:
   call per draw;
 * ``wide``: the one-graph call of ``sizes`` at n = 17, 18, 19 and 20, where
   Glynn's int64 total wraps and a float64 total completes it;
-* ``pass_sweep``: the stacked one-call time at n = 12 with RYSER_BLOCK set to
-  2, 4, 8 and 16 for the call (a pass then holds 2 * RYSER_BLOCK matrices);
+* ``pass_sweep``: the stacked one-call time at n = 12 with HIGH_BLOCK set to
+  2, 4, 8 and 16 for the call (a pass then holds 2 * HIGH_BLOCK matrices);
 * ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
   K_12 (one pass of counting's fixed-point DP);
 * ``injection``: microseconds per apply_injection call and per
@@ -61,7 +61,7 @@ GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
 STACKED = (4, 6, 8, 9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
 DRAWS = 25  # draws per stacked call: one sampled-scan block of the benchmark
-PASS_SIZES = (2, 4, 8, 16)  # RYSER_BLOCK values in the sweep at n = 12
+PASS_SIZES = (2, 4, 8, 16)  # HIGH_BLOCK values in the sweep at n = 12
 PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold
@@ -158,12 +158,13 @@ def time_stacked(trees: Trees) -> dict[str, dict]:
 
 def time_pass_sweep(trees: Trees) -> dict[str, dict]:
     """Per label: microseconds per draw of one stacked call over DRAWS draws of
-    G(12, 1/2), for each RYSER_BLOCK value in PASS_SIZES, set for the call."""
+    G(12, 1/2), for each HIGH_BLOCK value in PASS_SIZES, set for the call."""
     steps = {}
     for label, pm in trees.items():
         call = partial(pm.dp_counts_many, draws(pm, "graph", 12, DRAWS))
+        name = "HIGH_BLOCK" if hasattr(pm.permanent, "HIGH_BLOCK") else "RYSER_BLOCK"  # its name in older trees
         for size in PASS_SIZES:
-            steps[label, size] = partial(with_setting, pm.permanent, "RYSER_BLOCK", size, call)
+            steps[label, size] = partial(with_setting, pm.permanent, name, size, call)
     return {
         label: {"n": 12, "draws": DRAWS, "rounds": RUNS,
                 **{str(size): quartiles(t, "us_per_draw", 1e6 / DRAWS) for size, t in sizes.items()}}
@@ -306,7 +307,7 @@ def report(label: str, run: dict) -> None:
               f"  {each['median_us_per_draw']:.1f} us in one call per draw")
     for size in PASS_SIZES:
         row = run["pass_sweep"][str(size)]
-        print(f"{label}  RYSER_BLOCK {size:>2}, n=12  {row['median_us_per_draw']:8.1f} us per draw"
+        print(f"{label}  HIGH_BLOCK {size:>2}, n=12  {row['median_us_per_draw']:8.1f} us per draw"
               f"  [{row['q1_us_per_draw']:.1f}, {row['q3_us_per_draw']:.1f}]")
     for name, row in run["profile"].items():
         print(f"{label}  profile {name:<4}  median {row['median_ms']:8.3f} ms"

@@ -16,7 +16,7 @@ Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
 that fails unmutated, or on a pytest run that errors instead of failing.
 
-A mutant whose outcome cannot change is no row. ``RYSER_LOW = 11``, ``13``
+A mutant whose outcome cannot change is no row. ``LOW_BITS = 11``, ``13``
 and ``16`` are such: Glynn's sum ranges over at most 19 columns, so the high
 part then needs at most 8 bits, inside its one-byte count table, and the
 kernel stays exact at every n the tests run, the int64-exact sizes and the
@@ -108,17 +108,17 @@ MUTANTS = (
         ("tests/test_verify.py::test_hex_text_matches_the_oracle_at_every_width",),
     ),
     Mutant(
-        "ryser-group-8",
+        "group-rows-8",
         "src/permatch/permanent.py",
-        "RYSER_GROUP = 7\n",
-        "RYSER_GROUP = 8\n",
+        "GROUP_ROWS = 7\n",
+        "GROUP_ROWS = 8\n",
         (
             "tests/test_permanent.py::test_row_group_fits_int32",
-            "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+            "tests/test_permanent.py::test_zero_one_kernel_wraps_silently",
         ),
     ),
     Mutant(
-        "ryser-high-sign",
+        "high-part-sign",
         "src/permatch/permanent.py",
         "            sign = (-1) ** (n + h.bit_count())\n",
         "            sign = (-1) ** n\n",
@@ -128,13 +128,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "ryser-low-10",  # the high part needs 9 bits at n = 20, past its one-byte count table
+        "low-bits-10",  # the high part needs 9 bits at n = 20, past its one-byte count table
         "src/permatch/permanent.py",
-        "RYSER_LOW = 12\n",
-        "RYSER_LOW = 10\n",
+        "LOW_BITS = 12\n",
+        "LOW_BITS = 10\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
-            "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+            "tests/test_permanent.py::test_zero_one_kernel_wraps_silently",
         ),
     ),
     Mutant(
@@ -154,7 +154,7 @@ MUTANTS = (
         "",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[9]",
-            "tests/test_permanent.py::test_ryser_kernel_matches_dict_dp",
+            "tests/test_permanent.py::test_zero_one_kernel_matches_dict_dp",
         ),
     ),
     Mutant(
@@ -196,7 +196,7 @@ MUTANTS = (
         ("tests/test_random_models.py::test_mc_mean_lands_near_the_exact_mean",),
     ),
     Mutant(
-        "ryser-stale-row-counts",  # every pass after the first reads the previous pass's row values on L
+        "stale-row-counts",  # every pass after the first reads the previous pass's row values on L
         "src/permatch/permanent.py",
         "        np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))\n",
         "        if not first:\n"
@@ -207,13 +207,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "ryser-int64-accumulator",
+        "int32-accumulator",
         "src/permatch/permanent.py",
         "    prod = np.empty(groups.shape[1:], dtype=np.int64)\n",
         "    prod = np.empty(groups.shape[1:], dtype=np.int32)\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[16]",
-            "tests/test_permanent.py::test_ryser_kernel_wraps_silently",
+            "tests/test_permanent.py::test_zero_one_kernel_wraps_silently",
             "tests/test_permanent.py::test_pair_rows_with_diagonal[20]",
         ),
     ),
@@ -267,6 +267,16 @@ MUTANTS = (
         "            if i + 1 < stop <= best_stop:  # forward and not the cycle's own arc\n",
         "            if i + 1 < stop < best_stop:  # forward and not the cycle's own arc\n",
         ("tests/test_injection.py::test_first_minimal_chord_matches_inclusion_definition",),
+    ),
+    Mutant(
+        "chord-outside-cycle",  # the host's arcs to vertices off the cycle read as chords
+        "src/permatch/injection.py",
+        "        row = rows[u] & inside\n",
+        "        row = rows[u]\n",
+        (
+            "tests/test_injection.py::test_first_minimal_chord_matches_inclusion_definition",
+            "tests/test_injection.py::test_roundtrip_exhaustive_small",
+        ),
     ),
     Mutant(
         "expected-inclusion-off-by-one",

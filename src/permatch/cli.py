@@ -29,6 +29,7 @@ from .graphs import (
     _CONSTRUCTIONS,
     BipartiteGraph,
     Digraph,
+    as_digraph,
     lonely_matching_ring,
     parse_graph,
     serialize_graph,
@@ -142,7 +143,7 @@ _VERIFY = {
     "3": (("input",), _flattened(verify.check_ratio_half)),
     "6": (("input",), verify.check_bipartite_extremal),
     # exhaustive through 5 vertices, the first 200 derangements above that
-    "injection": (("input",), lambda g: verify.check_injection(g, None if counting.as_digraph(g).n <= 5 else 200)),
+    "injection": (("input",), lambda g: verify.check_injection(g, None if as_digraph(g).n <= 5 else 200)),
     "blowup": (("k", "l"), verify.check_blowup_formulas),
     "subpermanent": (("input",), verify.check_subpermanent),
     "corollary": (("input",), _flattened(verify.check_cycle_doubling)),

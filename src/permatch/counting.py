@@ -26,6 +26,7 @@ from .graphs import (
     Digraph,
     Matching,
     UndirectedGraph,
+    as_digraph,
     bits_of,
 )
 from .permanent import permanent_zero_one
@@ -35,13 +36,6 @@ MATCH_ENUM_LIMIT = 12
 GENERAL_MATCH_LIMIT = 24
 
 Permutation = tuple[int, ...]
-
-
-def as_digraph(g: Digraph) -> Digraph:
-    """g itself, an undirected graph included; refuses a bipartite graph, whose rows are a biadjacency."""
-    if isinstance(g, Digraph):
-        return g
-    raise BadParamsError(f"expected a directed or undirected graph, got {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------

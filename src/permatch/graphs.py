@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BadParamsError,
@@ -36,6 +36,12 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count outside [1, MAX_VERTICES], before anything of that size is built."""
+    if type(n) is not int or not 1 <= n <= MAX_VERTICES:  # bool is no size
+        raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {n!r}")
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Loopless directed graph on ``n`` <= 64 vertices."""
@@ -44,8 +50,7 @@ class Digraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or not 1 <= self.n <= MAX_VERTICES:  # bool is no size
-            raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n!r}")
+        check_vertex_count(self.n)
         if len(self.rows) != self.n:
             raise BadParamsError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         for u, row in enumerate(self.rows):
@@ -73,27 +78,6 @@ class Digraph:
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         """Dense 0/1 adjacency matrix (row-major)."""
         return tuple(tuple(row >> j & 1 for j in range(self.n)) for row in self.rows)
-
-    def induced(self, vertices: Sequence[int]) -> "Digraph":
-        """Subgraph on the given vertices, relabeled 0..k-1 in ascending vertex order, of the receiver's kind."""
-        if any(type(v) is not int for v in vertices):  # a bool or a float is no vertex
-            raise BadParamsError(f"induced vertex list must hold integers, got {vertices!r}")
-        keep = sorted(set(vertices))
-        if len(keep) != len(vertices):
-            raise BadParamsError("induced vertex list has repeats")
-        if not keep or keep[0] < 0 or keep[-1] >= self.n:
-            raise OutOfRangeError("induced vertex list out of range")
-        if len(keep) == self.n:
-            return self  # every vertex kept: already labelled 0..n-1 in ascending order
-        index = {v: i for i, v in enumerate(keep)}
-        kept = sum(1 << v for v in keep)
-        rows = []
-        for v in keep:
-            row = 0
-            for w in bits_of(self.rows[v] & kept):  # only arcs that stay get relabelled
-                row |= 1 << index[w]
-            rows.append(row)
-        return type(self)(len(keep), tuple(rows))  # an induced subgraph of a symmetric graph is symmetric
 
 
 @dataclass(frozen=True)
@@ -156,10 +140,16 @@ class BipartiteGraph:
         return UndirectedGraph(n, tuple(rows))
 
 
+def as_digraph(g: Digraph) -> Digraph:
+    """g itself, an undirected graph included; refuses a bipartite graph, whose rows are a biadjacency."""
+    if isinstance(g, Digraph):
+        return g
+    raise BadParamsError(f"expected a directed or undirected graph, got {type(g).__name__}")
+
+
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a Digraph from an arc list; duplicate arcs collapse."""
-    if type(n) is not int or not 1 <= n <= MAX_VERTICES:  # bool is no size
-        raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {n!r}")
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n):
@@ -179,11 +169,15 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
     return UndirectedGraph(n, new_digraph(n, both).rows)
 
 
-def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
+def _check_parts(nl: int, nr: int) -> None:
     if {type(nl), type(nr)} != {int} or nl < 1 or nr < 1:  # bool is no size
         raise BadParamsError(f"part sizes must be positive, got {nl!r}, {nr!r}")
     if nl > MAX_VERTICES or nr > MAX_VERTICES:
         raise BadParamsError(f"part sizes must be at most {MAX_VERTICES}")
+
+
+def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
+    _check_parts(nl, nr)
     rowmasks = [0] * nl
     for i, j in edges:
         if not (0 <= i < nl and 0 <= j < nr):
@@ -200,14 +194,17 @@ def directed_cycle(n: int) -> Digraph:
     """The directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
     if type(n) is not int or n < 2:  # bool is no size
         raise BadParamsError(f"a directed cycle needs an integer n >= 2, got {n!r}")
+    check_vertex_count(n)  # each builder refuses its size before it lists the pairs
     return new_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> UndirectedGraph:
+    check_vertex_count(n)
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:
+    _check_parts(n, n)
     return new_bipartite(n, n, [(i, j) for i in range(n) for j in range(n)])
 
 

@@ -1,18 +1,19 @@
 """Cycle-breaking injection from derangements into fixed-point-bearing permutations.
 
 Fix a vertex v. A derangement D moves v along some cycle C; root C at v and
-look at its chords inside the induced subgraph on C's vertices. A chord from
-position i to position j is *forward* when j lies strictly ahead of i on the
-walk that starts at the root and stops upon returning to it (entering the
-root itself counts as position n). Shortcutting along a forward chord closes
-a smaller cycle through v and leaves the skipped stretch fixed, so the result
-is a permutation with fixed points. The skipped stretch of a forward chord is
-the interval of positions i+1 .. j-1, and the canonical chord is the one
-whose interval is minimal under inclusion and starts first. Among intervals
-that is the one ending first, and among those ending there the one starting
-last: nothing can nest inside it, and a minimal interval starting earlier
-would have to end no earlier and so contain it. With no forward chord at all
-the entire cycle dissolves into fixed points.
+look at its chords: the graph's arcs between two vertices of C, read off the
+host's rows. A chord from position i to position j is *forward* when j lies
+strictly ahead of i on the walk that starts at the root and stops upon
+returning to it (entering the root itself counts as position n).
+Shortcutting along a forward chord closes a smaller cycle through v and
+leaves the skipped stretch fixed, so the result is a permutation with fixed
+points. The skipped stretch of a forward chord is the interval of positions
+i+1 .. j-1, and the canonical chord is the one whose interval is minimal
+under inclusion and starts first. Among intervals that is the one ending
+first, and among those ending there the one starting last: nothing can nest
+inside it, and a minimal interval starting earlier would have to end no
+earlier and so contain it. With no forward chord at all the entire cycle
+dissolves into fixed points.
 
 The map is injective: the original cycle can be reconstructed from the image
 because minimality forces, at every step, exactly one arc from the walked
@@ -28,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import Permutation, as_digraph, check_permutation_on_graph
+from .counting import Permutation, check_permutation_on_graph
 from .errors import NotInImageError, OutOfRangeError, TooLargeError
-from .graphs import Digraph, bits_of
+from .graphs import Digraph, as_digraph, bits_of
 
 
 def _orbit(sigma: Permutation, v: int) -> list[int]:
@@ -43,21 +44,24 @@ def _orbit(sigma: Permutation, v: int) -> list[int]:
     return orbit
 
 
-def _canonical_chord(g: Digraph, cycle: tuple[int, ...]) -> tuple[int, int] | None:
-    """(start, stop) of the canonical chord of a cycle already checked as a
-    Hamilton cycle of g, stop being its end position with the root read as n;
-    None when no forward chord exists. One pass over the arcs keeps the least
-    (stop, -start): positions ascend, so a later start wins a tie on stop."""
+def _canonical_chord(g: Digraph, cycle: Sequence[int]) -> tuple[int, int] | None:
+    """(start, stop) of the canonical chord of a cycle of g, given as its walk
+    from the root, stop being its end position with the root read as n =
+    len(cycle); None when no forward chord exists. Chords are g's arcs between
+    vertices of the cycle, read off g's rows under the mask of its vertex set.
+    One pass over them keeps the least (stop, -start): positions ascend, so a
+    later start wins a tie on stop."""
     n = len(cycle)
-    pos = [0] * n
+    pos, inside = {}, 0
     for k, x in enumerate(cycle):
         pos[x] = k
+        inside |= 1 << x
     rows = g.rows
     best_start, best_stop = -1, n + 1
     for i, u in enumerate(cycle):
         if i + 2 > best_stop:
             break  # a chord from here skips at least position i + 1 and cannot stop earlier
-        row = rows[u]
+        row = rows[u] & inside
         while row:
             low = row & -row
             row ^= low
@@ -81,12 +85,7 @@ def _apply(dg: Digraph, sigma: Permutation, v: int) -> Permutation:
     out = list(sigma)
     for x in walk:
         out[x] = x  # the cycle dissolves unless a forward chord keeps part of it
-    # Chords must stay inside the cycle, so work in the induced subgraph.
-    verts = sorted(walk)
-    sub = dg.induced(verts)
-    local = {x: t for t, x in enumerate(verts)}
-    # the walk follows arcs of sigma, so relabeled it is a Hamilton cycle of sub
-    found = _canonical_chord(sub, tuple(map(local.__getitem__, walk)))
+    found = _canonical_chord(dg, walk)
     if found is not None:
         start, stop = found
         seq = walk[: start + 1] + walk[stop:]

@@ -99,23 +99,23 @@ DP_MAX = 20
 # Glynn's total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63 through GLYNN_MAX rows: the wrapped int64 total is exact.
 # Past it (2^16 * 17! > 2^64) the int64 total keeps the residue mod 2^64, and a float64 total picks the integer.
 GLYNN_MAX = 16
-# The kernel splits column sets as S = L + H * 2^RYSER_LOW and takes RYSER_BLOCK high
-# parts H at a time. A pass stacks as many matrices as fit RYSER_BLOCK * 2^RYSER_LOW
+# The kernel splits column sets as S = L + H * 2^LOW_BITS and takes HIGH_BLOCK high
+# parts H at a time. A pass stacks as many matrices as fit HIGH_BLOCK * 2^LOW_BITS
 # int32 elements per row group, and never fewer than two: 16 at n = 12,
 # 8 at n = 13, 4 at n = 14, 2 from n = 15 on. A row value is at most DP_MAX in
-# magnitude and DP_MAX^7 < 2^31, so a product of RYSER_GROUP row values fits int32.
-RYSER_LOW = 12
-RYSER_BLOCK = 8
-RYSER_GROUP = 7
+# magnitude and DP_MAX^7 < 2^31, so a product of GROUP_ROWS row values fits int32.
+LOW_BITS = 12
+HIGH_BLOCK = 8
+GROUP_ROWS = 7
 _BYTES = np.arange(256, dtype=np.uint8)
 _COUNTS = 2 * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8)  # [a, b] = 2 |a & b|, read-only
 _COUNTS.flags.writeable = False
-_SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << RYSER_LOW)) & 1).astype(np.int32)  # (-1)^|mask|
+_SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << LOW_BITS)) & 1).astype(np.int32)  # (-1)^|mask|
 
 
 def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """per(A) for several n x n 0/1 matrices given as row bitmasks, which permanent_zero_one has checked,
-    stacked in passes of up to per_pass matrices, with products of RYSER_GROUP row values in int32 and of those in
+    stacked in passes of up to per_pass matrices, with products of GROUP_ROWS row values in int32 and of those in
     int64 that wraps. The sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
     outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is). With r_i the
     count of row i,
@@ -133,13 +133,13 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split
         return [1] * len(matrices)
     bits = n - 1  # the columns S ranges over: Glynn holds column 0 fixed
-    low = min(bits, RYSER_LOW)
+    low = min(bits, LOW_BITS)
     high = bits - low
-    k, width, block = len(matrices), 1 << low, min(RYSER_BLOCK, 1 << high)
-    per_pass = max(1, min(k, max(2, (RYSER_BLOCK << RYSER_LOW) // (block * width))))
+    k, width, block = len(matrices), 1 << low, min(HIGH_BLOCK, 1 << high)
+    per_pass = max(1, min(k, max(2, (HIGH_BLOCK << LOW_BITS) // (block * width))))
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
-    starts = range(0, n, RYSER_GROUP)
+    starts = range(0, n, GROUP_ROWS)
     wide = n > GLYNN_MAX  # three row groups, and a float total beside the wrapped one
     lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value at S = L
     groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
@@ -161,7 +161,7 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
         hi = _COUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
-                for i in range(s, min(s + RYSER_GROUP, n)):
+                for i in range(s, min(s + GROUP_ROWS, n)):
                     row = pass_lo[:, i, None]
                     if high:
                         row = np.add(row, hi[:, i, h : h + block, None], out=pass_term)

@@ -47,6 +47,7 @@ from .graphs import (
     bits_of,
     blowup,
     canonical_matching,
+    check_vertex_count,
     complete_graph,
 )
 from .injection import apply_injection, hamilton_census, invert_injection
@@ -401,14 +402,14 @@ def digraph_from_arc_index(n: int, index: int) -> Digraph:
     of the exhaustive digraph family; index must lie in [0, 2^(n(n-1)))."""
     if type(index) is not int:  # bool is no index
         raise BadParamsError(f"arc index must be an integer, got {index!r}")
+    check_vertex_count(n)  # before the index's range is checked and any row is built
+    if not 0 <= index < 1 << n * (n - 1):
+        raise OutOfRangeError(f"arc index must lie in [0, 2^{n * (n - 1)}) for n={n}, got {index}")
     rows = []
     for u in range(n):  # row u is the index's (n-1)-bit chunk u with a 0 spliced in at bit u
         chunk = index >> (n - 1) * u & (1 << n - 1) - 1
         rows.append(chunk >> u << u + 1 | chunk & (1 << u) - 1)
-    g = Digraph(n, tuple(rows))  # refuses n outside [1, 64] before the index's range is checked
-    if not 0 <= index < 1 << n * (n - 1):
-        raise OutOfRangeError(f"arc index must lie in [0, 2^{n * (n - 1)}) for n={n}, got {index}")
-    return g
+    return Digraph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,14 @@ def bipartite_permutation_sum(matrix):
     )
 
 
+def induced_rows(rows, vertices):
+    """Adjacency rows of the subgraph on the given vertices, relabelled 0..k-1
+    in ascending vertex order: bit j of row i is set iff the graph has an arc
+    from its i-th to its j-th smallest kept vertex."""
+    keep = sorted(vertices)
+    return tuple(sum(1 << j for j, w in enumerate(keep) if rows[v] >> w & 1) for v in keep)
+
+
 def derangement_number(n):
     """Permutations of an n-set with no fixed point, by inclusion-exclusion
     over the set of points held fixed."""

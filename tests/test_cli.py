@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -459,6 +460,25 @@ def test_construct_writes_each_named_builders_graph(capsys, tmp_path):
             code, _, err = run(capsys, "construct", "--kind", kind, *flags, "--out", str(out))
             assert (code, err) == (0, "")
             assert parse_graph(out.read_text()) == want  # dataclass equality compares the class too
+
+
+def test_construct_refuses_an_oversized_graph_at_once(capsys, tmp_path):
+    out = tmp_path / "big.txt"
+    refusals = {
+        "cycle": (100_000, "vertex count must be in [1, 64], got 100000"),
+        "complete": (400, "vertex count must be in [1, 64], got 400"),
+        "complete-bipartite": (400, "part sizes must be at most 64"),
+    }
+    for kind, (n, message) in refusals.items():
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "construct", "--kind", kind, "--n", str(n), "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, f"error: {message}\n")
+        assert peak < 1 << 20, kind  # refused before any pair is listed
+        assert not out.exists()
 
 
 def test_inject_forward_and_back(capsys, write_graph, schema_loader):

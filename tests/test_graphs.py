@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from permatch import (
     check_blowup_formulas,
     complete_bipartite,
     complete_graph,
+    digraph_from_arc_index,
     directed_cycle,
     enumerate_perfect_matchings_general,
     expected_counts,
@@ -111,24 +114,6 @@ def test_undirected_symmetry_enforced():
         UndirectedGraph(2, (0b100, 0b000))
 
 
-def test_induced_subgraph_relabels_in_sorted_order():
-    g = new_digraph(5, [(0, 2), (2, 4), (4, 0), (1, 3)])
-    sub = g.induced([4, 0, 2])
-    # kept vertices 0, 2, 4 become 0, 1, 2
-    assert sub.arcs() == [(0, 1), (1, 2), (2, 0)]
-    with pytest.raises(BadParamsError):
-        g.induced([1, 1])
-    assert g.induced(range(5)) == g
-    # an undirected input stays undirected, whether or not a vertex is dropped
-    k4 = complete_graph(4)
-    assert k4.induced([0, 1, 2]) == complete_graph(3)  # dataclass equality compares the class too
-    assert type(k4.induced(range(4))) is UndirectedGraph
-    # a float or a bool is refused, also where every vertex is kept
-    for bad in ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 2], [True, 2]):
-        with pytest.raises(BadParamsError, match="induced vertex list must hold integers"):
-            g.induced(bad)
-
-
 def test_directed_cycle_and_complete():
     c = directed_cycle(4)
     assert c.arcs() == [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -140,6 +125,33 @@ def test_directed_cycle_and_complete():
     b = new_bipartite(2, 3, [(i, j) for i in range(2) for j in range(3)])
     assert b.edge_count == 6
     assert b.to_graph().n == 5
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (directed_cycle, (100_000,), "vertex count must be in"),
+        (complete_graph, (400,), "vertex count must be in"),
+        (complete_bipartite, (400,), "part sizes must be at most 64"),
+        (digraph_from_arc_index, (250_000, 0), "vertex count must be in"),
+    ],
+)
+def test_builders_refuse_a_size_before_they_allocate(build, args, message):
+    # listing the pairs or the rows before the refusal peaks at 4 to 17 MB at these sizes
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParamsError, match=message):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_builders_refuse_a_size_that_is_no_integer():
+    for build, args in ((complete_graph, (4.0,)), (complete_bipartite, (3.0,)), (digraph_from_arc_index, (2.0, 0))):
+        with pytest.raises(BadParamsError):  # not the TypeError of range() over a float
+            build(*args)
 
 
 def test_blowup_shape():

@@ -4,7 +4,9 @@ from math import comb, factorial
 
 import pytest
 
+from oracles import induced_rows
 from permatch import (
+    Digraph,
     NotInImageError,
     TooLargeError,
     apply_injection,
@@ -21,35 +23,42 @@ from permatch.graphs import bits_of
 from permatch.injection import _canonical_chord
 
 
-def hamilton_cycles(g):
-    """Oracle for hamilton_census: the directed Hamilton cycles of g by
-    backtracking, as vertex tuples rooted at vertex 0."""
-    n, rows = g.n, g.rows
-    path = [0]
+def simple_cycles(g, root):
+    """The directed cycles of g whose lowest vertex is root, as vertex tuples
+    rooted there, by backtracking over the higher vertices."""
+    rows, path = g.rows, [root]
+    higher = ~((2 << root) - 1)
 
     def extend(x, visited):
-        if len(path) == n:
-            if rows[x] & 1:
-                yield tuple(path)
-            return
-        for w in bits_of(rows[x] & ~visited):
+        if rows[x] >> root & 1:  # never at the root itself: no self-loops
+            yield tuple(path)
+        for w in bits_of(rows[x] & higher & ~visited):
             path.append(w)
             yield from extend(w, visited | 1 << w)
             path.pop()
 
-    return extend(0, 1)
+    return extend(root, 1 << root)
+
+
+def hamilton_cycles(g):
+    """Oracle for hamilton_census: the directed Hamilton cycles of g, as vertex
+    tuples rooted at vertex 0."""
+    return (h for h in simple_cycles(g, 0) if len(h) == g.n)
 
 
 def forward_chords(g, cycle):
-    """Oracle for _canonical_chord: every forward chord of the Hamilton cycle
-    rooted at cycle[0], as (start, stop, skipped) sorted by start and stop.
-    Positions count from the root, stop reads the root as n, and skipped
-    lists the vertices between the ends in walk order."""
+    """Oracle for _canonical_chord: every forward chord of the cycle rooted at
+    cycle[0], an arc of g between two of its vertices, as (start, stop,
+    skipped) sorted by start and stop. Positions count from the root, stop
+    reads the root as the cycle's length, and skipped lists the vertices
+    between the ends in walk order."""
     n = len(cycle)
     pos = {v: k for k, v in enumerate(cycle)}
     chords = []
     for i, u in enumerate(cycle):
         for w in bits_of(g.rows[u]):
+            if w not in pos:
+                continue  # an arc leaving the cycle is no chord
             stop = pos[w] or n  # re-entering the root ends the walk
             if i + 1 < stop:  # forward and not the cycle's own arc
                 chords.append((i, stop, cycle[i + 1 : stop]))
@@ -339,15 +348,21 @@ def _chord_by_inclusion(g, cycle):
 
 
 def test_first_minimal_chord_matches_inclusion_definition():
-    graphs = _all_small_digraphs() + list(_random_digraphs(77, 300, range(5, 10), (0.3, 0.5, 0.7, 0.9)))
-    rotated = 0
-    for g in graphs:
-        for h in islice(hamilton_cycles(g), 8):
-            for k in range(g.n):
-                cycle = h[k:] + h[:k]
-                assert _canonical_chord(g, cycle) == _chord_by_inclusion(g, cycle), (g, cycle)
-                rotated += 1
-    assert rotated > 10_000
+    # every cycle of every digraph on at most 4 vertices, and the first few
+    # cycles from each lowest vertex of seeded D(n, q) on 5..9 vertices, in
+    # every rotation; most cycles miss some vertex of g, whose arcs are no chords
+    cases = [(g, None) for g in _all_small_digraphs()]
+    cases += [(g, 12) for g in _random_digraphs(77, 300, range(5, 10), (0.3, 0.5, 0.7, 0.9))]
+    rotated = proper = 0
+    for g, cap in cases:
+        for root in range(g.n):
+            for h in islice(simple_cycles(g, root), cap):
+                for k in range(len(h)):
+                    cycle = h[k:] + h[:k]
+                    assert _canonical_chord(g, cycle) == _chord_by_inclusion(g, cycle), (g, cycle)
+                    rotated += 1
+                    proper += len(h) < g.n
+    assert rotated > 70_000 and proper > 60_000
 
 
 def _dissolved_preimage_by_tour_search(g, p, v):
@@ -355,7 +370,7 @@ def _dissolved_preimage_by_tour_search(g, p, v):
     the fixed set through the forward map; at most one maps back."""
     verts = fixed_points(p)
     winners = []
-    for h in hamilton_cycles(g.induced(verts)) if len(verts) > 1 else ():
+    for h in hamilton_cycles(Digraph(len(verts), induced_rows(g.rows, verts))) if len(verts) > 1 else ():
         cand = list(p)
         tour = [verts[x] for x in h]
         for a, b in zip(tour, tour[1:] + [tour[0]]):

@@ -20,7 +20,7 @@ from permatch.counting import _diagonal_profile
 from permatch.permanent import (
     DP_MAX,
     GLYNN_MAX,
-    RYSER_GROUP,
+    GROUP_ROWS,
     RYSER_LIMIT,
     _permanents_bits,
     SUBSET_SLOTS_MAX,
@@ -129,9 +129,9 @@ def test_zero_one_routes_agree(data):
 # the naive sum at n <= 10 costs seconds on some draws, so a failing draw is reported as drawn, never shrunk
 @settings(max_examples=12, deadline=None, derandomize=True, phases=[p for p in Phase if p is not Phase.shrink])
 @given(st.data())
-def test_ryser_kernel_matches_dict_dp(data):
-    # generic Ryser shares the kernel's formula, so the oracles here are the
-    # fixed-point DP (a different algorithm) and, where affordable, naive summation
+def test_zero_one_kernel_matches_dict_dp(data):
+    # the oracles here are the fixed-point DP, which sums over no column sets as
+    # both the kernel and generic Ryser do, and, where affordable, naive summation
     n = data.draw(st.integers(9, GLYNN_MAX))
     rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     expected = dict_dp(rows)
@@ -142,7 +142,7 @@ def test_ryser_kernel_matches_dict_dp(data):
     assert pair(rows, n) == (expected, dict_dp(with_diagonal))
 
 
-# matrices per stacked pass: as many as fit RYSER_BLOCK * 2^RYSER_LOW int32 elements over Glynn's 2^(n-1) column
+# matrices per stacked pass: as many as fit HIGH_BLOCK * 2^LOW_BITS int32 elements over Glynn's 2^(n-1) column
 # sets, never fewer than two, which holds from n = 15 on
 PER_PASS = {1: 32768, 4: 4096, 8: 256, 9: 128, 12: 16, 13: 8, 14: 4, 16: 2, 17: 2, 18: 2, 19: 2, 20: 2}
 
@@ -215,9 +215,9 @@ def test_block_diagonal_product():
 
 
 def test_row_group_fits_int32():
-    # a signed product of RYSER_GROUP row counts, each at most DP_MAX, must not
+    # a signed product of GROUP_ROWS row counts, each at most DP_MAX, must not
     # overflow the kernel's int32 group arrays
-    assert DP_MAX**RYSER_GROUP < 2**31
+    assert DP_MAX**GROUP_ROWS < 2**31
 
 
 def test_glynn_total_fits_int64():
@@ -297,7 +297,7 @@ def test_pair_rows_with_diagonal(n):
     assert pair(rows, n) == (want, factorial(n))
 
 
-def test_ryser_kernel_wraps_silently():
+def test_zero_one_kernel_wraps_silently():
     # products overflow int64 on J_20 and must wrap without a numpy warning
     full = (1 << 20) - 1
     with warnings.catch_warnings():

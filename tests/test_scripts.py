@@ -104,9 +104,9 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "WIDE_SIZES", (17, 18))
     monkeypatch.setattr(bench, "DRAWS", 3)
     monkeypatch.setattr(bench, "PASS_SIZES", (2, 4))
-    settings = (permanent.RYSER_BLOCK, permanent.GLYNN_MAX)
+    settings = (permanent.HIGH_BLOCK, permanent.GLYNN_MAX)
     assert bench.main(["--out", str(out)]) == 0  # the imported package, as "current"
-    assert (permanent.RYSER_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep puts RYSER_BLOCK back
+    assert (permanent.HIGH_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep puts HIGH_BLOCK back
     src = str(SCRIPTS.parent / "src")
     assert bench.main([f"first={src}", f"second={src}", "--out", str(out)]) == 0  # two trees, alternated
     doc = json.loads(out.read_text())
@@ -160,7 +160,7 @@ def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, t
     gate = load("mutants")
     real = next(m for m in gate.MUTANTS if m.name == "half-hitting-strict")
     # a replacement that changes nothing must survive its test
-    noop = gate.Mutant("noop", "src/permatch/permanent.py", "RYSER_GROUP = 7\n", "RYSER_GROUP = 7  # same\n",
+    noop = gate.Mutant("noop", "src/permatch/permanent.py", "GROUP_ROWS = 7\n", "GROUP_ROWS = 7  # same\n",
                        ("tests/test_permanent.py::test_row_group_fits_int32",))
     monkeypatch.setattr(gate, "MUTANTS", (real, noop))
     out = tmp_path / "mutants.json"
@@ -174,7 +174,7 @@ def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, t
 
 def test_mutants_fails_on_a_stale_snippet(capsys, monkeypatch, tmp_path):
     gate = load("mutants")
-    stale = gate.Mutant("stale", "src/permatch/permanent.py", "RYSER_GROUP = 99\n", "", ("tests/test_permanent.py",))
+    stale = gate.Mutant("stale", "src/permatch/permanent.py", "GROUP_ROWS = 99\n", "", ("tests/test_permanent.py",))
     monkeypatch.setattr(gate, "MUTANTS", (stale,))
     out = tmp_path / "mutants.json"
     assert gate.main(["--out", str(out)]) == 2

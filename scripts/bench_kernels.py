@@ -162,9 +162,8 @@ def time_pass_sweep(trees: Trees) -> dict[str, dict]:
     steps = {}
     for label, pm in trees.items():
         call = partial(pm.dp_counts_many, draws(pm, "graph", 12, DRAWS))
-        name = "HIGH_BLOCK" if hasattr(pm.permanent, "HIGH_BLOCK") else "RYSER_BLOCK"  # its name in older trees
         for size in PASS_SIZES:
-            steps[label, size] = partial(with_setting, pm.permanent, name, size, call)
+            steps[label, size] = partial(with_setting, pm.permanent, "HIGH_BLOCK", size, call)
     return {
         label: {"n": 12, "draws": DRAWS, "rounds": RUNS,
                 **{str(size): quartiles(t, "us_per_draw", 1e6 / DRAWS) for size, t in sizes.items()}}

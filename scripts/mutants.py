@@ -380,6 +380,37 @@ MUTANTS = (
             "tests/test_cli.py::test_exhaustive_scan_refuses_a_sampling_option",
         ),
     ),
+    Mutant(
+        "part-size-refusal-dropped",  # the one part-size check, which every bipartite builder and the scan reach
+        "src/permatch/graphs.py",
+        '        raise BadParamsError(f"part sizes must be in [1, {MAX_VERTICES}], got {nl!r}, {nr!r}")\n',
+        "        pass\n",
+        (
+            "tests/test_verify.py::test_each_input_rule_refuses_with_one_line_from_every_entry",
+            "tests/test_graphs.py::test_builders_refuse_a_size_before_they_allocate",
+        ),
+    ),
+    Mutant(
+        "undirected-refusal-dropped",  # the one undirected-input check, which the matching bound relies on
+        "src/permatch/counting.py",
+        '        raise BadParamsError(f"general perfect matchings need an undirected graph, got {type(g).__name__}")\n',
+        "        pass\n",
+        (
+            "tests/test_verify.py::test_each_input_rule_refuses_with_one_line_from_every_entry",
+            "tests/test_verify.py::test_statement_checks_refuse_the_wrong_graph_type",
+        ),
+    ),
+    Mutant(
+        "model-vertex-count-dropped",
+        "src/permatch/random_models.py",
+        "        check_vertex_count(self.n)  # before sample_rows draws n(n-1) words"
+        " for a graph the graph types refuse\n",
+        "",
+        (
+            "tests/test_random_models.py::test_model_spec_validation",
+            "tests/test_random_models.py::test_oversized_models_and_negative_seeds_are_refused_before_any_draw",
+        ),
+    ),
 )
 
 

@@ -42,6 +42,12 @@ def check_vertex_count(n: int) -> None:
         raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {n!r}")
 
 
+def _check_parts(nl: int, nr: int) -> None:
+    """Refuse part sizes outside [1, MAX_VERTICES], before anything of that size is built."""
+    if {type(nl), type(nr)} != {int} or not (1 <= nl <= MAX_VERTICES and 1 <= nr <= MAX_VERTICES):  # bool is no size
+        raise BadParamsError(f"part sizes must be in [1, {MAX_VERTICES}], got {nl!r}, {nr!r}")
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Loopless directed graph on ``n`` <= 64 vertices."""
@@ -106,9 +112,7 @@ class BipartiteGraph:
     biadj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        nl, nr = self.nl, self.nr  # a bool is no size
-        if {type(nl), type(nr)} != {int} or not (1 <= nl <= MAX_VERTICES and 1 <= nr <= MAX_VERTICES):
-            raise BadParamsError(f"part sizes must be in [1, {MAX_VERTICES}]")
+        _check_parts(self.nl, self.nr)
         if len(self.biadj) != self.nl:
             raise BadParamsError(f"expected {self.nl} biadjacency rows, got {len(self.biadj)}")
         for i, row in enumerate(self.biadj):
@@ -148,14 +152,12 @@ def as_digraph(g: Digraph) -> Digraph:
 
 
 def new_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Build a Digraph from an arc list; duplicate arcs collapse."""
+    """Build a Digraph from an arc list; duplicate arcs collapse, and Digraph refuses a self-loop."""
     check_vertex_count(n)
     rows = [0] * n
     for u, v in arcs:
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n):  # before the shift, which a negative v would break
             raise OutOfRangeError(f"arc ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
     return Digraph(n, tuple(rows))
 
@@ -167,13 +169,6 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
         both.append((u, v))
         both.append((v, u))
     return UndirectedGraph(n, new_digraph(n, both).rows)
-
-
-def _check_parts(nl: int, nr: int) -> None:
-    if {type(nl), type(nr)} != {int} or nl < 1 or nr < 1:  # bool is no size
-        raise BadParamsError(f"part sizes must be positive, got {nl!r}, {nr!r}")
-    if nl > MAX_VERTICES or nr > MAX_VERTICES:
-        raise BadParamsError(f"part sizes must be at most {MAX_VERTICES}")
 
 
 def new_bipartite(nl: int, nr: int, edges: Iterable[tuple[int, int]]) -> BipartiteGraph:

@@ -23,7 +23,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import BadParamsError, TooLargeError
-from .graphs import MAX_VERTICES
+from .graphs import check_vertex_count
 
 MODEL_KINDS = ("digraph", "graph")
 # below Python's 4,300-digit int-to-str limit: E[p] <= n! and its denominator
@@ -55,10 +55,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise BadParamsError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if type(self.n) is not int or self.n < 1:  # bool is no size
-            raise BadParamsError(f"model needs a positive vertex count, got {self.n!r}")
-        if self.n > MAX_VERTICES:  # before sample_rows draws n(n-1) words for a graph the graph types refuse
-            raise BadParamsError(f"vertex count must be in [1, {MAX_VERTICES}], got {self.n}")
+        check_vertex_count(self.n)  # before sample_rows draws n(n-1) words for a graph the graph types refuse
         object.__setattr__(self, "q", _as_probability(self.q))
 
 

@@ -98,6 +98,13 @@ class TheoremReport:
         return out
 
 
+def _require_balanced_bipartite(b: BipartiteGraph, statement: str) -> None:
+    if not isinstance(b, BipartiteGraph):
+        raise BadParamsError(f"the {statement} statement needs a bipartite input")
+    if not b.is_balanced:
+        raise BadParamsError(f"the {statement} statement needs balanced parts, got {b.nl} x {b.nr}")
+
+
 def _describe(g: Digraph | BipartiteGraph) -> str:
     if isinstance(g, BipartiteGraph):
         return f"bipartite {g.nl}x{g.nr}, {g.edge_count} edges"
@@ -135,10 +142,7 @@ def check_ratio_half(g: Digraph) -> TheoremReport:
 def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     """For every perfect matching of a bipartite graph, at least half of all
     perfect matchings share an edge with it."""
-    if not isinstance(b, BipartiteGraph):
-        raise BadParamsError("the half-hitting statement needs a bipartite input")
-    if not b.is_balanced:
-        raise BadParamsError(f"half-hitting check wants balanced parts, got {b.nl} x {b.nr}")
+    _require_balanced_bipartite(b, "half-hitting")
     if b.nl > HALF_HITTING_LIMIT:
         raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
     # each target's misses are per(B - M), B without M's edges, and its hits the rest of per(B): one kernel call
@@ -161,11 +165,9 @@ def check_matching_lower_bound(g: UndirectedGraph) -> TheoremReport:
     Each one is a target, whose misses are counted on the graph without its
     edges. Up to CROSS_CHECK_LIMIT vertices they are also listed, and the
     listed set must match both the count and the cover of _bipartition_matchings.
-    Refuses graphs with more than MATCHING_BOUND_LIMIT perfect matchings
-    before listing any.
+    The count refuses any input but an undirected graph; this check refuses
+    graphs with more than MATCHING_BOUND_LIMIT perfect matchings before listing any.
     """
-    if not isinstance(g, UndirectedGraph):
-        raise BadParamsError("the matching lower bound needs an undirected input")
     if (counted := count_perfect_matchings_general(g)) > MATCHING_BOUND_LIMIT:
         raise TooLargeError(f"matching bound capped at {MATCHING_BOUND_LIMIT} perfect matchings, got {counted}")
     half_n = g.n // 2
@@ -230,10 +232,7 @@ def check_bipartite_extremal(b: BipartiteGraph) -> TheoremReport:
     """Among balanced bipartite graphs with a perfect matching, permutations
     over derangements is minimized by the complete one, where it equals
     sum 1/k!^2; equality holds only there."""
-    if not isinstance(b, BipartiteGraph):
-        raise BadParamsError("the bipartite extremal statement needs a bipartite input")
-    if not b.is_balanced:
-        raise BadParamsError("the bipartite extremal statement needs balanced parts")
+    _require_balanced_bipartite(b, "bipartite extremal")
     # d and p are counts of the flattened graph; the matching count squared is
     # the second, independent route to d
     d_direct, p = dp_counts(b.to_graph())
@@ -275,9 +274,8 @@ def check_blowup_formulas(k: int, l: int) -> TheoremReport:
 
 
 def check_subpermanent(g: Digraph | BipartiteGraph) -> TheoremReport:
-    """The block-splitting identity for the instance's 0/1 matrix at every block size k."""
-    if isinstance(g, BipartiteGraph) and not g.is_balanced:
-        raise BadParamsError("the splitting identity needs a square matrix; use balanced parts")
+    """The block-splitting identity for the instance's 0/1 matrix at every block size k.
+    subpermanent_sides refuses a matrix that is not square, so a bipartite input needs balanced parts."""
     sides = subpermanent_sides(g.matrix())
     holds = all(lhs == rhs for lhs, rhs in sides)
     details = {"sides": {str(k): list(pair) for k, pair in enumerate(sides)}}

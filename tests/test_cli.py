@@ -183,8 +183,8 @@ def test_scan_bad_out_fails_before_sweeping(capsys, monkeypatch, tmp_path):
         ("digraphs", -1, "vertex count must be in [1, 64], got -1"),
         ("digraphs", 0, "vertex count must be in [1, 64], got 0"),
         ("digraphs", 5, "exhaustive digraph scan is sized for n <= 4"),
-        ("bipartite", -1, "part sizes must be in [1, 64]"),
-        ("bipartite", 0, "part sizes must be in [1, 64]"),
+        ("bipartite", -1, "part sizes must be in [1, 64], got -1, -1"),
+        ("bipartite", 0, "part sizes must be in [1, 64], got 0, 0"),
         ("bipartite", 5, "exhaustive bipartite scan is sized for parts of at most 4"),
     ],
 )
@@ -467,7 +467,7 @@ def test_construct_refuses_an_oversized_graph_at_once(capsys, tmp_path):
     refusals = {
         "cycle": (100_000, "vertex count must be in [1, 64], got 100000"),
         "complete": (400, "vertex count must be in [1, 64], got 400"),
-        "complete-bipartite": (400, "part sizes must be at most 64"),
+        "complete-bipartite": (400, "part sizes must be in [1, 64], got 400, 400"),
     }
     for kind, (n, message) in refusals.items():
         tracemalloc.start()

@@ -132,7 +132,7 @@ def test_directed_cycle_and_complete():
     [
         (directed_cycle, (100_000,), "vertex count must be in"),
         (complete_graph, (400,), "vertex count must be in"),
-        (complete_bipartite, (400,), "part sizes must be at most 64"),
+        (complete_bipartite, (400,), "part sizes must be in"),
         (digraph_from_arc_index, (250_000, 0), "vertex count must be in"),
     ],
 )

@@ -4,7 +4,7 @@ import warnings
 from math import comb, factorial, log
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from draws import draw
 from oracles import derangement_number, log_bounds, permanent_avoiding, permanent_naive
@@ -126,20 +126,20 @@ def test_zero_one_routes_agree(data):
     assert dict_dp(rows) == expected
 
 
-# the naive sum at n <= 10 costs seconds on some draws, so a failing draw is reported as drawn, never shrunk
-@settings(max_examples=12, deadline=None, derandomize=True, phases=[p for p in Phase if p is not Phase.shrink])
-@given(st.data())
-def test_zero_one_kernel_matches_dict_dp(data):
+def test_zero_one_kernel_matches_dict_dp():
     # the oracles here are the fixed-point DP, which sums over no column sets as
-    # both the kernel and generic Ryser do, and, where affordable, naive summation
-    n = data.draw(st.integers(9, GLYNN_MAX))
-    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    expected = dict_dp(rows)
-    if n <= 10:
-        assert permanent_naive(dense(rows, n)) == expected
-    assert per(rows, n) == expected
-    with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
-    assert pair(rows, n) == (expected, dict_dp(with_diagonal))
+    # both the kernel and generic Ryser do, and, where affordable, naive summation.
+    # The 12 matrices come from a fixed seed, so their cost and outcome do not move with this test's source
+    rng = random.Random(2019)
+    for _ in range(12):
+        n = rng.randint(9, GLYNN_MAX)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        expected = dict_dp(rows)
+        if n <= 10:
+            assert permanent_naive(dense(rows, n)) == expected, rows
+        assert per(rows, n) == expected, rows
+        with_diagonal = [row | 1 << i for i, row in enumerate(rows)]
+        assert pair(rows, n) == (expected, dict_dp(with_diagonal)), rows
 
 
 # matrices per stacked pass: as many as fit HIGH_BLOCK * 2^LOW_BITS int32 elements over Glynn's 2^(n-1) column

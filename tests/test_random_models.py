@@ -37,7 +37,7 @@ def test_model_spec_validation():
         ModelSpec("graph", 5, q="half")
     with pytest.raises(BadParamsError):
         ModelSpec("graph", 5, q=Fraction(3, 2))
-    with pytest.raises(BadParamsError, match="positive vertex count"):
+    with pytest.raises(BadParamsError, match="vertex count must be in"):
         ModelSpec("graph", 0, q=Fraction(1, 2))
     assert ModelSpec("digraph", 4, q="0.25").q == Fraction(1, 4)
     assert ModelSpec("graph", 64, q="1/2").n == 64

@@ -13,9 +13,12 @@ from oracles import bipartite_permutation_sum, derangement_number, rows_avoiding
 from permatch import (
     BadParamsError,
     BipartiteGraph,
+    Digraph,
     ModelSpec,
     NotInImageError,
     OutOfRangeError,
+    PermatchError,
+    SelfLoopError,
     TooLargeError,
     apply_injection,
     blowup,
@@ -31,6 +34,7 @@ from permatch import (
     complete_bipartite,
     complete_graph,
     count_perfect_matchings,
+    count_perfect_matchings_general,
     directed_cycle,
     dp_counts_many,
     dp_ratio,
@@ -43,7 +47,11 @@ from permatch import (
     lonely_matching_ring,
     new_bipartite,
     new_digraph,
+    new_graph,
+    parse_graph,
+    permanent_ryser,
     scan,
+    subpermanent_sides,
     verify,
 )
 from permatch.permanent import permanent_zero_one
@@ -237,14 +245,79 @@ def test_verify_table_checks_report_or_refuse_every_graph_type(token, g):
         (check_half_hitting, directed_cycle(4), "the half-hitting statement needs a bipartite input"),
         (check_half_hitting, complete_graph(4), "the half-hitting statement needs a bipartite input"),
         (check_bipartite_extremal, complete_graph(4), "the bipartite extremal statement needs a bipartite input"),
-        (check_matching_lower_bound, directed_cycle(4), "the matching lower bound needs an undirected input"),
-        (check_matching_lower_bound, complete_bipartite(2), "the matching lower bound needs an undirected input"),
+        (
+            check_matching_lower_bound,
+            directed_cycle(4),
+            "general perfect matchings need an undirected graph, got Digraph",
+        ),
+        (
+            check_matching_lower_bound,
+            complete_bipartite(2),
+            "general perfect matchings need an undirected graph, got BipartiteGraph",
+        ),
     ],
 )
 def test_statement_checks_refuse_the_wrong_graph_type(check, wrong, message):
     with pytest.raises(BadParamsError) as exc:
         check(wrong)
     assert str(exc.value) == message
+
+
+# rule -> (its owner's class, its owner's line, and each public entry that reads the value: a call and the values
+# it refuses); every entry must pass the owner's refusal on as it is
+TWO_BY_THREE = [[1, 1, 1], [1, 1, 1]]
+INPUT_RULES = {
+    "parts": (BadParamsError, "part sizes must be in [1, 64], got {}, {}", {
+        "BipartiteGraph": (lambda: BipartiteGraph(0, 3, ()), (0, 3)),
+        "new_bipartite": (lambda: new_bipartite(0, 3, []), (0, 3)),
+        "complete_bipartite": (lambda: complete_bipartite(0), (0, 0)),
+        "parse_graph": (lambda: parse_graph("bipartite 0 3\n"), (0, 3)),
+        "scan": (lambda: scan("bipartite", 0), (0, 0)),
+    }),
+    "vertex-count": (BadParamsError, "vertex count must be in [1, 64], got {}", {
+        "Digraph": (lambda: Digraph(0, ()), (0,)),
+        "new_digraph": (lambda: new_digraph(0, []), (0,)),
+        "new_graph": (lambda: new_graph(0, []), (0,)),
+        "complete_graph": (lambda: complete_graph(0), (0,)),
+        "digraph_from_arc_index": (lambda: digraph_from_arc_index(0, 0), (0,)),
+        "ModelSpec": (lambda: ModelSpec("digraph", 0, q="1/2"), (0,)),
+        "scan": (lambda: scan("digraphs", 0), (0,)),
+        "sampled-scan": (lambda: scan("sampled-undirected", 0, samples=1), (0,)),
+    }),
+    "self-loop": (SelfLoopError, "self-loop at vertex {}", {
+        "Digraph": (lambda: Digraph(3, (1, 0, 0)), (0,)),
+        "new_digraph": (lambda: new_digraph(3, [(0, 1), (0, 0)]), (0,)),
+        "new_graph": (lambda: new_graph(3, [(0, 0)]), (0,)),
+        "parse_graph": (lambda: parse_graph("digraph 3\n0 0\n"), (0,)),
+    }),
+    "undirected": (BadParamsError, "general perfect matchings need an undirected graph, got {}", {
+        "count_perfect_matchings_general": (lambda: count_perfect_matchings_general(directed_cycle(4)), ("Digraph",)),
+        "enumerate_perfect_matchings_general": (
+            lambda: enumerate_perfect_matchings_general(directed_cycle(4)),
+            ("Digraph",),
+        ),
+        "check_matching_lower_bound": (lambda: check_matching_lower_bound(directed_cycle(4)), ("Digraph",)),
+    }),
+    "square": (BadParamsError, "matrix is not square: row of length {}, expected {}", {
+        "permanent_ryser": (lambda: permanent_ryser(TWO_BY_THREE), (3, 2)),
+        "subpermanent_sides": (lambda: subpermanent_sides(TWO_BY_THREE), (3, 2)),
+        "check_subpermanent": (lambda: check_subpermanent(BipartiteGraph(2, 3, (7, 7))), (3, 2)),
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, line",
+    [
+        pytest.param(call, error, line.format(*values), id=f"{rule}-{entry}")
+        for rule, (error, line, entries) in INPUT_RULES.items()
+        for entry, (call, values) in entries.items()
+    ],
+)
+def test_each_input_rule_refuses_with_one_line_from_every_entry(call, error, line):
+    with pytest.raises(PermatchError) as exc:
+        call()
+    assert (type(exc.value), str(exc.value)) == (error, line)
 
 
 def test_check_injection_report():

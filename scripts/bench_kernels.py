@@ -27,7 +27,11 @@ machine drift during a sitting reaches both trees alike. Under each label:
   the flattened K_{4,4};
 * ``scan``: milliseconds per verify.scan call with its records written, for
   the exhaustive digraphs on 4 vertices and bipartite graphs with parts of 3
-  and 4 (in one process, so interpreter start-up does not count).
+  and 4 (in one process, so interpreter start-up does not count);
+* ``fanout``: milliseconds per in-process mc_dp_ratio call on 1 and on 2
+  workers, for D(20, 1/2) with 6 and 24 draws, D(16, 1/2) with 120,
+  D(12, 1/2) with 1,000, G(12, 1/2) with 2,000 and G(8, 1/2) with 4,000: the
+  cost of the fan-out, start and join included, against one worker.
 
 Each entry stores the median and quartiles, with the CPU count, the numpy
 version and the Python version. The graphs are built before any step is
@@ -66,6 +70,10 @@ PROFILES = (10, 12)  # the complete graphs whose fixed-point profile is timed
 INJECTION_N = 4  # the injection runs on every digraph with this many vertices
 CENSUS = (("digraphs", 8), ("bipartite", 4))  # the hosts whose census is built cold
 SCANS = (("digraphs", 4), ("bipartite", 3), ("bipartite", 4))  # the exhaustive scans timed
+# (model kind, n, draws) of the mc calls timed on 1 and 2 workers, from a few large draws to many small ones
+FANOUT = (("digraph", 20, 6), ("digraph", 20, 24), ("digraph", 16, 120), ("digraph", 12, 1000),
+          ("graph", 12, 2000), ("graph", 8, 4000))
+FANOUT_WORKERS = (1, 2)
 OUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 Trees = dict[str, ModuleType]
@@ -288,6 +296,23 @@ def time_scans(trees: Trees) -> dict[str, dict]:
         }
 
 
+def time_fanout(trees: Trees) -> dict[str, dict]:
+    """Per label and (kind, n, draws) in FANOUT: milliseconds per mc_dp_ratio call at seed 0 on each worker count
+    in FANOUT_WORKERS."""
+    steps = {
+        (label, (kind, n, count, workers)): partial(pm.mc_dp_ratio, pm.ModelSpec(kind, n, q="1/2"), count, 0, workers)
+        for label, pm in trees.items()
+        for kind, n, count in FANOUT
+        for workers in FANOUT_WORKERS
+    }
+    out: dict[str, dict] = {label: {} for label in trees}
+    for label, calls in alternate(steps).items():
+        for (kind, n, count, workers), times in calls.items():
+            row = out[label].setdefault(f"{kind}-{n}-{count}", {"kind": kind, "n": n, "draws": count, "calls": RUNS})
+            row[f"workers_{workers}"] = quartiles(times, "ms", 1e3)
+    return out
+
+
 def source_pair(text: str) -> tuple[str, Path]:
     label, sep, src = text.partition("=")
     if not (label and sep and Path(src, "permatch").is_dir()):
@@ -321,6 +346,9 @@ def report(label: str, run: dict) -> None:
     for name, row in run["scan"].items():
         print(f"{label}  scan {name:<13}  median {row['median_ms']:8.2f} ms  [{row['q1_ms']:.2f}, {row['q3_ms']:.2f}]"
               f"  {row['graphs']} graphs")
+    for name, row in run["fanout"].items():
+        cells = [f"{workers} worker(s) {row[f'workers_{workers}']['median_ms']:8.2f} ms" for workers in FANOUT_WORKERS]
+        print(f"{label}  fanout {name:<17}  " + ", ".join(cells))
 
 
 def main(argv=None):
@@ -345,6 +373,7 @@ def main(argv=None):
         "injection": time_injection(trees),
         "census": time_census(trees),
         "scan": time_scans(trees),
+        "fanout": time_fanout(trees),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update(kernel="dp_counts_many", model="D(n, 1/2)", graphs_per_size=GRAPHS)

@@ -411,6 +411,33 @@ MUTANTS = (
             "tests/test_random_models.py::test_oversized_models_and_negative_seeds_are_refused_before_any_draw",
         ),
     ),
+    Mutant(
+        "caller-share-last",  # the caller's own share joins the children's results at the end, not the start
+        "src/permatch/random_models.py",
+        "        return out\n    finally:\n",
+        "        return out[len(shares[0]) :] + out[: len(shares[0])]\n    finally:\n",
+        (
+            "tests/test_verify.py::test_parallel_map_starts_no_more_workers_than_cpus",
+            # on two usable CPUs, where the thread count changes the fan-out
+            "tests/test_verify.py::test_scan_sampled_records_same_at_any_thread_count",
+        ),
+    ),
+    Mutant(
+        "worker-cap-without-cpus",  # as many workers as threads, whatever CPUs the process may use
+        "src/permatch/random_models.py",
+        "    workers = min(threads, _usable_cpus(), len(items))\n",
+        "    workers = min(threads, len(items))\n",
+        ("tests/test_verify.py::test_parallel_map_starts_no_more_workers_than_cpus",),
+    ),
+    Mutant(
+        "empty-pipe-as-empty-share",  # a child killed before it wrote reads as a share with no results
+        "src/permatch/random_models.py",
+        "            if code:\n",
+        "            if not payload:\n"
+        "                continue\n"
+        "            if code:\n",
+        ("tests/test_verify.py::test_a_dead_worker_exits_3_and_leaves_no_child",),
+    ),
 )
 
 

@@ -1,28 +1,29 @@
-"""Random graph models, sampling, exact first-moment formulas, and the worker pool.
+"""Random graph models, sampling, exact first-moment formulas, and the fork-join fan-out.
 
 Sampling is deterministic given (model, seed): arc slots are visited in
 row-major order and each Bernoulli draw consumes exactly one 53-bit word, so
 adding features cannot silently shift the stream. ``sample_rows`` draws a
 whole block of seeds as adjacency rows in numpy; it is the one sampler.
 Sampled runs (``mc`` and the sampled scan, both in :mod:`permatch.verify`)
-derive one child seed per sample index, which makes them chunkable across
-``parallel_map``'s workers without changing the output: each worker draws
-and counts a whole chunk of indices in one call.
+derive one child seed per sample index, which makes them splittable across
+``parallel_map``'s workers without changing the output: the caller and each
+forked child draw and count one contiguous share of indices in one call.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NoReturn, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BadParamsError, TooLargeError
+from .errors import BadParamsError
 from .graphs import check_vertex_count
 
 MODEL_KINDS = ("digraph", "graph")
@@ -100,15 +101,13 @@ def expected_counts(n: int, m: int) -> tuple[Fraction, Fraction]:
     linearity gives E[p] = sum_t C(n, t) d(t) P(t) and E[d] = d(n) P(n), with
     P(t + 1) = P(t) (m - t) / (slots - t) the inclusion probability, 0 past m.
     """
-    if type(n) is not int or n < 1:  # bool is no size
-        raise BadParamsError(f"model needs a positive vertex count, got {n!r}")
+    if type(n) is not int or not 1 <= n <= EXPECT_LIMIT:  # bool is no size
+        raise BadParamsError(f"expected counts need a vertex count in [1, {EXPECT_LIMIT}], got {n!r}")
     slots = n * (n - 1)
     if type(m) is not int:  # bool is no count
         raise BadParamsError(f"arc count must be an integer, got {m!r}")
     if not 0 <= m <= slots:
         raise BadParamsError(f"arc count must lie in [0, {slots}], got {m}")
-    if n > EXPECT_LIMIT:
-        raise TooLargeError(f"expected counts capped at n={EXPECT_LIMIT}, got {n}")
     prob = [Fraction(1)]
     for t in range(min(n, m)):
         prob.append(prob[-1] * Fraction(m - t, slots - t))
@@ -143,18 +142,65 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _run_share(fn: Callable[[Sequence[T]], Sequence[R]], share: Sequence[T], write: int) -> NoReturn:
+    """A forked child's whole life: fn's results over its share, or the exception fn raised, pickled into its pipe,
+    then os._exit whatever happens, so it never returns into the caller's stack, flushes the caller's stdio buffers
+    or runs its atexit hooks. It exits 0 only once its whole payload is written."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps(list(fn(share)))
+        except BaseException as exc:  # an interrupt too: the caller raises it again
+            payload = pickle.dumps(exc)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def parallel_map(fn: Callable[[Sequence[T]], Sequence[R]], items: Sequence[T], threads: int) -> list[R]:
-    """The concatenated results of fn over chunks of items, in order: fn takes a
-    slice of items and returns one result per item. The chunks fan out to at
-    most `threads` worker processes, and to no more than the CPUs this process
-    may use; with one worker, fn takes every item in one call. Otherwise items
-    go out in at most 4 * workers chunks, so no worker waits long on a slow last
-    chunk, and no more workers start than there are chunks. fn and the item
-    slices must pickle."""
-    threads = min(threads, _usable_cpus())
-    if threads <= 1 or len(items) <= 1:
+    """The concatenated results of fn over contiguous shares of items, in order: fn takes a slice of items and
+    returns one result per item. One fork-join over w = min(threads, usable CPUs, len(items)) workers: the caller
+    counts the first of w near-equal shares while w - 1 children forked with os.fork count the rest, then reads
+    each child's pipe in share order and reaps the child, so its CPU time lands in RUSAGE_CHILDREN. With one
+    worker, or no os.fork, fn takes every item in one call. A child's exception is raised again here, and a child
+    that ends without a result raises ChildProcessError; whenever the caller raises, it kills and reaps its
+    children. fork copies only the calling thread, so the caller must not share fn's locks with other threads."""
+    workers = min(threads, _usable_cpus(), len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
         return list(fn(items))
-    step = -(-len(items) // (4 * threads))
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    with ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-        return [result for part in pool.map(fn, chunks) for result in part]
+    bounds = [len(items) * k // workers for k in range(workers + 1)]
+    shares = [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    pipes, running = [], []  # read ends in share order; children not yet reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, share, write)
+            finally:
+                os.close(write)  # with no write end left here, a pipe reads to its end once its child exits
+            running.append(pid)
+        out = list(fn(shares[0]))
+        for pipe, pid in zip(pipes, list(running)):
+            payload = pipe.read()  # to its end before the wait: a share's results can pass the pipe's buffer
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code:
+                ending = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"worker process {pid} ended without a result ({ending})")
+            result = pickle.loads(payload)  # bytes a child of this call wrote
+            if isinstance(result, BaseException):
+                raise result
+            out += result
+        return out
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        for pid in running:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()

@@ -144,7 +144,9 @@ def check_half_hitting(b: BipartiteGraph) -> TheoremReport:
     perfect matchings share an edge with it."""
     _require_balanced_bipartite(b, "half-hitting")
     if b.nl > HALF_HITTING_LIMIT:
-        raise TooLargeError(f"half-hitting check wants balanced parts of at most {HALF_HITTING_LIMIT}")
+        raise TooLargeError(
+            f"the half-hitting statement needs balanced parts of at most {HALF_HITTING_LIMIT}, got {b.nl} x {b.nr}"
+        )
     # each target's misses are per(B - M), B without M's edges, and its hits the rest of per(B): one kernel call
     avoiding = [[row & ~(1 << j) for row, j in zip(b.biadj, m)] for m in enumerate_perfect_matchings(b)]
     total, *misses = permanent_zero_one(b.nl, [b.biadj, *avoiding])
@@ -492,11 +494,11 @@ def _exhaustive_survey(family: str, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return rows.T, d, p, ok, equality
 
 
-SAMPLED_BLOCK = 64  # draws held and counted per kernel call, so a chunk's memory does not grow with its length
+SAMPLED_BLOCK = 64  # draws held and counted per kernel call, so a share's memory does not grow with its length
 
 
 def _sampled_rows(model: ModelSpec, seed: int, indices: range) -> list[tuple[tuple[int, ...], int, int]]:
-    """The rows, d and p of each draw in a chunk of sample indices, drawn and counted SAMPLED_BLOCK at a time,
+    """The rows, d and p of each draw in a share of sample indices, drawn and counted SAMPLED_BLOCK at a time,
     each block in one sampler call and one kernel call. A draw is counted as the Digraph of its rows, which the
     sampler makes symmetric for the graph kind: d and p depend on the rows alone."""
     out = []

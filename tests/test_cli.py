@@ -519,12 +519,14 @@ def test_json_error_exits_write_one_schema_line(capsys, tmp_path, write_graph, s
     schema = schema_loader("error")
     k4 = write_graph("graph 4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
     b23 = write_graph("bipartite 2 3\n0 0\n1 1\n")
+    k77 = write_graph(serialize_graph(complete_bipartite(7)))
     missing = str(tmp_path / "missing.txt")
     cases = [
         (("count", "--input", missing, "--what", "ratio"), 3, "FileNotFoundError", "error"),
         (("verify", "--theorem", "injection", "--input", missing), 3, "FileNotFoundError", "error"),
         (("mc", "--model", "digraph", "--n", "4", "--q", "3/2", "--samples", "1"), 2, "BadParamsError", "error"),
-        (("expect", "--n", "501", "--m", "0"), 2, "TooLargeError", "error"),
+        (("expect", "--n", "501", "--m", "0"), 2, "BadParamsError", "error"),
+        (("verify", "--theorem", "1", "--input", k77), 2, "TooLargeError", "error"),
         # unbalanced parts are a wrongly shaped input, not a too large one
         (("verify", "--theorem", "1", "--input", b23), 2, "BadParamsError", "error"),
         (("inject", "--input", k4, "--vertex", "0", "--perm", "0,1,2,3", "--invert"), 1, "NotInImageError", "not in image"),
@@ -734,7 +736,7 @@ def test_expect_budget_edge_and_one_vertex(capsys, schema_loader):
         mantissa, scale = int(value[0] + value[2:13]), int(value[15:]) - 11
         assert abs(2 * num - 2 * mantissa * 10**scale * den) <= 10**scale * den
     code, out, err = run(capsys, "expect", "--n", str(EXPECT_LIMIT + 1), "--m", "0")
-    assert (code, out, err) == (2, "", "error: expected counts capped at n=500, got 501\n")
+    assert (code, out, err) == (2, "", "error: expected counts need a vertex count in [1, 500], got 501\n")
 
 
 def test_expect_cli(capsys, schema_loader):

@@ -205,7 +205,8 @@ def test_expected_counts_pinned_value():
 @pytest.mark.parametrize(
     "n, m, message",
     [
-        (0, 0, "model needs a positive vertex count, got 0"),
+        (0, 0, "expected counts need a vertex count in [1, 500], got 0"),
+        (501, 0, "expected counts need a vertex count in [1, 500], got 501"),
         (3, 7, "arc count must lie in [0, 6], got 7"),
         (3, -1, "arc count must lie in [0, 6], got -1"),
         # True == 1 and 2.5 compares, but neither is an arc count

@@ -104,6 +104,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "WIDE_SIZES", (17, 18))
     monkeypatch.setattr(bench, "DRAWS", 3)
     monkeypatch.setattr(bench, "PASS_SIZES", (2, 4))
+    monkeypatch.setattr(bench, "FANOUT", (("digraph", 5, 4), ("graph", 4, 3)))
     settings = (permanent.HIGH_BLOCK, permanent.GLYNN_MAX)
     assert bench.main(["--out", str(out)]) == 0  # the imported package, as "current"
     assert (permanent.HIGH_BLOCK, permanent.GLYNN_MAX) == settings  # the pass sweep puts HIGH_BLOCK back
@@ -150,10 +151,17 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         assert {name: row["graphs"] for name, row in run["scan"].items()} == {"digraphs-3": 64, "bipartite-2": 16}
         for row in run["scan"].values():
             assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+    for run in doc["runs"].values():
+        fanout = run["fanout"]
+        assert {name: (row["kind"], row["n"], row["draws"], row["calls"]) for name, row in fanout.items()} == {
+            "digraph-5-4": ("digraph", 5, 4, 2), "graph-4-3": ("graph", 4, 3, 2)}
+        for row in fanout.values():
+            for workers in ("workers_1", "workers_2"):
+                assert 0 < row[workers]["q1_ms"] <= row[workers]["median_ms"] <= row[workers]["q3_ms"]
     printed = capsys.readouterr().out
     assert "current  n= 6" in printed and "second  injection refusal" in printed
     assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
-    assert "first  wide n=18" in printed
+    assert "first  wide n=18" in printed and "second  fanout graph-4-3" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):

@@ -1,10 +1,15 @@
 import csv
 import io
+import itertools
 import json
+import os
 import random
+import signal
+import time
 from fractions import Fraction
 from math import comb, factorial
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -45,11 +50,13 @@ from permatch import (
     invert_injection,
     knn_ratio_sum,
     lonely_matching_ring,
+    mc_dp_ratio,
     new_bipartite,
     new_digraph,
     new_graph,
     parse_graph,
     permanent_ryser,
+    random_models,
     scan,
     subpermanent_sides,
     verify,
@@ -790,64 +797,137 @@ def test_written_records_match_the_per_record_route(monkeypatch, tmp_path, famil
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces parallel_map's process pool with an inline one; returns the
-    worker counts the pools were asked for."""
-    from permatch import random_models
+def forks(monkeypatch):
+    """The pid of every child os.fork starts during the test, as the forking process sees it."""
+    started = []
+    fork = os.fork
 
-    asked = []
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(random_models, "ProcessPoolExecutor", InlinePool)
-    return asked
+    monkeypatch.setattr(os, "fork", counted)
+    return started
 
 
-def test_scan_starts_no_more_workers_than_chunks(monkeypatch, pool_sizes):
-    from permatch import random_models, verify
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # nothing to reap, running or exited
+        os.waitpid(-1, os.WNOHANG)
 
-    # scan fans out only through parallel_map, whose pool is replaced here
-    assert not hasattr(verify, "ProcessPoolExecutor")
-    monkeypatch.setattr(random_models, "_usable_cpus", lambda: 64)  # only the chunk cap binds
+
+def with_pids(share):
+    """parallel_map's fn that says which process computed each item: (pid, item) per item."""
+    return [(os.getpid(), x) for x in share]
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="parallel_map forks only where os.fork exists")
+
+
+@needs_fork
+def test_scan_starts_no_more_workers_than_chunks(monkeypatch, forks):
+    monkeypatch.setattr(random_models, "_usable_cpus", lambda: 64)  # only the item cap binds
     summary = scan("sampled-undirected", 4, samples=4, threads=64)
     assert summary["graphs"] == 4
-    assert pool_sizes == [4]  # one chunk per graph, one worker per chunk
+    assert len(forks) == 3  # one share per graph, the caller counting the first
     scan("digraphs", 2, threads=64)
-    assert pool_sizes == [4]  # an exhaustive family is one in-process pass
+    assert len(forks) == 3  # an exhaustive family is one in-process pass
+    no_child_left()
 
 
-def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
-    from permatch import random_models
+@needs_fork
+def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch, forks):
+    # (threads, usable CPUs, items): min(threads, CPUs, items) workers, each one contiguous share
+    for threads, cpus, items in [(8, 3, 1000), (3, 8, 10), (8, 8, 5), (2, 2, 7), (64, 64, 4)]:
+        monkeypatch.setattr(random_models, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        got = random_models.parallel_map(with_pids, range(items), threads)
+        assert [x for _, x in got] == list(range(items))  # every item once, in order
+        runs = [(pid, len(list(run))) for pid, run in itertools.groupby(pid for pid, _ in got)]
+        pids = [pid for pid, _ in runs]
+        workers = min(threads, cpus, items)
+        assert len(set(pids)) == len(pids) == workers and len(forks) == workers - 1  # contiguous shares
+        assert pids[0] == os.getpid() and pids[1:] == forks  # the caller's own call takes the first share
+        assert {size for _, size in runs} <= {items // workers, -(-items // workers)}
+    # one CPU, one thread or one item: fn takes every item in one call, and nothing forks
+    calls = []
 
-    items = range(-500, 500)
-    chunks = []
+    def recorded(share):
+        calls.append(share)
+        return with_pids(share)
 
-    def chunk_abs(chunk):  # fn takes a whole chunk and returns one result per item
-        chunks.append(chunk)
-        return [abs(x) for x in chunk]
+    forks.clear()
+    for threads, cpus, items in [(4, 1, 100), (1, 8, 100), (4, 8, 1)]:
+        monkeypatch.setattr(random_models, "_usable_cpus", lambda: cpus)
+        assert random_models.parallel_map(recorded, range(items), threads) == with_pids(range(items))
+        assert calls.pop() == range(items) and not calls and not forks
+    monkeypatch.delattr(os, "fork")  # a platform without fork runs in-process
+    assert random_models.parallel_map(recorded, range(100), 8) == with_pids(range(100))
+    assert calls == [range(100)]
 
-    cpus = random_models._usable_cpus()
-    assert random_models.parallel_map(chunk_abs, items, 1000) == [abs(x) for x in items]
-    assert pool_sizes == ([cpus] if cpus > 1 else [])  # one CPU runs inline
-    assert len(chunks) == (4 * cpus if cpus > 1 else 1)  # inline, every item goes in one call
+
+@needs_fork
+def test_parallel_map_raises_a_childs_error_and_leaves_no_child(monkeypatch):
     monkeypatch.setattr(random_models, "_usable_cpus", lambda: 3)
-    chunks.clear()
-    assert random_models.parallel_map(chunk_abs, items, 1000) == [abs(x) for x in items]
-    assert pool_sizes[-1] == 3
-    # at most 4 * workers chunks of ceil(1000 / 12) items, in order
-    assert [len(c) for c in chunks] == [84] * 11 + [76] and [x for c in chunks for x in c] == list(items)
-    assert random_models.parallel_map(chunk_abs, range(1), 3) == [0] and chunks[-1] == range(1)
+
+    def refuse_past_the_first(share):  # shares [0, 1], [2, 3], [4, 5]: only the children refuse
+        if share[0]:
+            raise OutOfRangeError(f"share from {share[0]} refused")
+        return list(share)
+
+    with pytest.raises(OutOfRangeError) as exc:
+        random_models.parallel_map(refuse_past_the_first, range(6), 3)
+    assert str(exc.value) == "share from 2 refused"  # the first child's, in share order
+    no_child_left()
+
+    def caller_refuses(share):
+        if share[0]:
+            time.sleep(60)
+            return list(share)
+        raise OutOfRangeError("the caller's share refused")
+
+    start = time.perf_counter()
+    with pytest.raises(OutOfRangeError, match="the caller's share refused"):
+        random_models.parallel_map(caller_refuses, range(6), 3)
+    assert time.perf_counter() - start < 30  # the sleeping children were killed, not waited for
+    no_child_left()
+
+
+@needs_fork
+def test_parallel_map_reads_a_share_past_the_pipe_buffer(monkeypatch):
+    monkeypatch.setattr(random_models, "_usable_cpus", lambda: 2)
+    # a child's share is 400 KB of results, past a 64 KB pipe buffer; fn is a lambda, which no pickle could send
+    got = random_models.parallel_map(lambda share: [bytes([x]) * 100_000 for x in share], range(8), 2)
+    assert got == [bytes([x]) * 100_000 for x in range(8)]
+    no_child_left()
+
+
+def die_past_the_first_share(model, seed, indices):
+    """_sampled_rows, but a worker given any share past the first is killed, as the out-of-memory killer would."""
+    if indices.start:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _sampled_rows(model, seed, indices)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or random_models._usable_cpus() < 2, reason="needs os.fork and two usable CPUs"
+)
+def test_a_dead_worker_exits_3_and_leaves_no_child(monkeypatch, capsys, schema_loader):
+    monkeypatch.setattr(verify, "_sampled_rows", die_past_the_first_share)
+    with pytest.raises(ChildProcessError, match=r"ended without a result \(killed by signal 9\)"):
+        mc_dp_ratio(ModelSpec("digraph", 6, q="1/2"), samples=8, seed=1, threads=2)
+    no_child_left()
+    argv = ["mc", "--model", "digraph", "--n", "6", "--q", "1/2", "--samples", "8", "--threads", "2"]
+    assert cli.main(argv) == 3  # an OSError, never the counterexample's exit 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: worker process ") and err.count("\n") == 1
+    assert cli.main(argv + ["--json"]) == 3
+    out, err = capsys.readouterr()
+    doc = json.loads(err)
+    jsonschema.validate(doc, schema_loader("error"))
+    assert out == "" and (doc["error"], doc["exit"]) == ("ChildProcessError", 3) and err.count("\n") == 1
+    no_child_left()
 
 
 def per_graph_row(family, n, index):

@@ -61,6 +61,9 @@ COMMANDS = {
     # the slowest arc count found at the 500-vertex cap
     "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
+    # the Monte Carlo d/p on D(20, 1/2): two n = 20 permanents per draw, fanned out over 2 workers
+    "mc-digraph-20": ["mc", "--model", "digraph", "--n", "20", "--q", "1/2", "--samples", "24", "--seed", "7",
+                      "--threads", "2"],
 }
 RUNS = 11  # fewer runs leave a 10-15 % change inside the noise of a 2-vCPU machine
 # the tier-1 suite, run from a checkout's root; -rP in its pytest options prints every ACCEPTANCE line

@@ -14,7 +14,11 @@ machine drift during a sitting reaches both trees alike. Under each label:
   6, 8, 9, 12, 13 and 14, counted by one dp_counts_many call against one such
   call per draw;
 * ``wide``: the one-graph call of ``sizes`` at n = 17, 18, 19 and 20, where
-  Glynn's int64 total wraps and a float64 total completes it;
+  Glynn's int64 total can wrap, on D(n, 1/2) digraphs (keys ``17`` to ``20``),
+  which Bregman's bound certifies so that the wrapped total alone is exact,
+  and on D(n, 9/10) ones (keys ``17 q=9/10`` and so on): certified too at
+  n = 17 and 18, while at n = 19 and 20 most of their calls need a float64
+  total to complete the wrapped one;
 * ``pass_sweep``: the stacked one-call time at n = 12 with HIGH_BLOCK set to
   2, 4, 8 and 16 for the call (a pass then holds 2 * HIGH_BLOCK matrices);
 * ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
@@ -43,6 +47,7 @@ construction. Other labels already in the file are kept:
 
 import argparse
 import importlib.util
+import itertools
 import json
 import platform
 import statistics
@@ -60,7 +65,8 @@ import permatch
 from permatch.random_models import _usable_cpus
 
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
-WIDE_SIZES = (17, 18, 19, 20)  # sizes past GLYNN_MAX, whose Glynn total needs the float completion
+WIDE_SIZES = (17, 18, 19, 20)  # sizes past GLYNN_MAX, whose Glynn total can wrap int64
+WIDE_DENSE = "9/10"  # the arc probability of the wide rows that reach the float completion (at n = 19 and 20)
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
 STACKED = (4, 6, 8, 9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
@@ -122,25 +128,25 @@ def quartiles(values: list[float], unit: str, scale: float) -> dict:
     return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3}
 
 
-def draws(pm: ModuleType, kind: str, n: int, count: int) -> list:
+def draws(pm: ModuleType, kind: str, n: int, count: int, q: str = "1/2") -> list:
     """The first count seeded draws of the model, as the tree's Digraphs."""
-    rows = pm.random_models.sample_rows(pm.ModelSpec(kind, n, q="1/2"), range(count)).tolist()
+    rows = pm.random_models.sample_rows(pm.ModelSpec(kind, n, q=q), range(count)).tolist()
     return [pm.Digraph(n, tuple(r)) for r in rows]
 
 
-def time_pairs(trees: Trees, sizes: tuple[int, ...]) -> dict[str, dict]:
-    """Per label and n in sizes: milliseconds per one-graph dp_counts_many call on every seeded D(n, 1/2) graph
-    in every round."""
+def time_pairs(trees: Trees, sizes: tuple[int, ...], qs: tuple[str, ...] = ("1/2",)) -> dict[str, dict]:
+    """Per label, q in qs and n in sizes: milliseconds per one-graph dp_counts_many call on every seeded D(n, q)
+    graph in every round, keyed n, or n and q when q is not 1/2."""
     out: dict[str, dict] = {label: {} for label in trees}
-    for n in sizes:
+    for q, n in itertools.product(qs, sizes):
         steps = {
             (label, seed): partial(pm.dp_counts_many, [g])
             for label, pm in trees.items()
-            for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS))
+            for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS, q))
         }
         for label, by_seed in alternate(steps).items():
             times = [t for ts in by_seed.values() for t in ts]
-            out[label][str(n)] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
+            out[label][str(n) if q == "1/2" else f"{n} q={q}"] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
     return out
 
 
@@ -366,7 +372,7 @@ def main(argv=None):
     trees = {label: load_tree(i, src) for i, (label, src) in enumerate(args.sources)} or {"current": permatch}
     entries = {
         "sizes": time_pairs(trees, SIZES),
-        "wide": time_pairs(trees, WIDE_SIZES),
+        "wide": time_pairs(trees, WIDE_SIZES, ("1/2", WIDE_DENSE)),
         "stacked": time_stacked(trees),
         "pass_sweep": time_pass_sweep(trees),
         "profile": time_profiles(trees),

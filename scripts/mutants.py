@@ -16,13 +16,15 @@ Exit 0 when every mutant is killed and 1 when one survives: a survivor needs
 a new test, never a dropped row. Exit 2 on a stale snippet, on a named test
 that fails unmutated, or on a pytest run that errors instead of failing.
 
-A mutant whose outcome cannot change is no row. ``LOW_BITS = 11``, ``13``
-and ``16`` are such: Glynn's sum ranges over at most 19 columns, so the high
-part then needs at most 8 bits, inside its one-byte count table, and the
-kernel stays exact at every n the tests run, the int64-exact sizes and the
-float-completed ones both. ``GLYNN_MAX = 15`` would be one too, as the float
-completion is exact at n = 16, but a test pins GLYNN_MAX to the largest size
-whose Glynn total fits int64.
+A mutant whose outcome cannot change is no row. ``LOW_BITS = 11`` and ``13``
+are such: Glynn's sum ranges over at most 19 columns, so the high part then
+needs at most 8 bits, inside its one-byte count table, and the kernel stays
+exact at every n the tests run, the int64-exact sizes and the wide ones both
+(``16`` would leave n = 17 without the high part that the wide route halves).
+``GLYNN_MAX = 15`` would be one too, as the route past it (halved even rows,
+int16 pieces, Bregman's certificate or the float completion) is exact at
+n = 16, but a test pins GLYNN_MAX to the largest size whose Glynn total fits
+int64.
 """
 
 import argparse
@@ -150,7 +152,7 @@ MUTANTS = (
     Mutant(
         "glynn-offset-dropped",  # each row's value without its -r_i
         "src/permatch/permanent.py",
-        "        lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i\n",
+        "        lo_high -= counts.astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i\n",
         "",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[9]",
@@ -164,17 +166,44 @@ MUTANTS = (
         "                    np.multiply(pass_prod, g, out=approx[:m])\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
-            "tests/test_permanent.py::test_float_completed_sizes_match_the_dict_dp",
+            "tests/test_permanent.py::test_float_completed_sizes_match_inclusion_exclusion_when_dense",
         ),
     ),
     Mutant(
         "float-completion-dropped",  # past GLYNN_MAX per comes from the wrapped int64 total alone
         "src/permatch/permanent.py",
-        "    if wide:  # T = t + 2^64 j, j the integer that brings T within 2^63 of the float total\n",
-        "    if False:\n",
+        "        if not certified:  # T' = t + 2^64 j, j the integer that brings T' within 2^63 of the float total\n",
+        "        if False:\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[17]",
             "tests/test_permanent.py::test_float_completed_sizes_match_inclusion_exclusion_when_dense",
+        ),
+    ),
+    Mutant(
+        "certificate-64-bits",  # a certified total may then pass 2^63 and read negative in int64
+        "src/permatch/permanent.py",
+        "    return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 63 - scale + 32 * len(counts)\n",
+        "    return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 64 - scale + 32 * len(counts)\n",
+        ("tests/test_permanent.py::test_certificate_edges_on_blocks_of_ones",),
+    ),
+    Mutant(
+        "certificate-without-scale",  # Bregman's bound on per(A) alone, not on the 2^scale per(A) the kernel sums
+        "src/permatch/permanent.py",
+        "    return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 63 - scale + 32 * len(counts)\n",
+        "    return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 63 + 32 * len(counts)\n",
+        (
+            "tests/test_permanent.py::test_zero_one_boundaries[17]",
+            "tests/test_permanent.py::test_zero_one_boundaries[19]",
+        ),
+    ),
+    Mutant(
+        "pieces-of-4",  # 19^4 > 2^15: a piece of four odd rows of J_20 - I wraps int16
+        "src/permatch/permanent.py",
+        "PIECE_ROWS = 3\n",
+        "PIECE_ROWS = 4\n",
+        (
+            "tests/test_permanent.py::test_row_piece_fits_int16",
+            "tests/test_permanent.py::test_zero_one_boundaries[20]",
         ),
     ),
     Mutant(

@@ -11,13 +11,18 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
   values go into int32 products of 7 (at most 20 in magnitude, and
   20^7 < 2^31), combined in wrapping int64, so the total is exact mod 2^64.
   Through n = 16 that is the total itself, 2^(n-1) per <= 2^15 * 16! < 2^63,
-  and a shift turns it into per. From n = 17 the kernel also sums each column
-  set's product in float64, which lands within 2^63 of the total (the bound is
-  in ``_permanents_bits``), and picks the one integer of the wrapped residue
-  class that lies that close. One call counts a whole list of matrices of one
-  size, stacked into passes that reuse one set of work arrays, so a caller
-  that needs several permanents states them all at once. Larger inputs are
-  refused.
+  and a shift turns it into per. From n = 17 a row of even count has only
+  even values, so those rows are halved, and row values are multiplied three
+  at a time in int16 (20^3 < 2^15) before they join their group. Bregman's
+  bound per <= prod_i (r_i!)^(1/r_i), over a table of its factors rounded up
+  in exact integers, then certifies most matrices' halved totals below 2^63,
+  where the wrapped total is exact again. A pass that holds any other matrix
+  also sums each column set's product in float64, which lands within 2^63 of
+  the total (the bound is in ``_permanents_bits``), and picks the one integer
+  of the wrapped residue class that lies that close. One call counts a whole
+  list of matrices of one size, stacked into passes that reuse one set of
+  work arrays, so a caller that needs several permanents states them all at
+  once. Larger inputs are refused.
 
 ``subset_permanents`` does a different job: the permanents of every
 restriction of one host at once. Each permutation of the host uses a fixed
@@ -32,7 +37,8 @@ off one table of square-block permanents, held to ``permanent_ryser``.
 
 from __future__ import annotations
 
-from math import comb
+import math
+from math import comb, factorial
 from typing import Sequence
 
 import numpy as np
@@ -97,20 +103,45 @@ def permanent_ryser(m: Matrix) -> int:
 
 DP_MAX = 20
 # Glynn's total is 2^(n-1) * per(A) <= 2^15 * 16! < 2^63 through GLYNN_MAX rows: the wrapped int64 total is exact.
-# Past it (2^16 * 17! > 2^64) the int64 total keeps the residue mod 2^64, and a float64 total picks the integer.
+# Past it (2^16 * 17! > 2^64) the int64 total keeps the residue mod 2^64: Bregman's bound certifies the matrices
+# whose total stays under 2^63, and for the others a float64 total picks the integer.
 GLYNN_MAX = 16
 # The kernel splits column sets as S = L + H * 2^LOW_BITS and takes HIGH_BLOCK high
 # parts H at a time. A pass stacks as many matrices as fit HIGH_BLOCK * 2^LOW_BITS
 # int32 elements per row group, and never fewer than two: 16 at n = 12,
 # 8 at n = 13, 4 at n = 14, 2 from n = 15 on. A row value is at most DP_MAX in
 # magnitude and DP_MAX^7 < 2^31, so a product of GROUP_ROWS row values fits int32.
+# Past GLYNN_MAX a group multiplies its row values PIECE_ROWS at a time in int16 (DP_MAX^3 < 2^15) first, and
+# every pass has high parts (LOW_BITS < GLYNN_MAX).
 LOW_BITS = 12
 HIGH_BLOCK = 8
 GROUP_ROWS = 7
+PIECE_ROWS = 3
 _BYTES = np.arange(256, dtype=np.uint8)
 _COUNTS = 2 * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8)  # [a, b] = 2 |a & b|, read-only
 _COUNTS.flags.writeable = False
 _SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << LOW_BITS)) & 1).astype(np.int32)  # (-1)^|mask|
+
+
+def _ceil_root(x: int, r: int) -> int:
+    """The least b with b^r >= x, for x >= 1, from a float guess that is off by less than 2."""
+    b = round(x ** (1 / r)) + 2
+    while (b - 1) ** r >= x:
+        b -= 1
+    return b
+
+
+# Bregman (1973): per(A) <= prod_i (r_i!)^(1/r_i) over the rows of a 0/1 matrix, r_i > 0. BREGMAN[r] =
+# ceil(2^32 (r!)^(1/r)), so 2^(-32 n) prod_i BREGMAN[r_i] bounds per(A) in exact integers. A row with r = 0 makes
+# per(A) = 0, under any bound: BREGMAN[0] = 2^32 stands for a factor 1.
+BREGMAN = [1 << 32] + [_ceil_root(factorial(r) << 32 * r, r) for r in range(1, DP_MAX + 1)]
+
+
+def _certificate(counts: list[int]) -> tuple[int, bool]:
+    """(scale, certified) for a matrix past GLYNN_MAX with these row counts: the kernel sums T' = 2^scale per(A),
+    scale = n - 1 - e with e rows of even count halved, and certified says that Bregman puts T' below 2^63."""
+    scale = sum(r & 1 for r in counts) - 1  # n - 1 - e, the odd rows less one
+    return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 63 - scale + 32 * len(counts)
 
 
 def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
@@ -122,14 +153,18 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
 
         T = 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
 
-    The int64 total t is T mod 2^64, and T itself through GLYNN_MAX. Past it (three row groups, g0 g1 g2) each
-    term is also formed in float64 as float(g0 g1) * g2, g0 g1 exact in int64, and summed into a float total a.
-    A term then carries at most 2 roundings and the sum at most N - 1 more, N = 2^(n-1) terms, so with
-    u = 2^-53, |a - T| <= (N + 2) u sum_S prod_i |v_i(S)|. By Hoelder that sum is at most
-    B_n = max over rows of sum_S |v_i(S)|^n, and (N + 2) u B_n < 2^62 from GLYNN_MAX + 1 to DP_MAX (B_20 ~ 2^89.2),
-    so T is the one integer congruent to t mod 2^64 within 2^63 of a, t + 2^64 round((a - t) / 2^64). The work
-    arrays are allocated once per call, sized for one pass, and every pass overwrites them: fresh arrays per pass
-    page-fault again each time."""
+    The int64 total t is T mod 2^64, and T itself through GLYNN_MAX. Past it, row i's value v_i(S) has the parity
+    of r_i, so the e rows of even count are halved and the sum is T' = 2^(n-1-e) per(A), each row group's values
+    multiplied PIECE_ROWS at a time in int16 first. Where _certificate finds 2^(n-1-e) 2^(-32 n) prod_i
+    BREGMAN[r_i] < 2^63, Bregman puts T' in [0, 2^63) and t is T'. A pass that holds any other matrix also forms
+    each term in float64 as float(g0 g1) * g2 over its three row groups, g0 g1 exact in int64, and sums them
+    into a float total a. A term then carries at most 2 roundings and the sum at most N - 1 more, N = 2^(n-1)
+    terms, so with u = 2^-53, |a - T'| <= (N + 2) u sum_S prod_i |v_i(S)|, a sum that halving only shrinks. By
+    Hoelder it is at most B_n = max over rows of sum_S |v_i(S)|^n, and (N + 2) u B_n < 2^62 from GLYNN_MAX + 1 to
+    DP_MAX (B_20 ~ 2^89.2), so T' is the one integer congruent to t mod 2^64 within 2^63 of a,
+    t + 2^64 round((a - t) / 2^64). The work arrays are allocated once per call, sized for one pass, and every
+    pass overwrites them: fresh arrays per pass page-fault again each time. The float ones come with the first
+    pass that needs them."""
     if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split
         return [1] * len(matrices)
     bits = n - 1  # the columns S ranges over: Glynn holds column 0 fixed
@@ -140,45 +175,65 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
     starts = range(0, n, GROUP_ROWS)
-    wide = n > GLYNN_MAX  # three row groups, and a float total beside the wrapped one
-    lo = np.empty((per_pass, n, width), dtype=np.int8)  # row i's value at S = L
+    wide = n > GLYNN_MAX  # three row groups, even rows halved, int16 pieces, and a certificate or a float total
+    pieces, values = (PIECE_ROWS, np.int16) if wide else (1, np.int8)
+    lo = np.empty((per_pass, n, width), dtype=values)  # row i's value at S = L
     groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
-    term = np.empty(groups.shape[1:], dtype=np.int8)
+    piece = np.empty(groups.shape[1:], dtype=values)  # a row value, or past GLYNN_MAX a product of PIECE_ROWS
+    term = np.empty_like(piece) if wide else piece  # a piece's later rows, past GLYNN_MAX only
     prod = np.empty(groups.shape[1:], dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
-    if wide:
-        approx, floats = np.empty(groups.shape[1:], dtype=np.float64), np.zeros(k, dtype=np.float64)
+    checks, approx, floats = [], None, None  # (scale, certified) per matrix past GLYNN_MAX
     for first in range(0, k, per_pass):
         m = min(per_pass, k - first)
-        pass_lo, pass_groups, pass_term, pass_prod = lo[:m], groups[:, :m], term[:m], prod[:m]
-        pass_totals = totals[first : first + m]
+        pass_lo, pass_groups, pass_piece, pass_term = lo[:m], groups[:, :m], piece[:m], term[:m]
+        pass_prod, pass_totals = prod[:m], totals[first : first + m]
         rows = np.array(matrices[first : first + m], dtype=np.int64)
+        counts = np.bitwise_count(rows)
         # the first byte and the rest of L, and H, of every row of the pass (column 0 dropped): count table indices
         part = (rows[..., None] >> [1, 9, low + 1]).astype(np.uint8)
         lo_low, lo_high = _COUNTS[:, :lo_bytes][part[:, :, 0]], _COUNTS[:, :lo_rest][part[:, :, 1]]
-        lo_high -= np.bitwise_count(rows).astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i
+        lo_high -= counts.astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
         hi = _COUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
+        complete = False
+        if wide:
+            even = (1 - (counts & 1)).astype(values)[..., None]
+            pass_lo >>= even
+            hi = hi.astype(values) >> even
+            checks += map(_certificate, counts.tolist())
+            complete = not all(certified for _, certified in checks[first:])
+            if complete and approx is None:
+                approx, floats = np.empty(groups.shape[1:], dtype=np.float64), np.zeros(k, dtype=np.float64)
         for h in range(0, 1 << high, block):
             for g, s in zip(pass_groups, starts):
-                for i in range(s, min(s + GROUP_ROWS, n)):
+                for i in range(s, min(s + GROUP_ROWS, n), pieces):
                     row = pass_lo[:, i, None]
                     if high:
-                        row = np.add(row, hi[:, i, h : h + block, None], out=pass_term)
-                    # a group starts from its first row, the first group times the signs
+                        row = np.add(row, hi[:, i, h : h + block, None], out=pass_piece)
+                    if wide:  # the piece's other rows, multiplied in int16
+                        for j in range(i + 1, min(i + pieces, s + GROUP_ROWS, n)):
+                            value = np.add(pass_lo[:, j, None], hi[:, j, h : h + block, None], out=pass_term)
+                            np.multiply(row, value, out=row)
+                    # a group starts from its first piece, the first group times the signs
                     np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
             sign = (-1) ** (n + h.bit_count())
             np.copyto(pass_prod, pass_groups[0])
             for index, g in enumerate(pass_groups[1:], 2):
-                if wide and index == len(starts):  # without dtype numpy multiplies in int64, which wraps
+                if complete and index == len(starts):  # without dtype numpy multiplies in int64, which wraps
                     np.multiply(pass_prod, g, out=approx[:m], dtype=np.float64)
                     floats[first : first + m] += sign * approx[:m].sum(axis=(1, 2))
                 np.multiply(pass_prod, g, out=pass_prod)
             pass_totals += sign * pass_prod.sum(axis=(1, 2))
-    if wide:  # T = t + 2^64 j, j the integer that brings T within 2^63 of the float total
-        return [(t + ((int(a) - t + 2**63) >> 64 << 64)) >> n - 1 for t, a in zip(totals.tolist(), floats.tolist())]
-    totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
-    return totals.tolist()
+    if not wide:
+        totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
+        return totals.tolist()
+    out = []
+    for index, (t, (scale, certified)) in enumerate(zip(totals.tolist(), checks)):
+        if not certified:  # T' = t + 2^64 j, j the integer that brings T' within 2^63 of the float total
+            t += (int(floats[index]) - t + 2**63) >> 64 << 64
+        out.append(t >> scale if scale >= 0 else t << 1)  # scale = -1 when every row is even
+    return out
 
 
 def permanent_zero_one(n: int, matrices: Sequence[Sequence[int]]) -> list[int]:

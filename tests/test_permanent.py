@@ -18,10 +18,13 @@ from permatch import (
 )
 from permatch.counting import _diagonal_profile
 from permatch.permanent import (
+    BREGMAN,
     DP_MAX,
     GLYNN_MAX,
     GROUP_ROWS,
+    PIECE_ROWS,
     RYSER_LIMIT,
+    _certificate,
     _permanents_bits,
     SUBSET_SLOTS_MAX,
     subset_permanents,
@@ -50,6 +53,22 @@ def per(rows, n):
 def pair(rows, n):
     """(per(A), per(A | I)) from one kernel call."""
     return tuple(permanent_zero_one(n, [rows, [row | 1 << i for i, row in enumerate(rows)]]))
+
+
+def blocks(*sizes):
+    """The block-diagonal 0/1 matrix J_a + J_b + ... as row bitmasks: per = a! b! ..., where Bregman's bound is
+    tight."""
+    rows, offset = [], 0
+    for size in sizes:
+        rows += [(1 << size) - 1 << offset] * size
+        offset += size
+    return rows
+
+
+def route(rows):
+    """(scale, certified) of a matrix past GLYNN_MAX: the kernel sums 2^scale per(A), and reads it off the wrapped
+    int64 total alone when certified."""
+    return _certificate([row.bit_count() for row in rows])
 
 
 def test_tiny_cases():
@@ -188,14 +207,18 @@ def test_zero_one_boundaries(n):
     # sets under one byte (7, 8) and exactly one (9), Glynn's split of columns 1..n-1 with no
     # high part (13) and one high bit (14), int32 row groups of 7 + 7 (14) and
     # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest exact int64 total, and
-    # n = 17 to 20, whose totals 2^(n-1) n! pass 2^64 and need the float total to
-    # complete the wrapped one
+    # n = 17 to 20, whose totals 2^(n-1) n! pass 2^64: J_17, J_19 and J_n - I at
+    # even n need the float total to complete the wrapped one, while J_n at even n
+    # and J_n - I at odd n have every row even, halved, and are certified
     full = (1 << n) - 1
     assert per([full] * n, n) == factorial(n)
     assert pair([full] * n, n) == (factorial(n), factorial(n))
     deranging = [full ^ 1 << i for i in range(n)]
     assert per(deranging, n) == derangement_number(n)
     assert pair(deranging, n) == (derangement_number(n), factorial(n))
+    if n > GLYNN_MAX:  # the route each took: every row odd and the float total, or every row even (e = n)
+        odd, even = ([full] * n, deranging) if n % 2 else (deranging, [full] * n)
+        assert route(odd) == (n - 1, False) and route(even) == (-1, True)
     # the zero matrix, an empty last row, and the permutation matrix of the cycle i -> i + 1
     cycle = [1 << (i + 1) % n for i in range(n)]
     assert permanent_zero_one(n, [[0] * n, [full] * (n - 1) + [0], cycle]) == [0, 0, 1]
@@ -220,6 +243,29 @@ def test_row_group_fits_int32():
     assert DP_MAX**GROUP_ROWS < 2**31
 
 
+def test_row_piece_fits_int16():
+    # past GLYNN_MAX a group's row values are multiplied PIECE_ROWS at a time in int16 first
+    assert DP_MAX**PIECE_ROWS < 2**15
+
+
+def test_bregman_table_rounds_the_factorial_roots_up():
+    # BREGMAN[r] is the least b with b^r >= r! 2^(32 r), so 2^(-32 n) prod_i BREGMAN[r_i] is never below Bregman's
+    # prod_i (r_i!)^(1/r_i), and only just above it: 2^(-32) (BREGMAN[r] - 1) falls short of (r!)^(1/r)
+    assert len(BREGMAN) == DP_MAX + 1 and BREGMAN[0] == 2**32
+    for r in range(1, DP_MAX + 1):
+        assert BREGMAN[r] ** r >= factorial(r) << 32 * r > (BREGMAN[r] - 1) ** r, r
+
+
+def test_certificate_edges_on_blocks_of_ones():
+    # every row of J_a + J_b at n = 20 is odd for odd a and b, so the kernel sums 2^19 a! b!: 2^62.72 for
+    # J_9 + J_11 is certified, 2^63.84 for J_7 + J_13 passes 2^63 and needs the float total
+    assert 2**62 < 2**19 * factorial(9) * factorial(11) < 2**63 <= 2**19 * factorial(7) * factorial(13) < 2**64
+    assert route(blocks(9, 11)) == (19, True)
+    assert route(blocks(7, 13)) == (19, False)
+    assert permanent_zero_one(20, [blocks(9, 11), blocks(7, 13)]) == [
+        factorial(9) * factorial(11), factorial(7) * factorial(13)]
+
+
 def test_glynn_total_fits_int64():
     # Glynn's total 2^(n-1) * per(A) <= 2^(n-1) * n! stays below the int64 wrap-around
     # through GLYNN_MAX, and no further
@@ -227,10 +273,12 @@ def test_glynn_total_fits_int64():
 
 
 def test_float_total_lands_within_the_wrapped_totals_reach():
-    # past GLYNN_MAX the kernel takes 2^(n-1) per(A) as the one integer of the wrapped int64 total's residue class
-    # within 2^63 of the float total. A float term carries at most 2 roundings and the sum of N = 2^(n-1) terms
-    # N - 1 more, so with u = 2^-53 the float total is off by at most (N + 2) u sum_S prod_i |v_i(S)|, and by
-    # Hoelder that sum is at most the largest sum_S |v(S)|^n over one row's values v(S) = 2 |(row >> 1) & S| - r.
+    # past GLYNN_MAX the kernel takes an uncertified total T' = 2^(n-1-e) per(A), its e even rows halved, as the one
+    # integer of the wrapped int64 total's residue class within 2^63 of the float total. A float term carries at
+    # most 2 roundings and the sum of N = 2^(n-1) terms N - 1 more, so with u = 2^-53 the float total is off by
+    # at most (N + 2) u sum_S prod_i |v_i(S)|, and by
+    # Hoelder that sum is at most the largest sum_S |v(S)|^n over one row's values v(S) = 2 |(row >> 1) & S| - r
+    # (halved values only make it smaller).
     # That sum depends only on the row's count r and whether column 0, which S never holds, is one of its bits:
     # with f = r or r - 1 bits among columns 1..n-1, |(row >> 1) & S| = j for C(f, j) 2^(n-1-f) sets S
     for n in range(GLYNN_MAX + 1, DP_MAX + 1):
@@ -251,24 +299,31 @@ FLOAT_DRAWS = [(17, 0), (17, 1), (17, 2), (18, 0), (18, 1), (19, 0), (20, 0)]
 def test_float_completed_sizes_match_the_dict_dp(n, seed):
     # a G(n, 1/2) draw A and A + I in one kernel call, against the diagonal profile of A + I by counting's
     # fixed-point DP, an algorithm apart from the kernel: A has no loop, so the permutations of A + I that fix no
-    # vertex are per(A). Their totals stay under 2^63, so a float total off by 2^64 or more shows here too
+    # vertex are per(A). Bregman certifies both totals, even rows halved, below 2^63, so the kernel reads them off
+    # the wrapped int64 total alone: a wrong halving or an int16 piece that overflows shows here
     rows = list(draw(ModelSpec("graph", n, q="1/2"), seed).rows)
-    profile = _diagonal_profile([row | 1 << i for i, row in enumerate(rows)])
+    with_loops = [row | 1 << i for i, row in enumerate(rows)]
+    assert route(rows)[1] and route(with_loops)[1]
+    profile = _diagonal_profile(with_loops)
     assert pair(rows, n) == (profile[0], sum(profile))
 
 
 @pytest.mark.parametrize("n", range(GLYNN_MAX + 1, DP_MAX + 1))
 def test_float_completed_sizes_match_inclusion_exclusion_when_dense(n):
-    # G(n, 1/2) draws keep 2^(n-1) per < 2^63, so the wrapped int64 total alone is their total. J_n less a few
-    # seeded cells, and its A | I, have per near n!, past that: the float total must pick the total, against
-    # inclusion-exclusion over the zeroed cells
+    # G(n, 1/2) draws are certified, so the wrapped int64 total alone is their total. J_n less a few seeded
+    # cells, and its A | I, have per near n!, past that: the float total must pick the total, against
+    # inclusion-exclusion over the zeroed cells. The cells keep enough rows of A odd that its halved total
+    # 2^scale per(A) passes 2^63: two go from each of 1 to 6 rows at odd n, whose rows all stay odd, and one from
+    # each of 13 or 14 rows at even n, whose other rows are even
     rng = random.Random(n)
     full = (1 << n) - 1
     for _ in range(8):
-        cells = sorted({(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 12))})
+        hit = rng.sample(range(n), rng.randint(1, 6) if n % 2 else rng.randint(13, 14))
+        cells = sorted((i, j) for i in hit for j in rng.sample(range(n), 1 + n % 2))
         rows = [full & ~sum(1 << j for r, j in cells if r == i) for i in range(n)]
         want = permanent_avoiding(n, cells), permanent_avoiding(n, [(i, j) for i, j in cells if i != j])
-        assert 2 ** (n - 1) * want[0] >= 2**63
+        scale, certified = route(rows)
+        assert 2**scale * want[0] >= 2**63 and not certified
         assert pair(rows, n) == want, cells
 
 
@@ -298,11 +353,13 @@ def test_pair_rows_with_diagonal(n):
 
 
 def test_zero_one_kernel_wraps_silently():
-    # products overflow int64 on J_20 and must wrap without a numpy warning
+    # products overflow int64 on J_20, its rows halved, and on J_20 - I, whose odd rows keep values up to 19, the
+    # largest the kernel multiplies: both must wrap without a numpy warning
     full = (1 << 20) - 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pair([full] * 20, 20) == (factorial(20), factorial(20))
+        assert pair([full ^ 1 << i for i in range(20)], 20) == (derangement_number(20), factorial(20))
 
 
 def test_subpermanent_identity_small():

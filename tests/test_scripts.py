@@ -123,7 +123,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         rows += [run["pass_sweep"][size] for size in ("2", "4")]
         for row in rows:
             assert 0 < row["q1_us_per_draw"] <= row["median_us_per_draw"] <= row["q3_us_per_draw"]
-        assert set(run["wide"]) == {"17", "18"}
+        assert set(run["wide"]) == {"17", "18", "17 q=9/10", "18 q=9/10"}
         for row in run["wide"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert set(run["profile"]) == {"K3", "K4"}
@@ -162,6 +162,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     assert "current  n= 6" in printed and "second  injection refusal" in printed
     assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
     assert "first  wide n=18" in printed and "second  fanout graph-4-3" in printed
+    assert "current  wide n=17 q=9/10" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):

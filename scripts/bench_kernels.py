@@ -16,9 +16,10 @@ machine drift during a sitting reaches both trees alike. Under each label:
 * ``wide``: the one-graph call of ``sizes`` at n = 17, 18, 19 and 20, where
   Glynn's int64 total can wrap, on D(n, 1/2) digraphs (keys ``17`` to ``20``),
   which Bregman's bound certifies so that the wrapped total alone is exact,
-  and on D(n, 9/10) ones (keys ``17 q=9/10`` and so on): certified too at
+  on D(n, 9/10) ones (keys ``17 q=9/10`` and so on): certified too at
   n = 17 and 18, while at n = 19 and 20 most of their calls need a float64
-  total to complete the wrapped one;
+  total to complete the wrapped one, and on J_n - I less seeded cells (keys
+  ``17 cells`` and so on), whose every call needs the float64 total;
 * ``pass_sweep``: the stacked one-call time at n = 12 with HIGH_BLOCK set to
   2, 4, 8 and 16 for the call (a pass then holds 2 * HIGH_BLOCK matrices);
 * ``profile``: milliseconds per permutations_by_fixed_points call on K_10 and
@@ -50,6 +51,7 @@ import importlib.util
 import itertools
 import json
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -67,6 +69,7 @@ from permatch.random_models import _usable_cpus
 SIZES = (4, 6, 8, 9, 12, 13, 16, 20)
 WIDE_SIZES = (17, 18, 19, 20)  # sizes past GLYNN_MAX, whose Glynn total can wrap int64
 WIDE_DENSE = "9/10"  # the arc probability of the wide rows that reach the float completion (at n = 19 and 20)
+CELLS = "cells"  # in place of an arc probability: J_n - I less seeded cells, which reach it at every wide size
 GRAPHS = 3  # seeds 0, 1, 2 at every size
 RUNS = 11  # timed rounds: 33 timed calls per size; rounds of every other entry
 STACKED = (4, 6, 8, 9, 12, 13, 14)  # sizes whose draws are counted stacked and one at a time
@@ -134,19 +137,36 @@ def draws(pm: ModuleType, kind: str, n: int, count: int, q: str = "1/2") -> list
     return [pm.Digraph(n, tuple(r)) for r in rows]
 
 
+def less_cells(pm: ModuleType, n: int, count: int) -> list:
+    """J_n - I less cells drawn from seeds 0..count-1, as the tree's Digraphs: two off the diagonal from each of 1
+    to 6 rows at odd n, so that every row of A + I stays odd, and one from each of 13 or 14 rows at even n, so that
+    those rows of A + I turn odd. Either way A + I keeps a Glynn total past 2^63 that Bregman's bound cannot
+    certify, so the call takes the float64 completion, over three int32 row groups or more."""
+    graphs, full = [], (1 << n) - 1
+    for seed in range(count):
+        rng = random.Random(seed)
+        rows = [full ^ 1 << i for i in range(n)]
+        for i in rng.sample(range(n), rng.randint(1, 6) if n % 2 else rng.randint(13, 14)):
+            for j in rng.sample([j for j in range(n) if j != i], 2 if n % 2 else 1):
+                rows[i] ^= 1 << j
+        graphs.append(pm.Digraph(n, tuple(rows)))
+    return graphs
+
+
 def time_pairs(trees: Trees, sizes: tuple[int, ...], qs: tuple[str, ...] = ("1/2",)) -> dict[str, dict]:
     """Per label, q in qs and n in sizes: milliseconds per one-graph dp_counts_many call on every seeded D(n, q)
-    graph in every round, keyed n, or n and q when q is not 1/2."""
+    graph, or with q = CELLS every less_cells graph, in every round, keyed n, or n and q when q is not 1/2."""
     out: dict[str, dict] = {label: {} for label in trees}
     for q, n in itertools.product(qs, sizes):
         steps = {
             (label, seed): partial(pm.dp_counts_many, [g])
             for label, pm in trees.items()
-            for seed, g in enumerate(draws(pm, "digraph", n, GRAPHS, q))
+            for seed, g in enumerate(less_cells(pm, n, GRAPHS) if q == CELLS else draws(pm, "digraph", n, GRAPHS, q))
         }
+        key = str(n) if q == "1/2" else f"{n} {q}" if q == CELLS else f"{n} q={q}"
         for label, by_seed in alternate(steps).items():
             times = [t for ts in by_seed.values() for t in ts]
-            out[label][str(n) if q == "1/2" else f"{n} q={q}"] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
+            out[label][key] = {"calls": len(times), **quartiles(times, "ms", 1e3)}
     return out
 
 
@@ -372,7 +392,7 @@ def main(argv=None):
     trees = {label: load_tree(i, src) for i, (label, src) in enumerate(args.sources)} or {"current": permatch}
     entries = {
         "sizes": time_pairs(trees, SIZES),
-        "wide": time_pairs(trees, WIDE_SIZES, ("1/2", WIDE_DENSE)),
+        "wide": time_pairs(trees, WIDE_SIZES, ("1/2", WIDE_DENSE, CELLS)),
         "stacked": time_stacked(trees),
         "pass_sweep": time_pass_sweep(trees),
         "profile": time_profiles(trees),

@@ -22,9 +22,11 @@ needs at most 8 bits, inside its one-byte count table, and the kernel stays
 exact at every n the tests run, the int64-exact sizes and the wide ones both
 (``16`` would leave n = 17 without the high part that the wide route halves).
 ``GLYNN_MAX = 15`` would be one too, as the route past it (halved even rows,
-int16 pieces, Bregman's certificate or the float completion) is exact at
-n = 16, but a test pins GLYNN_MAX to the largest size whose Glynn total fits
-int64.
+Bregman's certificate or the float completion) is exact at n = 16, but a test
+pins GLYNN_MAX to the largest size whose Glynn total fits int64. So is a row
+bound past GLYNN_MAX without the halving (``return r`` in ``_halved_count``):
+a halved row's values stay within its count, so the plan only packs fewer
+rows into each piece and group, which is slower and as exact.
 """
 
 import argparse
@@ -110,10 +112,10 @@ MUTANTS = (
         ("tests/test_verify.py::test_hex_text_matches_the_oracle_at_every_width",),
     ),
     Mutant(
-        "group-rows-8",
+        "group-rows-8",  # a row joins an in-order group while the product before it fits: 8 worst-case rows, 20^8
         "src/permatch/permanent.py",
-        "GROUP_ROWS = 7\n",
-        "GROUP_ROWS = 8\n",
+        "        if group * b > group_max:\n",
+        "        if group > group_max:\n",
         (
             "tests/test_permanent.py::test_row_group_fits_int32",
             "tests/test_permanent.py::test_zero_one_kernel_wraps_silently",
@@ -162,8 +164,8 @@ MUTANTS = (
     Mutant(
         "float-total-integer-product",  # float(g0 g1) * g2 multiplied in int64, which wraps, then converted
         "src/permatch/permanent.py",
-        "                    np.multiply(pass_prod, g, out=approx[:m], dtype=np.float64)\n",
-        "                    np.multiply(pass_prod, g, out=approx[:m])\n",
+        "                    np.multiply(pass_approx if index > 2 else pass_prod, g, out=pass_approx, dtype=np.float64)\n",
+        "                    np.multiply(pass_approx if index > 2 else pass_prod, g, out=pass_approx)\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
             "tests/test_permanent.py::test_float_completed_sizes_match_inclusion_exclusion_when_dense",
@@ -197,13 +199,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "pieces-of-4",  # 19^4 > 2^15: a piece of four odd rows of J_20 - I wraps int16
+        "pieces-of-4",  # a row joins an in-order piece while the product before it fits: 19^4 > 2^15 in J_20 - I
         "src/permatch/permanent.py",
-        "PIECE_ROWS = 3\n",
-        "PIECE_ROWS = 4\n",
+        "        elif piece * b > piece_max:\n",
+        "        elif piece > piece_max:\n",
         (
             "tests/test_permanent.py::test_row_piece_fits_int16",
             "tests/test_permanent.py::test_zero_one_boundaries[20]",
+        ),
+    ),
+    Mutant(
+        "piece-limit-2^15",  # a piece's product of bounds may reach 2^15, which wraps int16 to -2^15
+        "src/permatch/permanent.py",
+        "    piece_max, group_max = int(np.iinfo(values).max), int(np.iinfo(np.int32).max)\n",
+        "    piece_max, group_max = int(np.iinfo(values).max) + 1, int(np.iinfo(np.int32).max)\n",
+        (
+            "tests/test_permanent.py::test_row_piece_fits_int16",
+            "tests/test_permanent.py::test_pieces_and_groups_at_the_limits_of_their_dtypes",
+        ),
+    ),
+    Mutant(
+        "group-limit-2^31",  # a group's product of bounds may reach 2^31, which wraps int32 to -2^31
+        "src/permatch/permanent.py",
+        "    piece_max, group_max = int(np.iinfo(values).max), int(np.iinfo(np.int32).max)\n",
+        "    piece_max, group_max = int(np.iinfo(values).max), int(np.iinfo(np.int32).max) + 1\n",
+        ("tests/test_permanent.py::test_pieces_and_groups_at_the_limits_of_their_dtypes",),
+    ),
+    Mutant(
+        "bound-one-short",  # each position's bound taken as its largest count less one, which a row attains
+        "src/permatch/permanent.py",
+        "max(map(bound, position)) or 1",
+        "max(map(bound, position)) - 1 or 1",
+        (
+            "tests/test_permanent.py::test_pieces_and_groups_at_the_limits_of_their_dtypes",
+            "tests/test_permanent.py::test_zero_one_boundaries[14]",
         ),
     ),
     Mutant(
@@ -238,8 +267,8 @@ MUTANTS = (
     Mutant(
         "int32-accumulator",
         "src/permatch/permanent.py",
-        "    prod = np.empty(groups.shape[1:], dtype=np.int64)\n",
-        "    prod = np.empty(groups.shape[1:], dtype=np.int32)\n",
+        "    prod = np.empty(piece.shape, dtype=np.int64)\n",
+        "    prod = np.empty(piece.shape, dtype=np.int32)\n",
         (
             "tests/test_permanent.py::test_zero_one_boundaries[16]",
             "tests/test_permanent.py::test_zero_one_kernel_wraps_silently",

@@ -8,14 +8,17 @@ the naive sum over all n! permutations in ``tests/oracles.py``:
 * ``permanent_zero_one`` is the 0/1 kernel, one stacked numpy kernel for every
   1 <= n <= 20 (the empty matrix, n = 0, has permanent 1): it sums Glynn's
   formula, whose total over half of Ryser's column sets is 2^(n-1) per. Row
-  values go into int32 products of 7 (at most 20 in magnitude, and
-  20^7 < 2^31), combined in wrapping int64, so the total is exact mod 2^64.
-  Through n = 16 that is the total itself, 2^(n-1) per <= 2^15 * 16! < 2^63,
-  and a shift turns it into per. From n = 17 a row of even count has only
-  even values, so those rows are halved, and row values are multiplied three
-  at a time in int16 (20^3 < 2^15) before they join their group. Bregman's
-  bound per <= prod_i (r_i!)^(1/r_i), over a table of its factors rounded up
-  in exact integers, then certifies most matrices' halved totals below 2^63,
+  values multiply in pieces, pieces in int32 row groups and groups in
+  wrapping int64, so the total is exact mod 2^64. A row's values are at most
+  its count in magnitude, so each pass lays its rows out from their counts
+  (``_plan``): through n = 13 one int8 value a piece and groups of 7 rows
+  (20^7 < 2^31), from n = 14 rows sorted by count and packed into int16
+  pieces and int32 groups whose products of counts fit those dtypes.
+  Through n = 16 the total is exact, 2^(n-1) per <= 2^15 * 16! < 2^63, and
+  a shift turns it into per. From n = 17 a row of even count has only even
+  values, so those rows are halved. Bregman's bound
+  per <= prod_i (r_i!)^(1/r_i), over a table of its factors rounded up in
+  exact integers, then certifies most matrices' halved totals below 2^63,
   where the wrapped total is exact again. A pass that holds any other matrix
   also sums each column set's product in float64, which lands within 2^63 of
   the total (the bound is in ``_permanents_bits``), and picks the one integer
@@ -37,6 +40,7 @@ off one table of square-block permanents, held to ``permanent_ryser``.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import comb, factorial
 from typing import Sequence
@@ -109,14 +113,11 @@ GLYNN_MAX = 16
 # The kernel splits column sets as S = L + H * 2^LOW_BITS and takes HIGH_BLOCK high
 # parts H at a time. A pass stacks as many matrices as fit HIGH_BLOCK * 2^LOW_BITS
 # int32 elements per row group, and never fewer than two: 16 at n = 12,
-# 8 at n = 13, 4 at n = 14, 2 from n = 15 on. A row value is at most DP_MAX in
-# magnitude and DP_MAX^7 < 2^31, so a product of GROUP_ROWS row values fits int32.
-# Past GLYNN_MAX a group multiplies its row values PIECE_ROWS at a time in int16 (DP_MAX^3 < 2^15) first, and
-# every pass has high parts (LOW_BITS < GLYNN_MAX).
+# 8 at n = 13, 4 at n = 14, 2 from n = 15 on. Row values multiply in pieces and
+# pieces in int32 row groups, as _plan lays them out, and every size past
+# GLYNN_MAX has high parts (LOW_BITS < GLYNN_MAX).
 LOW_BITS = 12
 HIGH_BLOCK = 8
-GROUP_ROWS = 7
-PIECE_ROWS = 3
 _BYTES = np.arange(256, dtype=np.uint8)
 _COUNTS = 2 * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8)  # [a, b] = 2 |a & b|, read-only
 _COUNTS.flags.writeable = False
@@ -144,27 +145,96 @@ def _certificate(counts: list[int]) -> tuple[int, bool]:
     return scale, math.prod(BREGMAN[r] for r in counts) < 1 << 63 - scale + 32 * len(counts)
 
 
+def _plan(bounds: Sequence[int], values: type) -> list[list[list[int]]]:
+    """The row groups of a pass, each a list of pieces, each a list of row positions, for row values at most
+    bounds[i] in magnitude at position i. A piece's values multiply in the dtype values and a group's pieces in
+    int32, so a piece's product of bounds stays within values' range and a group's within int32's. Of two
+    packings, the one with fewer groups (an int64 multiply each), then fewer pieces (a mixed-dtype multiply each):
+    the positions first-fit in decreasing order of bound into pieces and those pieces first-fit into groups, or
+    the positions in order, each joining the last piece if it fits, else a new piece of the last group, else a new
+    group. On bounds of DP_MAX the second is the worst case's layout: in int16, pieces of 3 rows (20^3 < 2^15) and
+    groups of 7 (20^7 < 2^31); in int8, one row a piece."""
+    piece_max, group_max = int(np.iinfo(values).max), int(np.iinfo(np.int32).max)
+
+    def first_fit(items: list, limit: int) -> list[list]:
+        """Bins [product, members] of items [value, members] in decreasing value, each joining the first bin it
+        fits."""
+        bins = []
+        for value, members in items:
+            for b in bins:
+                if b[0] * value <= limit:
+                    b[0] *= value
+                    b[1] += members
+                    break
+            else:
+                bins.append([value, members])
+        return bins
+
+    order = sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True)
+    pieces = first_fit([[bounds[i], [i]] for i in order], piece_max)
+    pieces.sort(key=lambda b: b[0], reverse=True)
+    packed = [members for _, members in first_fit([[p, [members]] for p, members in pieces], group_max)]
+    in_order, group, piece = [], group_max + 1, 1  # the first position opens a group
+    for i, b in enumerate(bounds):
+        if group * b > group_max:
+            in_order.append([[i]])
+            group = piece = b
+        elif piece * b > piece_max:
+            in_order[-1].append([i])
+            group, piece = group * b, b
+        else:
+            in_order[-1][-1].append(i)
+            group, piece = group * b, piece * b
+    return min(in_order, packed, key=lambda plan: (len(plan), sum(map(len, plan))))
+
+
+@functools.cache
+def _worst_plan(n: int) -> list[list[list[int]]]:
+    """The layout of every pass without high parts: _plan for bounds of DP_MAX in int8, one row a piece and
+    groups of 7 rows."""
+    return _plan([DP_MAX] * n, np.int8)
+
+
+def _halved_count(row: int) -> int:
+    """A row's count r past GLYNN_MAX, where an even row's values are halved: r, or r / 2 for even r."""
+    r = row.bit_count()
+    return r >> (not r & 1)
+
+
+def _pass_layout(chunk: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """The matrices of a pass with high parts, each with its rows in increasing order of bound, and _plan's layout
+    in int16 pieces for each position's largest bound over the pass. Row i's bound b_i, the largest |v_i(S)|, is
+    its count r_i, or r_i / 2 for an even count halved past GLYNN_MAX, and 1 for an empty row, whose values are
+    all 0. Sorting leaves each permanent as it is and keeps a position's largest bound small."""
+    bound = _halved_count if n > GLYNN_MAX else int.bit_count
+    chunk = [sorted(rows, key=bound) for rows in chunk]
+    return chunk, _plan([max(map(bound, position)) or 1 for position in zip(*chunk)], np.int16)
+
+
 def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     """per(A) for several n x n 0/1 matrices given as row bitmasks, which permanent_zero_one has checked,
-    stacked in passes of up to per_pass matrices, with products of GROUP_ROWS row values in int32 and of those in
-    int64 that wraps. The sum is Glynn's, with column 0 weighing -1 and column j > 0 weighing +1 in S and -1
-    outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it is). With r_i the
-    count of row i,
+    stacked in passes of up to per_pass matrices, with row values multiplied in pieces, pieces in int32 row
+    groups and groups in int64 that wraps. The sum is Glynn's, with column 0 weighing -1 and column j > 0
+    weighing +1 in S and -1 outside it (Glynn fixes column 0 at +1; negating every weight leaves each term as it
+    is). With r_i the count of row i,
 
         T = 2^(n-1) per(A) = sum over sets S of columns 1..n-1 of (-1)^(n-|S|) prod_i (2 |(row_i >> 1) & S| - r_i).
 
     The int64 total t is T mod 2^64, and T itself through GLYNN_MAX. Past it, row i's value v_i(S) has the parity
-    of r_i, so the e rows of even count are halved and the sum is T' = 2^(n-1-e) per(A), each row group's values
-    multiplied PIECE_ROWS at a time in int16 first. Where _certificate finds 2^(n-1-e) 2^(-32 n) prod_i
-    BREGMAN[r_i] < 2^63, Bregman puts T' in [0, 2^63) and t is T'. A pass that holds any other matrix also forms
-    each term in float64 as float(g0 g1) * g2 over its three row groups, g0 g1 exact in int64, and sums them
-    into a float total a. A term then carries at most 2 roundings and the sum at most N - 1 more, N = 2^(n-1)
-    terms, so with u = 2^-53, |a - T'| <= (N + 2) u sum_S prod_i |v_i(S)|, a sum that halving only shrinks. By
-    Hoelder it is at most B_n = max over rows of sum_S |v_i(S)|^n, and (N + 2) u B_n < 2^62 from GLYNN_MAX + 1 to
-    DP_MAX (B_20 ~ 2^89.2), so T' is the one integer congruent to t mod 2^64 within 2^63 of a,
-    t + 2^64 round((a - t) / 2^64). The work arrays are allocated once per call, sized for one pass, and every
-    pass overwrites them: fresh arrays per pass page-fault again each time. The float ones come with the first
-    pass that needs them."""
+    of r_i, so the e rows of even count are halved and the sum is T' = 2^(n-1-e) per(A). |v_i(S)| is at most r_i,
+    or r_i / 2 halved: that is row i's bound b_i, 1 for an empty row. Without high parts (n <= 13) every pass runs
+    the worst case's layout, int8 values and groups of 7 rows; with them each pass sorts every matrix's rows by
+    bound (per(A) is the same for any row order) and takes _plan's layout for its positions' largest bounds, in
+    int16 pieces. Where _certificate finds 2^(n-1-e) 2^(-32 n) prod_i BREGMAN[r_i] < 2^63, Bregman puts T' in
+    [0, 2^63) and t is T'. A pass that holds any other matrix also forms each term in float64 from its G row
+    groups, each exact in int32, as float(g0 g1) g2 ... g_(G-1), g0 g1 exact in int64, and sums them into a float
+    total a. A term then carries at most G - 1 roundings and the sum at most N - 1 more, N = 2^(n-1) terms, so
+    with u = 2^-53, |a - T'| <= (N + G) u sum_S prod_i |v_i(S)|, a sum that halving only shrinks. By Hoelder it is
+    at most B_n = max over rows of sum_S |v_i(S)|^n, and with G <= n <= DP_MAX, (N + G) u B_n < 2^62 from
+    GLYNN_MAX + 1 to DP_MAX (B_20 ~ 2^89.2), so T' is the one integer congruent to t mod 2^64 within 2^63 of a,
+    t + 2^64 round((a - t) / 2^64). The work arrays are allocated once per call, sized for one pass and a
+    group's array added when a plan first needs it, and every pass overwrites them: fresh arrays per pass
+    page-fault again each time. The float ones come with the first pass that needs them."""
     if n == 0:  # the empty matrix has one permutation, the empty one; the kernel needs a column to split
         return [1] * len(matrices)
     bits = n - 1  # the columns S ranges over: Glynn holds column 0 fixed
@@ -173,58 +243,70 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     k, width, block = len(matrices), 1 << low, min(HIGH_BLOCK, 1 << high)
     per_pass = max(1, min(k, max(2, (HIGH_BLOCK << LOW_BITS) // (block * width))))
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
-    signs = _SIGNS[:block, None] * _SIGNS[:width]  # (-1)^|S| relative to the block's first H
-    starts = range(0, n, GROUP_ROWS)
-    wide = n > GLYNN_MAX  # three row groups, even rows halved, int16 pieces, and a certificate or a float total
-    pieces, values = (PIECE_ROWS, np.int16) if wide else (1, np.int8)
+    wide = n > GLYNN_MAX  # even rows halved, and a certificate or a float total
+    values = np.int16 if high else np.int8
+    signs = (_SIGNS[:block, None] * _SIGNS[:width]).astype(values)  # (-1)^|S| relative to the block's first H
+    plan = None if high else _worst_plan(n)
     lo = np.empty((per_pass, n, width), dtype=values)  # row i's value at S = L
-    groups = np.empty((len(starts), per_pass, block, width), dtype=np.int32)
-    piece = np.empty(groups.shape[1:], dtype=values)  # a row value, or past GLYNN_MAX a product of PIECE_ROWS
-    term = np.empty_like(piece) if wide else piece  # a piece's later rows, past GLYNN_MAX only
-    prod = np.empty(groups.shape[1:], dtype=np.int64)
+    groups = []  # each row group's int32 product, one array per group of the largest plan yet
+    piece = np.empty((per_pass, block, width), dtype=values)  # a piece's first row value, then its product
+    term = np.empty_like(piece) if high else piece  # a piece's later row values, with high parts only
+    prod = np.empty(piece.shape, dtype=np.int64)
     totals = np.zeros(k, dtype=np.int64)
     checks, approx, floats = [], None, None  # (scale, certified) per matrix past GLYNN_MAX
     for first in range(0, k, per_pass):
         m = min(per_pass, k - first)
-        pass_lo, pass_groups, pass_piece, pass_term = lo[:m], groups[:, :m], piece[:m], term[:m]
+        pass_lo, pass_piece, pass_term = lo[:m], piece[:m], term[:m]
         pass_prod, pass_totals = prod[:m], totals[first : first + m]
-        rows = np.array(matrices[first : first + m], dtype=np.int64)
+        chunk = matrices[first : first + m]
+        if high:
+            chunk, plan = _pass_layout(chunk, n)
+        rows = np.array(chunk, dtype=np.int64)
         counts = np.bitwise_count(rows)
+        groups += [np.empty(piece.shape, dtype=np.int32) for _ in range(len(groups), len(plan))]
+        pass_groups = [g[:m] for g in groups[: len(plan)]]
         # the first byte and the rest of L, and H, of every row of the pass (column 0 dropped): count table indices
         part = (rows[..., None] >> [1, 9, low + 1]).astype(np.uint8)
         lo_low, lo_high = _COUNTS[:, :lo_bytes][part[:, :, 0]], _COUNTS[:, :lo_rest][part[:, :, 1]]
         lo_high -= counts.astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
-        hi = _COUNTS[:, : 1 << high][part[:, :, 2]] if high else None  # what H adds to row i's value
+        hi = _COUNTS[:, : 1 << high][part[:, :, 2]].astype(values) if high else None  # what H adds to row i's value
         complete = False
         if wide:
             even = (1 - (counts & 1)).astype(values)[..., None]
             pass_lo >>= even
-            hi = hi.astype(values) >> even
+            hi >>= even
             checks += map(_certificate, counts.tolist())
             complete = not all(certified for _, certified in checks[first:])
             if complete and approx is None:
-                approx, floats = np.empty(groups.shape[1:], dtype=np.float64), np.zeros(k, dtype=np.float64)
+                approx, floats = np.empty(prod.shape, dtype=np.float64), np.zeros(k, dtype=np.float64)
+        pass_approx = approx[:m] if complete else None
         for h in range(0, 1 << high, block):
-            for g, s in zip(pass_groups, starts):
-                for i in range(s, min(s + GROUP_ROWS, n), pieces):
+            for index, (g, group) in enumerate(zip(pass_groups, plan)):
+                for p, (i, *rest) in enumerate(group):
                     row = pass_lo[:, i, None]
                     if high:
                         row = np.add(row, hi[:, i, h : h + block, None], out=pass_piece)
-                    if wide:  # the piece's other rows, multiplied in int16
-                        for j in range(i + 1, min(i + pieces, s + GROUP_ROWS, n)):
-                            value = np.add(pass_lo[:, j, None], hi[:, j, h : h + block, None], out=pass_term)
-                            np.multiply(row, value, out=row)
-                    # a group starts from its first piece, the first group times the signs
-                    np.multiply(row, g if i > s else signs if s == 0 else 1, out=g)
+                    for j in rest:  # the piece's other rows (only with high parts), multiplied in int16
+                        np.multiply(row, np.add(pass_lo[:, j, None], hi[:, j, h : h + block, None], out=pass_term),
+                                    out=row)
+                    if p:
+                        np.multiply(g, row, out=g)
+                    elif index:  # a group starts from its first piece, the first group's times the signs
+                        np.copyto(g, row)
+                    else:
+                        np.multiply(row, signs, out=g)
             sign = (-1) ** (n + h.bit_count())
             np.copyto(pass_prod, pass_groups[0])
-            for index, g in enumerate(pass_groups[1:], 2):
-                if complete and index == len(starts):  # without dtype numpy multiplies in int64, which wraps
-                    np.multiply(pass_prod, g, out=approx[:m], dtype=np.float64)
-                    floats[first : first + m] += sign * approx[:m].sum(axis=(1, 2))
-                np.multiply(pass_prod, g, out=pass_prod)
+            for index, g in enumerate(pass_groups[1:], 1):
+                if complete and index > 1:  # float(g0 g1), exact in int64, times each later group in float64
+                    np.multiply(pass_approx if index > 2 else pass_prod, g, out=pass_approx, dtype=np.float64)
+                np.multiply(pass_prod, g, out=pass_prod)  # without dtype numpy multiplies in int64, which wraps
             pass_totals += sign * pass_prod.sum(axis=(1, 2))
+            if complete:
+                if len(pass_groups) < 3:  # the int64 product of at most two groups is exact
+                    np.copyto(pass_approx, pass_prod)
+                floats[first : first + m] += sign * pass_approx.sum(axis=(1, 2))
     if not wide:
         totals >>= n - 1  # Glynn's sum is 2^(n-1) per(A)
         return totals.tolist()

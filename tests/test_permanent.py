@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 import warnings
 from math import comb, factorial, log
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,11 +23,11 @@ from permatch.permanent import (
     BREGMAN,
     DP_MAX,
     GLYNN_MAX,
-    GROUP_ROWS,
-    PIECE_ROWS,
     RYSER_LIMIT,
     _certificate,
+    _pass_layout,
     _permanents_bits,
+    _plan,
     SUBSET_SLOTS_MAX,
     subset_permanents,
 )
@@ -69,6 +71,29 @@ def route(rows):
     """(scale, certified) of a matrix past GLYNN_MAX: the kernel sums 2^scale per(A), and reads it off the wrapped
     int64 total alone when certified."""
     return _certificate([row.bit_count() for row in rows])
+
+
+def layout(rows, n):
+    """The row groups of the pass that counts A and A | I, as pair does, each a list of pieces, each a list of
+    positions of the sorted rows."""
+    return _pass_layout([rows, [row | 1 << i for i, row in enumerate(rows)]], n)[1]
+
+
+def pinned(n, counts):
+    """The n x n 0/1 matrix whose first len(counts) rows hold the lowest counts[i] columns and whose other rows hold
+    one column each, n - 1 down to len(counts): per = len(counts)! when no count is below len(counts). At S = {}
+    every row's value is -r_i, so each piece and each group attains its product of bounds there, with the sign of
+    its row count."""
+    return [(1 << c) - 1 for c in counts] + [1 << j for j in range(n - 1, len(counts) - 1, -1)]
+
+
+def products(rows, n):
+    """(piece products, group products) of the bounds of A's rows in the layout of A alone, as per counts it: its
+    counts, as no row is halved through GLYNN_MAX."""
+    ordered = sorted(row.bit_count() or 1 for row in rows)
+    plan = _pass_layout([rows], n)[1]
+    pieces = [math.prod(ordered[i] for i in piece) for group in plan for piece in group]
+    return pieces, [math.prod(ordered[i] for piece in group for i in piece) for group in plan]
 
 
 def test_tiny_cases():
@@ -205,8 +230,8 @@ def test_every_stacked_input_is_validated(n, monkeypatch):
 def test_zero_one_boundaries(n):
     # the smallest kernel size (1: Glynn's sum has no column to range over), column
     # sets under one byte (7, 8) and exactly one (9), Glynn's split of columns 1..n-1 with no
-    # high part (13) and one high bit (14), int32 row groups of 7 + 7 (14) and
-    # 7 + 7 + 1 (15), J_16, whose 2^15 * 16! is the largest exact int64 total, and
+    # high part (13), fixed int32 row groups of 7 + 6 rows (13), one high bit (14), whose J_14 takes
+    # row groups of 8 + 6 rows, 6 + 6 + 3 rows at n = 15, J_16, whose 2^15 * 16! is the largest exact int64 total, and
     # n = 17 to 20, whose totals 2^(n-1) n! pass 2^64: J_17, J_19 and J_n - I at
     # even n need the float total to complete the wrapped one, while J_n at even n
     # and J_n - I at odd n have every row even, halved, and are certified
@@ -219,6 +244,9 @@ def test_zero_one_boundaries(n):
     if n > GLYNN_MAX:  # the route each took: every row odd and the float total, or every row even (e = n)
         odd, even = ([full] * n, deranging) if n % 2 else (deranging, [full] * n)
         assert route(odd) == (n - 1, False) and route(even) == (-1, True)
+    if n in (13, 14, 15):  # the row groups' sizes: fixed without high parts, from J_n's bounds with them
+        plan = layout([full] * n, n) if n > 13 else _plan([DP_MAX] * n, np.int8)
+        assert [sum(map(len, group)) for group in plan] == {13: [7, 6], 14: [8, 6], 15: [6, 6, 3]}[n]
     # the zero matrix, an empty last row, and the permutation matrix of the cycle i -> i + 1
     cycle = [1 << (i + 1) % n for i in range(n)]
     assert permanent_zero_one(n, [[0] * n, [full] * (n - 1) + [0], cycle]) == [0, 0, 1]
@@ -238,14 +266,53 @@ def test_block_diagonal_product():
 
 
 def test_row_group_fits_int32():
-    # a signed product of GROUP_ROWS row counts, each at most DP_MAX, must not
-    # overflow the kernel's int32 group arrays
-    assert DP_MAX**GROUP_ROWS < 2**31
+    # a group's pieces multiply in int32: for seeded bounds every group's product of bounds is at most 2^31 - 1, and
+    # on the worst case, every bound DP_MAX, the plan needs no more groups than the fixed groups of 7 rows
+    # (20^7 < 2^31 < 20^8) that every pass without high parts keeps
+    rng = random.Random(31)
+    for _ in range(400):
+        bounds = [rng.randint(1, DP_MAX) for _ in range(rng.randint(1, DP_MAX))]
+        for values in (np.int8, np.int16):
+            plan = _plan(bounds, values)
+            assert sorted(i for group in plan for piece in group for i in piece) == list(range(len(bounds)))
+            assert all(math.prod(bounds[i] for piece in group for i in piece) <= 2**31 - 1 for group in plan)
+    for n in range(1, DP_MAX + 1):
+        fixed = [list(range(s, min(s + 7, n))) for s in range(0, n, 7)]
+        assert [[i for piece in group for i in piece] for group in _plan([DP_MAX] * n, np.int8)] == fixed
+        assert len(_plan([DP_MAX] * n, np.int16)) == len(fixed), n
 
 
 def test_row_piece_fits_int16():
-    # past GLYNN_MAX a group's row values are multiplied PIECE_ROWS at a time in int16 first
-    assert DP_MAX**PIECE_ROWS < 2**15
+    # a piece's row values multiply in int16 (int8 without high parts): for seeded bounds every piece's product of
+    # bounds stays within the dtype. On the worst case int8 holds one row a piece, as every pass through n = 13
+    # runs, and int16 pieces of at most 3 rows (20^3 < 2^15 < 20^4) number no more than the fixed groups' 3 + 3 + 1
+    rng = random.Random(15)
+    for _ in range(400):
+        bounds = [rng.randint(1, DP_MAX) for _ in range(rng.randint(1, DP_MAX))]
+        for values, limit in ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1)):
+            plan = _plan(bounds, values)
+            assert all(math.prod(bounds[i] for i in piece) <= limit for group in plan for piece in group)
+    for n in range(1, DP_MAX + 1):
+        assert all(len(piece) == 1 for group in _plan([DP_MAX] * n, np.int8) for piece in group)
+        plan = _plan([DP_MAX] * n, np.int16)
+        assert max(len(piece) for group in plan for piece in group) == min(n, 3)
+        assert sum(map(len, plan)) <= sum(-(-min(7, n - s) // 3) for s in range(0, n, 7)), n
+
+
+def test_pieces_and_groups_at_the_limits_of_their_dtypes():
+    # rows pinned so that at S = {} each piece and group attains its product of bounds, with an even row count:
+    # 2^15 - 1 = 7 * 31 * 151 is no product of counts up to 16, and 15 * 14 * 13 * 12 = 32760 is the largest, which
+    # one int16 piece holds; 16^3 * 8 = 2^15 wraps int16, and 16^7 * 8 = 2^31 wraps int32, so the plan splits
+    # them. A limit one past the dtype's, or bounds one short of the counts, puts each in one piece or group
+    n = 16
+    for counts, want, pieces, groups in [([15, 14, 13, 12], 24, 1, 1), ([16, 16, 16, 8], 24, 2, 1),
+                                         ([16] * 7 + [8], factorial(8), 3, 2)]:
+        rows = pinned(n, counts)
+        assert dict_dp(rows) == want
+        assert per(rows, n) == want, counts
+        piece_products, group_products = products(rows, n)
+        assert (len(piece_products), len(group_products)) == (pieces, groups), counts
+        assert max(piece_products) <= 2**15 - 1 and max(group_products) <= 2**31 - 1
 
 
 def test_bregman_table_rounds_the_factorial_roots_up():
@@ -274,11 +341,11 @@ def test_glynn_total_fits_int64():
 
 def test_float_total_lands_within_the_wrapped_totals_reach():
     # past GLYNN_MAX the kernel takes an uncertified total T' = 2^(n-1-e) per(A), its e even rows halved, as the one
-    # integer of the wrapped int64 total's residue class within 2^63 of the float total. A float term carries at
-    # most 2 roundings and the sum of N = 2^(n-1) terms N - 1 more, so with u = 2^-53 the float total is off by
-    # at most (N + 2) u sum_S prod_i |v_i(S)|, and by
-    # Hoelder that sum is at most the largest sum_S |v(S)|^n over one row's values v(S) = 2 |(row >> 1) & S| - r
-    # (halved values only make it smaller).
+    # integer of the wrapped int64 total's residue class within 2^63 of the float total. A float term is the product
+    # of the pass's G row groups, each exact, so it carries at most G - 1 roundings, and the sum of N = 2^(n-1)
+    # terms N - 1 more: with u = 2^-53 the float total is off by at most (N + G) u sum_S prod_i |v_i(S)|. A group
+    # holds at least one row, so G <= n <= DP_MAX. By Hoelder that sum is at most the largest sum_S |v(S)|^n over
+    # one row's values v(S) = 2 |(row >> 1) & S| - r (halved values only make it smaller).
     # That sum depends only on the row's count r and whether column 0, which S never holds, is one of its bits:
     # with f = r or r - 1 bits among columns 1..n-1, |(row >> 1) & S| = j for C(f, j) 2^(n-1-f) sets S
     for n in range(GLYNN_MAX + 1, DP_MAX + 1):
@@ -287,8 +354,9 @@ def test_float_total_lands_within_the_wrapped_totals_reach():
             for r in range(n + 1)
             for f in {r, r - 1} & set(range(n))
         ]
-        assert (2 ** (n - 1) + 2) * max(sums) < 2 ** (62 + 53), n  # (N + 2) u B_n < 2^62
+        assert (2 ** (n - 1) + DP_MAX) * max(sums) < 2 ** (62 + 53), n  # (N + G) u B_n < 2^62
     assert 2**89 < max(sums) < 2**90  # B_20, the largest
+    assert 2**55 < (2**19 + DP_MAX) * max(sums) / 2**53 < 2**56  # its error bound, far below 2^62
 
 
 # seeds per size: the fixed-point DP oracle takes 0.15 s per draw at n = 17 and 1.6 s at n = 20
@@ -297,10 +365,12 @@ FLOAT_DRAWS = [(17, 0), (17, 1), (17, 2), (18, 0), (18, 1), (19, 0), (20, 0)]
 
 @pytest.mark.parametrize("n, seed", FLOAT_DRAWS)
 def test_float_completed_sizes_match_the_dict_dp(n, seed):
-    # a G(n, 1/2) draw A and A + I in one kernel call, against the diagonal profile of A + I by counting's
-    # fixed-point DP, an algorithm apart from the kernel: A has no loop, so the permutations of A + I that fix no
-    # vertex are per(A). Bregman certifies both totals, even rows halved, below 2^63, so the kernel reads them off
-    # the wrapped int64 total alone: a wrong halving or an int16 piece that overflows shows here
+    # certified draws through bound-sized pieces at the sizes past GLYNN_MAX (the float completion is the dense
+    # test's below): a G(n, 1/2) draw A and A + I in one kernel call, against the diagonal profile of A + I by
+    # counting's fixed-point DP, an algorithm apart from the kernel: A has no loop, so the permutations of A + I that
+    # fix no vertex are per(A). Bregman certifies both totals, even rows halved, below 2^63, so the kernel reads them
+    # off the wrapped int64 total alone: a wrong halving, or a piece or group that the row bounds let overflow, shows
+    # here
     rows = list(draw(ModelSpec("graph", n, q="1/2"), seed).rows)
     with_loops = [row | 1 << i for i, row in enumerate(rows)]
     assert route(rows)[1] and route(with_loops)[1]
@@ -314,7 +384,8 @@ def test_float_completed_sizes_match_inclusion_exclusion_when_dense(n):
     # cells, and its A | I, have per near n!, past that: the float total must pick the total, against
     # inclusion-exclusion over the zeroed cells. The cells keep enough rows of A odd that its halved total
     # 2^scale per(A) passes 2^63: two go from each of 1 to 6 rows at odd n, whose rows all stay odd, and one from
-    # each of 13 or 14 rows at even n, whose other rows are even
+    # each of 13 or 14 rows at even n, whose other rows are even. Their bounds are near n, so the float product
+    # runs over three row groups or more
     rng = random.Random(n)
     full = (1 << n) - 1
     for _ in range(8):
@@ -324,20 +395,26 @@ def test_float_completed_sizes_match_inclusion_exclusion_when_dense(n):
         want = permanent_avoiding(n, cells), permanent_avoiding(n, [(i, j) for i, j in cells if i != j])
         scale, certified = route(rows)
         assert 2**scale * want[0] >= 2**63 and not certified
+        assert len(layout(rows, n)) >= 3
         assert pair(rows, n) == want, cells
 
 
 @pytest.mark.parametrize("n, split", [(14, 6), (15, 8)])
 def test_block_diagonal_across_row_groups(n, split):
-    # the diagonal blocks straddle the int32 row-group boundary at row 7; n = 15
-    # leaves a last group of one row
+    # the diagonal blocks straddle a boundary between the pass's int32 row groups: A's rows, sorted by count, put
+    # rows of one block in two groups, which must multiply back to the product of the blocks' permanents. Blocks
+    # with three in four cells set have bounds whose product passes int32, so that the plan needs two groups
     rng = random.Random(n)
     for _ in range(3):
-        top = [rng.getrandbits(split) for _ in range(split)]
-        bottom = [rng.getrandbits(n - split) for _ in range(n - split)]
+        top = [rng.getrandbits(split) | rng.getrandbits(split) for _ in range(split)]
+        bottom = [rng.getrandbits(n - split) | rng.getrandbits(n - split) for _ in range(n - split)]
         rows = top + [row << split for row in bottom]
         top_i = [row | 1 << i for i, row in enumerate(top)]
         bottom_i = [row | 1 << i for i, row in enumerate(bottom)]
+        sorted_rows = _pass_layout([rows, [row | 1 << i for i, row in enumerate(rows)]], n)[0][0]
+        spans = [{index for index, group in enumerate(layout(rows, n)) for piece in group for i in piece
+                  if (sorted_rows[i] >> split > 0) == lower} for lower in (False, True)]
+        assert max(map(len, spans)) > 1
         assert pair(rows, n) == (dict_dp(top) * dict_dp(bottom), dict_dp(top_i) * dict_dp(bottom_i))
 
 

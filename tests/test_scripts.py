@@ -123,7 +123,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         rows += [run["pass_sweep"][size] for size in ("2", "4")]
         for row in rows:
             assert 0 < row["q1_us_per_draw"] <= row["median_us_per_draw"] <= row["q3_us_per_draw"]
-        assert set(run["wide"]) == {"17", "18", "17 q=9/10", "18 q=9/10"}
+        assert set(run["wide"]) == {"17", "18", "17 q=9/10", "18 q=9/10", "17 cells", "18 cells"}
         for row in run["wide"].values():
             assert row["calls"] == 4 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert set(run["profile"]) == {"K3", "K4"}
@@ -162,14 +162,14 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
     assert "current  n= 6" in printed and "second  injection refusal" in printed
     assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
     assert "first  wide n=18" in printed and "second  fanout graph-4-3" in printed
-    assert "current  wide n=17 q=9/10" in printed
+    assert "current  wide n=17 q=9/10" in printed and "first  wide n=18 cells" in printed
 
 
 def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, tmp_path):
     gate = load("mutants")
     real = next(m for m in gate.MUTANTS if m.name == "half-hitting-strict")
     # a replacement that changes nothing must survive its test
-    noop = gate.Mutant("noop", "src/permatch/permanent.py", "GROUP_ROWS = 7\n", "GROUP_ROWS = 7  # same\n",
+    noop = gate.Mutant("noop", "src/permatch/permanent.py", "HIGH_BLOCK = 8\n", "HIGH_BLOCK = 8  # same\n",
                        ("tests/test_permanent.py::test_row_group_fits_int32",))
     monkeypatch.setattr(gate, "MUTANTS", (real, noop))
     out = tmp_path / "mutants.json"
@@ -183,7 +183,7 @@ def test_mutants_kills_a_cheap_row_and_reports_a_survivor(capsys, monkeypatch, t
 
 def test_mutants_fails_on_a_stale_snippet(capsys, monkeypatch, tmp_path):
     gate = load("mutants")
-    stale = gate.Mutant("stale", "src/permatch/permanent.py", "GROUP_ROWS = 99\n", "", ("tests/test_permanent.py",))
+    stale = gate.Mutant("stale", "src/permatch/permanent.py", "HIGH_BLOCK = 99\n", "", ("tests/test_permanent.py",))
     monkeypatch.setattr(gate, "MUTANTS", (stale,))
     out = tmp_path / "mutants.json"
     assert gate.main(["--out", str(out)]) == 2

@@ -26,7 +26,9 @@ Bregman's certificate or the float completion) is exact at n = 16, but a test
 pins GLYNN_MAX to the largest size whose Glynn total fits int64. So is a row
 bound past GLYNN_MAX without the halving (``return r`` in ``_halved_count``):
 a halved row's values stay within its count, so the plan only packs fewer
-rows into each piece and group, which is slower and as exact.
+rows into each piece and group, which is slower and as exact. So is ``<=`` for
+``<`` on ``first`` in the scan's argmax: each distinct (d, p) has its own
+first graph, so two values never tie on it; the tie row flips the comparison.
 """
 
 import argparse
@@ -349,9 +351,27 @@ MUTANTS = (
     Mutant(
         "scan-tie-to-last-graph",
         "src/permatch/verify.py",
-        "    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), -first[j]))\n",
-        "    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), first[j]))\n",
+        "        if gain > 0 or gain == 0 and first[j] < first[best]:\n",
+        "        if gain > 0 or gain == 0 and first[j] > first[best]:\n",
         ("tests/test_verify.py::test_scan_ties_go_to_the_first_graph_and_exceedances_count_graphs",),
+    ),
+    Mutant(
+        "format-ties-half-up",
+        "src/permatch/verify.py",
+        "    if 2 * r > b or 2 * r == b and q & 1:\n",
+        "    if 2 * r >= b:\n",
+        (
+            "tests/test_verify.py::test_format_12sig",
+            "tests/test_verify.py::test_format_12sig_rounds_ties_to_even_and_carries_into_the_next_decade",
+        ),
+    ),
+    Mutant(
+        "format-carry-dropped",  # 0.09999999999995 rounds to 13 digits in the decade below
+        "src/permatch/verify.py",
+        "        if q == 10**12:\n"
+        "            q, e = 10**11, e + 1\n",
+        "",
+        ("tests/test_verify.py::test_format_12sig_rounds_ties_to_even_and_carries_into_the_next_decade",),
     ),
     Mutant(
         "exceedances-per-distinct-pair",

@@ -16,11 +16,10 @@ from __future__ import annotations
 import os
 import stat
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, floor, log10
 from pathlib import Path
 from statistics import fmean, stdev
 
@@ -58,23 +57,48 @@ HALF = Fraction(1, 2)
 HALF_HITTING_LIMIT = 6  # parts of the half-hitting check
 CROSS_CHECK_LIMIT = 12  # vertices up to which the matching bound is cross-checked
 MATCHING_BOUND_LIMIT = 1000  # perfect matchings; the slowest input measured, on 12 vertices, took 9 s
+LOG10_2 = log10(2)
 
 
 def format_12sig(x: Fraction) -> str:
     """Decimal string with 12 significant digits, round-half-even: positional
-    below 10^12, exponent form (1.23456789012e+937) from 10^12 up."""
-    if x == 0:
+    below 10^12, exponent form (1.23456789012e+937) from 10^12 up, the form
+    chosen from the unrounded value (999999999999.9995 prints 1000000000000).
+
+    The digits come from integer arithmetic on |x| = a/b, converting neither
+    operand to a string (int -> str refuses past 4,300 digits). With
+    k = a.bit_length() - b.bit_length(), a/b lies in (2^(k-1), 2^(k+1)), so its
+    decade e, 10^e <= a/b < 10^(e+1), is floor((k + 1) log10 2) or one less.
+    That float floor is exact for every k below 1.4 * 10^8 (44 million
+    digits; the first k it misses is a convergent of log10 2). One divmod at
+    the larger decade gives 12 or 13 digits, the comparison with 10^12 says
+    which decade holds a/b, and a 13th digit joins the remainder. A half-even
+    round up to 10^12 carries into the next decade."""
+    if not x.numerator:
         return "0.000000000000"
-    with localcontext() as ctx:
-        ctx.prec = 12
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(x.numerator) / Decimal(x.denominator)
-    if x.numerator >= 10**12 * x.denominator:  # positional would pad the digits with zeros
-        return format(d, ".11e")
-    with localcontext() as ctx:
-        ctx.prec = 40  # plenty for the padding quantize below
-        d = d.quantize(Decimal(1).scaleb(d.adjusted() - 11))
-    return format(d, "f")
+    a, b = abs(x.numerator), x.denominator
+    e = floor((a.bit_length() - b.bit_length() + 1) * LOG10_2)
+    a, b = (a * 10 ** (12 - e), b) if e <= 12 else (a, b * 10 ** (e - 12))
+    q, r = divmod(a, b)
+    if q >= 10**12:  # a/b lies in decade e: the 13th digit joins the remainder, in units of b / 10
+        q, digit = divmod(q, 10)
+        r, b = digit * b + r, 10 * b
+    else:
+        e -= 1
+    exponent_form = e >= 12 and x.numerator > 0  # positional would pad the digits with zeros
+    if 2 * r > b or 2 * r == b and q & 1:
+        q += 1
+        if q == 10**12:
+            q, e = 10**11, e + 1
+    digits = str(q)
+    if exponent_form:
+        return f"{digits[0]}.{digits[1:]}e+{e}"
+    sign = "-" if x.numerator < 0 else ""
+    if e >= 11:
+        return sign + digits + "0" * (e - 11)
+    if e >= 0:
+        return f"{sign}{digits[: e + 1]}.{digits[e + 1 :]}"
+    return f"{sign}0.{'0' * (-e - 1)}{digits}"
 
 
 def format_ratio(x: Fraction) -> str:
@@ -554,7 +578,8 @@ def scan(
 
     An exhaustive family refuses samples, q or seed, as it draws nothing, and is
     one in-process pass (_exhaustive_survey); only the sampled family fans out
-    to `threads` workers.
+    to `threads` workers. The summary's best graph comes from one pass over the
+    distinct (d, p) values, comparing ratios by cross-multiplying.
     """
     if family == "digraphs" and n > 4:
         raise TooLargeError("exhaustive digraph scan is sized for n <= 4")
@@ -579,8 +604,13 @@ def scan(
         rows, d, p, oks, equalities = _exhaustive_survey(family, n)
 
     table = d_values, p_values, _, first, count = _distinct_pairs(d, p)
-    # the largest d/p, the first graph winning ties, also between equal ratios such as 2/8 and 1/4
-    best = max(range(len(first)), key=lambda j: (Fraction(d_values[j], p_values[j]), -first[j]))
+    # the largest d/p by cross-multiplying (p >= 1: the identity counts), the first graph winning ties, also
+    # between equal ratios such as 2/8 and 1/4
+    best = 0
+    for j in range(1, len(first)):
+        gain = d_values[j] * p_values[best] - d_values[best] * p_values[j]
+        if gain > 0 or gain == 0 and first[j] < first[best]:
+            best = j
     max_ratio, max_ratio_float = _ratio_text(d_values[best], p_values[best])
     summary: dict = {
         "family": family,
@@ -608,9 +638,10 @@ def scan(
 def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     """One record per graph, from its adjacency rows (graphs x vertices) and the scan's _distinct_pairs table: CSV by
     default, or one JSON object per line for a .jsonl suffix, written at once, the bytes of csv.writer or json.dumps.
-    A line joins the head of the graph's arc count and its hex, both made from the rows here, to the tail of its
-    (d, p); each head and each tail is formatted once. An existing file (or a symlink's target) is overwritten in
-    place and then cut to the new length, so it ends with exactly the new bytes; a device or a pipe is written to."""
+    A line is the head of the graph's arc count, its hex, both made from the rows here, and the tail of its (d, p);
+    each head and each tail is formatted once, and the header and every line's three parts are joined in one call.
+    An existing file (or a symlink's target) is overwritten in place and then cut to the new length, so it ends with
+    exactly the new bytes; a device or a pipe is written to."""
     d_values, p_values, value, _, _ = table
     n = rows.shape[1]
     if Path(out_path).suffix == ".jsonl":  # hex digits and colons need no JSON escaping
@@ -623,8 +654,9 @@ def write_records(rows: np.ndarray, table: tuple, out_path: str | Path) -> None:
     arcs = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
     heads = np.array([f"{head}{a}{mid}" if k else "" for a, k in enumerate(np.bincount(arcs).tolist())], object)
     tails = np.array([sep + tail.format(dv, pv, *_ratio_text(dv, pv)) for dv, pv in zip(d_values, p_values)], object)
-    lines = zip(heads[arcs].tolist(), _hex_text(rows), tails[value].tolist())
-    text = (header + "".join(map("".join, lines))).encode()
+    parts = [header] * (3 * len(rows) + 1)
+    parts[1::3], parts[2::3], parts[3::3] = heads[arcs].tolist(), _hex_text(rows), tails[value].tolist()
+    text = "".join(parts).encode()
     # overwrite in place and cut the tail after: truncating to zero first makes ext4 flush the blocks on close
     with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(text)

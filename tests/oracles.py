@@ -3,6 +3,7 @@ definition. Nothing here imports ``permatch``, so no oracle can share code
 with the kernel it checks (``test_surface`` enforces that)."""
 
 from collections import Counter
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial, lgamma, log
@@ -88,3 +89,21 @@ def exact_mean_ratio(graphs, slots, q):
         (count * q**m * (1 - q) ** (slots - m) * Fraction(d, p) for (m, d, p), count in Counter(graphs).items()),
         Fraction(0),
     )
+
+
+def format_12sig_decimal(x):
+    """x as a decimal string with 12 significant digits, rounded half to even
+    by the decimal module: positional below 10^12, exponent form from there
+    up (the form chosen from the unrounded value)."""
+    if x == 0:
+        return "0.000000000000"
+    with localcontext() as ctx:
+        ctx.prec = 12
+        ctx.rounding = ROUND_HALF_EVEN
+        d = Decimal(x.numerator) / Decimal(x.denominator)
+    if x.numerator >= 10**12 * x.denominator:  # positional would pad the digits with zeros
+        return format(d, ".11e")
+    with localcontext() as ctx:
+        ctx.prec = 40  # plenty for the padding quantize below
+        d = d.quantize(Decimal(1).scaleb(d.adjusted() - 11))
+    return format(d, "f")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from draws import draw
-from oracles import bipartite_permutation_sum, derangement_number, rows_avoiding
+from oracles import bipartite_permutation_sum, derangement_number, format_12sig_decimal, rows_avoiding
 from permatch import (
     BadParamsError,
     BipartiteGraph,
@@ -62,9 +62,10 @@ from permatch import (
     verify,
 )
 from permatch.permanent import permanent_zero_one
-from permatch.random_models import child_seed
+from permatch.random_models import child_seed, expected_counts
 from permatch.verify import (
     _bipartition_matchings,
+    _distinct_pairs,
     _exhaustive_survey,
     _hex_text,
     _host_census,
@@ -93,6 +94,47 @@ def test_format_12sig():
     assert format_12sig(Fraction(1234567890125, 10**13)) == "0.123456789012"
     assert format_12sig(Fraction(1234567890135, 10**13)) == "0.123456789014"
     assert format_ratio(Fraction(3, 12)) == "1/4"
+
+
+@pytest.mark.parametrize("family", ["digraphs", "bipartite"])
+def test_format_12sig_matches_the_decimal_oracle_on_every_scanned_value(family):
+    for n in range(1, 5):
+        _, d, p, _, _ = _exhaustive_survey(family, n)
+        d_values, p_values, *_ = _distinct_pairs(d, p)
+        for dv, pv in zip(d_values, p_values):
+            assert format_12sig(Fraction(dv, pv)) == format_12sig_decimal(Fraction(dv, pv)), (family, n, dv, pv)
+
+
+def test_format_12sig_matches_the_decimal_oracle_on_seeded_fractions():
+    rng = random.Random(39)
+    for _ in range(2000):
+        num, den = (rng.randrange(10 ** (k - 1), 10**k) for k in (rng.randint(1, 40), rng.randint(1, 40)))
+        x = Fraction(rng.choice((-1, 1)) * num, den)
+        assert format_12sig(x) == format_12sig_decimal(x), x
+
+
+def test_format_12sig_rounds_ties_to_even_and_carries_into_the_next_decade():
+    ties = [Fraction(10 * (123456789010 + k) + 5, 10**13) for k in range(10)]  # 13th digit 5, nothing after
+    ties += [Fraction(-x) for x in ties] + [Fraction(1234567890125, 2), Fraction(9999999999995, 10**17)]
+    carries = [Fraction("0.09999999999995"), Fraction("999999999999.9995"), Fraction("-9999999999999.5")]
+    powers = [Fraction(10**12 + k, 1 + (k % 2)) for k in range(-3, 4)] + [Fraction(10**12), -Fraction(10**12)]
+    for x in ties + carries + powers + [Fraction(-(10**15)), *expected_counts(500, 63622)]:
+        assert format_12sig(x) == format_12sig_decimal(x), x
+    assert format_12sig(Fraction(1234567890115, 10**13)) == "0.123456789012"  # a tie, up to the even 2
+    assert format_12sig(Fraction(12345678901249999, 10**17)) == "0.123456789012"  # below the tie
+    assert format_12sig(Fraction(12345678901250001, 10**17)) == "0.123456789013"  # above it
+    assert format_12sig(Fraction("0.09999999999995")) == "0.100000000000"
+    assert format_12sig(Fraction("999999999999.9995")) == "1000000000000"  # the form follows the unrounded value
+    assert format_12sig(Fraction("9999999999999.5")) == "1.00000000000e+13"
+    assert [format_12sig(Fraction(10**12 + k)) for k in (-1, 0, 1)] == [
+        "999999999999",
+        "1.00000000000e+12",
+        "1.00000000000e+12",
+    ]
+    assert format_12sig(Fraction(-(10**15))) == "-1000000000000000"  # a negative value is always positional
+    # 2,684 digits past the point: int -> str refuses operands past 4,300 digits, and no operand is converted
+    x = Fraction(7**6000, 3**5000 + 1)
+    assert format_12sig(x) == format_12sig_decimal(x) == "9.59326601256e+2684"
 
 
 def test_check_ratio_half_reports():

@@ -26,7 +26,8 @@ machine drift during a sitting reaches both trees alike. Under each label:
   K_12 (one pass of counting's fixed-point DP);
 * ``injection``: microseconds per apply_injection call and per
   invert_injection call, round trips and refusals apart, over every digraph on
-  4 vertices at every root;
+  4 vertices at every root, and per check_injection call (``audit``, the
+  exhaustive audit of one graph at every root) over the same digraphs;
 * ``census``: milliseconds per cold build of the exhaustive families' host
   census (cache cleared) and microseconds per host permutation, for K_8 and
   the flattened K_{4,4};
@@ -236,8 +237,9 @@ def injection_cases(pm: ModuleType) -> list[tuple]:
 def time_injection(trees: Trees) -> dict[str, dict]:
     """Per label: microseconds per call over every case of injection_cases,
     apply_injection on every derangement, then invert_injection on every
-    image (round trips) and on every other permutation (refusals). Each
-    round's time over all its calls of one kind is one data point."""
+    image (round trips) and on every other permutation (refusals), and
+    check_injection on every graph (audits). Each round's time over all its
+    calls of one kind is one data point."""
 
     def apply(pm, cases):
         for g, v, derangements, _, _ in cases:
@@ -257,7 +259,11 @@ def time_injection(trees: Trees) -> dict[str, dict]:
                 except pm.NotInImageError:
                     pass
 
-    kinds = {"apply": apply, "round_trip": round_trip, "refusal": refusal}
+    def audit(pm, cases):
+        for g, *_ in cases[::INJECTION_N]:  # the cases of one graph are its INJECTION_N roots in a row
+            pm.check_injection(g)
+
+    kinds = {"apply": apply, "round_trip": round_trip, "refusal": refusal, "audit": audit}
     cases = {label: injection_cases(pm) for label, pm in trees.items()}
     steps = {(label, kind): partial(fn, pm, cases[label]) for label, pm in trees.items() for kind, fn in kinds.items()}
     out = {}
@@ -267,6 +273,7 @@ def time_injection(trees: Trees) -> dict[str, dict]:
             "apply": sum(len(derangements) for _, _, derangements, _, _ in some),
             "round_trip": sum(len(images) for _, _, _, images, _ in some),
             "refusal": sum(len(others) for _, _, _, _, others in some),
+            "audit": len(some) // INJECTION_N,
         }
         out[label] = {"n": INJECTION_N, "graphs": 1 << INJECTION_N * (INJECTION_N - 1), "rounds": RUNS}
         for kind, totals in spent.items():
@@ -362,7 +369,7 @@ def report(label: str, run: dict) -> None:
     for name, row in run["profile"].items():
         print(f"{label}  profile {name:<4}  median {row['median_ms']:8.3f} ms"
               f"  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-    for key in ("apply", "round_trip", "refusal"):
+    for key in ("apply", "round_trip", "refusal", "audit"):
         row = run["injection"][key]
         print(f"{label}  injection {key:<10}  median {row['median_us']:7.2f} us"
               f"  [{row['q1_us']:.2f}, {row['q3_us']:.2f}]")

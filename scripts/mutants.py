@@ -339,6 +339,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "audit-mask-zeroed",  # the audit's round trip hands the inverse an image with no fixed point
+        "src/permatch/injection.py",
+        "            if _invert(g, p, mask, v) != d:\n",
+        "            if _invert(g, p, 0, v) != d:\n",
+        (
+            "tests/test_verify.py::test_check_injection_report",
+            "tests/test_verify.py::test_check_injection_details_count_each_graph_exactly",
+            "tests/test_verify.py::test_check_injection_hands_the_inverse_each_permutations_fixed_points",
+        ),
+    ),
+    Mutant(
+        "audit-refusal-mask-zeroed",  # every other permutation is refused for having no fixed point, whatever it is
+        "src/permatch/injection.py",
+        "                    back = _invert(g, p, m, v)\n",
+        "                    back = _invert(g, p, 0, v)\n",
+        ("tests/test_verify.py::test_check_injection_hands_the_inverse_each_permutations_fixed_points",),
+    ),
+    Mutant(
+        "audit-derangement-filter-inverted",  # the audit maps the permutations with a fixed point instead
+        "src/permatch/injection.py",
+        "        derangements = [p for p, m in zip(permutations, masks) if not m]\n",
+        "        derangements = [p for p, m in zip(permutations, masks) if m]\n",
+        (
+            "tests/test_verify.py::test_check_injection_report",
+            "tests/test_verify.py::test_check_injection_details_count_each_graph_exactly",
+        ),
+    ),
+    Mutant(
+        "audit-image-unchecked",  # an image off the graph reaches the unchecked inverse
+        "src/permatch/injection.py",
+        "            check_permutation_on_graph(g, p)\n",
+        "",
+        ("tests/test_verify.py::test_check_injection_checks_each_image_on_the_graph",),
+    ),
+    Mutant(
         "expected-inclusion-off-by-one",
         "src/permatch/random_models.py",
         "        prob.append(prob[-1] * Fraction(m - t, slots - t))\n",

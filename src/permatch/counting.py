@@ -117,10 +117,6 @@ def enumerate_permutations(
     return _row_matchings([row | 1 << i for i, row in enumerate(dg.rows)])
 
 
-def fixed_points(sigma: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, x in enumerate(sigma) if i == x)
-
-
 def check_permutation_on_graph(
     g: Digraph, sigma: Sequence[int], require_derangement: bool = False
 ) -> Permutation:

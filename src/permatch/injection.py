@@ -27,10 +27,11 @@ candidate by applying the forward map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
-from .counting import Permutation, check_permutation_on_graph
-from .errors import NotInImageError, OutOfRangeError, TooLargeError
+from .counting import Permutation, check_permutation_on_graph, enumerate_permutations
+from .errors import BadParamsError, NotInImageError, OutOfRangeError, TooLargeError
 from .graphs import Digraph, as_digraph, bits_of
 
 
@@ -100,11 +101,22 @@ def invert_injection(g: Digraph, p: Sequence[int], v: int) -> Permutation:
     p = check_permutation_on_graph(g, p)
     if not 0 <= v < g.n:
         raise OutOfRangeError(f"vertex {v} out of range for n={g.n}")
-    rows = g.rows
-    fix_mask = 0
+    return _invert(g, p, _fixed_mask(p), v)
+
+
+def _fixed_mask(p: Sequence[int]) -> int:
+    """The fixed points of p, as a mask."""
+    mask = 0
     for x, y in enumerate(p):
         if x == y:
-            fix_mask |= 1 << x
+            mask |= 1 << x
+    return mask
+
+
+def _invert(g: Digraph, p: Permutation, fix_mask: int, v: int) -> Permutation:
+    """invert_injection on a permutation already checked on g, whose fixed points
+    are the mask fix_mask, for a vertex v of g."""
+    rows = g.rows
     if not fix_mask:
         raise NotInImageError("image permutations always keep a fixed point")
     if p[v] == v:
@@ -155,6 +167,58 @@ def invert_injection(g: Digraph, p: Sequence[int], v: int) -> Permutation:
     if _apply(g, cand, v) != p:
         raise NotInImageError("candidate preimage does not map back to the input")
     return cand
+
+
+def audit_injection(g: Digraph, sample_cap: int | None) -> dict:
+    """The details of verify.check_injection's report on g, audited at every
+    root: with sample_cap None every derangement round-trips and every other
+    permutation is refused, else the first sample_cap derangements round-trip.
+    The cores run unchecked on what the audit enumerated; each image the map
+    returns is checked on g after the fixed-point and repeat tests."""
+    if sample_cap is not None and (type(sample_cap) is not int or sample_cap < 0):  # bool is no size
+        raise BadParamsError(f"sample cap must be a non-negative integer or None, got {sample_cap!r}")
+    exhaustive = sample_cap is None
+    # one lexicographic list, and one fixed-point mask per permutation, for
+    # every root; its permutations with no fixed point are the derangements
+    permutations = list(enumerate_permutations(g)) if exhaustive else []
+    masks = [_fixed_mask(p) for p in permutations]
+    if exhaustive:
+        derangements = [p for p, m in zip(permutations, masks) if not m]
+    else:
+        derangements = list(islice(enumerate_permutations(g, derangements_only=True), sample_cap))
+    details: dict = {"derangements": len(derangements), "exhaustive": exhaustive}
+    round_trips = refused = 0
+    for v in range(g.n):
+        images = set()
+        for d in derangements:
+            p = _apply(g, d, v)
+            mask = _fixed_mask(p)
+            if not mask or p in images:
+                details["witness"] = {"v": v, "derangement": list(d)}
+                break
+            images.add(p)
+            check_permutation_on_graph(g, p)
+            if _invert(g, p, mask, v) != d:
+                details["witness"] = {"v": v, "derangement": list(d), "image": list(p)}
+                break
+            round_trips += 1
+        else:
+            for p, m in zip(permutations, masks):
+                if p in images:
+                    continue
+                try:
+                    back = _invert(g, p, m, v)
+                except NotInImageError:
+                    refused += 1
+                    continue
+                details["witness"] = {"v": v, "image": list(p), "claimed_preimage": list(back)}
+                break
+        if "witness" in details:
+            break
+    details["round_trips"] = round_trips
+    if exhaustive:
+        details["refusals"] = refused
+    return details
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ import stat
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
 from math import comb, factorial, floor, log10
 from pathlib import Path
 from statistics import fmean, stdev
@@ -34,10 +33,9 @@ from .counting import (
     enumerate_perfect_matchings,
     enumerate_perfect_matchings_general,
     enumerate_permutations,
-    fixed_points,
     is_directed_cycle,
 )
-from .errors import BadParamsError, CounterexampleError, NotInImageError, OutOfRangeError, TooLargeError
+from .errors import BadParamsError, CounterexampleError, OutOfRangeError, TooLargeError
 from .graphs import (
     BipartiteGraph,
     Digraph,
@@ -49,7 +47,7 @@ from .graphs import (
     check_vertex_count,
     complete_graph,
 )
-from .injection import apply_injection, hamilton_census, invert_injection
+from .injection import audit_injection, hamilton_census
 from .permanent import permanent_zero_one, subpermanent_sides, subset_permanents
 from .random_models import ModelSpec, child_seed, parallel_map, ratio_target, sample_rows
 
@@ -309,64 +307,24 @@ def check_subpermanent(g: Digraph | BipartiteGraph) -> TheoremReport:
 
 
 def check_injection(g: Digraph, sample_cap: int | None = None) -> TheoremReport:
-    """Round-trip and injectivity audit of the cycle-breaking map on one graph.
+    """Round-trip and injectivity audit of the cycle-breaking map on one graph,
+    by injection.audit_injection; a sample_cap must be a non-negative int or None.
 
     For every root v: images of distinct derangements stay distinct, have a
-    fixed point, invert back, and (when the derangement count is small enough
-    to enumerate, sample_cap=None) every permutation outside the image is
-    refused by the inverse. The exhaustive audit lists the graph's
-    permutations once for all roots: p(G) tuples, memory of the same order
-    as the set of images.
+    fixed point, lie on the graph, invert back, and (when the derangement
+    count is small enough to enumerate, sample_cap=None) every permutation
+    outside the image is refused by the inverse. The exhaustive audit lists
+    the graph's permutations and their fixed-point masks once for all roots
+    and takes the derangements from that list.
 
     The first failure stops the audit and names its witness: v and the
     derangement when its image has no fixed point or repeats an earlier
     image, plus the image when the inverse does not give the derangement
     back; v, the image and the claimed_preimage when the inverse accepts a
-    permutation outside the image. A sample_cap must be a non-negative int.
+    permutation outside the image. An image off the graph raises.
     """
-    if sample_cap is not None and (type(sample_cap) is not int or sample_cap < 0):  # bool is no size
-        raise BadParamsError(f"sample cap must be a non-negative integer or None, got {sample_cap!r}")
-    derangements = list(
-        islice(enumerate_permutations(g, derangements_only=True), sample_cap)
-    )
-    exhaustive = sample_cap is None
-    permutations = list(enumerate_permutations(g)) if exhaustive else []
-    ok = True
-    details: dict = {"derangements": len(derangements), "exhaustive": exhaustive}
-    round_trips = 0
-    refused = 0
-    for v in range(g.n):
-        images = set()
-        for d in derangements:
-            p = apply_injection(g, d, v)
-            if not fixed_points(p) or p in images:
-                ok = False
-                details["witness"] = {"v": v, "derangement": list(d)}
-                break
-            images.add(p)
-            if invert_injection(g, p, v) != d:
-                ok = False
-                details["witness"] = {"v": v, "derangement": list(d), "image": list(p)}
-                break
-            round_trips += 1
-        if exhaustive and ok:
-            for p in permutations:
-                if p in images:
-                    continue
-                try:
-                    back = invert_injection(g, p, v)
-                except NotInImageError:
-                    refused += 1
-                    continue
-                ok = False
-                details["witness"] = {"v": v, "image": list(p), "claimed_preimage": list(back)}
-                break
-        if not ok:
-            break
-    details["round_trips"] = round_trips
-    if exhaustive:
-        details["refusals"] = refused
-    return TheoremReport("cycle-breaking-injection", _describe(g), ok, None, details)
+    details = audit_injection(g, sample_cap)
+    return TheoremReport("cycle-breaking-injection", _describe(g), "witness" not in details, None, details)
 
 
 def check_cycle_doubling(g: Digraph) -> TheoremReport:

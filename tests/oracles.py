@@ -24,6 +24,11 @@ def permanent_naive(m):
     return total
 
 
+def fixed_points(sigma):
+    """The vertices a permutation, given as its image tuple, keeps in place, in order."""
+    return tuple(i for i, x in enumerate(sigma) if i == x)
+
+
 def bipartite_permutation_sum(matrix):
     """Permutations of the flattened bipartite graph with this nl x nr
     biadjacency, by squared subpermanents: a permutation pairs a left subset S

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import induced_rows
+from oracles import fixed_points, induced_rows
 from permatch import (
     Digraph,
     NotInImageError,
@@ -17,7 +17,7 @@ from permatch import (
     invert_injection,
     new_digraph,
 )
-from permatch.counting import check_permutation_on_graph, fixed_points
+from permatch.counting import check_permutation_on_graph
 from permatch.errors import BadParamsError, NotDerangementError, NotOnGraphError, OutOfRangeError
 from permatch.graphs import bits_of
 from permatch.injection import _canonical_chord

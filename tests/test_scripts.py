@@ -129,15 +129,17 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
         assert set(run["profile"]) == {"K3", "K4"}
         for row in run["profile"].values():
             assert row["calls"] == 2 and 0 < row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
-    # every digraph on 3 vertices at every root: 3 * d(G) applies and round trips, 3 * (p(G) - d(G)) refusals
+    # every digraph on 3 vertices at every root: 3 * d(G) applies and round trips, 3 * (p(G) - d(G)) refusals,
+    # and one check_injection audit per graph
     graphs = [digraph_from_arc_index(3, i) for i in range(64)]
     derangements = 3 * sum(map(count_derangements, graphs))
     refusals = 3 * sum(map(count_permutations, graphs)) - derangements
     for run in doc["runs"].values():
         injection = run["injection"]
         assert (injection["n"], injection["graphs"], injection["rounds"]) == (3, 64, 2)
-        assert [injection[k]["calls"] for k in ("apply", "round_trip", "refusal")] == [derangements, derangements, refusals]
-        for key in ("apply", "round_trip", "refusal"):
+        kinds = ("apply", "round_trip", "refusal", "audit")
+        assert [injection[k]["calls"] for k in kinds] == [derangements, derangements, refusals, 64]
+        for key in kinds:
             row = injection[key]
             assert 0 < row["q1_us"] <= row["median_us"] <= row["q3_us"]
     # K_3 has 3! permutations; the flattened K_{2,2} has 2!^2 derangements, 4 one-edge ones and the identity
@@ -160,6 +162,7 @@ def test_bench_kernels_records_a_labelled_run(capsys, monkeypatch, tmp_path):
                 assert 0 < row[workers]["q1_ms"] <= row[workers]["median_ms"] <= row[workers]["q3_ms"]
     printed = capsys.readouterr().out
     assert "current  n= 6" in printed and "second  injection refusal" in printed
+    assert "first  injection audit" in printed
     assert "first  census bipartite-2" in printed and "second  scan digraphs-3" in printed
     assert "first  wide n=18" in printed and "second  fanout graph-4-3" in printed
     assert "current  wide n=17 q=9/10" in printed and "first  wide n=18 cells" in printed

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from draws import draw
-from oracles import bipartite_permutation_sum, derangement_number, format_12sig_decimal, rows_avoiding
+from oracles import bipartite_permutation_sum, derangement_number, fixed_points, format_12sig_decimal, rows_avoiding
 from permatch import (
     BadParamsError,
     BipartiteGraph,
     Digraph,
     ModelSpec,
     NotInImageError,
+    NotOnGraphError,
     OutOfRangeError,
     PermatchError,
     SelfLoopError,
@@ -47,7 +48,7 @@ from permatch import (
     enumerate_perfect_matchings_general,
     enumerate_permutations,
     format_12sig,
-    invert_injection,
+    injection,
     knn_ratio_sum,
     lonely_matching_ring,
     mc_dp_ratio,
@@ -390,11 +391,11 @@ def test_check_injection_with_a_zero_sample_cap_audits_nothing():
 
 
 def _broken_audit(monkeypatch, apply=None, invert=None):
-    """check_injection on K3 with the map or its inverse replaced where the audit looks them up."""
+    """check_injection on K3 with the map or its inverse replaced where the audit looks them up, the unchecked cores."""
     if apply is not None:
-        monkeypatch.setattr(verify, "apply_injection", apply)
+        monkeypatch.setattr(injection, "_apply", apply)
     if invert is not None:
-        monkeypatch.setattr(verify, "invert_injection", invert)
+        monkeypatch.setattr(injection, "_invert", invert)
     rep = check_injection(complete_graph(3))
     assert rep.holds is False
     return rep.details["witness"]
@@ -407,20 +408,22 @@ def test_check_injection_reports_an_image_without_a_fixed_point(monkeypatch):
 
 def test_check_injection_reports_two_derangements_with_one_image(monkeypatch):
     # K3 has two derangements; both map to the identity, and the first inverts back
-    witness = _broken_audit(monkeypatch, apply=lambda g, d, v: (0, 1, 2), invert=lambda g, p, v: (1, 2, 0))
+    witness = _broken_audit(monkeypatch, apply=lambda g, d, v: (0, 1, 2), invert=lambda g, p, mask, v: (1, 2, 0))
     assert witness == {"v": 0, "derangement": [2, 0, 1]}
 
 
 def test_check_injection_reports_an_inverse_giving_another_preimage(monkeypatch):
-    witness = _broken_audit(monkeypatch, invert=lambda g, p, v: tuple(p))
+    witness = _broken_audit(monkeypatch, invert=lambda g, p, mask, v: tuple(p))
     image = apply_injection(complete_graph(3), (1, 2, 0), 0)
     assert witness == {"v": 0, "derangement": [1, 2, 0], "image": list(image)}
 
 
 def test_check_injection_reports_an_inverse_accepting_a_non_image(monkeypatch):
-    def accepting(g, p, v):
+    real = injection._invert
+
+    def accepting(g, p, mask, v):
         try:
-            return invert_injection(g, p, v)
+            return real(g, p, mask, v)
         except NotInImageError:
             return tuple(p)
 
@@ -428,6 +431,36 @@ def test_check_injection_reports_an_inverse_accepting_a_non_image(monkeypatch):
     images = {apply_injection(complete_graph(3), d, 0) for d in [(1, 2, 0), (2, 0, 1)]}
     first = next(p for p in enumerate_permutations(complete_graph(3)) if p not in images)
     assert witness == {"v": 0, "image": list(first), "claimed_preimage": list(first)}
+
+
+def test_check_injection_hands_the_inverse_each_permutations_fixed_points(monkeypatch):
+    # the round trips and the refusals both pass the mask of the permutation's own fixed points
+    real, masks_ok = injection._invert, []
+
+    def recording(g, p, mask, v):
+        masks_ok.append(mask == sum(1 << x for x in fixed_points(p)))
+        return real(g, p, mask, v)
+
+    monkeypatch.setattr(injection, "_invert", recording)
+    rep = check_injection(complete_graph(4))
+    assert rep.holds and all(masks_ok)
+    assert len(masks_ok) == rep.details["round_trips"] + rep.details["refusals"] == 4 * 9 + 4 * 15
+
+
+def test_check_injection_checks_each_image_on_the_graph(monkeypatch):
+    # the map sends C3's derangement to (0, 2, 1): it keeps 0 fixed, but 2 -> 1 is no arc of C3
+    monkeypatch.setattr(injection, "_apply", lambda g, d, v: (0, 2, 1))
+    with pytest.raises(NotOnGraphError, match=r"^permutation uses missing arc \(2, 1\)$"):
+        check_injection(directed_cycle(3))
+
+
+def test_check_injection_details_count_each_graph_exactly():
+    # every digraph on 2 to 4 vertices, one at a time: n * d(G) round trips and n * (p(G) - d(G)) refusals
+    for n in (2, 3, 4):
+        graphs = [digraph_from_arc_index(n, index) for index in range(1 << n * (n - 1))]
+        for index, (g, (d, p)) in enumerate(zip(graphs, dp_counts_many(graphs))):
+            want = {"derangements": d, "exhaustive": True, "round_trips": n * d, "refusals": n * (p - d)}
+            assert check_injection(g).details == want, (n, index)
 
 
 def test_check_cycle_doubling():

@@ -39,6 +39,8 @@ from permatch import complete_bipartite, complete_graph, directed_cycle, seriali
 from permatch.random_models import _usable_cpus
 
 COMMANDS = {
+    # interpreter and package start-up alone: argparse prints the usage and exits
+    "help": ["--help"],
     "scan-digraphs-4": ["scan", "--family", "digraphs", "--n", "4", "--out", "{tmp}/records.csv"],
     "scan-bipartite-3": ["scan", "--family", "bipartite", "--n", "3", "--out", "{tmp}/records.csv"],
     "scan-bipartite-4": ["scan", "--family", "bipartite", "--n", "4", "--out", "{tmp}/records.csv"],
@@ -61,6 +63,11 @@ COMMANDS = {
     # the slowest arc count found at the 500-vertex cap
     "expect-500": ["expect", "--n", "500", "--m", "63622"],
     "count-ratio-C5": ["count", "--input", "{tmp}/c5.txt", "--what", "ratio"],
+    # the fixed-point profile at its cap of 12 vertices, and the injection applied to K64's Hamilton cycle
+    # 0 -> 1 -> ... -> 63 -> 0 at vertex 0, at the 64-vertex cap of a graph file
+    "count-fixed-points-K12": ["count", "--input", "{tmp}/k12.txt", "--what", "fixed-points"],
+    "inject-K64": ["inject", "--input", "{tmp}/k64.txt", "--vertex", "0", "--perm",
+                   ",".join(str((i + 1) % 64) for i in range(64))],
     # the Monte Carlo d/p on D(20, 1/2): two n = 20 permanents per draw, fanned out over 2 workers
     "mc-digraph-20": ["mc", "--model", "digraph", "--n", "20", "--q", "1/2", "--samples", "24", "--seed", "7",
                       "--threads", "2"],
@@ -146,6 +153,7 @@ def main(argv=None):
     sources = dict(args.sources) or {"current": Path(permatch.__file__).resolve().parent.parent}
     envs = {label: dict(os.environ, PYTHONPATH=str(src)) for label, src in sources.items()}
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "k64.txt").write_text(serialize_graph(complete_graph(64)))
         Path(tmp, "k12.txt").write_text(serialize_graph(complete_graph(12)))
         Path(tmp, "k10.txt").write_text(serialize_graph(complete_graph(10)))
         Path(tmp, "k8.txt").write_text(serialize_graph(complete_graph(8)))

@@ -551,6 +551,13 @@ MUTANTS = (
         "            if code:\n",
         ("tests/test_verify.py::test_a_dead_worker_exits_3_and_leaves_no_child",),
     ),
+    Mutant(
+        "numpy-loaded-eagerly",  # numpy imported with the package, so every command pays its start-up
+        "src/permatch/_lazy.py",
+        '_spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")\n',
+        "_spec = None\n",
+        ("tests/test_cli.py::test_numpy_free_commands_never_import_numpy",),
+    ),
 )
 
 

@@ -36,6 +36,9 @@ tests compare it with ``permanent_zero_one`` on every small biadjacency.
 
 ``subpermanent_sides`` reads the block-splitting identity at every block size
 off one table of square-block permanents, held to ``permanent_ryser``.
+
+numpy (``np`` from :mod:`permatch._lazy`) loads at the first call of a numpy
+route, and the 0/1 kernel builds its tables at its own first call.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ import math
 from math import comb, factorial
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BadParamsError, TooLargeError
 
 RYSER_LIMIT = 21
@@ -118,10 +120,16 @@ GLYNN_MAX = 16
 # GLYNN_MAX has high parts (LOW_BITS < GLYNN_MAX).
 LOW_BITS = 12
 HIGH_BLOCK = 8
-_BYTES = np.arange(256, dtype=np.uint8)
-_COUNTS = 2 * np.bitwise_count(_BYTES[:, None] & _BYTES).astype(np.int8)  # [a, b] = 2 |a & b|, read-only
-_COUNTS.flags.writeable = False
-_SIGNS = 1 - 2 * (np.bitwise_count(np.arange(1 << LOW_BITS)) & 1).astype(np.int32)  # (-1)^|mask|
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's constant tables, built at its first call: [a, b] = 2 |a & b| for bytes a and b (int8,
+    read-only), and (-1)^|mask| for every mask of LOW_BITS bits (int32)."""
+    byte = np.arange(256, dtype=np.uint8)
+    counts = 2 * np.bitwise_count(byte[:, None] & byte).astype(np.int8)
+    counts.flags.writeable = False
+    return counts, 1 - 2 * (np.bitwise_count(np.arange(1 << LOW_BITS)) & 1).astype(np.int32)
 
 
 def _ceil_root(x: int, r: int) -> int:
@@ -245,7 +253,8 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
     lo_bytes, lo_rest = min(width, 256), max(width >> 8, 1)
     wide = n > GLYNN_MAX  # even rows halved, and a certificate or a float total
     values = np.int16 if high else np.int8
-    signs = (_SIGNS[:block, None] * _SIGNS[:width]).astype(values)  # (-1)^|S| relative to the block's first H
+    table, signs = _tables()
+    signs = (signs[:block, None] * signs[:width]).astype(values)  # (-1)^|S| relative to the block's first H
     plan = None if high else _worst_plan(n)
     lo = np.empty((per_pass, n, width), dtype=values)  # row i's value at S = L
     groups = []  # each row group's int32 product, one array per group of the largest plan yet
@@ -267,10 +276,10 @@ def _permanents_bits(matrices: Sequence[Sequence[int]], n: int) -> list[int]:
         pass_groups = [g[:m] for g in groups[: len(plan)]]
         # the first byte and the rest of L, and H, of every row of the pass (column 0 dropped): count table indices
         part = (rows[..., None] >> [1, 9, low + 1]).astype(np.uint8)
-        lo_low, lo_high = _COUNTS[:, :lo_bytes][part[:, :, 0]], _COUNTS[:, :lo_rest][part[:, :, 1]]
+        lo_low, lo_high = table[:, :lo_bytes][part[:, :, 0]], table[:, :lo_rest][part[:, :, 1]]
         lo_high -= counts.astype(np.int8)[..., None]  # row i's value at S = 0 is -r_i
         np.add(lo_high[..., None], lo_low[:, :, None], out=pass_lo.reshape(m, n, lo_rest, lo_bytes))
-        hi = _COUNTS[:, : 1 << high][part[:, :, 2]].astype(values) if high else None  # what H adds to row i's value
+        hi = table[:, : 1 << high][part[:, :, 2]].astype(values) if high else None  # what H adds to row i's value
         complete = False
         if wide:
             even = (1 - (counts & 1)).astype(values)[..., None]

@@ -8,6 +8,7 @@ Sampled runs (``mc`` and the sampled scan, both in :mod:`permatch.verify`)
 derive one child seed per sample index, which makes them splittable across
 ``parallel_map``'s workers without changing the output: the caller and each
 forked child draw and count one contiguous share of indices in one call.
+numpy (``np`` from :mod:`permatch._lazy`) loads at the first draw, not at import.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from fractions import Fraction
 from math import comb, exp
 from typing import Callable, NoReturn, Sequence, TypeVar
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BadParamsError
 from .graphs import check_vertex_count
 

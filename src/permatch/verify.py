@@ -9,6 +9,9 @@ meets; exceedances of the extremal conjecture for undirected graphs are
 surfaced as findings, not failures. ``mc_dp_ratio`` runs the sampled scan's
 draws, counts and ratio-half verdicts, raises on the first failing draw, and
 reports the ratios' mean and spread.
+
+numpy (``np`` from :mod:`permatch._lazy`) loads with the first array a check
+or scan builds, so the pure-Python checks never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from math import comb, factorial, floor, log10
 from pathlib import Path
 from statistics import fmean, stdev
 
-import numpy as np
-
+from ._lazy import np
 from .counting import (
     count_matchings_avoiding_general,
     count_perfect_matchings,
@@ -403,7 +405,10 @@ def _ratio_text(d: int, p: int) -> tuple[str, str]:  # a record's ratio_exact an
     return format_ratio(ratio), format_12sig(ratio)
 
 
-_HEX_CODES = np.array(list(map(ord, "0123456789abcdef:")), dtype=np.uint32)
+@cache
+def _hex_codes() -> np.ndarray:
+    """The code points of the hex digits and ':' (code 16), uint32."""
+    return np.array(list(map(ord, "0123456789abcdef:")), dtype=np.uint32)
 
 
 def _hex_text(rows: np.ndarray) -> list[str]:
@@ -417,7 +422,7 @@ def _hex_text(rows: np.ndarray) -> list[str]:
     codes = np.full((graphs, n, digits + 1), 16, dtype=np.uint8)
     for k in range(digits):
         codes[:, :, k] = rows >> 4 * (digits - 1 - k) & 15
-    text = np.take(_HEX_CODES, codes.reshape(graphs, -1)[:, :-1])
+    text = np.take(_hex_codes(), codes.reshape(graphs, -1)[:, :-1])
     return text.view(f"U{n * (digits + 1) - 1}").ravel().tolist()
 
 
@@ -498,6 +503,7 @@ def _sampled_survey(model: ModelSpec, samples: int, seed: int, threads: int) -> 
         raise BadParamsError(f"need at least one sample, got {samples!r}")
     if type(threads) is not int or threads < 1:
         raise BadParamsError(f"threads must be a positive integer, got {threads!r}")
+    np.int64  # loads numpy before parallel_map forks, so the workers inherit it instead of each importing it
     results = parallel_map(partial(_sampled_rows, model, seed), range(samples), threads)
     rows, d, p = (np.array(column, dtype=np.int64) for column in zip(*results))  # every count is at most 20!
     return rows, d, p, *_ratio_half_verdicts(rows, d, p)

@@ -3,12 +3,16 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from jsonschema import validate
 
+import permatch
 from permatch.cli import main
 from permatch import (
     blowup,
@@ -21,6 +25,7 @@ from permatch import (
     serialize_graph,
 )
 from permatch.graphs import _CONSTRUCTIONS
+from permatch.random_models import _usable_cpus
 
 CYCLE5 = "digraph 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
 K33 = "bipartite 3 3\n" + "".join(f"{i} {j}\n" for i in range(3) for j in range(3))
@@ -749,3 +754,66 @@ def test_expect_cli(capsys, schema_loader):
     assert doc["expected_derangements"]["numerator"] == 3
     code, _, _ = run(capsys, "expect", "--n", "3", "--m", "9")
     assert code == 2  # only 6 slots on 3 vertices
+
+
+# Runs the argv lists in sys.argv[1] through cli.main in this fresh interpreter, after importing the package, and
+# prints their exit codes, whether numpy's core was loaded after the import and after each run, and whether it was
+# at each os.fork the runs made.
+FRESH_RUNS = """
+import contextlib, io, json, os, sys
+import permatch, permatch.cli
+
+at_forks, fork = [], getattr(os, "fork", None)
+def watched_fork():
+    at_forks.append("numpy._core" in sys.modules)
+    return fork()
+if fork:
+    os.fork = watched_fork
+codes, loaded = [], ["numpy._core" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(permatch.cli.main(argv))
+    loaded.append("numpy._core" in sys.modules)
+print(json.dumps([codes, loaded, at_forks]))
+"""
+
+
+def run_fresh(*argvs):
+    """(exit codes, numpy loaded after the import and after each run, numpy loaded at each fork) of the argv lists
+    run in order in one fresh interpreter that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(permatch.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUNS, json.dumps(argvs)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_numpy_free_commands_never_import_numpy(write_graph, tmp_path):
+    k5, k6 = write_graph(serialize_graph(complete_graph(5))), write_graph(serialize_graph(complete_graph(6)))
+    free = [
+        ["expect", "--n", "500", "--m", "63622"],
+        ["inject", "--input", k5, "--vertex", "0", "--perm", "1,2,3,4,0"],
+        ["construct", "--kind", "cycle", "--n", "5", "--out", str(tmp_path / "c5.txt")],
+        ["count", "--input", k5, "--what", "fixed-points"],
+        ["count", "--input", k6, "--what", "matchings"],  # the general count, on an undirected graph
+        *(["verify", "--theorem", theorem, "--input", k6 if theorem == "2" else k5]
+          for theorem in ("injection", "corollary", "2", "subpermanent")),
+    ]
+    codes, loaded, at_forks = run_fresh(*free, ["count", "--input", write_graph(CYCLE5), "--what", "ratio"])
+    assert codes == [0] * (len(free) + 1) and at_forks == []
+    assert loaded == [False] * (len(free) + 1) + [True]  # the import, each numpy-free run, then the 0/1 kernel
+
+
+def test_a_missing_numpy_still_fails_the_import():
+    src = str(Path(permatch.__file__).resolve().parent.parent)
+    hide = "import os, sys; sys.path[:] = [p for p in sys.path if not os.path.isdir(os.path.join(p, 'numpy'))]"
+    proc = subprocess.run([sys.executable, "-c", f"{hide}; sys.path.insert(0, {src!r}); import permatch"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or _usable_cpus() < 2, reason="needs os.fork and two usable CPUs")
+def test_sampled_runs_load_numpy_before_they_fork():
+    # so the forked workers inherit numpy rather than each importing its own
+    argv = ["mc", "--model", "digraph", "--n", "6", "--q", "1/2", "--samples", "8", "--threads", "2"]
+    assert run_fresh(argv) == [[0], [False, True], [True]]
